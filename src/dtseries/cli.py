@@ -6,7 +6,7 @@ verify (oracle vs. Euler-product coefficients).  Output is deterministic
 for a fixed configuration and seed: timing goes to stderr, never stdout.
 
 Exit codes: 0 success, 2 hypothesis checks failed, 3 verification
-mismatch, 4 invalid input.
+mismatch or inconsistent model data, 4 invalid input.
 """
 
 import argparse
@@ -20,7 +20,7 @@ from fractions import Fraction
 from .classenum import enumerate_contributions
 from .fixtures import FixtureError, get_fixture
 from .geometry import delta_invariant, run_all_checks, virtual_dimension, ChernVector
-from .localization import OracleError, co_series, trace_terms
+from .localization import IntegralityError, OracleError, co_series, trace_terms
 from .qseries import (
     CONVENTION_MINUS,
     CONVENTION_PLUS,
@@ -35,7 +35,7 @@ EXIT_CHECKS_FAILED = 2
 EXIT_MISMATCH = 3
 EXIT_BAD_INPUT = 4
 
-NMAX_CEILING = 6
+NMAX_CEILING = 12
 
 
 class CliError(ValueError):
@@ -397,7 +397,7 @@ def cmd_oracle(cfg):
         )
     lin = fx.toric.bundles[cfg.bundle]
     result = co_series(fx.toric, lin, cfg.n_max, seed=cfg.seed)
-    print(f"oracle time: {result.elapsed:.3f}s ({result.backend})", file=sys.stderr)
+    print(f"oracle time: {result.elapsed:.3f}s", file=sys.stderr)
     if cfg.trace:
         depth = min(cfg.n_max, 3)
         trace = []
@@ -421,7 +421,6 @@ def cmd_oracle(cfg):
         "eval_points": [[frac_str(x), frac_str(y)] for (x, y) in result.eval_points],
         "shift": list(result.shift),
         "seed": result.seed,
-        "backend": result.backend,
     }
     if cfg.fmt == "json":
         emit_json(payload)
@@ -429,7 +428,7 @@ def cmd_oracle(cfg):
         rows = [["n", "value"]] + [[n, v] for n, v in enumerate(result.values)]
         _csv_print(rows)
     else:
-        print(f"fixture {fx.name}  bundle {lin.name}  backend {result.backend}")
+        print(f"fixture {fx.name}  bundle {lin.name}")
         pts = ", ".join(f"({frac_str(x)}, {frac_str(y)})" for (x, y) in result.eval_points)
         print(f"  evaluation points: {pts}  shift: {result.shift}")
         for n, v in enumerate(result.values):
@@ -448,7 +447,7 @@ def cmd_verify(cfg):
     lin = fx.toric.bundles[cfg.bundle]
     delta = delta_invariant(fx.surface, lin.surface_class)
     result = co_series(fx.toric, lin, cfg.n_max, seed=cfg.seed)
-    print(f"oracle time: {result.elapsed:.3f}s ({result.backend})", file=sys.stderr)
+    print(f"oracle time: {result.elapsed:.3f}s", file=sys.stderr)
     order = cfg.n_max + 1
     minus = [int(c) for c in euler_product(-delta, order).coeffs]
     plus = [int(c) for c in euler_product(delta, order).coeffs]
@@ -515,7 +514,7 @@ def main(argv=None):
     except (CliError, FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except OracleError as exc:
+    except (OracleError, IntegralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as exc:

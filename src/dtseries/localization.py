@@ -1,14 +1,24 @@
 """Equivariant residue oracle on Hilbert schemes of points of toric surfaces.
 
 Fixed points of the torus on S^[n] are tuples of partitions, one per fixed
-point of S; tangent weights come from arm/leg statistics of the diagrams,
-and the obstruction-type class attached to a linearized line bundle is the
-tangent twisted by the bundle, contributing one weight w_F(L) + t per
-tangent weight t (rank 2n, like the tangent).  The integral is the usual sum
-over fixed points of products of weights evaluated at a generic rational
-point of the Lie algebra; exactness of the arithmetic plus a degree count
-make the result an integer independent of the evaluation point and of the
-chosen linearization shift, and both independences are rechecked at runtime.
+point (chart) of S; tangent weights come from arm/leg statistics of the
+diagrams, and the obstruction-type class attached to a linearized line
+bundle is the tangent twisted by the bundle, contributing one weight
+w_F(L) + t per tangent weight t (rank 2n, like the tangent).  The integral
+is the sum over fixed points of prod(class weights)/prod(tangent weights),
+evaluated at a generic rational point of the Lie algebra.
+
+Each term is a product of one factor per chart, so the sums for all n are
+the coefficients of one product of per-chart series:
+
+    sum_n q^n * integral over S^[n]  =  prod_c Z_c(q),
+    Z_c(q) = sum_lambda q^|lambda| * co_c(lambda) / tan_c(lambda),
+
+computed exactly, truncated at q^n_max, in one pass per evaluation point.
+Exactness of the arithmetic plus a degree count make every coefficient an
+integer independent of the evaluation point and of the chosen linearization
+shift; integrality and both independences are rechecked at runtime.
+`trace_terms` keeps the direct walk over fixed points as a cross-check.
 """
 
 import random
@@ -16,22 +26,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .partitions import arm, leg, cells, partition_list
-
-try:  # compiled kernel is optional; the pure twin is always present
-    from . import _kernel_cy as _default_kernel
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernel_py as _default_kernel
-
-from . import _kernel_py
-
-DEFAULT_BACKEND = _default_kernel.BACKEND_NAME
-
-
-def available_backends():
-    out = {_kernel_py.BACKEND_NAME: _kernel_py}
-    out[_default_kernel.BACKEND_NAME] = _default_kernel
-    return out
+from .partitions import conjugate, partition_list
 
 
 class ZeroWeightError(ArithmeticError):
@@ -179,14 +174,18 @@ BUILTIN_TORIC = {"p1xp1": p1xp1, "p2": p2}
 def tangent_weights(parts, chart):
     """Tangent weights of the Hilbert scheme at the monomial ideal of a
     partition, in one chart: each cell contributes the arm/leg pair
-    -l*w1 + (a+1)*w2 and (l+1)*w1 - a*w2."""
-    w1, w2 = chart.w1, chart.w2
+    -l*w1 + (a+1)*w2 and (l+1)*w1 - a*w2, cells taken row by row.  Arm and
+    leg of cell (i, j) are parts[i]-j-1 and conj[j]-i-1, with conj the
+    conjugate partition."""
+    (x1, y1), (x2, y2) = chart.w1, chart.w2
+    conj = conjugate(parts)
     out = []
-    for (i, j) in cells(parts):
-        a = arm(parts, i, j)
-        l = leg(parts, i, j)
-        out.append((-l * w1[0] + (a + 1) * w2[0], -l * w1[1] + (a + 1) * w2[1]))
-        out.append(((l + 1) * w1[0] - a * w2[0], (l + 1) * w1[1] - a * w2[1]))
+    for i, p in enumerate(parts):
+        for j in range(p):
+            a = p - j - 1
+            l = conj[j] - i - 1
+            out.append((-l * x1 + (a + 1) * x2, -l * y1 + (a + 1) * y2))
+            out.append(((l + 1) * x1 - a * x2, (l + 1) * y1 - a * y2))
     return out
 
 
@@ -243,23 +242,24 @@ def _eval_scalars(at):
     return x.numerator * y.denominator, y.numerator * x.denominator
 
 
-def _weight_tables(model, lin, n, at, shift):
+def _weight_tables(model, lin, n_max, at, shift):
     """Evaluate all per-partition weight products as exact integers.
 
-    Denominators of the evaluation point cancel between the co and tangent
-    products (both have rank 2n), so the tables hold the cleared integer
-    values a*A + b*B.
+    Returns co_tables, tan_tables indexed [chart][size][partition], for
+    sizes 0..n_max.  Denominators of the evaluation point cancel between
+    the co and tangent products (both have rank 2n), so the tables hold the
+    cleared integer values a*A + b*B.  Sizes are visited in increasing
+    order, charts within a size, so the first zero weight reported is the
+    one of smallest size.
     """
     A, B = _eval_scalars(at)
-    co_tables = []
-    tan_tables = []
-    for c, chart in enumerate(model.charts):
-        wl = lin.weights[c]
-        base = (wl[0] + shift[0], wl[1] + shift[1])
-        base_val = base[0] * A + base[1] * B
-        co_by_size = []
-        tan_by_size = []
-        for k in range(n + 1):
+    bases = [(wl[0] + shift[0], wl[1] + shift[1]) for wl in lin.weights]
+    co_tables = [[] for _ in model.charts]
+    tan_tables = [[] for _ in model.charts]
+    for k in range(n_max + 1):
+        for c, chart in enumerate(model.charts):
+            base = bases[c]
+            base_val = base[0] * A + base[1] * B
             co_row = []
             tan_row = []
             for parts in partition_list(k):
@@ -284,24 +284,41 @@ def _weight_tables(model, lin, n, at, shift):
                     cp *= w
                 co_row.append(cp)
                 tan_row.append(tp)
-            co_by_size.append(co_row)
-            tan_by_size.append(tan_row)
-        co_tables.append(co_by_size)
-        tan_tables.append(tan_by_size)
+            co_tables[c].append(co_row)
+            tan_tables[c].append(tan_row)
     return co_tables, tan_tables
 
 
-def integrate(model, lin, n, at, shift=(0, 0), backend=None):
+def chart_product(co_tables, tan_tables, n_max):
+    """Coefficients 0..n_max of prod_c Z_c(q), Z_c[k] = sum co/tan over the
+    partitions of k in chart c: for each n, the sum of prod co/prod tan over
+    all chart assignments of total size n, as exact Fractions."""
+    total = [Fraction(1)] + [Fraction(0)] * n_max
+    for co_rows, tan_rows in zip(co_tables, tan_tables):
+        z = [sum(map(Fraction, co_rows[k], tan_rows[k])) for k in range(n_max + 1)]
+        total = [sum(total[i] * z[n - i] for i in range(n + 1)) for n in range(n_max + 1)]
+    return total
+
+
+def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
+    """Integrals over S^[n] for n = 0..n_max at the rational point `at`, from
+    one chart-factored pass.  Each exact result must be an integer; the
+    first that is not raises IntegralityError."""
+    co_tables, tan_tables = _weight_tables(model, lin, n_max, at, shift)
+    values = []
+    for n, v in enumerate(chart_product(co_tables, tan_tables, n_max)):
+        if v.denominator != 1:
+            raise IntegralityError(
+                f"fixed-point sum {v} is not an integer (n={n}, at={at})"
+            )
+        values.append(v.numerator)
+    return values
+
+
+def integrate(model, lin, n, at, shift=(0, 0)):
     """Fixed-point sum of prod(class weights)/prod(tangent weights) on S^[n],
     evaluated at the rational point `at`; the exact result must be an integer."""
-    kernel = available_backends()[backend] if backend else _default_kernel
-    co_tables, tan_tables = _weight_tables(model, lin, n, at, shift)
-    num, den = kernel.sum_ratio_products(co_tables, tan_tables, n)
-    if num % den != 0:
-        raise IntegralityError(
-            f"fixed-point sum {num}/{den} is not an integer (n={n}, at={at})"
-        )
-    return num // den
+    return fixed_point_series(model, lin, n, at, shift)[n]
 
 
 def trace_terms(model, lin, n, at, shift=(0, 0)):
@@ -335,11 +352,10 @@ class CoSeriesResult:
     eval_points: tuple
     shift: tuple
     seed: int
-    backend: str
     elapsed: float
 
 
-def co_series(model, lin, n_max, seed=0, backend=None, max_attempts=8):
+def co_series(model, lin, n_max, seed=0, max_attempts=8):
     """Integrals for n = 0..n_max at two independent evaluation points.
 
     Zero weights trigger fresh points (and, for structural zeros, a fresh
@@ -353,8 +369,8 @@ def co_series(model, lin, n_max, seed=0, backend=None, max_attempts=8):
     for _ in range(max_attempts):
         p, q = _draw_point(rng), _draw_point(rng)
         try:
-            vals_p = [integrate(model, lin, n, p, shift, backend) for n in range(n_max + 1)]
-            vals_q = [integrate(model, lin, n, q, shift, backend) for n in range(n_max + 1)]
+            vals_p = fixed_point_series(model, lin, n_max, p, shift)
+            vals_q = fixed_point_series(model, lin, n_max, q, shift)
         except ZeroWeightError as exc:
             if exc.structural:
                 shift = (rng.randint(-40, 40), rng.randint(-40, 40))
@@ -366,7 +382,6 @@ def co_series(model, lin, n_max, seed=0, backend=None, max_attempts=8):
                 eval_points=(p, q),
                 shift=shift,
                 seed=seed,
-                backend=backend or DEFAULT_BACKEND,
                 elapsed=time.perf_counter() - t0,
             )
         disagreements += 1

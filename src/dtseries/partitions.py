@@ -30,10 +30,12 @@ def check_partition(parts):
 
 
 def conjugate(parts):
-    """Transpose of the Young diagram."""
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+    """Transpose of the Young diagram: column j holds one cell per part > j."""
+    conj = [0] * (parts[0] if parts else 0)
+    for p in parts:
+        for j in range(p):
+            conj[j] += 1
+    return tuple(conj)
 
 
 def cells(parts):

@@ -254,6 +254,7 @@ def test_oracle_values_and_determinism(capsys):
     assert data["values"] == [1, 10, 65, 330]
     assert data["bundle"] == "O(1,1)"
     assert len(data["eval_points"]) == 2
+    assert "backend" not in data
     code2, out2, _ = run(capsys, *argv)
     assert code2 == EXIT_OK and out2 == out
 
@@ -329,7 +330,7 @@ def test_oracle_rejects_unknown_bundle(capsys):
 
 def test_oracle_nmax_bounds(capsys):
     code, _, err = run(
-        capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "7"
+        capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "13"
     )
     assert code == EXIT_BAD_INPUT
     assert "nmax" in err
@@ -337,6 +338,21 @@ def test_oracle_nmax_bounds(capsys):
         capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "-1"
     )
     assert code == EXIT_BAD_INPUT
+
+
+def test_oracle_integrality_error_exits_mismatch(capsys, monkeypatch):
+    from dtseries import cli
+    from dtseries.localization import IntegralityError
+
+    def broken(*args, **kwargs):
+        raise IntegralityError("fixed-point sum 1/2 is not an integer (n=1)")
+
+    monkeypatch.setattr(cli, "co_series", broken)
+    code, out, err = run(capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "2")
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert "error: fixed-point sum 1/2 is not an integer" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +405,17 @@ def test_verify_nmax_zero_trivially_passes(capsys):
     data = json.loads(out)
     assert data["oracle_values"] == [1]
     assert data["matches_minus"] and data["matches_plus"]
+
+
+def test_verify_at_nmax_ceiling(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--fixture", "quadric_p4_d2", "--nmax", "12",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert len(data["oracle_values"]) == 13
+    assert data["oracle_values"] == data["euler_minus_delta"]
 
 
 def test_verify_pretty_output(capsys):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from dtseries.localization import (
-    DEFAULT_BACKEND,
     Chart,
     Edge,
     IntegralityError,
@@ -14,9 +13,10 @@ from dtseries.localization import (
     OracleError,
     ToricSurfaceModel,
     ZeroWeightError,
-    available_backends,
+    chart_product,
     co_class_weights,
     co_series,
+    fixed_point_series,
     hilb_fixed_points,
     integrate,
     line_bundle_p1xp1,
@@ -26,9 +26,8 @@ from dtseries.localization import (
     tangent_weights,
     trace_terms,
 )
-from dtseries.partitions import partition_list
+from dtseries.partitions import arm, cells, leg, partition_list
 from dtseries.qseries import euler_product
-from dtseries import _kernel_py
 
 AT = (Fraction(7, 3), Fraction(-5, 11))
 
@@ -106,6 +105,21 @@ def test_tangent_weights_rank_is_two_n():
                 ws = tangent_weights(parts, chart)
                 assert len(ws) == 2 * n
                 assert (0, 0) not in ws
+
+
+def test_tangent_weights_match_arm_leg_formula():
+    # the conjugate-partition shortcut against partitions.arm/leg, cell by cell
+    for model in (p1xp1(), p2()):
+        for chart in model.charts:
+            (x1, y1), (x2, y2) = chart.w1, chart.w2
+            for n in range(9):
+                for parts in partition_list(n):
+                    expected = []
+                    for (i, j) in cells(parts):
+                        a, l = arm(parts, i, j), leg(parts, i, j)
+                        expected.append((-l * x1 + (a + 1) * x2, -l * y1 + (a + 1) * y2))
+                        expected.append(((l + 1) * x1 - a * x2, (l + 1) * y1 - a * y2))
+                    assert tangent_weights(parts, chart) == expected
 
 
 def test_tangent_weights_conjugate_symmetry():
@@ -268,6 +282,27 @@ def test_trace_terms_sum_to_integral():
     assert sum(r["term"] for r in rows) == 65
 
 
+@pytest.mark.parametrize("shift", [(0, 0), (101, 103)])
+@pytest.mark.parametrize("bundle", ["L", "trivial"])
+@pytest.mark.parametrize("make", [p1xp1, p2])
+def test_integrate_equals_fixed_point_walk(make, bundle, shift):
+    # the chart-factored pass against the direct sum over partition tuples
+    model = make()
+    lin = model.bundles[bundle]
+    for n in range(6):
+        assert integrate(model, lin, n, AT, shift) == sum(
+            r["term"] for r in trace_terms(model, lin, n, AT, shift)
+        )
+
+
+def test_fixed_point_series_entries_are_integrals():
+    model = p2()
+    lin = model.bundles["L"]
+    series = fixed_point_series(model, lin, 5, AT)
+    assert series == [integrate(model, lin, n, AT) for n in range(6)]
+    assert all(type(v) is int for v in series)
+
+
 def test_trace_terms_trivial_bundle_all_ones():
     rows = trace_terms(p2(), p2().bundles["trivial"], 2, AT)
     assert [r["term"] for r in rows] == [1] * 9
@@ -286,7 +321,6 @@ def test_co_series_values_and_metadata():
     assert res.eval_points[0] != res.eval_points[1]
     assert res.shift == (0, 0)
     assert res.seed == 0
-    assert res.backend == DEFAULT_BACKEND
     assert res.elapsed >= 0
 
 
@@ -313,20 +347,7 @@ def test_co_series_no_attempts_raises():
 
 
 # ---------------------------------------------------------------------------
-# backends
-
-
-def test_backends_registry():
-    backends = available_backends()
-    assert "pure-python" in backends
-    assert DEFAULT_BACKEND in backends
-
-
-def test_backend_results_agree():
-    model = p1xp1()
-    lin = model.bundles["L"]
-    for name in available_backends():
-        assert integrate(model, lin, 4, AT, backend=name) == 1430
+# chart product
 
 
 def _oracle_sum(co_tables, tan_tables, n):
@@ -349,18 +370,18 @@ def _oracle_sum(co_tables, tan_tables, n):
     return walk(0, n)
 
 
-def test_kernel_twins_match_direct_sum():
+def test_chart_product_matches_direct_sum():
+    # one call gives every n <= n_max; each must equal the composition sum
     rng = random.Random(77)
-    backends = available_backends()
     for _ in range(15):
         num_charts = rng.randint(1, 3)
-        n = rng.randint(0, 4)
+        n_max = rng.randint(0, 4)
         co_tables = []
         tan_tables = []
         for _c in range(num_charts):
             co_rows = []
             tan_rows = []
-            for k in range(n + 1):
+            for k in range(n_max + 1):
                 width = len(partition_list(k))
                 co_rows.append([rng.randint(-50, 50) for _ in range(width)])
                 tan_rows.append(
@@ -368,12 +389,9 @@ def test_kernel_twins_match_direct_sum():
                 )
             co_tables.append(co_rows)
             tan_tables.append(tan_rows)
-        expected = _oracle_sum(co_tables, tan_tables, n)
-        for mod in backends.values():
-            num, den = mod.sum_ratio_products(co_tables, tan_tables, n)
-            assert Fraction(num, den) == expected
+        got = chart_product(co_tables, tan_tables, n_max)
+        assert got == [_oracle_sum(co_tables, tan_tables, n) for n in range(n_max + 1)]
 
 
-def test_pure_kernel_single_cell():
-    num, den = _kernel_py.sum_ratio_products([[[4]]], [[[8]]], 0)
-    assert Fraction(num, den) == Fraction(1, 2)
+def test_chart_product_single_cell():
+    assert chart_product([[[4]]], [[[8]]], 0) == [Fraction(1, 2)]
