@@ -218,15 +218,22 @@ def enumerate_contributions(S, X, gamma, max_power, window):
     lattice = beta_constraint_lattice(S, gamma, L2)
     rows = []
     if lattice is not None:
+        # xi = beta^2/2 + gamma.L/2 + 2L^3/3 - n as in xi_from_n, which the
+        # tests compare against; only beta^2/2 - n varies from row to row
+        gL = pair_h4_h2(X, gamma, X.L)
+        L3 = triple_product(X, X.L, X.L, X.L)
+        xi_const = Fraction(gL) / 2 + Fraction(2 * L3, 3)
+        off = Fraction(delta, 24)
         for coords in _box(lattice.rank, window):
             beta = lattice.element(coords)
             bsq = S.dot(beta, beta)
-            base = Fraction(bsq, 2) + Fraction(delta, 24)
+            half_bsq = Fraction(bsq, 2)
+            base = half_bsq + off
+            xi0 = half_bsq + xi_const
             n = 0
             while base + n <= max_power:
-                xi = xi_from_n(S, X, gamma, beta, n)
                 rows.append(
-                    BetaData(beta=beta, beta_sq=bsq, n=n, xi=xi, q_exponent=base + n)
+                    BetaData(beta=beta, beta_sq=bsq, n=n, xi=xi0 - n, q_exponent=base + n)
                 )
                 n += 1
     rows.sort(key=lambda r: (r.q_exponent, r.beta))

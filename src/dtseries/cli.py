@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classenum import enumerate_contributions
+from .classenum import IndefiniteKernelError, enumerate_contributions
 from .fixtures import FixtureError, get_fixture
 from .geometry import delta_invariant, run_all_checks, virtual_dimension, ChernVector
 from .localization import IntegralityError, OracleError, co_series, trace_terms
@@ -514,7 +514,7 @@ def main(argv=None):
     except (CliError, FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (OracleError, IntegralityError) as exc:
+    except (OracleError, IntegralityError, IndefiniteKernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as exc:

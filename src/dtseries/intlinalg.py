@@ -17,17 +17,6 @@ def mat_vec(A, v):
     return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def mat_mul(A, B):
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
-
-
 def smith_normal_form(A):
     """Diagonalize an integer matrix by unimodular row/column operations.
 

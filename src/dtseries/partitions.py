@@ -23,12 +23,6 @@ def partition_list(n):
     return tuple(partitions(n))
 
 
-def check_partition(parts):
-    if any(p <= 0 for p in parts) or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"not a partition: {parts!r}")
-    return parts
-
-
 def conjugate(parts):
     """Transpose of the Young diagram: column j holds one cell per part > j."""
     conj = [0] * (parts[0] if parts else 0)

@@ -153,55 +153,54 @@ class QSeries:
         return cls(parse_frac(d["offset"]), [parse_frac(c) for c in d["coeffs"]])
 
 
-def _poly_mul(a, b, order):
-    out = [0] * order
-    for i, x in enumerate(a[:order]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: order - i]):
-            out[i + j] += x * y
-    return out
+def _pentagonal_terms(order):
+    """(k, sign) for every nonzero term of prod_{k>=1} (1 - q^k) below q^order.
 
-
-def _poly_pow(base, e, order):
-    result = [1] + [0] * (order - 1)
-    acc = list(base)
-    while e:
-        if e & 1:
-            result = _poly_mul(result, acc, order)
-        e >>= 1
-        if e:
-            acc = _poly_mul(acc, acc, order)
-    return result
-
-
-def _poly_reciprocal(a, order):
-    """Triangular solve for 1/a mod q^order; a[0] must be +-1 (it is here)."""
-    if a[0] not in (1, -1):
-        raise ValueError("leading coefficient must be a unit")
-    inv = [0] * order
-    inv[0] = a[0]
-    for k in range(1, order):
-        s = sum(a[j] * inv[k - j] for j in range(1, k + 1))
-        inv[k] = -s * a[0]
-    return inv
+    Euler's pentagonal theorem: the product is sum_j (-1)^j q^(j(3j-1)/2)
+    over all integers j, so the terms are +-1 at the generalized pentagonal
+    numbers j(3j-1)/2 and j(3j+1)/2, listed here in increasing order.
+    """
+    terms = []
+    j = 1
+    while j * (3 * j - 1) // 2 < order:
+        sign = -1 if j % 2 else 1
+        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if k < order:
+                terms.append((k, sign))
+        j += 1
+    return terms
 
 
 def euler_product(e, order):
     """prod_{k>=1} (1 - q^k)^e truncated to the given order (integer e, any sign).
 
-    Negative exponents go through one truncated reciprocal (triangular
-    solve) of the positive power, not a per-factor binomial expansion.
+    f = prod (1 - q^k) comes from Euler's pentagonal theorem, and g = f^e
+    from J.C.P. Miller's power recurrence (f_0 = 1)
+
+        n * g_n = sum_{k=1}^{n} ((e + 1) k - n) * f_k * g_{n-k},
+
+    one exact integer pass for either sign of e.  f has O(sqrt(order))
+    nonzero terms, so the pass costs O(order^1.5) small-int x bigint steps.
+    The division by n is exact; a nonzero remainder raises ArithmeticError.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    base = [1] + [0] * (order - 1)
-    for k in range(1, order):
-        for i in range(order - 1, k - 1, -1):
-            base[i] -= base[i - k]
-    coeffs = _poly_pow(base, abs(e), order)
-    if e < 0:
-        coeffs = _poly_reciprocal(coeffs, order)
+    terms = _pentagonal_terms(order)
+    e1 = e + 1
+    coeffs = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        s = 0
+        for k, sign in terms:
+            if k > n:
+                break
+            if sign > 0:
+                s += (e1 * k - n) * coeffs[n - k]
+            else:
+                s -= (e1 * k - n) * coeffs[n - k]
+        c, r = divmod(s, n)
+        if r:
+            raise ArithmeticError(f"Miller recurrence: {s} is not divisible by {n}")
+        coeffs[n] = c
     return QSeries(0, coeffs)
 
 

@@ -142,9 +142,27 @@ def test_contribution_rows_sorted_and_capped():
     assert exps == sorted(exps)
     assert all(e <= 3 for e in exps)
     assert all(r.n >= 0 for r in table.rows)
-    # xi is consistent with n on every row
-    for r in table.rows:
-        assert xi_from_n(fx.surface, fx.threefold, table.gamma, r.beta, r.n) == r.xi
+    # xi is consistent with n on every row, for every builtin fixture with
+    # the zero character, each named one, and the one whose target is zero
+    cases = [
+        ("quadric_p4_d2", fx.gamma_names["ell"], Fraction(3), 2),
+        ("cubic_p4_d3", (Fraction(1, 2),), Fraction(2), 1),
+    ]
+    for name in BUILTIN:
+        fx = get_fixture(name)
+        S, X = fx.surface, fx.threefold
+        gammas = [(0,) * X.h4_rank, *fx.gamma_names.values(),
+                  tuple(Fraction(-l, 2) for l in S.push(S.L_S))]
+        cases += [(name, gamma, Fraction(3), 1) for gamma in gammas]
+    nonempty = set()
+    for name, gamma, max_power, window in cases:
+        fx = get_fixture(name)
+        table = enumerate_contributions(fx.surface, fx.threefold, gamma, max_power, window)
+        for r in table.rows:
+            assert xi_from_n(fx.surface, fx.threefold, table.gamma, r.beta, r.n) == r.xi
+        if table.rows:
+            nonempty.add(name)
+    assert nonempty == set(BUILTIN)
 
 
 def test_contributions_empty_when_target_nonintegral():

@@ -239,6 +239,27 @@ def test_series_csv(capsys):
     assert lines[1] == "-7,12,2,1"
 
 
+def test_series_at_benchmark_order(capsys):
+    from dtseries.qseries import euler_product
+
+    code, out, _ = run(
+        capsys, "series", "--fixture", "quadric_p4_d2", "--gamma", "ell",
+        "--order", "1500", "--window", "1", "--format", "json",
+    )
+    assert code == EXIT_OK
+    data = json.loads(out)
+    # blocks beta = +-(e1 - e2) at q^(-7/12) and beta = 0 at q^(5/12),
+    # each carrying the full eta-power series prod_k (1 - q^k)^(-10)
+    eta = [str(c) for c in euler_product(-10, 1500).coeffs]
+    assert sorted(b["prefactor_exponent"] for b in data["blocks"]) == ["-7/12", "-7/12", "5/12"]
+    assert all(b["n_series"]["coeffs"] == eta for b in data["blocks"])
+    total = data["total"]
+    assert total["offset"] == "-7/12"
+    assert len(total["coeffs"]) == 1500
+    want = [2 * int(eta[0])] + [2 * int(a) + int(b) for a, b in zip(eta[1:], eta)]
+    assert [int(c) for c in total["coeffs"]] == want
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -353,6 +374,22 @@ def test_oracle_integrality_error_exits_mismatch(capsys, monkeypatch):
     assert out == ""
     assert "error: fixed-point sum 1/2 is not an integer" in err
     assert "Traceback" not in err
+
+
+def test_indefinite_kernel_error_exits_mismatch(capsys, monkeypatch):
+    from dtseries import cli
+    from dtseries.classenum import IndefiniteKernelError
+
+    def broken(*args, **kwargs):
+        raise IndefiniteKernelError("form is not positive definite")
+
+    monkeypatch.setattr(cli, "enumerate_contributions", broken)
+    for command in ("classes", "series"):
+        code, out, err = run(capsys, command, "--fixture", "quadric_p4_d2")
+        assert code == EXIT_MISMATCH
+        assert out == ""
+        assert "error: form is not positive definite" in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -29,6 +30,63 @@ def tuple_count(m, n):
     if m == 1:
         return len(partition_list(n))
     return sum(len(partition_list(k)) * tuple_count(m - 1, n - k) for k in range(n + 1))
+
+
+def dense_euler(e, order):
+    """prod_{1<=k<order} (1 - q^k)^e expanded factor by factor, mod q^order.
+
+    Independent of euler_product: each factor (1 - q^k) multiplies in
+    directly, and for e < 0 each 1/(1 - q^k) = sum_m q^(km) multiplies in as
+    a geometric series.
+    """
+    a = [1] + [0] * (order - 1)
+    for k in range(1, order):
+        for _ in range(abs(e)):
+            if e > 0:
+                for i in range(order - 1, k - 1, -1):
+                    a[i] -= a[i - k]
+            else:
+                for i in range(k, order):
+                    a[i] += a[i - k]
+    return a
+
+
+def test_euler_product_matches_dense_expansion():
+    for e in range(-30, 31):
+        want = dense_euler(e, 120)
+        for order in range(1, 121):
+            assert list(euler_product(e, order).coeffs) == want[:order], (e, order)
+    for e in (-28, 28):
+        assert list(euler_product(e, 600).coeffs) == dense_euler(e, 600)
+
+
+def test_euler_product_edge_cases():
+    assert euler_product(0, 1).coeffs == (1,)
+    assert euler_product(0, 7).coeffs == (1, 0, 0, 0, 0, 0, 0)
+    for e in (-5, -1, 1, 5):
+        assert euler_product(e, 1).coeffs == (1,)
+        assert euler_product(e, 1).offset == 0
+    for order in (0, -1):
+        with pytest.raises(ValueError):
+            euler_product(3, order)
+
+
+def test_ramanujan_tau_closed_forms():
+    # Delta = q * prod (1 - q^k)^24 = sum tau(n) q^n
+    coeffs = euler_product(24, 600).coeffs
+    tau = [None] + [int(c) for c in coeffs]  # tau[n] = coeffs[n - 1]
+    assert tau[1:12] == [1, -24, 252, -1472, 4830, -6048, -16744, 84480,
+                         -113643, -115920, 534612]
+    for m in range(2, 600):
+        for n in range(m + 1, 600 // m + 1):
+            if m * n < 600 and gcd(m, n) == 1:
+                assert tau[m * n] == tau[m] * tau[n], (m, n)
+
+
+def test_partition_numbers_at_large_order():
+    coeffs = euler_product(-1, 1001).coeffs
+    assert coeffs[200] == 3972999029388
+    assert coeffs[1000] == 24061467864032622473692149727991
 
 
 def test_euler_minus_one_is_partition_count():
