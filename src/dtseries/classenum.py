@@ -192,18 +192,6 @@ class ContributionTable:
             raise ValueError("table does not carry a single character vector")
         return self
 
-    def merge(self, other):
-        if self.gamma != other.gamma:
-            raise ValueError("cannot merge contribution tables with different gamma")
-        rows = sorted(set(self.rows) | set(other.rows), key=lambda r: (r.q_exponent, r.beta))
-        return ContributionTable(
-            gamma=self.gamma,
-            window=max(self.window, other.window),
-            max_power=max(self.max_power, other.max_power),
-            delta=self.delta,
-            rows=tuple(rows),
-        )
-
 
 def enumerate_contributions(S, X, gamma, max_power, window):
     """Contribution rows (beta, beta_sq, n, xi, exponent) with exponent

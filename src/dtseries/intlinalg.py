@@ -1,12 +1,15 @@
 """Exact linear algebra over Z and Q for small dense matrices.
 
 Everything here works on plain nested lists/tuples of ints or Fractions;
-ranks in this package never exceed single digits, so clarity wins over
-asymptotics.  No floating point anywhere.
+ranks in this package never exceed single digits, so the elimination
+routines favour clarity over asymptotics.  The one hot loop, the
+completed-square descent that enumerates lattice points of a given norm,
+scales its data to integers once and then runs in Python ints only.  No
+floating point anywhere.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 def identity_matrix(n):
@@ -190,11 +193,6 @@ def symmetric_signature(G):
     return pos, neg, zero
 
 
-def is_negative_definite(G):
-    pos, neg, zero = symmetric_signature(G)
-    return pos == 0 and zero == 0
-
-
 def quadratic_completion(Q):
     """Write a positive definite rational form as sum of completed squares.
 
@@ -218,44 +216,63 @@ def quadratic_completion(Q):
     return d, u
 
 
-def floor_sqrt_fraction(x):
-    """floor(sqrt(x)) for a nonnegative Fraction, exactly."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative argument")
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
 def solve_completed_square(d, u, offsets, value):
-    """Integer solutions x of sum_i d_i (x_i + c_i(x))^2 == value.
+    """Integer solutions x of sum_i d_i (x_i + t_i(x))^2 == value.
 
-    Here c_i(x) = offsets[i] + sum_{j>i} u[i][j] x_j, with d from
-    quadratic_completion.  Enumerates from the last coordinate down; all
-    bounds are exact (integer square roots of rationals).
+    Here t_i(x) = offsets[i] + sum_{j>i} u[i][j] x_j, with (d, u) from
+    quadratic_completion (every d_i > 0).  Solutions are listed with x_{n-1}
+    as the slowest coordinate and x_0 the fastest, each ascending.
+
+    The descent (Fincke & Pohst, Math. Comp. 44, 1985) runs in integers
+    only.  Row i of the shift is scaled once by den_i, the lcm of its
+    denominators, so s_i = den_i*x_i + T_i(x) is an integer with T_i linear
+    in the outer coordinates; one factor W makes W*value and every
+    c_i = W*d_i/den_i^2 integral.  The budget R = W*remaining then stays
+    an integer, each level spends c_i*s_i^2 of it, and |s_i| <= isqrt(R // c_i)
+    bounds x_i exactly.  The last coordinate is solved, not scanned:
+    c_0*s_0^2 must equal what is left.
     """
     n = len(d)
     value = Fraction(value)
     if value < 0:
         return []
+    if n == 0:
+        return [()] if value == 0 else []
+    dens, rows = [], []
+    for i in range(n):
+        row = [Fraction(offsets[i])] + [Fraction(u[i][j]) for j in range(i + 1, n)]
+        den = lcm(*(f.denominator for f in row))
+        dens.append(den)
+        # rows[i] = (den_i*offsets[i], den_i*u[i][i+1], ..., den_i*u[i][n-1])
+        rows.append([f.numerator * (den // f.denominator) for f in row])
+    weights = [Fraction(d[i]) / (dens[i] * dens[i]) for i in range(n)]
+    W = lcm(value.denominator, *(f.denominator for f in weights))
+    c = [f.numerator * (W // f.denominator) for f in weights]
     out = []
     x = [0] * n
 
-    def descend(i, remaining):
-        if i < 0:
-            if remaining == 0:
-                out.append(tuple(x))
+    def descend(i, R):
+        row = rows[i]
+        T = row[0]
+        for k in range(i + 1, n):
+            T += row[k - i] * x[k]
+        den, ci = dens[i], c[i]
+        if i == 0:
+            q, rem = divmod(R, ci)
+            r = isqrt(q)
+            if rem or r * r != q:
+                return
+            for s in (-r, r) if r else (0,):
+                x0, miss = divmod(s - T, den)
+                if not miss:
+                    x[0] = x0
+                    out.append(tuple(x))
             return
-        t = offsets[i] + sum(u[i][j] * x[j] for j in range(i + 1, n))
-        budget = remaining / d[i]
-        q = t.denominator
-        p = t.numerator
-        m = isqrt((budget.numerator * q * q) // budget.denominator)
-        lo = -(-(-p - m) // q)  # ceil((-p - m)/q)
-        hi = (-p + m) // q
-        for xi in range(lo, hi + 1):
+        m = isqrt(R // ci)  # c_i*s_i^2 <= R  <=>  |den*x_i + T| <= m
+        for xi in range(-((m + T) // den), (m - T) // den + 1):
             x[i] = xi
-            descend(i - 1, remaining - d[i] * (xi + t) ** 2)
-        x[i] = 0
+            s = den * xi + T
+            descend(i - 1, R - ci * s * s)
 
-    descend(n - 1, value)
+    descend(n - 1, value.numerator * (W // value.denominator))
     return out

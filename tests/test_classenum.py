@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor, isqrt, prod
 
 import pytest
 
@@ -12,6 +14,7 @@ from dtseries.classenum import (
     xi_from_n,
 )
 from dtseries.fixtures import BUILTIN, get_fixture
+from dtseries.intlinalg import solve_rational
 
 
 def brute_force_betas(S, gamma, beta_sq, radius):
@@ -82,6 +85,47 @@ def test_enumerate_beta_cubic_rank_six_kernel():
         assert S.push(beta) == (0,)
         assert S.dot(beta, beta) == -2
     assert enumerate_beta(S, gamma, 0) == [(0,) * 7]
+
+
+def test_enumerate_beta_cubic_matches_ellipsoid_scan():
+    """On the rank-6 cubic lattice, every level down to -4 equals a scan of
+    the lattice coordinates in the exact bounding box of the ellipsoid
+    {beta^2 >= -4}.  With beta(x)^2 = x.A.x + 2 b.x + c and Q = -A positive
+    definite, that set is (x - x*).Q.(x - x*) <= R with Q x* = b and
+    R = c + b.x* + 4, whose extent along axis i is sqrt(R (Q^-1)_ii)."""
+    fx = get_fixture("cubic_p4_d3")
+    S = fx.surface
+    gamma = (Fraction(1, 2),)
+    levels = range(1, -5, -1)
+    lat = beta_constraint_lattice(S, gamma, S.push(S.L_S))
+    B, o = lat.basis, lat.origin
+    m = lat.rank
+    A = [[S.dot(B[a], B[b]) for b in range(m)] for a in range(m)]
+    b = [S.dot(B[a], o) for a in range(m)]
+    c = S.dot(o, o)
+    Q = [[-x for x in row] for row in A]
+    center = solve_rational(Q, b)
+    R = c + sum(bi * xi for bi, xi in zip(b, center)) - levels[-1]
+    ranges = []
+    for i in range(m):
+        reach2 = R * solve_rational(Q, [int(j == i) for j in range(m)])[i]
+        k = isqrt(ceil(reach2)) + 1
+        xs = [x for x in range(floor(center[i]) - k, ceil(center[i]) + k + 1)
+              if (x - center[i]) ** 2 <= reach2]
+        ranges.append(range(xs[0], xs[-1] + 1))
+    assert prod(map(len, ranges)) <= 60000
+    found = {lvl: [] for lvl in levels}
+    for x in product(*ranges):
+        sq = c + sum((2 * b[a] + sum(A[a][j] * x[j] for j in range(m))) * x[a] for a in range(m))
+        if sq in found:
+            found[sq].append(lat.element(x))
+    target = tuple(Fraction(g) + Fraction(l, 2) for g, l in zip(gamma, S.push(S.L_S)))
+    for lvl in levels:
+        got = enumerate_beta(S, gamma, lvl)
+        assert got == sorted(set(got))
+        assert got == sorted(found[lvl])
+        assert all(S.push(beta) == target and S.dot(beta, beta) == lvl for beta in got)
+    assert all(found[lvl] for lvl in levels if lvl % 2 == 0)
 
 
 def test_n_xi_round_trip():

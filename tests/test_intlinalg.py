@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor, isqrt, lcm
 
 import pytest
 
 from dtseries.intlinalg import (
-    floor_sqrt_fraction,
-    is_negative_definite,
     quadratic_completion,
     smith_normal_form,
     solve_completed_square,
@@ -25,6 +25,19 @@ def det(M):
         minor = [row[:j] + row[j + 1 :] for row in M[1:]]
         total += (-1) ** j * M[0][j] * det(minor)
     return total
+
+
+def floor_sqrt_fraction(x):
+    """floor(sqrt(x)) for a nonnegative Fraction, exactly."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("negative argument")
+    return isqrt(x.numerator * x.denominator) // x.denominator
+
+
+def is_negative_definite(G):
+    pos, neg, zero = symmetric_signature(G)
+    return pos == 0 and zero == 0
 
 
 def mat_mul(A, B):
@@ -175,23 +188,47 @@ def test_floor_sqrt_fraction():
 
 def test_solve_completed_square_matches_box_scan():
     """The descent must return exactly the box-scan solution set of
-    Q(x) = value for positive definite Q (eigenvalues >= 1 here, so the
-    scan radius isqrt(value)+1 is rigorous)."""
+    sum_i d_i (x_i + offsets[i] + sum_{j>i} u[i][j] x_j)^2 == value, in the
+    documented order, for ranks 0-4, zero and fractional offsets and
+    non-integral values.
+
+    With (d, u) the completion of A, that sum is Q_A(x + z) where z solves
+    z_i + sum_{j>i} u[i][j] z_j = offsets[i].  A = M^T M + I has eigenvalues
+    >= 1, so every solution has |x_i + z_i| <= sqrt(value): the scan box is
+    rigorous.  The scan evaluates Q_A itself, not the completed squares."""
     rng = random.Random(23)
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        M = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    for trial in range(60):
+        n = trial % 5
+        k = 1 if n == 4 else 2  # keeps the rank-4 scan boxes to a few thousand points
+        M = [[rng.randint(-k, k) for _ in range(n)] for _ in range(n)]
         A = [[sum(M[k][i] * M[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
         d, u = quadratic_completion(A)
-        probe = [rng.randint(-3, 3) for _ in range(n)]
-        value = sum(A[i][j] * probe[i] * probe[j] for i in range(n) for j in range(n))
-        offs = [Fraction(0)] * n
-        got = sorted(solve_completed_square(d, u, offs, Fraction(value)))
-        R = floor_sqrt_fraction(Fraction(value)) + 1
-        want = sorted(
-            v
-            for v in _box(n, R)
-            if sum(A[i][j] * v[i] * v[j] for i in range(n) for j in range(n)) == value
-        )
-        assert got == want
-        assert tuple(probe) in got
+        if trial % 3:
+            offs = [Fraction(rng.randint(-9, 9), rng.randint(2, 6)) for _ in range(n)]
+        else:
+            offs = [Fraction(0)] * n
+        z = [Fraction(0)] * n
+        for i in reversed(range(n)):
+            z[i] = offs[i] - sum(u[i][j] * z[j] for j in range(i + 1, n))
+        # a probe near -z keeps the value, and so the scan box, small
+        probe = [round(-c) + rng.randint(-1, 1) for c in z]
+        hit = sum(A[i][j] * (probe[i] + z[i]) * (probe[j] + z[j]) for i in range(n) for j in range(n))
+        # Q_A(x + z) == value  <=>  Q_A(D x + D z) == D^2 value, all in integers
+        D = lcm(1, *(c.denominator for c in z))
+        Dz = [int(c * D) for c in z]
+        for value in (hit, hit + Fraction(1, 3), Fraction(rng.randint(0, 24), rng.randint(1, 6)), Fraction(0)):
+            got = solve_completed_square(d, u, offs, value)
+            r = floor_sqrt_fraction(value)
+            ranges = [range(floor(-c) - r, ceil(-c) + r + 1) for c in z]
+            target = D * D * value
+            want = []
+            for x in product(*ranges):
+                w = [D * xi + dz for xi, dz in zip(x, Dz)]
+                if sum(A[i][j] * w[i] * w[j] for i in range(n) for j in range(n)) == target:
+                    want.append(x)
+            assert sorted(got) == sorted(want)
+            assert got == sorted(got, key=lambda v: v[::-1])
+        assert tuple(probe) in solve_completed_square(d, u, offs, hit)
+    assert solve_completed_square([], [], [], 0) == [()]
+    assert solve_completed_square([], [], [], Fraction(1, 2)) == []
+    assert solve_completed_square([Fraction(1)], [[Fraction(0)]], [Fraction(0)], -1) == []

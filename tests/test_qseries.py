@@ -229,12 +229,3 @@ def test_dt_series_plus_convention_flips_sign_of_exponent():
     assert plus.blocks[0].n_series.coeffs[1] == -10
     with pytest.raises(ValueError):
         dt_series(fx.surface, table, 4, "bogus")
-
-
-def test_dt_series_mixed_gamma_merge_rejected():
-    fx = get_fixture("quadric_p4_d2")
-    t1 = enumerate_contributions(fx.surface, fx.threefold, fx.gamma_names["ell"], 2, 1)
-    t2 = enumerate_contributions(fx.surface, fx.threefold, fx.gamma_names["2ell"], 2, 1)
-    with pytest.raises(ValueError):
-        t1.merge(t2)
-    assert t1.merge(t1).rows == t1.rows
