@@ -30,7 +30,7 @@ from .classenum import (
     xi_from_n,
 )
 from .qseries import QSeries, dt_series, eta_power, euler_product, theta_block
-from .localization import co_series, integrate, p1xp1, p2
+from .localization import co_series
 from .fixtures import BUILTIN, get_fixture, load_fixture, save_fixture
 
 __version__ = "0.1.0"
@@ -56,11 +56,8 @@ __all__ = [
     "euler_product",
     "get_fixture",
     "hilbert_coeffs",
-    "integrate",
     "load_fixture",
     "n_from_xi",
-    "p1xp1",
-    "p2",
     "run_all_checks",
     "save_fixture",
     "theta_block",

@@ -187,11 +187,6 @@ class ContributionTable:
     delta: int
     rows: tuple
 
-    def require_single_gamma(self):
-        if not self.gamma or not all(isinstance(g, Fraction) for g in self.gamma):
-            raise ValueError("table does not carry a single character vector")
-        return self
-
 
 def enumerate_contributions(S, X, gamma, max_power, window):
     """Contribution rows (beta, beta_sq, n, xi, exponent) with exponent

@@ -2,8 +2,14 @@
 
 Each fixture bundles a threefold model, a surface model for a member of
 |L|, candidate decompositions of L for the stability check, optional named
-character vectors, and (when the surface is toric) the equivariant model
-that feeds the localization oracle.  Fixtures round-trip through JSON.
+character vectors or a linear map from named parameters to character
+vectors, and (when the surface is toric) the equivariant model that feeds
+the localization oracle.  Fixtures round-trip through JSON.  A toric model
+is stored as its fan, `{name, rays, cones, bundles: {key: {name,
+surface_class, divisor}}, L_bundle}`, and loaded through
+`localization.toric_surface`, the builder of the builtin models; a
+parameterized character is stored as `gamma_params: {name: vector}`, with
+gamma = sum of value * vector.
 """
 
 import json
@@ -11,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .geometry import SurfaceModel, ThreefoldModel, check_consistency
-from .localization import Chart, Edge, Linearization, ToricSurfaceModel, p1xp1, p2
+from .localization import ToricSurfaceModel, p1xp1, p2, toric_surface
 
 
 class FixtureError(ValueError):
@@ -26,7 +32,7 @@ class GeometryFixture:
     candidates: tuple = ()
     irreducible: bool = False
     gamma_names: dict = field(default_factory=dict)
-    gamma_params: tuple = ()
+    gamma_params: dict = field(default_factory=dict)
     toric: ToricSurfaceModel | None = None
     toric_L: str = "L"
     notes: str = ""
@@ -41,8 +47,10 @@ class GeometryFixture:
         for name, g in self.gamma_names.items():
             if len(g) != self.threefold.h4_rank:
                 raise FixtureError(f"{self.name}: named gamma {name!r} has wrong length")
+        for name, g in self.gamma_params.items():
+            if len(g) != self.threefold.h4_rank:
+                raise FixtureError(f"{self.name}: gamma parameter {name!r} has wrong length")
         if self.toric is not None:
-            self.toric.validate()
             if self.toric_L not in self.toric.bundles:
                 raise FixtureError(f"{self.name}: toric model has no bundle {self.toric_L!r}")
             for lin in self.toric.bundles.values():
@@ -53,7 +61,8 @@ class GeometryFixture:
         return self
 
     def gamma_from_params(self, values):
-        """Build a character vector from fixture-specific parameters."""
+        """The character sum of value * gamma_params[name] over the given
+        {name: value} parameters; every parameter must be given."""
         if not self.gamma_params:
             raise FixtureError(f"{self.name}: fixture takes no character parameters")
         missing = [p for p in self.gamma_params if p not in values]
@@ -62,7 +71,11 @@ class GeometryFixture:
         extra = [p for p in values if p not in self.gamma_params]
         if extra:
             raise FixtureError(f"{self.name}: unknown parameters {extra}")
-        return self._gamma_builder(**{k: Fraction(v) for k, v in values.items()})
+        gamma = [Fraction(0)] * self.threefold.h4_rank
+        for name, vec in self.gamma_params.items():
+            value = Fraction(values[name])
+            gamma = [g + value * x for g, x in zip(gamma, vec)]
+        return tuple(gamma)
 
 
 def _hypersurface(name, d, surface, dim_l, toric=None, gamma_names=None, notes=""):
@@ -212,11 +225,10 @@ def blowup_p3_point(k=3):
         surface=surface,
         candidates=((0, 1),),
         irreducible=False,
-        gamma_params=("r", "s"),
+        gamma_params={"r": (Fraction(1, 2), Fraction(0)), "s": (Fraction(0), Fraction(1))},
         toric=p2(),
         notes="Characters are specified by r, s with gamma = (r/2) * [line] + s * e_E.",
     )
-    fx._gamma_builder = lambda r, s: (r / 2, s)
     return fx.validate()
 
 
@@ -258,12 +270,15 @@ def blowup_p3_line(k=3):
         surface=surface,
         candidates=((0, 1),),
         irreducible=False,
-        gamma_params=("r", "s1", "s2"),
+        gamma_params={
+            "r": (Fraction(1, 2), Fraction(0)),
+            "s1": (Fraction(1), Fraction(1)),
+            "s2": (Fraction(0), Fraction(1)),
+        },
         notes="Characters are specified by r, s1, s2 with gamma = (r/2) * [line] "
         "+ s1 * [minimal section of E] + s2 * [fiber of E]; in the curve basis "
         "([line], [fiber]) this is (r/2 + s1, s1 + s2).",
     )
-    fx._gamma_builder = lambda r, s1, s2: (r / 2 + s1, s1 + s2)
     return fx.validate()
 
 
@@ -333,20 +348,20 @@ def fixture_to_dict(fx):
         "candidates": [list(c) for c in fx.candidates],
         "irreducible": fx.irreducible,
         "gamma_names": {k: [_frac_out(g) for g in v] for k, v in fx.gamma_names.items()},
+        "gamma_params": {k: [_frac_out(g) for g in v] for k, v in fx.gamma_params.items()},
         "notes": fx.notes,
     }
     if fx.toric is not None:
         T = fx.toric
         d["toric"] = {
             "name": T.name,
-            "charts": [[list(c.w1), list(c.w2)] for c in T.charts],
-            "edges": [[e.a, e.b, list(e.tangent_a)] for e in T.edges],
+            "rays": [list(v) for v in T.rays],
+            "cones": [list(c) for c in T.cones],
             "bundles": {
                 key: {
                     "name": lin.name,
-                    "weights": [list(w) for w in lin.weights],
-                    "edge_degrees": list(lin.edge_degrees),
                     "surface_class": list(lin.surface_class),
+                    "divisor": list(lin.divisor),
                 }
                 for key, lin in T.bundles.items()
             },
@@ -389,18 +404,15 @@ def fixture_from_dict(d):
         toric_l = "L"
         if d.get("toric"):
             t = d["toric"]
-            toric = ToricSurfaceModel(
-                name=t["name"],
-                charts=tuple(Chart(tuple(c[0]), tuple(c[1])) for c in t["charts"]),
-                edges=tuple(Edge(e[0], e[1], tuple(e[2])) for e in t["edges"]),
+            toric = toric_surface(
+                t["name"],
+                t["rays"],
+                t["cones"],
+                {
+                    key: (b["name"], b["surface_class"], b["divisor"])
+                    for key, b in t["bundles"].items()
+                },
             )
-            for key, b in t["bundles"].items():
-                toric.bundles[key] = Linearization(
-                    name=b["name"],
-                    weights=[tuple(w) for w in b["weights"]],
-                    edge_degrees=b["edge_degrees"],
-                    surface_class=b["surface_class"],
-                )
             toric_l = t.get("L_bundle", "L")
         fx = GeometryFixture(
             name=d["name"],
@@ -410,6 +422,9 @@ def fixture_from_dict(d):
             irreducible=bool(d.get("irreducible", False)),
             gamma_names={
                 k: tuple(_frac(g) for g in v) for k, v in d.get("gamma_names", {}).items()
+            },
+            gamma_params={
+                k: tuple(_frac(g) for g in v) for k, v in d.get("gamma_params", {}).items()
             },
             toric=toric,
             toric_L=toric_l,

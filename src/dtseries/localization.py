@@ -1,5 +1,10 @@
 """Equivariant residue oracle on Hilbert schemes of points of toric surfaces.
 
+A toric surface is given by its smooth fan alone: `toric_surface` derives
+each fixed point's chart (the dual basis of its cone's two rays) and each
+line bundle's fiber weights (from its divisor coefficients per ray), so the
+models are consistent by construction.
+
 Fixed points of the torus on S^[n] are tuples of partitions, one per fixed
 point (chart) of S; tangent weights come from arm/leg statistics of the
 diagrams, and the obstruction-type class attached to a linearized line
@@ -23,7 +28,7 @@ shift; integrality and both independences are rechecked at runtime.
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import conjugate, partition_list
@@ -56,119 +61,96 @@ class Chart:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """Invariant curve joining fixed points a and b, with the tangent
-    direction at a; used only for linearization consistency checks."""
+class Linearization:
+    """The equivariant line bundle O(sum_i a_i D_i): its divisor coefficients
+    a_i per ray, its fiber weight at each fixed point, and its divisor class
+    in the surface model's basis."""
 
-    a: int
-    b: int
-    tangent_a: tuple
+    name: str
+    divisor: tuple
+    weights: tuple
+    surface_class: tuple
 
 
 @dataclass(frozen=True)
-class Linearization:
-    """An equivariant line bundle: fiber weight at each fixed point, the
-    degree on each invariant curve, and its divisor class on the surface."""
-
-    name: str
-    weights: tuple
-    edge_degrees: tuple
-    surface_class: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(tuple(w) for w in self.weights))
-        object.__setattr__(self, "edge_degrees", tuple(self.edge_degrees))
-        object.__setattr__(self, "surface_class", tuple(self.surface_class))
-
-
-@dataclass
 class ToricSurfaceModel:
-    name: str
-    charts: tuple
-    edges: tuple
-    bundles: dict = field(default_factory=dict)
+    """A smooth toric surface given by its fan, with the charts and bundle
+    weights that `toric_surface` derives from it."""
 
-    def __post_init__(self):
-        self.charts = tuple(
-            c if isinstance(c, Chart) else Chart(tuple(c[0]), tuple(c[1])) for c in self.charts
-        )
-        self.edges = tuple(
-            e if isinstance(e, Edge) else Edge(e[0], e[1], tuple(e[2])) for e in self.edges
-        )
+    name: str
+    rays: tuple
+    cones: tuple
+    charts: tuple
+    bundles: dict
 
     @property
     def euler(self):
         return len(self.charts)
 
-    def validate(self):
-        for c in self.charts:
-            det = c.w1[0] * c.w2[1] - c.w1[1] * c.w2[0]
-            if det not in (1, -1):
-                raise ValueError(f"{self.name}: chart basis {c} is not unimodular")
-        for e in self.edges:
-            if not (0 <= e.a < self.euler and 0 <= e.b < self.euler):
-                raise ValueError(f"{self.name}: edge endpoints out of range")
-        for lin in self.bundles.values():
-            if len(lin.weights) != self.euler:
-                raise ValueError(f"{self.name}/{lin.name}: one weight per chart required")
-            if len(lin.edge_degrees) != len(self.edges):
-                raise ValueError(f"{self.name}/{lin.name}: one degree per edge required")
-            for e, deg in zip(self.edges, lin.edge_degrees):
-                wa, wb = lin.weights[e.a], lin.weights[e.b]
-                if (wa[0] - wb[0], wa[1] - wb[1]) != (deg * e.tangent_a[0], deg * e.tangent_a[1]):
-                    raise ValueError(
-                        f"{self.name}/{lin.name}: weights inconsistent on edge {e.a}-{e.b}"
-                    )
-        return self
+
+def _int_vector(v, length, what):
+    v = tuple(v)
+    if len(v) != length or not all(type(x) is int for x in v):
+        raise ValueError(f"{what} must be {length} integers, got {list(v)}")
+    return v
+
+
+def toric_surface(name, rays, cones, bundles):
+    """Build a toric surface model from a smooth fan.
+
+    `rays` are primitive integer 2-vectors v_i; each cone (i, j) is an ordered
+    pair of ray indices, one per fixed point, and its chart is the dual basis
+    of (v_i, v_j).  `bundles` maps a key to (label, surface_class, divisor):
+    the bundle O(sum_i a_i D_i) has weight m at cone (i, j) with
+    <m, v_i> = a_i and <m, v_j> = a_j.  Raises ValueError when a cone index
+    is out of range, when det(v_i, v_j) is not +-1 (a repeated index gives
+    0), or when a divisor does not have one coefficient per ray.
+    """
+    rays = tuple(_int_vector(v, 2, f"{name}: ray") for v in rays)
+    cones = tuple(_int_vector(c, 2, f"{name}: cone") for c in cones)
+    charts = []
+    for i, j in cones:
+        if not (0 <= i < len(rays) and 0 <= j < len(rays)):
+            raise ValueError(f"{name}: cone {[i, j]} has a ray index outside 0..{len(rays) - 1}")
+        (a, b), (c, d) = rays[i], rays[j]
+        det = a * d - b * c
+        if det not in (1, -1):  # also catches a repeated index (det 0)
+            raise ValueError(f"{name}: cone {[i, j]} is not smooth (det {det})")
+        # inverse of [[a, b], [c, d]] transposed; 1/det = det
+        charts.append(Chart((d * det, -c * det), (-b * det, a * det)))
+    lins = {}
+    for key, (label, surface_class, divisor) in bundles.items():
+        divisor = _int_vector(divisor, len(rays), f"{name}/{label}: divisor")
+        weights = tuple(
+            (divisor[i] * ch.w1[0] + divisor[j] * ch.w2[0],
+             divisor[i] * ch.w1[1] + divisor[j] * ch.w2[1])
+            for (i, j), ch in zip(cones, charts)
+        )
+        lins[key] = Linearization(label, divisor, weights, tuple(surface_class))
+    return ToricSurfaceModel(name, rays, cones, tuple(charts), lins)
 
 
 def p1xp1():
-    """P1 x P1 with the product torus action; charts ordered (0,0),(0,1),(1,0),(1,1)."""
-    charts = []
-    for i in (0, 1):
-        for j in (0, 1):
-            charts.append(Chart(((-1) ** i, 0), (0, (-1) ** j)))
-    edges = (Edge(0, 2, (1, 0)), Edge(1, 3, (1, 0)), Edge(0, 1, (0, 1)), Edge(2, 3, (0, 1)))
-    model = ToricSurfaceModel(name="p1xp1", charts=tuple(charts), edges=edges)
-    model.bundles["L"] = line_bundle_p1xp1(1, 1)
-    model.bundles["trivial"] = line_bundle_p1xp1(0, 0)
-    return model.validate()
-
-
-def line_bundle_p1xp1(a, b):
-    """O(a,b) with its natural linearization (dual tautological weights)."""
-    weights = []
-    for i in (0, 1):
-        for j in (0, 1):
-            weights.append((-i * a, -j * b))
-    return Linearization(
-        name=f"O({a},{b})",
-        weights=tuple(weights),
-        edge_degrees=(a, a, b, b),
-        surface_class=(a, b),
+    """P1 x P1 with the product torus action; charts ordered (0,0),(0,1),(1,0),(1,1).
+    O(a,b) is the divisor a*D_2 + b*D_3."""
+    return toric_surface(
+        "p1xp1",
+        rays=((1, 0), (0, 1), (-1, 0), (0, -1)),
+        cones=((0, 1), (0, 3), (2, 1), (2, 3)),
+        bundles={"L": ("O(1,1)", (1, 1), (0, 0, 1, 1)),
+                 "trivial": ("O(0,0)", (0, 0), (0, 0, 0, 0))},
     )
 
 
 def p2():
-    """P2 with the standard torus action; fixed points are the coordinate points."""
-    charts = (Chart((1, 0), (0, 1)), Chart((-1, 0), (-1, 1)), Chart((0, -1), (1, -1)))
-    edges = (Edge(0, 1, (1, 0)), Edge(0, 2, (0, 1)), Edge(1, 2, (-1, 1)))
-    model = ToricSurfaceModel(name="p2", charts=charts, edges=edges)
-    model.bundles["L"] = line_bundle_p2(1)
-    model.bundles["trivial"] = line_bundle_p2(0)
-    return model.validate()
-
-
-def line_bundle_p2(d):
-    return Linearization(
-        name=f"O({d})",
-        weights=((0, 0), (-d, 0), (0, -d)),
-        edge_degrees=(d, d, d),
-        surface_class=(d,),
+    """P2 with the standard torus action; fixed points are the coordinate
+    points.  O(d) is the divisor d*D_2."""
+    return toric_surface(
+        "p2",
+        rays=((1, 0), (0, 1), (-1, -1)),
+        cones=((0, 1), (2, 1), (2, 0)),
+        bundles={"L": ("O(1)", (1,), (0, 0, 1)), "trivial": ("O(0)", (0,), (0, 0, 0))},
     )
-
-
-BUILTIN_TORIC = {"p1xp1": p1xp1, "p2": p2}
 
 
 def tangent_weights(parts, chart):
@@ -313,12 +295,6 @@ def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
             )
         values.append(v.numerator)
     return values
-
-
-def integrate(model, lin, n, at, shift=(0, 0)):
-    """Fixed-point sum of prod(class weights)/prod(tangent weights) on S^[n],
-    evaluated at the rational point `at`; the exact result must be an integer."""
-    return fixed_point_series(model, lin, n, at, shift)[n]
 
 
 def trace_terms(model, lin, n, at, shift=(0, 0)):

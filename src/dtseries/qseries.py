@@ -261,7 +261,6 @@ def dt_series(surface, table, order, convention=CONVENTION_MINUS):
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    table.require_single_gamma()
     delta = delta_invariant(surface)
     sign = -1 if convention == CONVENTION_MINUS else 1
     n_series = euler_product(sign * delta, order)

@@ -13,8 +13,8 @@ from dtseries.geometry import ChernVector, delta_invariant, run_all_checks, virt
 from dtseries.localization import (
     co_class_weights,
     co_series,
+    fixed_point_series,
     hilb_fixed_points,
-    integrate,
     tangent_weights,
     trace_terms,
 )
@@ -173,7 +173,7 @@ def test_criterion_8_integral_invariance_and_ranks():
     shifts = ((0, 0), (101, 103))
     ok = True
     for n, expected in ((2, 65), (3, 330)):
-        vals = {integrate(model, lin, n, p, shift=s) for p in points for s in shifts}
+        vals = {fixed_point_series(model, lin, n, p, shift=s)[n] for p in points for s in shifts}
         ok = ok and vals == {expected}
         total = sum(r["term"] for r in trace_terms(model, lin, n, points[0]))
         ok = ok and total.denominator == 1 and total == expected

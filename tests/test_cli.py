@@ -7,7 +7,10 @@ exactly what a shell user would see.
 import json
 from fractions import Fraction
 
+import pytest
+
 from dtseries.cli import EXIT_BAD_INPUT, EXIT_CHECKS_FAILED, EXIT_MISMATCH, EXIT_OK, main
+from dtseries.fixtures import BUILTIN, fixture_to_dict, get_fixture, save_fixture
 
 
 def run(capsys, *argv):
@@ -520,6 +523,65 @@ def test_bad_order_and_window(capsys):
         capsys, "classes", "--fixture", "quadric_p4_d2", "--window", "-1"
     )
     assert code == EXIT_BAD_INPUT
+
+
+# the shape written before fans: hand-typed charts, edges and weights
+OLD_TORIC_SHAPE = {
+    "name": "p2", "charts": [[[1, 0], [0, 1]]], "edges": [[0, 1, [1, 0]]],
+    "bundles": {"L": {"name": "O(1)", "weights": [[0, 0]], "edge_degrees": [1],
+                      "surface_class": [1]}},
+    "L_bundle": "L",
+}
+
+
+def _with_divisor(t, divisor):
+    return {**t, "bundles": {"L": {**t["bundles"]["L"], "divisor": divisor}}}
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        pytest.param(lambda t: OLD_TORIC_SHAPE, "'rays'", id="old-shape"),
+        pytest.param(lambda t: {**t, "cones": [[0, 1], [2, 3], [2, 0]]}, "cone [2, 3]",
+                     id="cone-index-out-of-range"),
+        pytest.param(lambda t: {**t, "cones": [[0, 1], [2, -1], [2, 0]]}, "cone [2, -1]",
+                     id="cone-index-negative"),
+        pytest.param(lambda t: {**t, "cones": [[0, 1], [2, 2], [2, 0]]}, "cone [2, 2]",
+                     id="cone-index-repeated"),
+        pytest.param(lambda t: {**t, "rays": [[1, 0], [0, 1], [-1, -2]]}, "not smooth",
+                     id="cone-not-smooth"),
+        pytest.param(lambda t: _with_divisor(t, [0, 1]), "divisor", id="divisor-too-short"),
+        pytest.param(lambda t: _with_divisor(t, [0, 0, 1, 0]), "divisor",
+                     id="divisor-too-long"),
+    ],
+)
+def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
+    d = fixture_to_dict(get_fixture("quadric_p4_d1"))
+    d["toric"] = bad(d["toric"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    for cmd in ("check", "oracle"):
+        code, out, err = run(capsys, cmd, "--fixture", str(path))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_saved_fixture_matches_builtin(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    save_fixture(get_fixture(name), path)
+    formats = ("pretty", "json", "csv")
+    calls = [(cmd, "--format", fmt) for cmd in ("check", "classes", "series", "oracle", "verify")
+             for fmt in formats]
+    gamma = {"blowup_p3_point": "r=0,s=-1", "blowup_p3_line": "r=1,s1=0,s2=-1"}.get(name)
+    if gamma:
+        calls += [(cmd, "--format", fmt, "--gamma", gamma)
+                  for cmd in ("check", "classes", "series") for fmt in formats]
+    for cmd, *flags in calls:
+        builtin = run(capsys, cmd, "--fixture", name, *flags)
+        loaded = run(capsys, cmd, "--fixture", str(path), *flags)
+        assert loaded[:2] == builtin[:2], (cmd, *flags)
 
 
 def test_exit_codes_are_distinct():

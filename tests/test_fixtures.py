@@ -134,11 +134,21 @@ def test_round_trip_through_dict():
         assert back.candidates == fx.candidates
         assert back.irreducible == fx.irreducible
         assert back.gamma_names == fx.gamma_names
+        assert back.gamma_params == fx.gamma_params
+        if fx.gamma_params:
+            values = {p: Fraction(2 * i - 3, i + 2) for i, p in enumerate(fx.gamma_params)}
+            assert back.gamma_from_params(values) == fx.gamma_from_params(values)
         assert (back.toric is None) == (fx.toric is None)
         if fx.toric is not None:
-            assert back.toric.charts == fx.toric.charts
-            assert back.toric.edges == fx.toric.edges
-            assert sorted(back.toric.bundles) == sorted(fx.toric.bundles)
+            T, B = fx.toric, back.toric
+            assert (B.name, B.rays, B.cones, B.charts) == (T.name, T.rays, T.cones, T.charts)
+            assert sorted(B.bundles) == sorted(T.bundles)
+            for key, lin in T.bundles.items():
+                got = B.bundles[key]
+                assert (got.name, got.weights, got.divisor, got.surface_class) == (
+                    lin.name, lin.weights, lin.divisor, lin.surface_class
+                )
+            assert back.toric_L == fx.toric_L
 
 
 def test_round_trip_through_file(tmp_path):

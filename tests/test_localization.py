@@ -7,23 +7,18 @@ import pytest
 
 from dtseries.localization import (
     Chart,
-    Edge,
     IntegralityError,
-    Linearization,
     OracleError,
-    ToricSurfaceModel,
     ZeroWeightError,
     chart_product,
     co_class_weights,
     co_series,
     fixed_point_series,
     hilb_fixed_points,
-    integrate,
-    line_bundle_p1xp1,
-    line_bundle_p2,
     p1xp1,
     p2,
     tangent_weights,
+    toric_surface,
     trace_terms,
 )
 from dtseries.partitions import arm, cells, leg, partition_list
@@ -37,54 +32,40 @@ AT = (Fraction(7, 3), Fraction(-5, 11))
 
 
 def test_builtin_models_validate():
-    assert p1xp1().validate().euler == 4
-    assert p2().validate().euler == 3
+    # the fan builder against the charts these models had when typed by hand
+    assert p1xp1().charts == (
+        Chart((1, 0), (0, 1)), Chart((1, 0), (0, -1)),
+        Chart((-1, 0), (0, 1)), Chart((-1, 0), (0, -1)),
+    )
+    assert p2().charts == (
+        Chart((1, 0), (0, 1)), Chart((-1, 0), (-1, 1)), Chart((0, -1), (1, -1)),
+    )
+    assert p1xp1().euler == 4
+    assert p2().euler == 3
 
 
 def test_validate_rejects_non_unimodular_chart():
-    bad = ToricSurfaceModel(name="bad", charts=(((2, 0), (0, 1)),), edges=())
     with pytest.raises(ValueError):
-        bad.validate()
-
-
-def test_validate_rejects_edge_out_of_range():
-    bad = ToricSurfaceModel(
-        name="bad", charts=(((1, 0), (0, 1)),), edges=(Edge(0, 3, (1, 0)),)
-    )
-    with pytest.raises(ValueError):
-        bad.validate()
-
-
-def test_validate_rejects_inconsistent_bundle_weights():
-    model = p1xp1()
-    # break one fiber weight of O(1,1); the edge rule must catch it
-    lin = model.bundles["L"]
-    weights = list(lin.weights)
-    weights[0] = (5, 5)
-    model.bundles["broken"] = Linearization(
-        name="broken",
-        weights=tuple(weights),
-        edge_degrees=lin.edge_degrees,
-        surface_class=lin.surface_class,
-    )
-    with pytest.raises(ValueError):
-        model.validate()
+        toric_surface("bad", rays=((2, 0), (0, 1)), cones=((0, 1),), bundles={})
 
 
 def test_validate_rejects_wrong_weight_count():
+    # a divisor needs one coefficient per ray
     model = p2()
-    model.bundles["short"] = Linearization(
-        name="short", weights=((0, 0),), edge_degrees=(0, 0, 0), surface_class=(0,)
-    )
     with pytest.raises(ValueError):
-        model.validate()
+        toric_surface("p2", model.rays, model.cones, {"short": ("short", (0,), (0, 0))})
 
 
 def test_line_bundle_weight_tables():
-    lin = line_bundle_p1xp1(2, 3)
+    # literal weights: the independent reference for the builder's signs
+    q = p1xp1()
+    model = toric_surface("p1xp1", q.rays, q.cones, {"b": ("O(2,3)", (2, 3), (0, 0, 2, 3))})
+    lin = model.bundles["b"]
     assert lin.weights == ((0, 0), (0, -3), (-2, 0), (-2, -3))
     assert lin.surface_class == (2, 3)
-    lin = line_bundle_p2(2)
+    assert lin.divisor == (0, 0, 2, 3)
+    p = p2()
+    lin = toric_surface("p2", p.rays, p.cones, {"b": ("O(2)", (2,), (0, 0, 2))}).bundles["b"]
     assert lin.weights == ((0, 0), (-2, 0), (0, -2))
 
 
@@ -187,7 +168,7 @@ def test_co_class_weights_structural_zero():
 def test_integrate_p1xp1_degree_11():
     model = p1xp1()
     lin = model.bundles["L"]
-    assert [integrate(model, lin, n, AT) for n in range(4)] == [1, 10, 65, 330]
+    assert fixed_point_series(model, lin, 3, AT) == [1, 10, 65, 330]
 
 
 def test_integrate_p1xp1_trivial_counts_fixed_points():
@@ -195,17 +176,17 @@ def test_integrate_p1xp1_trivial_counts_fixed_points():
     # so every term is 1 and the integral is the fixed point count
     model = p1xp1()
     lin = model.bundles["trivial"]
-    assert [integrate(model, lin, n, AT) for n in range(5)] == [1, 4, 14, 40, 105]
+    assert fixed_point_series(model, lin, 4, AT) == [1, 4, 14, 40, 105]
 
 
 def test_integrate_p2():
     model = p2()
-    assert [integrate(model, model.bundles["L"], n, AT) for n in range(4)] == [1, 7, 35, 140]
-    assert [integrate(model, model.bundles["trivial"], n, AT) for n in range(4)] == [1, 3, 9, 22]
+    assert fixed_point_series(model, model.bundles["L"], 3, AT) == [1, 7, 35, 140]
+    assert fixed_point_series(model, model.bundles["trivial"], 3, AT) == [1, 3, 9, 22]
 
 
 def test_integrate_returns_int():
-    val = integrate(p2(), p2().bundles["L"], 2, AT)
+    val = fixed_point_series(p2(), p2().bundles["L"], 2, AT)[2]
     assert type(val) is int and val == 35
 
 
@@ -213,7 +194,7 @@ def test_integrate_eval_point_invariance():
     model = p1xp1()
     lin = model.bundles["L"]
     points = [(Fraction(3), Fraction(5)), (Fraction(-9, 7), Fraction(22, 3)), AT]
-    vals = {integrate(model, lin, 3, p) for p in points}
+    vals = {fixed_point_series(model, lin, 3, p)[3] for p in points}
     assert vals == {330}
 
 
@@ -221,41 +202,78 @@ def test_integrate_shift_invariance():
     # shifts far larger than any arm/leg weight cannot collide with a box
     model = p2()
     lin = model.bundles["L"]
-    vals = {integrate(model, lin, 3, AT, shift=s) for s in ((0, 0), (101, 103), (-57, 89))}
+    shifts = ((0, 0), (101, 103), (-57, 89))
+    vals = {fixed_point_series(model, lin, 3, AT, shift=s)[3] for s in shifts}
     assert vals == {140}
 
 
-def test_integrate_higher_degree_bundles():
-    # O(2) on the plane and O(2,1) on the quadric at a couple of degrees;
-    # values pinned by eval-point invariance plus the n=1 closed form
-    # (integral at n=1 equals e(S) - K.D + D^2 for the bundle class D)
-    model = p2()
-    model.bundles["two"] = line_bundle_p2(2)
-    model.validate()
-    assert integrate(model, model.bundles["two"], 1, AT) == 3 + 6 + 4
-    q = p1xp1()
-    q.bundles["21"] = line_bundle_p1xp1(2, 1)
-    q.validate()
-    assert integrate(q, q.bundles["21"], 1, AT) == 4 + 6 + 4
+def _fan_delta(rays, divisor):
+    """e - K.D + D.D for D = sum a_i D_i on the toric surface of a complete
+    fan whose rays are listed in cyclic order: D_i.D_i = -b_i where
+    v_(i-1) + v_(i+1) = b_i v_i, neighbours meet once, and K = -sum D_i."""
+    r = len(rays)
+
+    def dot(i, j):
+        if i == j:
+            s = (rays[i - 1][0] + rays[(i + 1) % r][0], rays[i - 1][1] + rays[(i + 1) % r][1])
+            x, y = rays[i]
+            b = s[0] // x if x else s[1] // y
+            assert (b * x, b * y) == s
+            return -b
+        return 1 if (j - i) % r in (1, r - 1) else 0
+
+    minus_KD = sum(divisor[j] * dot(i, j) for i in range(r) for j in range(r))
+    DD = sum(divisor[i] * divisor[j] * dot(i, j) for i in range(r) for j in range(r))
+    return r + minus_KD + DD
+
+
+P2_FAN = (((1, 0), (0, 1), (-1, -1)), ((0, 1), (2, 1), (2, 0)))
+P1XP1_FAN = (((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (0, 3), (2, 1), (2, 3)))
+CYCLE4 = ((0, 1), (1, 2), (2, 3), (3, 0))
+F1_FAN = (((1, 0), (0, 1), (-1, 1), (0, -1)), CYCLE4)
+F2_FAN = (((1, 0), (0, 1), (-1, 2), (0, -1)), CYCLE4)
+
+
+@pytest.mark.parametrize(
+    "fan, divisor, delta",
+    [
+        pytest.param(P2_FAN, (0, 0, 2), 13, id="p2-O2"),
+        pytest.param(P1XP1_FAN, (0, 0, 2, 1), 14, id="p1xp1-O21"),
+        pytest.param(F1_FAN, (0, 0, 1, 0), 6, id="f1-D2"),
+        pytest.param(F1_FAN, (0, 0, 0, 1), 8, id="f1-D3"),
+        pytest.param(F1_FAN, (0, 0, 1, 1), 12, id="f1-D2+D3"),
+        pytest.param(F1_FAN, (0, 0, 0, 0), 4, id="f1-0"),
+        pytest.param(F2_FAN, (0, 0, 1, 0), 6, id="f2-D2"),
+        pytest.param(F2_FAN, (0, 0, 0, 1), 10, id="f2-D3"),
+    ],
+)
+def test_integrate_higher_degree_bundles(fan, divisor, delta):
+    # across the Hirzebruch family and beyond degree 1, the oracle's series is
+    # prod (1-q^k)^(-delta) with delta = e(S) - K.D + D^2 read off the fan
+    rays, cones = fan
+    assert _fan_delta(rays, divisor) == delta
+    model = toric_surface("fan", rays, cones, {"D": ("D", divisor, divisor)})
+    res = co_series(model, model.bundles["D"], 5, seed=0)
+    assert list(res.values) == [int(c) for c in euler_product(-delta, 6).coeffs]
 
 
 def test_integrate_zero_weight_at_eval_point():
     # partition (1,1) has tangent weight (-1,1), which vanishes on the diagonal
     with pytest.raises(ZeroWeightError) as err:
-        integrate(p1xp1(), p1xp1().bundles["L"], 2, (Fraction(1), Fraction(1)))
+        fixed_point_series(p1xp1(), p1xp1().bundles["L"], 2, (Fraction(1), Fraction(1)))
     assert not err.value.structural
 
 
 def test_integrate_structural_zero_weight():
     with pytest.raises(ZeroWeightError) as err:
-        integrate(p1xp1(), p1xp1().bundles["trivial"], 1, AT, shift=(0, -1))
+        fixed_point_series(p1xp1(), p1xp1().bundles["trivial"], 1, AT, shift=(0, -1))
     assert err.value.structural
 
 
 def test_integrate_class_weight_vanishes_at_point():
     # shift (1,0) turns the box weight (0,1) into (1,1), which dies at (-1,1)
     with pytest.raises(ZeroWeightError) as err:
-        integrate(
+        fixed_point_series(
             p1xp1(), p1xp1().bundles["trivial"], 1, (Fraction(-1), Fraction(1)), shift=(1, 0)
         )
     assert not err.value.structural
@@ -264,10 +282,11 @@ def test_integrate_class_weight_vanishes_at_point():
 def test_integrality_error_on_fake_geometry():
     # a single affine chart is not compact; the fixed-point sum is a generic
     # rational function and the integrality check must fire
-    model = ToricSurfaceModel(name="a2", charts=(((1, 0), (0, 1)),), edges=())
-    lin = Linearization(name="w", weights=((-2, 1),), edge_degrees=(), surface_class=(0,))
+    model = toric_surface("a2", rays=((1, 0), (0, 1)), cones=((0, 1),),
+                          bundles={"w": ("w", (0,), (-2, 1))})
+    assert model.bundles["w"].weights == ((-2, 1),)
     with pytest.raises(IntegralityError):
-        integrate(model, lin, 1, (Fraction(5, 3), Fraction(7, 2)))
+        fixed_point_series(model, model.bundles["w"], 1, (Fraction(5, 3), Fraction(7, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +308,16 @@ def test_integrate_equals_fixed_point_walk(make, bundle, shift):
     # the chart-factored pass against the direct sum over partition tuples
     model = make()
     lin = model.bundles[bundle]
-    for n in range(6):
-        assert integrate(model, lin, n, AT, shift) == sum(
-            r["term"] for r in trace_terms(model, lin, n, AT, shift)
-        )
+    assert fixed_point_series(model, lin, 5, AT, shift) == [
+        sum(r["term"] for r in trace_terms(model, lin, n, AT, shift)) for n in range(6)
+    ]
 
 
 def test_fixed_point_series_entries_are_integrals():
     model = p2()
     lin = model.bundles["L"]
     series = fixed_point_series(model, lin, 5, AT)
-    assert series == [integrate(model, lin, n, AT) for n in range(6)]
+    assert series == [fixed_point_series(model, lin, n, AT)[n] for n in range(6)]
     assert all(type(v) is int for v in series)
 
 
