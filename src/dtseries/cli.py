@@ -301,6 +301,18 @@ def cmd_classes(cfg):
     return EXIT_OK
 
 
+def euler_convention(vals, delta):
+    """Compare oracle values with the first len(vals) coefficients of
+    prod(1-q^k)^(-delta) (minus) and prod(1-q^k)^delta (plus).  Returns
+    (convention, minus, plus): the convention whose coefficients equal the
+    values, minus when both do (delta = 0), None when neither does."""
+    minus = [int(c) for c in euler_product(-delta, len(vals)).coeffs]
+    plus = [int(c) for c in euler_product(delta, len(vals)).coeffs]
+    if vals == minus:
+        return CONVENTION_MINUS, minus, plus
+    return (CONVENTION_PLUS if vals == plus else None), minus, plus
+
+
 def resolve_convention(fx, seed):
     """Pick the exponent sign from the localization oracle when the fixture
     has a toric surface; otherwise use the product-formula default."""
@@ -309,16 +321,13 @@ def resolve_convention(fx, seed):
     lin = fx.toric.bundles[fx.toric_L]
     delta = delta_invariant(fx.surface, lin.surface_class)
     probe = co_series(fx.toric, lin, n_max=2, seed=seed)
-    minus = euler_product(-delta, 3)
-    plus = euler_product(delta, 3)
     vals = list(probe.values)
-    if vals == [int(c) for c in minus.coeffs]:
-        return CONVENTION_MINUS, "oracle-resolved", probe
-    if vals == [int(c) for c in plus.coeffs]:
-        return CONVENTION_PLUS, "oracle-resolved", probe
-    raise OracleError(
-        f"oracle values {vals} match neither Euler-product sign for delta={delta}"
-    )
+    convention, _, _ = euler_convention(vals, delta)
+    if convention is None:
+        raise OracleError(
+            f"oracle values {vals} match neither Euler-product sign for delta={delta}"
+        )
+    return convention, "oracle-resolved", probe
 
 
 def cmd_series(cfg):
@@ -449,17 +458,10 @@ def cmd_verify(cfg):
     result = co_series(fx.toric, lin, cfg.n_max, seed=cfg.seed)
     print(f"oracle time: {result.elapsed:.3f}s", file=sys.stderr)
     order = cfg.n_max + 1
-    minus = [int(c) for c in euler_product(-delta, order).coeffs]
-    plus = [int(c) for c in euler_product(delta, order).coeffs]
     vals = list(result.values)
+    sign, minus, plus = euler_convention(vals, delta)
     matches_minus = vals == minus
     matches_plus = vals == plus
-    if matches_minus:
-        sign = CONVENTION_MINUS
-    elif matches_plus:
-        sign = CONVENTION_PLUS
-    else:
-        sign = None
     payload = {
         "command": "verify",
         "fixture": fx.name,

@@ -1,17 +1,21 @@
 """Equivariant residue oracle on Hilbert schemes of points of toric surfaces.
 
 A toric surface is given by its smooth fan alone: `toric_surface` derives
-each fixed point's chart (the dual basis of its cone's two rays) and each
-line bundle's fiber weights (from its divisor coefficients per ray), so the
-models are consistent by construction.
+each fixed point's chart, the dual basis (w1, w2) of its cone's rays
+(v_i, v_j), so the models are consistent by construction.  Every torus
+weight t there is written in chart coordinates (<t, v_i>, <t, v_j>): the
+bundle O(sum_k a_k D_k) has the weight (a_i, a_j), and a cell with arm a
+and leg l has the tangent weights (-l, a+1) and (l+1, -a) in every chart
+(Carlsson-Okounkov, *Exts and vertex operators*, Duke 161, 2012).  At a
+point `at` of the Lie algebra a weight (x, y) is x*P + y*Q, with
+P = <w1, at> and Q = <w2, at>.
 
-Fixed points of the torus on S^[n] are tuples of partitions, one per fixed
-point (chart) of S; tangent weights come from arm/leg statistics of the
-diagrams, and the obstruction-type class attached to a linearized line
-bundle is the tangent twisted by the bundle, contributing one weight
-w_F(L) + t per tangent weight t (rank 2n, like the tangent).  The integral
-is the sum over fixed points of prod(class weights)/prod(tangent weights),
-evaluated at a generic rational point of the Lie algebra.
+Fixed points of the torus on S^[n] are tuples of partitions, one per
+chart.  The obstruction-type class attached to a linearized line bundle is
+the tangent twisted by the bundle, contributing one weight w_F(L) + t per
+tangent weight t (rank 2n, like the tangent).  The integral is the sum over
+fixed points of prod(class weights)/prod(tangent weights), evaluated at a
+generic rational point of the Lie algebra.
 
 Each term is a product of one factor per chart, so the sums for all n are
 the coefficients of one product of per-chart series:
@@ -63,19 +67,17 @@ class Chart:
 @dataclass(frozen=True)
 class Linearization:
     """The equivariant line bundle O(sum_i a_i D_i): its divisor coefficients
-    a_i per ray, its fiber weight at each fixed point, and its divisor class
-    in the surface model's basis."""
+    a_i per ray and its divisor class in the surface model's basis."""
 
     name: str
     divisor: tuple
-    weights: tuple
     surface_class: tuple
 
 
 @dataclass(frozen=True)
 class ToricSurfaceModel:
-    """A smooth toric surface given by its fan, with the charts and bundle
-    weights that `toric_surface` derives from it."""
+    """A smooth toric surface given by its fan, with the charts and bundles
+    that `toric_surface` derives from it."""
 
     name: str
     rays: tuple
@@ -100,14 +102,17 @@ def toric_surface(name, rays, cones, bundles):
 
     `rays` are primitive integer 2-vectors v_i; each cone (i, j) is an ordered
     pair of ray indices, one per fixed point, and its chart is the dual basis
-    of (v_i, v_j).  `bundles` maps a key to (label, surface_class, divisor):
-    the bundle O(sum_i a_i D_i) has weight m at cone (i, j) with
-    <m, v_i> = a_i and <m, v_j> = a_j.  Raises ValueError when a cone index
-    is out of range, when det(v_i, v_j) is not +-1 (a repeated index gives
-    0), or when a divisor does not have one coefficient per ray.
+    of (v_i, v_j).  `bundles` maps a key to (label, surface_class, divisor)
+    for the bundle O(sum_i a_i D_i), whose weight at cone (i, j) has the
+    chart coordinates (a_i, a_j).  Raises ValueError when there is no cone,
+    when a cone index is out of range, when det(v_i, v_j) is not +-1 (a
+    repeated index gives 0), or when a divisor does not have one coefficient
+    per ray.
     """
     rays = tuple(_int_vector(v, 2, f"{name}: ray") for v in rays)
     cones = tuple(_int_vector(c, 2, f"{name}: cone") for c in cones)
+    if not cones:
+        raise ValueError(f"{name}: the fan has no cone")
     charts = []
     for i, j in cones:
         if not (0 <= i < len(rays) and 0 <= j < len(rays)):
@@ -121,12 +126,7 @@ def toric_surface(name, rays, cones, bundles):
     lins = {}
     for key, (label, surface_class, divisor) in bundles.items():
         divisor = _int_vector(divisor, len(rays), f"{name}/{label}: divisor")
-        weights = tuple(
-            (divisor[i] * ch.w1[0] + divisor[j] * ch.w2[0],
-             divisor[i] * ch.w1[1] + divisor[j] * ch.w2[1])
-            for (i, j), ch in zip(cones, charts)
-        )
-        lins[key] = Linearization(label, divisor, weights, tuple(surface_class))
+        lins[key] = Linearization(label, divisor, tuple(surface_class))
     return ToricSurfaceModel(name, rays, cones, tuple(charts), lins)
 
 
@@ -153,75 +153,53 @@ def p2():
     )
 
 
-def tangent_weights(parts, chart):
+def hook_pairs(parts):
     """Tangent weights of the Hilbert scheme at the monomial ideal of a
-    partition, in one chart: each cell contributes the arm/leg pair
-    -l*w1 + (a+1)*w2 and (l+1)*w1 - a*w2, cells taken row by row.  Arm and
-    leg of cell (i, j) are parts[i]-j-1 and conj[j]-i-1, with conj the
+    partition, in chart coordinates (the same in every chart): each cell
+    contributes (-l, a+1) and (l+1, -a), cells taken row by row, with arm
+    a = parts[i]-j-1 and leg l = conj[j]-i-1 of cell (i, j), conj the
     conjugate partition."""
-    (x1, y1), (x2, y2) = chart.w1, chart.w2
     conj = conjugate(parts)
     out = []
     for i, p in enumerate(parts):
         for j in range(p):
             a = p - j - 1
             l = conj[j] - i - 1
-            out.append((-l * x1 + (a + 1) * x2, -l * y1 + (a + 1) * y2))
-            out.append(((l + 1) * x1 - a * x2, (l + 1) * y1 - a * y2))
+            out.append((-l, a + 1))
+            out.append((l + 1, -a))
     return out
-
-
-@dataclass(frozen=True)
-class HilbFixedPoint:
-    """A torus-fixed subscheme: one partition per surface fixed point."""
-
-    parts: tuple
-
-    @property
-    def total(self):
-        return sum(sum(p) for p in self.parts)
 
 
 def hilb_fixed_points(num_charts, n):
-    """All fixed points of S^[n]: tuples of partitions with total size n."""
-
-    def compose(c, remaining):
-        if c == num_charts - 1:
-            for lam in partition_list(remaining):
-                yield (lam,)
-            return
-        for k in range(remaining + 1):
-            for lam in partition_list(k):
-                for rest in compose(c + 1, remaining - k):
-                    yield (lam,) + rest
-
-    for parts in compose(0, n):
-        yield HilbFixedPoint(parts=parts)
+    """All fixed points of S^[n]: tuples of partitions, one per chart
+    (num_charts >= 1), with total size n."""
+    if num_charts == 1:
+        for lam in partition_list(n):
+            yield (lam,)
+        return
+    for k in range(n + 1):
+        for lam in partition_list(k):
+            for rest in hilb_fixed_points(num_charts - 1, n - k):
+                yield (lam,) + rest
 
 
-def co_class_weights(point, model, lin, shift=(0, 0)):
-    """Weights of the obstruction-type class at a fixed point: one weight
-    w_F(L) + t per tangent weight t, so rank 2n in total.  A zero vector is
-    a structural failure (the common shift must be changed), reported as
-    such."""
-    out = []
-    for c, parts in enumerate(point.parts):
-        wl = lin.weights[c]
-        base = (wl[0] + shift[0], wl[1] + shift[1])
-        for t in tangent_weights(parts, model.charts[c]):
-            w = (t[0] + base[0], t[1] + base[1])
-            if w == (0, 0):
-                raise ZeroWeightError(
-                    f"structurally zero weight at chart {c}, partition {parts}",
-                    structural=True,
-                )
-            out.append(w)
-    return out
-
-
-def _eval_scalars(at):
+def _chart_scalars(model, lin, at, shift):
+    """Per chart, at cone (i, j): P = <w1, at> and Q = <w2, at> with the
+    denominators of `at` cleared, and the linearization's chart coordinates
+    s_i = a_i + <shift, v_i>, s_j = a_j + <shift, v_j>.  A weight (x, y)
+    evaluates to x*P + y*Q; its class weight is (x + s_i, y + s_j)."""
     x, y = Fraction(at[0]), Fraction(at[1])
-    return x.numerator * y.denominator, y.numerator * x.denominator
+    A, B = x.numerator * y.denominator, y.numerator * x.denominator
+    out = []
+    for (i, j), ch in zip(model.cones, model.charts):
+        (vi0, vi1), (vj0, vj1) = model.rays[i], model.rays[j]
+        out.append((
+            ch.w1[0] * A + ch.w1[1] * B,
+            ch.w2[0] * A + ch.w2[1] * B,
+            lin.divisor[i] + shift[0] * vi0 + shift[1] * vi1,
+            lin.divisor[j] + shift[0] * vj0 + shift[1] * vj1,
+        ))
+    return out
 
 
 def _weight_tables(model, lin, n_max, at, shift):
@@ -230,31 +208,29 @@ def _weight_tables(model, lin, n_max, at, shift):
     Returns co_tables, tan_tables indexed [chart][size][partition], for
     sizes 0..n_max.  Denominators of the evaluation point cancel between
     the co and tangent products (both have rank 2n), so the tables hold the
-    cleared integer values a*A + b*B.  Sizes are visited in increasing
+    cleared integer values x*P + y*Q.  Sizes are visited in increasing
     order, charts within a size, so the first zero weight reported is the
     one of smallest size.
     """
-    A, B = _eval_scalars(at)
-    bases = [(wl[0] + shift[0], wl[1] + shift[1]) for wl in lin.weights]
-    co_tables = [[] for _ in model.charts]
-    tan_tables = [[] for _ in model.charts]
+    scalars = _chart_scalars(model, lin, at, shift)
+    co_tables = [[] for _ in scalars]
+    tan_tables = [[] for _ in scalars]
     for k in range(n_max + 1):
-        for c, chart in enumerate(model.charts):
-            base = bases[c]
-            base_val = base[0] * A + base[1] * B
+        hooks = [hook_pairs(parts) for parts in partition_list(k)]
+        for c, (P, Q, si, sj) in enumerate(scalars):
+            base_val = si * P + sj * Q
             co_row = []
             tan_row = []
-            for parts in partition_list(k):
-                tp = 1
-                cp = 1
-                for (a, b) in tangent_weights(parts, chart):
-                    v = a * A + b * B
+            for pairs in hooks:
+                tp = cp = 1
+                for (x, y) in pairs:
+                    v = x * P + y * Q
                     if v == 0:
                         raise ZeroWeightError(
-                            f"tangent weight ({a},{b}) vanishes at the evaluation point"
+                            f"tangent weight ({x},{y}) vanishes at the evaluation point"
                         )
                     tp *= v
-                    if (a + base[0], b + base[1]) == (0, 0):
+                    if x + si == 0 and y + sj == 0:
                         raise ZeroWeightError(
                             f"structurally zero weight at chart {c}", structural=True
                         )
@@ -299,19 +275,15 @@ def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
 
 def trace_terms(model, lin, n, at, shift=(0, 0)):
     """Per-fixed-point contributions, for debugging small n."""
-    A, B = _eval_scalars(at)
+    scalars = _chart_scalars(model, lin, at, shift)
     rows = []
-    for fp in hilb_fixed_points(model.euler, n):
-        num = 1
-        den = 1
-        for c, parts in enumerate(fp.parts):
-            wl = lin.weights[c]
-            base = (wl[0] + shift[0], wl[1] + shift[1])
-            for (a, b) in tangent_weights(parts, model.charts[c]):
-                den *= a * A + b * B
-                num *= (a + base[0]) * A + (b + base[1]) * B
-        term = Fraction(num, den)
-        rows.append({"point": [list(p) for p in fp.parts], "term": term})
+    for point in hilb_fixed_points(model.euler, n):
+        num = den = 1
+        for parts, (P, Q, si, sj) in zip(point, scalars):
+            for (x, y) in hook_pairs(parts):
+                den *= x * P + y * Q
+                num *= (x + si) * P + (y + sj) * Q
+        rows.append({"point": [list(p) for p in point], "term": Fraction(num, den)})
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Integer partitions as weakly decreasing tuples, plus cell statistics."""
+"""Integer partitions as weakly decreasing tuples, and their conjugates."""
 
 from functools import lru_cache
 
@@ -30,27 +30,3 @@ def conjugate(parts):
         for j in range(p):
             conj[j] += 1
     return tuple(conj)
-
-
-def cells(parts):
-    """Cells (row, col) of the diagram, 0-indexed, row-major."""
-    for i, p in enumerate(parts):
-        for j in range(p):
-            yield (i, j)
-
-
-def _require_cell(parts, row, col):
-    if not (0 <= row < len(parts)) or not (0 <= col < parts[row]):
-        raise ValueError(f"cell ({row},{col}) outside diagram {parts!r}")
-
-
-def arm(parts, row, col):
-    """Number of cells strictly right of (row, col) in its row."""
-    _require_cell(parts, row, col)
-    return parts[row] - col - 1
-
-
-def leg(parts, row, col):
-    """Number of cells strictly below (row, col) in its column."""
-    _require_cell(parts, row, col)
-    return sum(1 for i in range(row + 1, len(parts)) if parts[i] > col)

@@ -1,0 +1,117 @@
+"""Brute-force references for the localization oracle, in torus vectors.
+
+The oracle writes every weight at cone (i, j) in that chart's basis
+(w1, w2).  These helpers compute the same weights the long way, as integer
+2-vectors of the torus: cells, arms and legs counted cell by cell, the
+bundle weight m with <m, v_i> = a_i and <m, v_j> = a_j, and the evaluation
+t -> <t, at>.  A weight is structurally zero when its vector is (0, 0).
+"""
+
+from fractions import Fraction
+
+from dtseries.localization import ZeroWeightError
+from dtseries.partitions import partition_list
+
+
+def cells(parts):
+    """Cells (row, col) of the diagram, 0-indexed, row-major."""
+    for i, p in enumerate(parts):
+        for j in range(p):
+            yield (i, j)
+
+
+def _require_cell(parts, row, col):
+    if not (0 <= row < len(parts)) or not (0 <= col < parts[row]):
+        raise ValueError(f"cell ({row},{col}) outside diagram {parts!r}")
+
+
+def arm(parts, row, col):
+    """Number of cells strictly right of (row, col) in its row."""
+    _require_cell(parts, row, col)
+    return parts[row] - col - 1
+
+
+def leg(parts, row, col):
+    """Number of cells strictly below (row, col) in its column."""
+    _require_cell(parts, row, col)
+    return sum(1 for i in range(row + 1, len(parts)) if parts[i] > col)
+
+
+def bundle_weights(model, lin):
+    """Torus weight of the bundle O(sum a_k D_k) at each cone (i, j):
+    a_i*w1 + a_j*w2 in that cone's chart."""
+    return tuple(
+        (lin.divisor[i] * ch.w1[0] + lin.divisor[j] * ch.w2[0],
+         lin.divisor[i] * ch.w1[1] + lin.divisor[j] * ch.w2[1])
+        for (i, j), ch in zip(model.cones, model.charts)
+    )
+
+
+def tangent_weights(parts, chart):
+    """Tangent weights at the monomial ideal of a partition in one chart:
+    each cell, row by row, contributes -l*w1 + (a+1)*w2 and
+    (l+1)*w1 - a*w2, with arm a and leg l counted cell by cell."""
+    (x1, y1), (x2, y2) = chart.w1, chart.w2
+    out = []
+    for (i, j) in cells(parts):
+        a, l = arm(parts, i, j), leg(parts, i, j)
+        out.append((-l * x1 + (a + 1) * x2, -l * y1 + (a + 1) * y2))
+        out.append(((l + 1) * x1 - a * x2, (l + 1) * y1 - a * y2))
+    return out
+
+
+def co_class_weights(point, model, lin, shift=(0, 0)):
+    """Weights of the obstruction-type class at a fixed point (a tuple of
+    partitions, one per chart): one weight w_F(L) + shift + t per tangent
+    weight t, so rank 2n in total.  A zero vector raises a structural
+    ZeroWeightError."""
+    out = []
+    for c, (parts, wl) in enumerate(zip(point, bundle_weights(model, lin))):
+        for t in tangent_weights(parts, model.charts[c]):
+            w = (t[0] + wl[0] + shift[0], t[1] + wl[1] + shift[1])
+            if w == (0, 0):
+                raise ZeroWeightError(f"structurally zero weight at chart {c}", structural=True)
+            out.append(w)
+    return out
+
+
+def weight_tables(model, lin, n_max, at, shift=(0, 0)):
+    """Per-partition products of tangent and class weights, indexed
+    [chart][size][partition], each weight evaluated at `at` scaled by the
+    product of its coordinates' denominators.  Sizes ascending, charts
+    within a size, cells row by row; for each weight the tangent check,
+    then the structural check, then the class check, each raising
+    ZeroWeightError."""
+    x, y = Fraction(at[0]), Fraction(at[1])
+    scale = x.denominator * y.denominator
+
+    def value(w):
+        v = (w[0] * x + w[1] * y) * scale
+        assert v.denominator == 1
+        return v.numerator
+
+    bases = [(w[0] + shift[0], w[1] + shift[1]) for w in bundle_weights(model, lin)]
+    co_tables = [[] for _ in model.charts]
+    tan_tables = [[] for _ in model.charts]
+    for k in range(n_max + 1):
+        for c, chart in enumerate(model.charts):
+            co_row, tan_row = [], []
+            for parts in partition_list(k):
+                tp = cp = 1
+                for t in tangent_weights(parts, chart):
+                    tv = value(t)
+                    if tv == 0:
+                        raise ZeroWeightError("tangent weight vanishes")
+                    tp *= tv
+                    w = (t[0] + bases[c][0], t[1] + bases[c][1])
+                    if w == (0, 0):
+                        raise ZeroWeightError("structural zero", structural=True)
+                    wv = value(w)
+                    if wv == 0:
+                        raise ZeroWeightError("class weight vanishes")
+                    cp *= wv
+                co_row.append(cp)
+                tan_row.append(tp)
+            co_tables[c].append(co_row)
+            tan_tables[c].append(tan_row)
+    return co_tables, tan_tables

@@ -128,6 +128,62 @@ def test_enumerate_beta_cubic_matches_ellipsoid_scan():
     assert all(found[lvl] for lvl in levels if lvl % 2 == 0)
 
 
+def _chi3(m):
+    """The character chi_-3: 0, 1, -1 for m = 0, 1, 2 mod 3."""
+    return (0, 1, -1)[m % 3]
+
+
+def _sigma(m):
+    """sum over d | m of chi_-3(m/d) * d^2."""
+    return sum(_chi3(m // d) * d * d for d in range(1, m + 1) if m % d == 0)
+
+
+def _sigma_dual(m):
+    """sum over d | m of chi_-3(d) * d^2."""
+    return sum(_chi3(d) * d * d for d in range(1, m + 1) if m % d == 0)
+
+
+def test_enumerate_beta_cubic_matches_e6_theta():
+    """Classes of degree beta.H = d on the cubic are a coset of the negated
+    E6 root lattice, so the counts per beta^2 are theta coefficients of E6
+    (d = 3) or of an E6* coset (d = 1, 2): weight-3 Eisenstein series on
+    Gamma_0(3) with character chi_-3 (Conway & Sloane, SPLAG, ch. 4 sec. 8)."""
+    S = get_fixture("cubic_p4_d3").surface
+
+    def counts(gamma, levels):
+        return [len(enumerate_beta(S, (gamma,), b)) for b in levels]
+
+    # d = 3 at n = (3 - beta^2)/2: 1, 72, 270, 720, ...
+    levels = range(3, 3 - 2 * 13, -2)
+    ns = [(3 - b) // 2 for b in levels]
+    assert counts(Fraction(3, 2), levels) == [
+        1 if n == 0 else 81 * _sigma(n) - 9 * _sigma_dual(n) for n in ns
+    ]
+    # d = 1 from the 27 lines at beta^2 = -1
+    levels = range(-1, -1 - 2 * 13, -2)
+    assert counts(Fraction(-1, 2), levels) == [9 * _sigma((1 - 3 * b) // 2) for b in levels]
+    # d = 2 from the 27 conic classes at beta^2 = 0
+    levels = range(0, -2 * 15, -2)
+    assert counts(Fraction(1, 2), levels) == [9 * _sigma((4 - 3 * b) // 2) for b in levels]
+    # nothing above the top level or at the other parity
+    assert counts(Fraction(3, 2), (5, 4, 2, 0)) == [0] * 4
+    assert counts(Fraction(-1, 2), (1, 0, -2)) == [0] * 3
+    assert counts(Fraction(1, 2), (2, 1, -1, -3)) == [0] * 4
+
+
+def test_enumerate_beta_quadric_matches_theta3():
+    # Jacobi's theta_3 = sum_k q^(k^2) for ell (beta^2 = -2k^2) and
+    # 2 sum_(k>=0) q^(k(k+1)) for 2ell (beta^2 = -2k(k+1)), down to -50
+    fx = get_fixture("quadric_p4_d2")
+    S = fx.surface
+    for name, want in (
+        ("ell", {-2 * k * k: 1 if k == 0 else 2 for k in range(6)}),
+        ("2ell", {-2 * k * (k + 1): 2 for k in range(5)}),
+    ):
+        got = {b: len(enumerate_beta(S, fx.gamma_names[name], b)) for b in range(2, -51, -1)}
+        assert {b: c for b, c in got.items() if c} == want
+
+
 def test_n_xi_round_trip():
     rng = random.Random(31)
     for name in BUILTIN:

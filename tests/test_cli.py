@@ -550,6 +550,7 @@ def _with_divisor(t, divisor):
                      id="cone-index-repeated"),
         pytest.param(lambda t: {**t, "rays": [[1, 0], [0, 1], [-1, -2]]}, "not smooth",
                      id="cone-not-smooth"),
+        pytest.param(lambda t: {**t, "cones": []}, "no cone", id="no-cones"),
         pytest.param(lambda t: _with_divisor(t, [0, 1]), "divisor", id="divisor-too-short"),
         pytest.param(lambda t: _with_divisor(t, [0, 0, 1, 0]), "divisor",
                      id="divisor-too-long"),

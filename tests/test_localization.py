@@ -10,19 +10,20 @@ from dtseries.localization import (
     IntegralityError,
     OracleError,
     ZeroWeightError,
+    _weight_tables,
     chart_product,
-    co_class_weights,
     co_series,
     fixed_point_series,
     hilb_fixed_points,
+    hook_pairs,
     p1xp1,
     p2,
-    tangent_weights,
     toric_surface,
     trace_terms,
 )
-from dtseries.partitions import arm, cells, leg, partition_list
+from dtseries.partitions import conjugate, partition_list
 from dtseries.qseries import euler_product
+from oracle_reference import bundle_weights, co_class_weights, tangent_weights, weight_tables
 
 AT = (Fraction(7, 3), Fraction(-5, 11))
 
@@ -57,16 +58,23 @@ def test_validate_rejects_wrong_weight_count():
 
 
 def test_line_bundle_weight_tables():
-    # literal weights: the independent reference for the builder's signs
+    # literal torus weights from the reference: the independent anchor for
+    # the signs of the chart coordinates (a_i, a_j)
     q = p1xp1()
     model = toric_surface("p1xp1", q.rays, q.cones, {"b": ("O(2,3)", (2, 3), (0, 0, 2, 3))})
     lin = model.bundles["b"]
-    assert lin.weights == ((0, 0), (0, -3), (-2, 0), (-2, -3))
+    assert bundle_weights(model, lin) == ((0, 0), (0, -3), (-2, 0), (-2, -3))
     assert lin.surface_class == (2, 3)
     assert lin.divisor == (0, 0, 2, 3)
+    # one cell at the second fixed point: tangent weights w2, w1 of its chart
+    assert tangent_weights((1,), model.charts[1]) == [(0, -1), (1, 0)]
+    assert co_class_weights(((), (1,), (), ()), model, lin) == [(0, -4), (1, -3)]
     p = p2()
-    lin = toric_surface("p2", p.rays, p.cones, {"b": ("O(2)", (2,), (0, 0, 2))}).bundles["b"]
-    assert lin.weights == ((0, 0), (-2, 0), (0, -2))
+    model = toric_surface("p2", p.rays, p.cones, {"b": ("O(2)", (2,), (0, 0, 2))})
+    lin = model.bundles["b"]
+    assert bundle_weights(model, lin) == ((0, 0), (-2, 0), (0, -2))
+    assert tangent_weights((1,), model.charts[1]) == [(-1, 1), (-1, 0)]
+    assert co_class_weights(((), (1,), ()), model, lin) == [(-3, 1), (-3, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -74,50 +82,68 @@ def test_line_bundle_weight_tables():
 
 
 def test_tangent_weights_single_box():
-    chart = Chart((1, 0), (0, 1))
-    ws = tangent_weights((1,), chart)
-    assert sorted(ws) == [(0, 1), (1, 0)]
+    assert hook_pairs((1,)) == [(0, 1), (1, 0)]
+    assert hook_pairs(()) == []
 
 
 def test_tangent_weights_rank_is_two_n():
     for n in range(7):
         for parts in partition_list(n):
-            for chart in p1xp1().charts + p2().charts:
-                ws = tangent_weights(parts, chart)
-                assert len(ws) == 2 * n
-                assert (0, 0) not in ws
+            ws = hook_pairs(parts)
+            assert len(ws) == 2 * n
+            assert (0, 0) not in ws
 
 
 def test_tangent_weights_match_arm_leg_formula():
-    # the conjugate-partition shortcut against partitions.arm/leg, cell by cell
+    # hook pairs (x, y) in each chart's basis against the reference's
+    # torus vectors, built cell by cell from arm and leg
     for model in (p1xp1(), p2()):
         for chart in model.charts:
             (x1, y1), (x2, y2) = chart.w1, chart.w2
             for n in range(9):
                 for parts in partition_list(n):
-                    expected = []
-                    for (i, j) in cells(parts):
-                        a, l = arm(parts, i, j), leg(parts, i, j)
-                        expected.append((-l * x1 + (a + 1) * x2, -l * y1 + (a + 1) * y2))
-                        expected.append(((l + 1) * x1 - a * x2, (l + 1) * y1 - a * y2))
-                    assert tangent_weights(parts, chart) == expected
+                    assert [(x * x1 + y * x2, x * y1 + y * y2)
+                            for x, y in hook_pairs(parts)] == tangent_weights(parts, chart)
 
 
 def test_tangent_weights_conjugate_symmetry():
-    # transposing the diagram and swapping the two coordinate directions
-    # permutes arm and leg, so the weight multiset is unchanged
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randint(1, 7)
-        parts = rng.choice(partition_list(n))
-        conj = []
-        for j in range(parts[0]):
-            conj.append(sum(1 for p in parts if p > j))
-        w1 = (rng.randint(-3, 3), rng.randint(-3, 3))
-        w2 = (rng.randint(-3, 3), rng.randint(-3, 3))
-        a = tangent_weights(parts, Chart(w1, w2))
-        b = tangent_weights(tuple(conj), Chart(w2, w1))
-        assert sorted(a) == sorted(b)
+    # transposing the diagram swaps arm and leg, which swaps the two chart
+    # coordinates, so the weight multiset is unchanged up to that swap
+    for n in range(9):
+        for parts in partition_list(n):
+            swapped = sorted((y, x) for x, y in hook_pairs(conjugate(parts)))
+            assert sorted(hook_pairs(parts)) == swapped
+
+
+def _outcome(tables, *args):
+    try:
+        return tables(*args)
+    except ZeroWeightError as exc:
+        return ("zero", exc.structural)
+
+
+def test_chart_coordinates_match_torus_reference():
+    # every chart of P2, P1xP1, F1 and F2, partitions up to n = 6: the
+    # oracle's tables (or its first zero weight and whether it is
+    # structural) equal the reference's torus-vector evaluation, at random
+    # points and shifts small enough to hit zeros of both kinds
+    rng = random.Random(6)
+    seen = set()
+    for rays, cones in (P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
+        model = toric_surface("fan", rays, cones, {
+            "0": ("0", (), (0,) * len(rays)), "D": ("D", (), tuple(range(len(rays)))),
+        })
+        for lin in model.bundles.values():
+            for _ in range(12):
+                at = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                      Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                shift = (rng.randint(-2, 2), rng.randint(-2, 2))
+                got = _outcome(_weight_tables, model, lin, 6, at, shift)
+                assert got == _outcome(weight_tables, model, lin, 6, at, shift)
+                seen.add(got if got[0] == "zero" else "tables")
+            at = (Fraction(7919, 13), Fraction(-104729, 17))
+            assert _weight_tables(model, lin, 6, at, (0, 0)) == weight_tables(model, lin, 6, at)
+    assert seen == {"tables", ("zero", True), ("zero", False)}
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +161,11 @@ def test_fixed_point_census_matches_euler_product():
 
 
 def test_fixed_points_have_total_n():
-    for fp in hilb_fixed_points(3, 4):
-        assert fp.total == 4
-        assert len(fp.parts) == 3
+    points = list(hilb_fixed_points(3, 4))
+    assert len(points) == len(set(points)) == 51
+    for fp in points:
+        assert sum(map(sum, fp)) == 4
+        assert len(fp) == 3
 
 
 def test_co_class_weights_rank_two_n():
@@ -151,10 +179,8 @@ def test_co_class_weights_rank_two_n():
 
 
 def test_co_class_weights_structural_zero():
-    from dtseries.localization import HilbFixedPoint
-
     model = p1xp1()
-    fp = HilbFixedPoint(parts=((1,), (), (), ()))
+    fp = ((1,), (), (), ())
     # box weight (0,1) in chart 0 plus shift (0,-1) on the trivial bundle
     with pytest.raises(ZeroWeightError) as err:
         co_class_weights(fp, model, model.bundles["trivial"], shift=(0, -1))
@@ -284,7 +310,7 @@ def test_integrality_error_on_fake_geometry():
     # rational function and the integrality check must fire
     model = toric_surface("a2", rays=((1, 0), (0, 1)), cones=((0, 1),),
                           bundles={"w": ("w", (0,), (-2, 1))})
-    assert model.bundles["w"].weights == ((-2, 1),)
+    assert bundle_weights(model, model.bundles["w"]) == ((-2, 1),)
     with pytest.raises(IntegralityError):
         fixed_point_series(model, model.bundles["w"], 1, (Fraction(5, 3), Fraction(7, 2)))
 
