@@ -27,7 +27,6 @@ from .qseries import (
     dt_series,
     euler_product,
     frac_str,
-    parse_frac,
 )
 
 EXIT_OK = 0
@@ -155,7 +154,7 @@ def resolve_gamma(fx, spec):
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad character parameters {spec!r}: {exc}") from exc
     try:
-        vec = tuple(parse_frac(x) for x in spec.split(","))
+        vec = tuple(Fraction(x) for x in spec.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad character vector {spec!r}: {exc}") from exc
     if len(vec) != fx.threefold.h4_rank:
@@ -306,8 +305,8 @@ def euler_convention(vals, delta):
     prod(1-q^k)^(-delta) (minus) and prod(1-q^k)^delta (plus).  Returns
     (convention, minus, plus): the convention whose coefficients equal the
     values, minus when both do (delta = 0), None when neither does."""
-    minus = [int(c) for c in euler_product(-delta, len(vals)).coeffs]
-    plus = [int(c) for c in euler_product(delta, len(vals)).coeffs]
+    minus = list(euler_product(-delta, len(vals)).coeffs)
+    plus = list(euler_product(delta, len(vals)).coeffs)
     if vals == minus:
         return CONVENTION_MINUS, minus, plus
     return (CONVENTION_PLUS if vals == plus else None), minus, plus
@@ -381,7 +380,7 @@ def cmd_series(cfg):
         rows = [["q_exp_num", "q_exp_den", "coeff_num", "coeff_den"]]
         for i, c in enumerate(result.total.coeffs):
             e = result.total.offset + i
-            rows.append([e.numerator, e.denominator, c.numerator, c.denominator])
+            rows.append([e.numerator, e.denominator, c, 1])
         _csv_print(rows)
     else:
         print(f"fixture {fx.name}  gamma=({', '.join(frac_str(g) for g in gamma)})")
@@ -396,7 +395,8 @@ def cmd_series(cfg):
     return EXIT_OK
 
 
-def cmd_oracle(cfg):
+def _toric_bundle(cfg):
+    """The fixture and its toric bundle named by --bundle, for oracle and verify."""
     fx = get_fixture(cfg.fixture, cfg.k)
     if fx.toric is None:
         raise CliError(f"fixture {fx.name} has no toric surface model")
@@ -404,7 +404,11 @@ def cmd_oracle(cfg):
         raise CliError(
             f"no bundle {cfg.bundle!r}; available: {sorted(fx.toric.bundles)}"
         )
-    lin = fx.toric.bundles[cfg.bundle]
+    return fx, fx.toric.bundles[cfg.bundle]
+
+
+def cmd_oracle(cfg):
+    fx, lin = _toric_bundle(cfg)
     result = co_series(fx.toric, lin, cfg.n_max, seed=cfg.seed)
     print(f"oracle time: {result.elapsed:.3f}s", file=sys.stderr)
     if cfg.trace:
@@ -446,14 +450,7 @@ def cmd_oracle(cfg):
 
 
 def cmd_verify(cfg):
-    fx = get_fixture(cfg.fixture, cfg.k)
-    if fx.toric is None:
-        raise CliError(f"fixture {fx.name} has no toric surface model")
-    if cfg.bundle not in fx.toric.bundles:
-        raise CliError(
-            f"no bundle {cfg.bundle!r}; available: {sorted(fx.toric.bundles)}"
-        )
-    lin = fx.toric.bundles[cfg.bundle]
+    fx, lin = _toric_bundle(cfg)
     delta = delta_invariant(fx.surface, lin.surface_class)
     result = co_series(fx.toric, lin, cfg.n_max, seed=cfg.seed)
     print(f"oracle time: {result.elapsed:.3f}s", file=sys.stderr)

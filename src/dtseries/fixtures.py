@@ -58,6 +58,20 @@ class GeometryFixture:
                     raise FixtureError(
                         f"{self.name}: bundle {lin.name} class not in the surface basis"
                     )
+            # a complete fan of a smooth toric surface: each ray bounds exactly
+            # two cones, and there is one cone (fixed point) per unit of e(S)
+            cones = self.toric.cones
+            for k in range(len(self.toric.rays)):
+                count = sum(k in cone for cone in cones)
+                if count != 2:
+                    raise FixtureError(
+                        f"{self.name}: incomplete fan: ray {k} lies in {count} cone(s), not 2"
+                    )
+            if len(cones) != self.surface.euler:
+                raise FixtureError(
+                    f"{self.name}: incomplete fan: {len(cones)} cones, "
+                    f"but e(S) = {self.surface.euler}"
+                )
         return self
 
     def gamma_from_params(self, values):

@@ -1,12 +1,14 @@
-"""Truncated q-series with exact rational coefficients and fractional offsets.
+"""Truncated q-series with exact integer coefficients on one rational offset.
 
 A series here is q^offset * (c_0 + c_1 q + ... + c_{order-1} q^{order-1} + O(q^order))
-with offset a Fraction and every c_i a Fraction.  All arithmetic tracks the
-truncation order honestly: products shrink the window to what both factors
-support, sums align offsets (which must differ by an integer) and keep the
-window both summands cover.  Nothing here ever extends validity silently.
+with offset a Fraction and every c_i an int: Euler products and class counts
+are integral, and only the offset is fractional.  A product keeps the window
+both factors support; nothing here ever extends validity silently.  The
+generating series is one theta block times one Euler product, moved to the
+blocks' common prefactor q^(delta/24).
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ CONVENTIONS = (CONVENTION_MINUS, CONVENTION_PLUS)
 
 
 class SectorError(ValueError):
-    """Offsets incompatible: they differ by a non-integer."""
+    """Exponents incompatible: they differ by a non-integer."""
 
 
 def frac_str(x):
@@ -29,18 +31,23 @@ def frac_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s):
-    return Fraction(s)
+def _exp_str(e):
+    """An exponent as rendered after '^': bare when a nonnegative integer."""
+    return frac_str(e) if e.denominator == 1 and e >= 0 else f"({frac_str(e)})"
 
 
 class QSeries:
-    """Exact truncated q-series.  Immutable; operators return new objects."""
+    """Exact truncated q-series.  Immutable; operators return new objects.
+
+    Coefficients are coerced with operator.index, so a non-integral one
+    (a Fraction or a float) raises TypeError instead of being truncated.
+    """
 
     __slots__ = ("offset", "coeffs")
 
     def __init__(self, offset, coeffs):
         object.__setattr__(self, "offset", Fraction(offset))
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
@@ -54,23 +61,15 @@ class QSeries:
         """Exact coefficient of q^exponent; 0 outside the support lattice,
         ValueError beyond the truncation window."""
         j = Fraction(exponent) - self.offset
-        if j.denominator != 1:
-            return Fraction(0)
-        j = j.numerator
-        if j < 0:
-            return Fraction(0)
+        if j.denominator != 1 or j < 0:
+            return 0
         if j >= self.order:
             raise ValueError(f"coefficient of q^{exponent} beyond truncation order")
-        return self.coeffs[j]
+        return self.coeffs[j.numerator]
 
     def shift(self, r):
         """Multiply by q^r."""
         return QSeries(self.offset + Fraction(r), self.coeffs)
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend truncation order")
-        return QSeries(self.offset, self.coeffs[:order])
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -80,47 +79,19 @@ class QSeries:
     def __hash__(self):
         return hash((self.offset, self.coeffs))
 
-    def __neg__(self):
-        return QSeries(self.offset, tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        gap = other.offset - self.offset
-        if gap.denominator != 1:
-            raise SectorError(
-                f"offsets {frac_str(self.offset)} and {frac_str(other.offset)} "
-                "differ by a non-integer"
-            )
-        offset = min(self.offset, other.offset)
-        valid = min(self.offset + self.order, other.offset + other.order) - offset
-        order = valid.numerator if valid > 0 else 0
-        coeffs = [Fraction(0)] * order
-        for src in (self, other):
-            base = (src.offset - offset).numerator
-            for i, c in enumerate(src.coeffs):
-                if 0 <= base + i < order:
-                    coeffs[base + i] += c
-        return QSeries(offset, coeffs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QSeries(self.offset, tuple(c * other for c in self.coeffs))
+        """Product, truncated to the shorter window; zero coefficients of the
+        left factor are skipped, so put a sparse series (a theta block) first."""
         if not isinstance(other, QSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        coeffs = [Fraction(0)] * order
+        coeffs = [0] * order
+        b = other.coeffs
         for i, a in enumerate(self.coeffs[:order]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: order - i]):
-                coeffs[i + j] += a * b
+            if a:
+                for j in range(order - i):
+                    coeffs[i + j] += a * b[j]
         return QSeries(self.offset + other.offset, coeffs)
-
-    __rmul__ = __mul__
 
     def pretty(self, var="q"):
         terms = []
@@ -129,15 +100,12 @@ class QSeries:
                 continue
             e = self.offset + i
             if e == 0:
-                terms.append(frac_str(c))
+                terms.append(str(c))
             else:
-                es = frac_str(e) if e.denominator == 1 and e >= 0 else f"({frac_str(e)})"
-                cs = "" if c == 1 else ("-" if c == -1 else frac_str(c) + "*")
-                terms.append(f"{cs}{var}^{es}")
+                cs = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+                terms.append(f"{cs}{var}^{_exp_str(e)}")
         body = " + ".join(terms) if terms else "0"
-        tail = self.offset + self.order
-        es = frac_str(tail) if tail.denominator == 1 and tail >= 0 else f"({frac_str(tail)})"
-        return f"{body} + O({var}^{es})"
+        return f"{body} + O({var}^{_exp_str(self.offset + self.order)})"
 
     def __repr__(self):
         return f"QSeries(offset={frac_str(self.offset)}, coeffs={self.coeffs!r})"
@@ -145,12 +113,8 @@ class QSeries:
     def to_json_dict(self):
         return {
             "offset": frac_str(self.offset),
-            "coeffs": [frac_str(c) for c in self.coeffs],
+            "coeffs": [str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(parse_frac(d["offset"]), [parse_frac(c) for c in d["coeffs"]])
 
 
 def _pentagonal_terms(order):
@@ -217,10 +181,8 @@ def theta_block(exponents, order):
     series based at 0.
     """
     exps = sorted(Fraction(x) for x in exponents)
-    if not exps:
-        return QSeries(0, [Fraction(0)] * order)
-    base = exps[0]
-    coeffs = [Fraction(0)] * order
+    base = exps[0] if exps else Fraction(0)
+    coeffs = [0] * order
     for x in exps:
         j = x - base
         if j.denominator != 1:
@@ -232,16 +194,13 @@ def theta_block(exponents, order):
 
 @dataclass(frozen=True)
 class BetaBlock:
-    """One curve-class block of the generating series."""
+    """One curve-class block of the generating series:
+    q^prefactor_exponent * n_series."""
 
     beta: tuple
     beta_sq: int
     prefactor_exponent: Fraction  # beta^2/2 + delta/24
     n_series: QSeries  # the beta-independent Euler-product factor, based at 0
-
-    @property
-    def series(self):
-        return self.n_series.shift(self.prefactor_exponent)
 
 
 @dataclass(frozen=True)
@@ -256,8 +215,9 @@ def dt_series(surface, table, order, convention=CONVENTION_MINUS):
     """Assemble the generating series from a contribution table.
 
     Every class beta contributes q^(beta^2/2 + delta/24) * prod(1-q^k)^(-delta)
-    (sign of the exponent set by `convention`); the total is the sum over
-    the table's classes, truncated to the window both tools support.
+    (sign of the exponent set by `convention`).  The Euler factor does not
+    depend on beta, so the total over the table's classes is one product:
+    theta_block(beta^2/2 per class) * prod(1-q^k)^(-delta), times q^(delta/24).
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -265,25 +225,13 @@ def dt_series(surface, table, order, convention=CONVENTION_MINUS):
     sign = -1 if convention == CONVENTION_MINUS else 1
     n_series = euler_product(sign * delta, order)
     off = Fraction(delta, 24)
-    blocks = []
-    seen = set()
+    squares = {}
     for row in table.rows:
-        if row.beta in seen:
-            continue
-        seen.add(row.beta)
-        blocks.append(
-            BetaBlock(
-                beta=row.beta,
-                beta_sq=row.beta_sq,
-                prefactor_exponent=Fraction(row.beta_sq, 2) + off,
-                n_series=n_series,
-            )
-        )
-    blocks.sort(key=lambda b: (b.prefactor_exponent, b.beta))
-    if blocks:
-        total = blocks[0].series
-        for b in blocks[1:]:
-            total = total + b.series
-    else:
-        total = QSeries(off, [Fraction(0)] * order)
+        squares.setdefault(row.beta, row.beta_sq)
+    blocks = sorted(
+        (BetaBlock(beta, sq, Fraction(sq, 2) + off, n_series) for beta, sq in squares.items()),
+        key=lambda b: (b.prefactor_exponent, b.beta),
+    )
+    theta = theta_block([Fraction(sq, 2) for sq in squares.values()], order)
+    total = (theta * n_series).shift(off)
     return DTSeriesResult(delta=delta, convention=convention, blocks=tuple(blocks), total=total)

@@ -551,6 +551,15 @@ def _with_divisor(t, divisor):
         pytest.param(lambda t: {**t, "rays": [[1, 0], [0, 1], [-1, -2]]}, "not smooth",
                      id="cone-not-smooth"),
         pytest.param(lambda t: {**t, "cones": []}, "no cone", id="no-cones"),
+        pytest.param(lambda t: {**t, "cones": [[0, 1], [0, 1], [2, 0]]}, "incomplete fan",
+                     id="cone-duplicated"),
+        pytest.param(lambda t: {**t, "cones": [[0, 1], [2, 1]]}, "incomplete fan",
+                     id="cone-missing"),
+        pytest.param(lambda t: {**t, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                "cones": [[0, 1], [0, 3], [2, 1], [2, 3]],
+                                "bundles": {k: {**b, "divisor": [0, 0, 1, 1]}
+                                            for k, b in t["bundles"].items()}},
+                     "4 cones, but e(S) = 3", id="fan-of-another-surface"),
         pytest.param(lambda t: _with_divisor(t, [0, 1]), "divisor", id="divisor-too-short"),
         pytest.param(lambda t: _with_divisor(t, [0, 0, 1, 0]), "divisor",
                      id="divisor-too-long"),
