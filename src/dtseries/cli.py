@@ -422,9 +422,12 @@ def cmd_oracle(cfg):
                     {"point": t["point"], "term": frac_str(t["term"])} for t in terms
                 ],
             })
-        with open(cfg.trace, "w") as fh:
-            json.dump(trace, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(cfg.trace, "w") as fh:
+                json.dump(trace, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise CliError(f"cannot write trace: {exc}") from exc
     payload = {
         "command": "oracle",
         "fixture": fx.name,

@@ -4,20 +4,26 @@ Each fixture bundles a threefold model, a surface model for a member of
 |L|, candidate decompositions of L for the stability check, optional named
 character vectors or a linear map from named parameters to character
 vectors, and (when the surface is toric) the equivariant model that feeds
-the localization oracle.  Fixtures round-trip through JSON.  A toric model
-is stored as its fan, `{name, rays, cones, bundles: {key: {name,
-surface_class, divisor}}, L_bundle}`, and loaded through
-`localization.toric_surface`, the builder of the builtin models; a
-parameterized character is stored as `gamma_params: {name: vector}`, with
-gamma = sum of value * vector.
+the localization oracle.  Fixtures round-trip through JSON.
+
+The `threefold` and `surface` blocks are the fields of ThreefoldModel and
+SurfaceModel, which type-check themselves: intersection data must be JSON
+integers and flags JSON booleans.  Characters (`gamma_names`, and
+`gamma_params: {name: vector}` with gamma = sum of value * vector) are
+strings such as "-1/2" or integers.  A missing, unknown or wrong-typed value
+raises FixtureError or ModelError.  A toric model is stored as its fan,
+`{name, rays, cones, bundles: {key: {name, surface_class, divisor}},
+L_bundle}`, and loaded through `localization.toric_surface`, the builder of
+the builtin models.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .geometry import SurfaceModel, ThreefoldModel, check_consistency
+from .geometry import SurfaceModel, ThreefoldModel, _typed_fields, check_consistency
 from .localization import ToricSurfaceModel, p1xp1, p2, toric_surface
+from .qseries import frac_str
 
 
 class FixtureError(ValueError):
@@ -36,6 +42,9 @@ class GeometryFixture:
     toric: ToricSurfaceModel | None = None
     toric_L: str = "L"
     notes: str = ""
+
+    def __post_init__(self):
+        _typed_fields(self)
 
     def validate(self):
         self.threefold.validate()
@@ -322,48 +331,33 @@ def get_fixture(name_or_path, k=None):
     return load_fixture(name_or_path)
 
 
-def _frac(x):
-    return Fraction(x)
-
-
-def _frac_out(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _characters(table, key):
+    """A {name: vector} table of characters read from JSON, whose entries
+    are fraction strings such as "-1/2" or integers."""
+    out = {}
+    for name, vec in table.items():
+        if not isinstance(vec, (list, tuple)) or any(type(g) not in (str, int) for g in vec):
+            raise FixtureError(
+                f"{key}[{name!r}] must be a list of strings or integers, not {vec!r}"
+            )
+        try:
+            out[name] = tuple(Fraction(g) for g in vec)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FixtureError(f"{key}[{name!r}]: {exc}") from exc
+    return out
 
 
 def fixture_to_dict(fx):
-    X, S = fx.threefold, fx.surface
     d = {
         "name": fx.name,
-        "threefold": {
-            "name": X.name,
-            "h2_rank": X.h2_rank,
-            "triple": [[list(r) for r in p] for p in X.triple],
-            "canonical": list(X.canonical),
-            "polarization": list(X.polarization),
-            "L": list(X.L),
-            "h4_rank": X.h4_rank,
-            "quad": [[list(v) for v in row] for row in X.quad],
-            "h4_h2_pairing": [list(r) for r in X.h4_h2_pairing],
-            "vanishing_asserted": X.vanishing_asserted,
-            "dim_linear_system": X.dim_linear_system,
-        },
-        "surface": {
-            "name": S.name,
-            "h2_rank": S.h2_rank,
-            "gram": [list(r) for r in S.gram],
-            "K_S": list(S.K_S),
-            "L_S": list(S.L_S),
-            "O1_S": list(S.O1_S),
-            "euler": S.euler,
-            "pushforward": [list(r) for r in S.pushforward],
-            "torsion_note": S.torsion_note,
-        },
-        "candidates": [list(c) for c in fx.candidates],
+        "threefold": asdict(fx.threefold),
+        "surface": asdict(fx.surface),
+        "candidates": fx.candidates,
         "irreducible": fx.irreducible,
-        "gamma_names": {k: [_frac_out(g) for g in v] for k, v in fx.gamma_names.items()},
-        "gamma_params": {k: [_frac_out(g) for g in v] for k, v in fx.gamma_params.items()},
+        "gamma_names": {k: [frac_str(g) for g in v] for k, v in fx.gamma_names.items()},
+        "gamma_params": {k: [frac_str(g) for g in v] for k, v in fx.gamma_params.items()},
         "notes": fx.notes,
+        "toric": None,
     }
     if fx.toric is not None:
         T = fx.toric
@@ -381,44 +375,20 @@ def fixture_to_dict(fx):
             },
             "L_bundle": fx.toric_L,
         }
-    else:
-        d["toric"] = None
     return d
 
 
 def fixture_from_dict(d):
     try:
-        tx = d["threefold"]
-        X = ThreefoldModel(
-            name=tx["name"],
-            h2_rank=tx["h2_rank"],
-            triple=tx["triple"],
-            canonical=tx["canonical"],
-            polarization=tx["polarization"],
-            L=tx["L"],
-            h4_rank=tx["h4_rank"],
-            quad=tx["quad"],
-            h4_h2_pairing=tx["h4_h2_pairing"],
-            vanishing_asserted=tx["vanishing_asserted"],
-            dim_linear_system=tx.get("dim_linear_system"),
-        )
-        sx = d["surface"]
-        S = SurfaceModel(
-            name=sx["name"],
-            h2_rank=sx["h2_rank"],
-            gram=sx["gram"],
-            K_S=sx["K_S"],
-            L_S=sx["L_S"],
-            O1_S=sx["O1_S"],
-            euler=sx["euler"],
-            pushforward=sx["pushforward"],
-            torsion_note=sx.get("torsion_note", ""),
-        )
-        toric = None
-        toric_l = "L"
-        if d.get("toric"):
-            t = d["toric"]
-            toric = toric_surface(
+        kwargs = dict(d)
+        kwargs["threefold"] = ThreefoldModel(**kwargs["threefold"])
+        kwargs["surface"] = SurfaceModel(**kwargs["surface"])
+        for key in ("gamma_names", "gamma_params"):
+            if key in kwargs:
+                kwargs[key] = _characters(kwargs[key], key)
+        t = kwargs.pop("toric", None)
+        if t:
+            kwargs["toric"] = toric_surface(
                 t["name"],
                 t["rays"],
                 t["cones"],
@@ -427,26 +397,12 @@ def fixture_from_dict(d):
                     for key, b in t["bundles"].items()
                 },
             )
-            toric_l = t.get("L_bundle", "L")
-        fx = GeometryFixture(
-            name=d["name"],
-            threefold=X,
-            surface=S,
-            candidates=tuple(tuple(c) for c in d.get("candidates", [])),
-            irreducible=bool(d.get("irreducible", False)),
-            gamma_names={
-                k: tuple(_frac(g) for g in v) for k, v in d.get("gamma_names", {}).items()
-            },
-            gamma_params={
-                k: tuple(_frac(g) for g in v) for k, v in d.get("gamma_params", {}).items()
-            },
-            toric=toric,
-            toric_L=toric_l,
-            notes=d.get("notes", ""),
-        )
-    except (KeyError, TypeError, IndexError) as exc:
+            if "L_bundle" in t:
+                kwargs["toric_L"] = t["L_bundle"]
+        # a key that names no GeometryFixture field is unknown: TypeError
+        return GeometryFixture(**kwargs).validate()
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FixtureError(f"malformed fixture data: {exc}") from exc
-    return fx.validate()
 
 
 def load_fixture(path):

@@ -9,8 +9,9 @@ curve classes into the threefold.  All checks below are exact integer or
 rational identities; nothing is approximated.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import get_args
 
 from .intlinalg import symmetric_signature
 
@@ -19,10 +20,26 @@ class ModelError(ValueError):
     """Model data violates a structural invariant."""
 
 
-def _tuplify(x):
-    if isinstance(x, (list, tuple)):
-        return tuple(_tuplify(y) for y in x)
-    return x
+def _int_tuple(x, where):
+    """A list of ints, or of such lists, as nested tuples.  Entries must be
+    exactly int, as in localization._int_vector: True and 1.0 are refused."""
+    if not isinstance(x, (list, tuple)):
+        raise ModelError(f"{where} must hold integers in nested lists, not {x!r}")
+    return tuple(y if type(y) is int else _int_tuple(y, where) for y in x)
+
+
+def _typed_fields(obj):
+    """Coerce each dataclass field by its declared type: a `tuple` becomes
+    nested tuples of ints, anything else must be exactly one of its types
+    (True is no int, 1 no bool).  The fields are the fixture JSON's schema."""
+    for f in fields(obj):
+        value, where = getattr(obj, f.name), f"{type(obj).__name__}.{f.name}"
+        allowed = get_args(f.type) or (f.type,)
+        if f.type is tuple:
+            object.__setattr__(obj, f.name, _int_tuple(value, where))
+        elif type(value) not in allowed:
+            names = " or ".join(t.__name__ for t in allowed)
+            raise ModelError(f"{where} must be {names}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +73,7 @@ class ThreefoldModel:
     dim_linear_system: int | None = None
 
     def __post_init__(self):
-        for f in ("triple", "canonical", "polarization", "L", "quad", "h4_h2_pairing"):
-            object.__setattr__(self, f, _tuplify(getattr(self, f)))
+        _typed_fields(self)
 
     def validate(self):
         r, h = self.h2_rank, self.h4_rank
@@ -118,8 +134,7 @@ class SurfaceModel:
     torsion_note: str = ""
 
     def __post_init__(self):
-        for f in ("gram", "K_S", "L_S", "O1_S", "pushforward"):
-            object.__setattr__(self, f, _tuplify(getattr(self, f)))
+        _typed_fields(self)
 
     def validate(self):
         s = self.h2_rank

@@ -338,6 +338,16 @@ def test_oracle_trace_file(capsys, tmp_path):
     assert sum(Fraction(t["term"]) for t in terms) == 65
 
 
+def test_oracle_trace_unwritable_exits_bad_input(capsys, tmp_path):
+    path = tmp_path / "missing" / "t.json"
+    code, out, err = run(
+        capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "1", "--trace", str(path),
+    )
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert "error: cannot write trace: " in err and "Traceback" not in err
+
+
 def test_oracle_rejects_non_toric_fixture(capsys):
     code, _, err = run(capsys, "oracle", "--fixture", "cubic_p4_d3")
     assert code == EXIT_BAD_INPUT
@@ -573,6 +583,55 @@ def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
     for cmd in ("check", "oracle"):
         code, out, err = run(capsys, cmd, "--fixture", str(path))
         assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, keys, value, reason",
+    [
+        pytest.param("quadric_p4_d2", ("surface", "gram"), [[0, 1.0], [1, 0]],
+                     "SurfaceModel.gram", id="float-in-gram"),
+        pytest.param("quadric_p4_d2", ("surface", "pushforward"), [[1.0, 1]],
+                     "SurfaceModel.pushforward", id="float-in-pushforward"),
+        pytest.param("quadric_p4_d2", ("surface", "euler"), 4.0, "SurfaceModel.euler",
+                     id="float-euler"),
+        pytest.param("quadric_p4_d2", ("surface", "K_S"), ["-2", -2], "SurfaceModel.K_S",
+                     id="string-in-K_S"),
+        pytest.param("blowup_p3_point", ("candidates",), [[0, 1.5]],
+                     "GeometryFixture.candidates", id="float-in-candidates"),
+        pytest.param("quadric_p4_d2", ("threefold", "vanishing_asserted"), "no",
+                     "ThreefoldModel.vanishing_asserted", id="string-vanishing"),
+        pytest.param("blowup_p3_point", ("irreducible",), "false",
+                     "GeometryFixture.irreducible", id="string-irreducible"),
+        pytest.param("quadric_p4_d2", ("gamma_names", "ell"), [0.1], "gamma_names['ell']",
+                     id="float-in-gamma-names"),
+        pytest.param("quadric_p4_d2", ("surface", "gramm"), [[0, 1], [1, 0]], "'gramm'",
+                     id="unknown-surface-key"),
+        pytest.param("quadric_p4_d2", ("threefold", "L"), [True], "ThreefoldModel.L",
+                     id="bool-in-L"),
+        pytest.param("blowup_p3_point", ("gamma_params", "r"), ["1/0", "0"],
+                     "gamma_params['r']", id="zero-denominator-in-gamma-params"),
+        pytest.param("blowup_p3_point", ("gamma_param",), {"r": ["1/2", "0"]}, "'gamma_param'",
+                     id="unknown-top-level-key"),
+        pytest.param("quadric_p4_d2", ("threefold", "triple"), [2], "malformed fixture data",
+                     id="ragged-triple"),
+        pytest.param("quadric_p4_d2", ("gamma_names",), [["-1"]], "malformed fixture data",
+                     id="gamma-names-not-a-table"),
+    ],
+)
+def test_bad_model_value_exits_bad_input(capsys, tmp_path, name, keys, value, reason):
+    d = json.loads(json.dumps(fixture_to_dict(get_fixture(name))))
+    *path, last = keys
+    target = d
+    for key in path:
+        target = target[key]
+    target[last] = value
+    fx_path = tmp_path / "bad.json"
+    fx_path.write_text(json.dumps(d))
+    for cmd in ("check", "series"):
+        code, out, err = run(capsys, cmd, "--fixture", str(fx_path))
+        assert code == EXIT_BAD_INPUT, (cmd, err)
         assert out == ""
         assert err.startswith("error: ") and reason in err and "Traceback" not in err
 

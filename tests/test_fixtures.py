@@ -146,6 +146,22 @@ def test_round_trip_through_dict():
             assert back.toric_L == fx.toric_L
 
 
+VARIANTS = [(name, None) for name in ALL_NAMES] + [
+    (name, k) for name in ("blowup_p3_point", "blowup_p3_line") for k in (2, 5)
+]
+
+
+@pytest.mark.parametrize("name, k", VARIANTS)
+def test_round_trip_is_identity(tmp_path, name, k):
+    # a field dropped or renamed in either direction changes the dict or the file
+    d = fixture_to_dict(get_fixture(name, k))
+    assert fixture_to_dict(fixture_from_dict(d)) == d
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_fixture(get_fixture(name, k), first)
+    save_fixture(load_fixture(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_round_trip_through_file(tmp_path):
     path = tmp_path / "fx.json"
     fx = get_fixture("quadric_p4_d2")

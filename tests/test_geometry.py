@@ -197,6 +197,20 @@ def test_model_validators_reject_bad_data():
         skew.validate()
 
 
+def test_model_fields_are_coerced_by_type():
+    S = get_fixture("quadric_p4_d2").surface
+    fields = {**S.__dict__, "gram": [[0, 1], [1, 0]], "K_S": [-2, -2]}
+    assert SurfaceModel(**fields) == S  # lists become tuples
+    for key, bad in (("gram", [[0, True], [1, 0]]), ("K_S", (-2, -2.0)), ("K_S", -2),
+                     ("euler", True), ("torsion_note", None), ("name", 1)):
+        with pytest.raises(ModelError, match=f"SurfaceModel.{key}"):
+            SurfaceModel(**{**fields, key: bad})
+    X = get_fixture("quadric_p4_d2").threefold
+    assert X.__class__(**{**X.__dict__, "dim_linear_system": None}).dim_linear_system is None
+    with pytest.raises(ModelError, match="ThreefoldModel.vanishing_asserted"):
+        X.__class__(**{**X.__dict__, "vanishing_asserted": 1})
+
+
 def test_pairing_contraction():
     X = get_fixture("blowup_p3_point").threefold
     # f-tilde pairs to 1 with L, the exceptional curve to -1 with E
