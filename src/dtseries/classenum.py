@@ -8,6 +8,7 @@ beta^2 is attained by finitely many classes and a completed-square descent
 enumerates them exactly.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -191,7 +192,8 @@ class ContributionTable:
 def enumerate_contributions(S, X, gamma, max_power, window):
     """Contribution rows (beta, beta_sq, n, xi, exponent) with exponent
     beta^2/2 + delta/24 + n at most max_power, scanning lattice coordinates
-    in the box [-window, window]^rank."""
+    in the box [-window, window]^rank.  Rows are bounded and ordered on the
+    integer beta^2 + 2n."""
     if window < 0:
         raise ValueError("window must be nonnegative")
     gamma = tuple(Fraction(g) for g in gamma)
@@ -202,24 +204,29 @@ def enumerate_contributions(S, X, gamma, max_power, window):
     rows = []
     if lattice is not None:
         # xi = beta^2/2 + gamma.L/2 + 2L^3/3 - n as in xi_from_n, which the
-        # tests compare against; only beta^2/2 - n varies from row to row
+        # tests compare against, and the exponent beta^2/2 + delta/24 + n
+        # depend on (beta^2, n) only: each pair builds them once, each as one
+        # Fraction (2 xi = beta^2 - 2n + a/b, 24 exponent = 12(beta^2 + 2n)
+        # + delta), and the classes of that square share them
         gL = pair_h4_h2(X, gamma, X.L)
         L3 = triple_product(X, X.L, X.L, X.L)
-        xi_const = Fraction(gL) / 2 + Fraction(2 * L3, 3)
-        off = Fraction(delta, 24)
+        xi2 = Fraction(gL) + Fraction(4 * L3, 3)
+        a, b = xi2.numerator, xi2.denominator
+        # beta^2/2 + delta/24 + n <= max_power  <=>  beta^2 + 2n <= top,
+        # because beta^2 + 2n is an integer
+        top = math.floor(2 * max_power - Fraction(delta, 12))
+        classes = {}
         for coords in _box(lattice.rank, window):
             beta = lattice.element(coords)
-            bsq = S.dot(beta, beta)
-            half_bsq = Fraction(bsq, 2)
-            base = half_bsq + off
-            xi0 = half_bsq + xi_const
-            n = 0
-            while base + n <= max_power:
-                rows.append(
-                    BetaData(beta=beta, beta_sq=bsq, n=n, xi=xi0 - n, q_exponent=base + n)
-                )
-                n += 1
-    rows.sort(key=lambda r: (r.q_exponent, r.beta))
+            classes.setdefault(S.dot(beta, beta), []).append(beta)
+        for bsq, betas in classes.items():
+            for n in range((top - bsq) // 2 + 1):
+                xi = Fraction((bsq - 2 * n) * b + a, 2 * b)
+                q_exponent = Fraction(12 * (bsq + 2 * n) + delta, 24)
+                rows += [BetaData(beta, bsq, n, xi, q_exponent) for beta in betas]
+    # the exponent (beta^2 + 2n)/2 + delta/24 is strictly increasing in the
+    # integer beta^2 + 2n, so this is the order (q_exponent, beta)
+    rows.sort(key=lambda r: (r.beta_sq + 2 * r.n, r.beta))
     return ContributionTable(
         gamma=gamma, window=window, max_power=max_power, delta=delta, rows=tuple(rows)
     )

@@ -14,7 +14,7 @@ strings such as "-1/2" or integers.  A missing, unknown or wrong-typed value
 raises FixtureError or ModelError.  A toric model is stored as its fan,
 `{name, rays, cones, bundles: {key: {name, surface_class, divisor}},
 L_bundle}`, and loaded through `localization.toric_surface`, the builder of
-the builtin models.
+the builtin models; only `"toric": null` means the surface is not toric.
 """
 
 import json
@@ -386,8 +386,12 @@ def fixture_from_dict(d):
         for key in ("gamma_names", "gamma_params"):
             if key in kwargs:
                 kwargs[key] = _characters(kwargs[key], key)
+        if "toric_L" in kwargs:
+            # the saved shape keeps the bundle key in toric.L_bundle
+            raise TypeError("unknown key 'toric_L'")
+        # only null means "not toric"; any other value must be a toric block
         t = kwargs.pop("toric", None)
-        if t:
+        if t is not None:
             kwargs["toric"] = toric_surface(
                 t["name"],
                 t["rays"],

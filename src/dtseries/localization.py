@@ -106,8 +106,8 @@ def toric_surface(name, rays, cones, bundles):
     for the bundle O(sum_i a_i D_i), whose weight at cone (i, j) has the
     chart coordinates (a_i, a_j).  Raises ValueError when there is no cone,
     when a cone index is out of range, when det(v_i, v_j) is not +-1 (a
-    repeated index gives 0), or when a divisor does not have one coefficient
-    per ray.
+    repeated index gives 0), when a divisor does not have one coefficient
+    per ray, or when a surface class entry is not an integer.
     """
     rays = tuple(_int_vector(v, 2, f"{name}: ray") for v in rays)
     cones = tuple(_int_vector(c, 2, f"{name}: cone") for c in cones)
@@ -126,7 +126,11 @@ def toric_surface(name, rays, cones, bundles):
     lins = {}
     for key, (label, surface_class, divisor) in bundles.items():
         divisor = _int_vector(divisor, len(rays), f"{name}/{label}: divisor")
-        lins[key] = Linearization(label, divisor, tuple(surface_class))
+        # its length is the surface's Picard rank, which validate checks
+        surface_class = tuple(surface_class)
+        surface_class = _int_vector(surface_class, len(surface_class),
+                                    f"{name}/{label}: surface class")
+        lins[key] = Linearization(label, divisor, surface_class)
     return ToricSurfaceModel(name, rays, cones, tuple(charts), lins)
 
 

@@ -5,6 +5,7 @@ from math import ceil, floor, isqrt, prod
 
 import pytest
 
+import classenum_reference
 from dtseries.classenum import (
     beta_constraint_lattice,
     enumerate_beta,
@@ -280,3 +281,48 @@ def test_window_zero_keeps_origin_only():
         fx.surface, fx.threefold, fx.gamma_names["ell"], Fraction(1), 0
     )
     assert {r.beta for r in table.rows} == {(0, 0)}
+
+
+def _same_as_fraction_box_scan(S, X, gamma, max_power, window):
+    """The table, checked row for row and in order against the Fraction box
+    scan of classenum_reference, with xi and the exponent as Fractions."""
+    table = enumerate_contributions(S, X, gamma, max_power, window)
+    assert table == classenum_reference.enumerate_contributions(S, X, gamma, max_power, window)
+    for r in table.rows:
+        assert type(r.xi) is Fraction and type(r.q_exponent) is Fraction
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_contributions_match_fraction_box_scan(name):
+    # each named character, the zero one, the all-1/2 one and the one whose
+    # target is zero, with bounds below, at and between the exponents;
+    # windows 0-1 on rank > 4
+    fx = get_fixture(name)
+    S, X = fx.surface, fx.threefold
+    gammas = [*fx.gamma_names.values(), (0,) * X.h4_rank, (Fraction(1, 2),) * X.h4_rank,
+              tuple(Fraction(-l, 2) for l in S.push(S.L_S))]
+    nonempty = 0
+    for gamma in gammas:
+        lattice = beta_constraint_lattice(S, gamma, S.push(S.L_S))
+        windows = range(2 if lattice is not None and lattice.rank > 4 else 3)
+        for max_power in (-1, 0, 1, Fraction(7, 2), 8):
+            for window in windows:
+                table = _same_as_fraction_box_scan(S, X, gamma, max_power, window)
+                nonempty += bool(table.rows)
+    assert nonempty
+
+
+@pytest.mark.parametrize(
+    "name, gamma, order, rows",
+    [("cubic_p4_d3", (Fraction(1, 2),), 2, 6561), ("quadric_p4_d2", "ell", 1500, 4502)],
+)
+def test_contributions_match_fraction_box_scan_at_benchmark_size(name, gamma, order, rows):
+    fx = get_fixture(name)
+    gamma = fx.gamma_names.get(gamma, gamma)
+    table = _same_as_fraction_box_scan(fx.surface, fx.threefold, gamma, order, 1)
+    assert len(table.rows) == rows
+    # rows of one (beta^2, n) share one xi and one exponent
+    pairs = {(r.beta_sq, r.n) for r in table.rows}
+    assert len({id(r.xi) for r in table.rows}) == len(pairs)
+    assert len({id(r.q_exponent) for r in table.rows}) == len(pairs)

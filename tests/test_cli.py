@@ -573,6 +573,12 @@ def _with_divisor(t, divisor):
         pytest.param(lambda t: _with_divisor(t, [0, 1]), "divisor", id="divisor-too-short"),
         pytest.param(lambda t: _with_divisor(t, [0, 0, 1, 0]), "divisor",
                      id="divisor-too-long"),
+        pytest.param(lambda t: {**t, "bundles": {"L": {**t["bundles"]["L"],
+                                                       "surface_class": [1.0]}}},
+                     "surface class", id="float-in-surface-class"),
+        # only null means "not toric"
+        pytest.param(lambda t: {}, "malformed fixture data", id="empty-block"),
+        pytest.param(lambda t: False, "malformed fixture data", id="false-block"),
     ],
 )
 def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
@@ -580,7 +586,7 @@ def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
     d["toric"] = bad(d["toric"])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
-    for cmd in ("check", "oracle"):
+    for cmd in ("check", "oracle", "verify", "series"):
         code, out, err = run(capsys, cmd, "--fixture", str(path))
         assert code == EXIT_BAD_INPUT
         assert out == ""
@@ -618,6 +624,8 @@ def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
                      id="ragged-triple"),
         pytest.param("quadric_p4_d2", ("gamma_names",), [["-1"]], "malformed fixture data",
                      id="gamma-names-not-a-table"),
+        # the saved shape keeps the bundle key in toric.L_bundle
+        pytest.param("quadric_p4_d2", ("toric_L",), "L", "'toric_L'", id="top-level-toric-L"),
     ],
 )
 def test_bad_model_value_exits_bad_input(capsys, tmp_path, name, keys, value, reason):
