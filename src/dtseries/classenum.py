@@ -11,9 +11,11 @@ enumerates them exactly.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .geometry import delta_invariant, pair_h4_h2, triple_product
 from .intlinalg import (
+    mat_vec,
     quadratic_completion,
     solve_completed_square,
     solve_integer_system,
@@ -57,57 +59,49 @@ def _round_half_to_zero(x):
     return q if n >= 0 else -q
 
 
-def _reduce_origin(S, origin, basis):
-    """Translate the particular solution by the kernel so it (nearly)
-    minimizes -beta^2; makes window-based enumeration symmetric and the
-    output independent of internal row-reduction choices."""
-    m = len(basis)
-    if m == 0:
-        return tuple(origin)
-    G = S.gram
-    s = S.h2_rank
-    A = [[-sum(G[i][j] * basis[a][i] * basis[b][j] for i in range(s) for j in range(s))
-          for b in range(m)] for a in range(m)]
-    rhs = [sum(G[i][j] * basis[a][i] * origin[j] for i in range(s) for j in range(s))
-           for a in range(m)]
-    try:
-        x = solve_rational(A, rhs)
-    except ValueError:
-        return tuple(origin)
-    shift = [_round_half_to_zero(c) for c in x]
-    v = list(origin)
-    for c, b in zip(shift, basis):
-        for i in range(s):
-            v[i] += c * b[i]
-    return tuple(v)
+def _constraint_lattice(S, gamma, L2):
+    """(lattice, A, peak) for the classes with pushforward gamma + L2/2, or
+    None when the target is non-integral or outside the image.
 
-
-def beta_constraint_lattice(S, gamma, L2):
-    """Affine lattice of classes with pushforward gamma + L2/2, or None when
-    the target is non-integral or outside the image."""
+    A[a][c] = basis[a].basis[c] is the kernel Gram, from one G.B product.
+    The origin is translated by the kernel to the lattice point nearest the
+    real maximum of beta^2 (rounding half to zero), which makes window-based
+    enumeration symmetric and the output independent of internal
+    row-reduction choices; peak holds that maximum's coordinates from the
+    new origin, or None when A is singular.
+    """
     target = [Fraction(g) + Fraction(l, 2) for g, l in zip(gamma, L2)]
     if any(t.denominator != 1 for t in target):
         return None
     sol = solve_integer_system([list(row) for row in S.pushforward], target)
     if sol is None:
         return None
-    x0, basis = sol
-    x0 = _reduce_origin(S, x0, basis)
-    return AffineLattice(origin=tuple(x0), basis=tuple(tuple(b) for b in basis))
+    origin, basis = sol
+    # one G.B product gives A and, G being symmetric, B^T G origin
+    GB = [mat_vec(S.gram, b) for b in basis]
+    A = [[sum(map(mul, b, gb)) for gb in GB] for b in basis]
+    peak = None
+    if basis:
+        try:
+            # beta^2 peaks where (-A) x = B^T G origin
+            x = solve_rational([[-a for a in row] for row in A],
+                               [sum(map(mul, gb, origin)) for gb in GB])
+        except ValueError:
+            pass
+        else:
+            shift = [_round_half_to_zero(c) for c in x]
+            for r, b in zip(shift, basis):
+                origin = [o + r * e for o, e in zip(origin, b)]
+            peak = [c - r for c, r in zip(x, shift)]
+    lattice = AffineLattice(origin=tuple(origin), basis=tuple(tuple(b) for b in basis))
+    return lattice, A, peak
 
 
-def _kernel_form(S, lattice):
-    """(A, b, c) with beta(x)^2 = x^T A x + 2 b.x + c on the lattice."""
-    m = lattice.rank
-    s = S.h2_rank
-    G = S.gram
-    bas = lattice.basis
-    o = lattice.origin
-    A = [[sum(G[i][j] * bas[a][i] * bas[b][j] for i in range(s) for j in range(s))
-          for b in range(m)] for a in range(m)]
-    b = [sum(G[i][j] * bas[a][i] * o[j] for i in range(s) for j in range(s)) for a in range(m)]
-    c = S.dot(o, o)
-    return A, b, c
+def beta_constraint_lattice(S, gamma, L2):
+    """Affine lattice of classes with pushforward gamma + L2/2, or None when
+    the target is non-integral or outside the image."""
+    found = _constraint_lattice(S, gamma, L2)
+    return None if found is None else found[0]
 
 
 def enumerate_beta(S, gamma, beta_sq):
@@ -117,32 +111,29 @@ def enumerate_beta(S, gamma, beta_sq):
     (guaranteed on the orthogonal complement of an ample class); otherwise
     IndefiniteKernelError is raised rather than returning a wrong finite list.
     """
-    L2 = S.push(S.L_S)
-    lattice = beta_constraint_lattice(S, gamma, L2)
-    if lattice is None:
+    found = _constraint_lattice(S, gamma, S.push(S.L_S))
+    if found is None:
         return []
+    lattice, A, peak = found
+    origin = lattice.origin
+    c = S.dot(origin, origin)
     if lattice.rank == 0:
-        beta = lattice.origin
-        return [beta] if S.dot(beta, beta) == beta_sq else []
-    A, b, c = _kernel_form(S, lattice)
-    negA = [[-x for x in row] for row in A]
+        return [origin] if c == beta_sq else []
     try:
-        d, u = quadratic_completion(negA)
+        d, u = quadratic_completion([[-a for a in row] for row in A])
     except ValueError as exc:
         raise IndefiniteKernelError(str(exc)) from exc
-    # -beta^2 = Q(x - x*) - (c + b.x*) with Q = x^T(-A)x positive definite
-    # and (-A) x* = b; squares are in the shifted variable, so the constant
-    # offsets absorb both x* and its triangular cross terms.
     m = lattice.rank
-    center = solve_rational(negA, b)
-    const = c + sum(b[i] * center[i] for i in range(m))
-    value = Fraction(const) - beta_sq
-    offs = [
-        Fraction(-center[i]) - sum(u[i][j] * center[j] for j in range(i + 1, m))
-        for i in range(m)
-    ]
-    sols = solve_completed_square(d, u, offs, value)
-    out = [lattice.element(x) for x in sols]
+    # beta(x)^2 = x.A.x + 2 b.x + c = sum_i A_ii x_i + c (mod 2): when every
+    # A_ii is even, every class has the parity of c, the origin's square
+    if (beta_sq - c) % 2 and all(A[i][i] % 2 == 0 for i in range(m)):
+        return []
+    # -beta^2 = Q(x - peak) - top with Q = x^T(-A)x positive definite and
+    # top = beta(peak)^2; squares are in the shifted variable, so the
+    # constant offsets absorb both the peak and its triangular cross terms.
+    top = c - sum(p * sum(map(mul, row, peak)) for p, row in zip(peak, A))
+    offs = [-peak[i] - sum(u[i][j] * peak[j] for j in range(i + 1, m)) for i in range(m)]
+    out = solve_completed_square(d, u, offs, top - beta_sq, origin, lattice.basis)
     out.sort()
     return out
 

@@ -355,7 +355,10 @@ def cmd_series(cfg):
     table = enumerate_contributions(fx.surface, fx.threefold, gamma, cfg.order, cfg.window)
     result = dt_series(fx.surface, table, cfg.order, convention)
     v = virtual_dimension(fx.threefold)
+    # every block shares dt_series' one Euler factor, so it is rendered once
+    n_series = result.blocks[0].n_series if result.blocks else None
     if cfg.fmt == "json":
+        n_json = n_series.to_json_dict() if result.blocks else None
         emit_json({
             "command": "series",
             "fixture": fx.name,
@@ -370,7 +373,7 @@ def cmd_series(cfg):
                     "beta": list(b.beta),
                     "beta_sq": b.beta_sq,
                     "prefactor_exponent": frac_str(b.prefactor_exponent),
-                    "n_series": b.n_series.to_json_dict(),
+                    "n_series": n_json,
                 }
                 for b in result.blocks
             ],
@@ -388,9 +391,10 @@ def cmd_series(cfg):
         print(f"  convention = {result.convention} ({provenance})")
         if not result.blocks:
             print("  no contributing curve classes in this window")
+        n_text = n_series.pretty() if result.blocks else ""
         for b in result.blocks:
             print(f"  block beta={b.beta} (beta^2={b.beta_sq}): "
-                  f"q^({frac_str(b.prefactor_exponent)}) * [{b.n_series.pretty()}]")
+                  f"q^({frac_str(b.prefactor_exponent)}) * [{n_text}]")
         print(f"  total = {result.total.pretty()}")
     return EXIT_OK
 

@@ -4,8 +4,10 @@ Everything here works on plain nested lists/tuples of ints or Fractions;
 ranks in this package never exceed single digits, so the elimination
 routines favour clarity over asymptotics.  The one hot loop, the
 completed-square descent that enumerates lattice points of a given norm,
-scales its data to integers once and then runs in Python ints only.  No
-floating point anywhere.
+scales its data to integers once and then runs in Python ints only.  It
+returns the points themselves, origin + sum_i x_i*basis[i], built along
+the descent: the outer levels carry a partial sum and each solution adds
+its last two terms.  No floating point anywhere.
 """
 
 from fractions import Fraction
@@ -216,12 +218,14 @@ def quadratic_completion(Q):
     return d, u
 
 
-def solve_completed_square(d, u, offsets, value):
-    """Integer solutions x of sum_i d_i (x_i + t_i(x))^2 == value.
+def solve_completed_square(d, u, offsets, value, origin, basis):
+    """Vectors origin + sum_i x_i*basis[i] over the integer solutions x of
+    sum_i d_i (x_i + t_i(x))^2 == value.
 
     Here t_i(x) = offsets[i] + sum_{j>i} u[i][j] x_j, with (d, u) from
     quadratic_completion (every d_i > 0).  Solutions are listed with x_{n-1}
-    as the slowest coordinate and x_0 the fastest, each ascending.
+    as the slowest coordinate and x_0 the fastest, each ascending; the zero
+    origin with the unit basis lists the coordinates x themselves.
 
     The descent (Fincke & Pohst, Math. Comp. 44, 1985) runs in integers
     only.  Row i of the shift is scaled once by den_i, the lcm of its
@@ -230,14 +234,16 @@ def solve_completed_square(d, u, offsets, value):
     c_i = W*d_i/den_i^2 integral.  The budget R = W*remaining then stays
     an integer, each level spends c_i*s_i^2 of it, and |s_i| <= isqrt(R // c_i)
     bounds x_i exactly.  The last coordinate is solved, not scanned:
-    c_0*s_0^2 must equal what is left.
+    c_0*s_0^2 must equal what is left.  Levels i >= 2 carry the partial sum
+    origin + sum_{k>=i} x_k*basis[k]; each solution adds x_1*basis[1] and
+    x_0*basis[0] to it.
     """
     n = len(d)
     value = Fraction(value)
     if value < 0:
         return []
     if n == 0:
-        return [()] if value == 0 else []
+        return [tuple(origin)] if value == 0 else []
     dens, rows = [], []
     for i in range(n):
         row = [Fraction(offsets[i])] + [Fraction(u[i][j]) for j in range(i + 1, n)]
@@ -249,9 +255,11 @@ def solve_completed_square(d, u, offsets, value):
     W = lcm(value.denominator, *(f.denominator for f in weights))
     c = [f.numerator * (W // f.denominator) for f in weights]
     out = []
-    x = [0] * n
+    # rank 1 has no x_1: a zero column stands in for basis[1]
+    x = [0] * max(n, 2)
+    b0, b1 = basis[0], basis[1] if n > 1 else [0] * len(origin)
 
-    def descend(i, R):
+    def descend(i, R, part):
         row = rows[i]
         T = row[0]
         for k in range(i + 1, n):
@@ -262,17 +270,19 @@ def solve_completed_square(d, u, offsets, value):
             r = isqrt(q)
             if rem or r * r != q:
                 return
+            x1 = x[1]
             for s in (-r, r) if r else (0,):
                 x0, miss = divmod(s - T, den)
                 if not miss:
-                    x[0] = x0
-                    out.append(tuple(x))
+                    out.append(tuple(p + x1 * e1 + x0 * e0 for p, e1, e0 in zip(part, b1, b0)))
             return
         m = isqrt(R // ci)  # c_i*s_i^2 <= R  <=>  |den*x_i + T| <= m
+        bi = basis[i]
         for xi in range(-((m + T) // den), (m - T) // den + 1):
             x[i] = xi
             s = den * xi + T
-            descend(i - 1, R - ci * s * s)
+            nxt = [p + xi * e for p, e in zip(part, bi)] if i > 1 else part
+            descend(i - 1, R - ci * s * s, nxt)
 
-    descend(n - 1, value.numerator * (W // value.denominator))
+    descend(n - 1, value.numerator * (W // value.denominator), origin)
     return out

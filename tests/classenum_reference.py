@@ -1,14 +1,29 @@
-"""Brute-force reference for the contribution rows, in Fractions.
+"""Brute-force references for classenum, in Fractions.
 
 `enumerate_contributions` bounds, sorts and keys its rows on the integers
-beta^2 and n.  This is the box scan the long way: every (beta, n) row is
-compared against max_power, built and sorted with Fraction arithmetic.
+beta^2 and n.  Its reference here is the box scan the long way: every
+(beta, n) row is compared against max_power, built and sorted with Fraction
+arithmetic.
+
+`enumerate_beta` does one set-up per call and builds classes along its
+descent.  Its reference here is the per-level path the long way: the origin
+and the centre each from their own Gram product and Fraction solve, a descent
+over lattice coordinates, and one `AffineLattice.element` per class.
 """
 
 from fractions import Fraction
+from math import isqrt, lcm
 
-from dtseries.classenum import BetaData, ContributionTable, _box, beta_constraint_lattice
+from dtseries.classenum import (
+    AffineLattice,
+    BetaData,
+    ContributionTable,
+    IndefiniteKernelError,
+    _box,
+    _round_half_to_zero,
+)
 from dtseries.geometry import delta_invariant, pair_h4_h2, triple_product
+from dtseries.intlinalg import quadratic_completion, solve_integer_system, solve_rational
 
 
 def enumerate_contributions(S, X, gamma, max_power, window):
@@ -21,7 +36,7 @@ def enumerate_contributions(S, X, gamma, max_power, window):
     delta = delta_invariant(S)
     max_power = Fraction(max_power)
     L2 = S.push(S.L_S)
-    lattice = beta_constraint_lattice(S, gamma, L2)
+    lattice = beta_constraint_lattice_reference(S, gamma, L2)
     rows = []
     if lattice is not None:
         # xi = beta^2/2 + gamma.L/2 + 2L^3/3 - n as in xi_from_n, which the
@@ -46,3 +61,136 @@ def enumerate_contributions(S, X, gamma, max_power, window):
     return ContributionTable(
         gamma=gamma, window=window, max_power=max_power, delta=delta, rows=tuple(rows)
     )
+
+
+def _reduce_origin(S, origin, basis):
+    """Translate the particular solution by the kernel so it (nearly)
+    minimizes -beta^2, with its own Gram product and Fraction solve."""
+    m = len(basis)
+    if m == 0:
+        return tuple(origin)
+    G = S.gram
+    s = S.h2_rank
+    A = [[-sum(G[i][j] * basis[a][i] * basis[b][j] for i in range(s) for j in range(s))
+          for b in range(m)] for a in range(m)]
+    rhs = [sum(G[i][j] * basis[a][i] * origin[j] for i in range(s) for j in range(s))
+           for a in range(m)]
+    try:
+        x = solve_rational(A, rhs)
+    except ValueError:
+        return tuple(origin)
+    shift = [_round_half_to_zero(c) for c in x]
+    v = list(origin)
+    for c, b in zip(shift, basis):
+        for i in range(s):
+            v[i] += c * b[i]
+    return tuple(v)
+
+
+def beta_constraint_lattice_reference(S, gamma, L2):
+    """Affine lattice of classes with pushforward gamma + L2/2, or None when
+    the target is non-integral or outside the image."""
+    target = [Fraction(g) + Fraction(l, 2) for g, l in zip(gamma, L2)]
+    if any(t.denominator != 1 for t in target):
+        return None
+    sol = solve_integer_system([list(row) for row in S.pushforward], target)
+    if sol is None:
+        return None
+    x0, basis = sol
+    x0 = _reduce_origin(S, x0, basis)
+    return AffineLattice(origin=tuple(x0), basis=tuple(tuple(b) for b in basis))
+
+
+def _kernel_form(S, lattice):
+    """(A, b, c) with beta(x)^2 = x^T A x + 2 b.x + c on the lattice, from a
+    second Gram product."""
+    m = lattice.rank
+    s = S.h2_rank
+    G = S.gram
+    bas = lattice.basis
+    o = lattice.origin
+    A = [[sum(G[i][j] * bas[a][i] * bas[b][j] for i in range(s) for j in range(s))
+          for b in range(m)] for a in range(m)]
+    b = [sum(G[i][j] * bas[a][i] * o[j] for i in range(s) for j in range(s)) for a in range(m)]
+    c = S.dot(o, o)
+    return A, b, c
+
+
+def solve_completed_square(d, u, offsets, value):
+    """Integer coordinates x of sum_i d_i (x_i + t_i(x))^2 == value, with
+    t_i(x) = offsets[i] + sum_{j>i} u[i][j] x_j: the integer Fincke-Pohst
+    descent on coordinates, x_{n-1} slowest and x_0 fastest."""
+    n = len(d)
+    value = Fraction(value)
+    if value < 0:
+        return []
+    if n == 0:
+        return [()] if value == 0 else []
+    dens, rows = [], []
+    for i in range(n):
+        row = [Fraction(offsets[i])] + [Fraction(u[i][j]) for j in range(i + 1, n)]
+        den = lcm(*(f.denominator for f in row))
+        dens.append(den)
+        rows.append([f.numerator * (den // f.denominator) for f in row])
+    weights = [Fraction(d[i]) / (dens[i] * dens[i]) for i in range(n)]
+    W = lcm(value.denominator, *(f.denominator for f in weights))
+    c = [f.numerator * (W // f.denominator) for f in weights]
+    out = []
+    x = [0] * n
+
+    def descend(i, R):
+        row = rows[i]
+        T = row[0]
+        for k in range(i + 1, n):
+            T += row[k - i] * x[k]
+        den, ci = dens[i], c[i]
+        if i == 0:
+            q, rem = divmod(R, ci)
+            r = isqrt(q)
+            if rem or r * r != q:
+                return
+            for s in (-r, r) if r else (0,):
+                x0, miss = divmod(s - T, den)
+                if not miss:
+                    x[0] = x0
+                    out.append(tuple(x))
+            return
+        m = isqrt(R // ci)
+        for xi in range(-((m + T) // den), (m - T) // den + 1):
+            x[i] = xi
+            s = den * xi + T
+            descend(i - 1, R - ci * s * s)
+
+    descend(n - 1, value.numerator * (W // value.denominator))
+    return out
+
+
+def enumerate_beta_reference(S, gamma, beta_sq):
+    """All classes with pushforward gamma + L^2/2 and square beta_sq, the
+    long way: a Fraction origin solve, a second Gram product and centre
+    solve, a coordinate descent and one AffineLattice.element per class."""
+    L2 = S.push(S.L_S)
+    lattice = beta_constraint_lattice_reference(S, gamma, L2)
+    if lattice is None:
+        return []
+    if lattice.rank == 0:
+        beta = lattice.origin
+        return [beta] if S.dot(beta, beta) == beta_sq else []
+    A, b, c = _kernel_form(S, lattice)
+    negA = [[-x for x in row] for row in A]
+    try:
+        d, u = quadratic_completion(negA)
+    except ValueError as exc:
+        raise IndefiniteKernelError(str(exc)) from exc
+    m = lattice.rank
+    center = solve_rational(negA, b)
+    const = c + sum(b[i] * center[i] for i in range(m))
+    value = Fraction(const) - beta_sq
+    offs = [
+        Fraction(-center[i]) - sum(u[i][j] * center[j] for j in range(i + 1, m))
+        for i in range(m)
+    ]
+    sols = solve_completed_square(d, u, offs, value)
+    out = [lattice.element(x) for x in sols]
+    out.sort()
+    return out

@@ -15,6 +15,7 @@ from dtseries.classenum import (
     xi_from_n,
 )
 from dtseries.fixtures import BUILTIN, get_fixture
+from dtseries.geometry import SurfaceModel
 from dtseries.intlinalg import solve_rational
 
 
@@ -127,6 +128,70 @@ def test_enumerate_beta_cubic_matches_ellipsoid_scan():
         assert got == sorted(found[lvl])
         assert all(S.push(beta) == target and S.dot(beta, beta) == lvl for beta in got)
     assert all(found[lvl] for lvl in levels if lvl % 2 == 0)
+
+
+def _reference_cases():
+    """(fixture, character) pairs for the reference comparison: every builtin
+    with each named character, each unit parameter, the zero, all-1/2 and
+    zero-target characters, the blow-ups also at k = 2 and 5 with a few
+    parameter points, and the cubic at +-1/2 and +-3/2."""
+    cases = []
+    for name in sorted(BUILTIN):
+        ks = (None, 2, 5) if name.startswith("blowup") else (None,)
+        for k in ks:
+            fx = get_fixture(name, k)
+            S, X = fx.surface, fx.threefold
+            gammas = [*fx.gamma_names.values(), *fx.gamma_params.values(),
+                      (0,) * X.h4_rank, (Fraction(1, 2),) * X.h4_rank,
+                      tuple(Fraction(-l, 2) for l in S.push(S.L_S))]
+            if fx.gamma_params:
+                params = sorted(fx.gamma_params)
+                gammas += [fx.gamma_from_params(dict.fromkeys(params, 0) | {"r": r, params[-1]: s})
+                           for r in (1, 3, -1) for s in (0, 1)]
+            cases += [(fx, gamma) for gamma in gammas]
+    cubic = get_fixture("cubic_p4_d3")
+    cases += [(cubic, (Fraction(g, 2),)) for g in (1, 3, -1, -3)]
+    return cases
+
+
+def test_enumerate_beta_matches_reference():
+    """One set-up per call and classes built along the descent give the
+    same lists, in the same order, as the per-level reference path, and the
+    same constraint lattice."""
+    nonempty = set()
+    for fx, gamma in _reference_cases():
+        S = fx.surface
+        L2 = S.push(S.L_S)
+        assert beta_constraint_lattice(S, gamma, L2) == (
+            classenum_reference.beta_constraint_lattice_reference(S, gamma, L2))
+        for beta_sq in range(2, -15, -1):
+            got = enumerate_beta(S, gamma, beta_sq)
+            assert got == classenum_reference.enumerate_beta_reference(S, gamma, beta_sq)
+            if got:
+                nonempty.add(fx.name)
+    assert nonempty == set(BUILTIN)
+
+
+@pytest.mark.parametrize("gram", [
+    ((1, 0, 0), (0, -1, 0), (0, 0, -1)),  # kernel form diag(-1, -1): odd
+    ((1, 0, 0), (0, -2, 1), (0, 1, -3)),  # even A_00, odd A_11
+    ((1, 0, 0), (0, -3, 1), (0, 1, -2)),  # odd A_00, even A_11
+])
+def test_enumerate_beta_keeps_both_parities_on_odd_kernels(gram):
+    """The parity prune applies only when every diagonal entry of the kernel
+    form is even; on these kernels both parities of beta^2 occur."""
+    S = SurfaceModel(name="odd kernel", h2_rank=3, gram=gram, K_S=(-3, 1, 1), L_S=(2, 0, 0),
+                     O1_S=(1, 0, 0), euler=5, pushforward=((1, 0, 0),)).validate()
+    lat = beta_constraint_lattice(S, (0,), S.push(S.L_S))
+    assert lat.rank == 2 and any(S.dot(b, b) % 2 for b in lat.basis)
+    found = set()
+    for beta_sq in range(1, -11, -1):
+        got = enumerate_beta(S, (0,), beta_sq)
+        # every class has |beta_i| <= 3 once beta^2 >= -10 on these forms
+        assert got == brute_force_betas(S, (0,), beta_sq, 4)
+        if got:
+            found.add(beta_sq % 2)
+    assert found == {0, 1}
 
 
 def _chi3(m):

@@ -242,6 +242,26 @@ def test_series_csv(capsys):
     assert lines[1] == "-7,12,2,1"
 
 
+def test_series_renders_the_shared_euler_factor_once(capsys, monkeypatch):
+    # 729 blocks on the cubic share one Euler factor: one rendering of it
+    # per call, plus one of the total
+    from dtseries.qseries import QSeries
+
+    calls = {"pretty": 0, "to_json_dict": 0}
+    for name in calls:
+        def counted(self, _f=getattr(QSeries, name), _name=name):
+            calls[_name] += 1
+            return _f(self)
+        monkeypatch.setattr(QSeries, name, counted)
+    argv = ("series", "--fixture", "cubic_p4_d3", "--gamma", "1/2", "--window", "1",
+            "--order", "2", "--format")
+    code, out, _ = run(capsys, *argv, "pretty")
+    assert code == EXIT_OK and out.count("block beta=") == 729
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == EXIT_OK and len(json.loads(out)["blocks"]) == 729
+    assert calls == {"pretty": 2, "to_json_dict": 2}
+
+
 def test_series_at_benchmark_order(capsys):
     from dtseries.qseries import euler_product
 

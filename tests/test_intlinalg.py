@@ -6,6 +6,7 @@ from math import ceil, floor, isqrt, lcm
 import pytest
 
 from dtseries.intlinalg import (
+    identity_matrix,
     quadratic_completion,
     smith_normal_form,
     solve_completed_square,
@@ -217,7 +218,7 @@ def test_solve_completed_square_matches_box_scan():
         D = lcm(1, *(c.denominator for c in z))
         Dz = [int(c * D) for c in z]
         for value in (hit, hit + Fraction(1, 3), Fraction(rng.randint(0, 24), rng.randint(1, 6)), Fraction(0)):
-            got = solve_completed_square(d, u, offs, value)
+            got = solve_completed_square(d, u, offs, value, [0] * n, identity_matrix(n))
             r = floor_sqrt_fraction(value)
             ranges = [range(floor(-c) - r, ceil(-c) + r + 1) for c in z]
             target = D * D * value
@@ -228,7 +229,7 @@ def test_solve_completed_square_matches_box_scan():
                     want.append(x)
             assert sorted(got) == sorted(want)
             assert got == sorted(got, key=lambda v: v[::-1])
-        assert tuple(probe) in solve_completed_square(d, u, offs, hit)
-    assert solve_completed_square([], [], [], 0) == [()]
-    assert solve_completed_square([], [], [], Fraction(1, 2)) == []
-    assert solve_completed_square([Fraction(1)], [[Fraction(0)]], [Fraction(0)], -1) == []
+        assert tuple(probe) in solve_completed_square(d, u, offs, hit, [0] * n, identity_matrix(n))
+    assert solve_completed_square([], [], [], 0, [], []) == [()]
+    assert solve_completed_square([], [], [], Fraction(1, 2), [], []) == []
+    assert solve_completed_square([Fraction(1)], [[Fraction(0)]], [Fraction(0)], -1, [0], [[1]]) == []
