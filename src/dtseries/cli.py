@@ -6,13 +6,15 @@ verify (oracle vs. Euler-product coefficients).  Output is deterministic
 for a fixed configuration and seed: timing goes to stderr, never stdout.
 
 Exit codes: 0 success, 2 hypothesis checks failed, 3 verification
-mismatch or inconsistent model data, 4 invalid input.
+mismatch or inconsistent model data, 4 invalid input, 141 stdout closed
+before the output was written (a broken pipe, as in `dtseries ... | head`).
 """
 
 import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +35,9 @@ EXIT_OK = 0
 EXIT_CHECKS_FAILED = 2
 EXIT_MISMATCH = 3
 EXIT_BAD_INPUT = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer the pipe killed
 
-NMAX_CEILING = 12
+NMAX_CEILING = 20
 
 
 class CliError(ValueError):
@@ -509,6 +512,18 @@ COMMANDS = {
 
 
 def main(argv=None):
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's last flush of stdout goes to
+        # the null device, so it cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _dispatch(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -24,6 +24,16 @@ the coefficients of one product of per-chart series:
     Z_c(q) = sum_lambda q^|lambda| * co_c(lambda) / tan_c(lambda),
 
 computed exactly, truncated at q^n_max, in one pass per evaluation point.
+A cell's two weights depend only on its hook (leg l, arm a), so each chart
+gets one table over the hooks with l + a + 1 <= n_max, holding the product
+of the two tangent weights and the product of the two class weights of
+each; every zero check is made there.  A partition's products are products
+of its cells' entries, built row on row from one cell layout that
+`co_series` makes once per call (removing a partition's first row changes
+no other cell's hook).  Each Z_c[k] is one exact sum over a common
+denominator, and the product over charts is a convolution of integers, so
+no Fraction is made per partition.
+
 Exactness of the arithmetic plus a degree count make every coefficient an
 integer independent of the evaluation point and of the chosen linearization
 shift; integrality and both independences are rechecked at runtime.
@@ -34,6 +44,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import mul
 
 from .partitions import conjugate, partition_list
 
@@ -174,6 +186,33 @@ def hook_pairs(parts):
     return out
 
 
+def _cell_layout(n_max):
+    """The partitions of sizes 1..n_max, each size in `partition_list`
+    order, as (row, k, i): the hooks of the cells of the first row, left to
+    right, and the place (size k, index i) of the partition that removing
+    that row leaves.  Removing the first row changes no other cell's arm or
+    leg, so a partition's weight products are those of its first row times
+    those of the rest.  The hook with leg l and arm a (as in `hook_pairs`)
+    is the one integer l*(n_max+1) + a, its slot in the hook tables."""
+    stride = n_max + 1
+    # column heights as lists: short-lived tuples of many lengths would
+    # fill the interpreter's per-length tuple free lists, and resident
+    # memory grows with every call
+    place, heights = {(): (0, 0)}, {(): []}
+    layout = []
+    for k in range(1, n_max + 1):
+        size = []
+        for i, parts in enumerate(partition_list(k)):
+            first, rest = parts[0], parts[1:]
+            # the first row's legs are the column heights of the rest
+            legs = heights[rest] + [0] * (first - len(heights[rest]))
+            size.append(([l * stride + first - 1 - j for j, l in enumerate(legs)], *place[rest]))
+            heights[parts] = [l + 1 for l in legs]
+            place[parts] = (k, i)
+        layout.append(size)
+    return layout
+
+
 def hilb_fixed_points(num_charts, n):
     """All fixed points of S^[n]: tuples of partitions, one per chart
     (num_charts >= 1), with total size n."""
@@ -206,34 +245,34 @@ def _chart_scalars(model, lin, at, shift):
     return out
 
 
-def _weight_tables(model, lin, n_max, at, shift):
-    """Evaluate all per-partition weight products as exact integers.
+def _hook_tables(scalars, n_max):
+    """Per chart, the product of the two tangent weights and the product of
+    the two class weights of every hook (l, a) with l + a + 1 <= n_max, as
+    cleared integers at slot l*(n_max+1) + a.
 
-    Returns co_tables, tan_tables indexed [chart][size][partition], for
-    sizes 0..n_max.  Denominators of the evaluation point cancel between
-    the co and tangent products (both have rank 2n), so the tables hold the
-    cleared integer values x*P + y*Q.  Sizes are visited in increasing
-    order, charts within a size, so the first zero weight reported is the
-    one of smallest size.
+    Hook length k first appears at size k, as the corner cell of the hook
+    partitions (k-l, 1^l), l = 0..k-1, in that `partition_list` order, and
+    the corner comes first in the row-by-row walk.  So visiting hook lengths
+    ascending, charts within a length, l ascending, weight (-l, a+1) before
+    (l+1, -a), and for each the tangent, structural and class checks in
+    turn, raises the same first ZeroWeightError as visiting every cell of
+    every partition by size, chart and partition.
     """
-    scalars = _chart_scalars(model, lin, at, shift)
-    co_tables = [[] for _ in scalars]
-    tan_tables = [[] for _ in scalars]
-    for k in range(n_max + 1):
-        hooks = [hook_pairs(parts) for parts in partition_list(k)]
+    stride = n_max + 1
+    co_hooks = [[None] * (stride * stride) for _ in scalars]
+    tan_hooks = [[None] * (stride * stride) for _ in scalars]
+    for k in range(1, n_max + 1):
         for c, (P, Q, si, sj) in enumerate(scalars):
             base_val = si * P + sj * Q
-            co_row = []
-            tan_row = []
-            for pairs in hooks:
+            for l in range(k):
+                a = k - 1 - l
                 tp = cp = 1
-                for (x, y) in pairs:
+                for (x, y) in ((-l, a + 1), (l + 1, -a)):
                     v = x * P + y * Q
                     if v == 0:
                         raise ZeroWeightError(
                             f"tangent weight ({x},{y}) vanishes at the evaluation point"
                         )
-                    tp *= v
                     if x + si == 0 and y + sj == 0:
                         raise ZeroWeightError(
                             f"structurally zero weight at chart {c}", structural=True
@@ -243,38 +282,94 @@ def _weight_tables(model, lin, n_max, at, shift):
                         raise ZeroWeightError(
                             f"class weight vanishes at the evaluation point (chart {c})"
                         )
+                    tp *= v
                     cp *= w
-                co_row.append(cp)
-                tan_row.append(tp)
-            co_tables[c].append(co_row)
-            tan_tables[c].append(tan_row)
+                tan_hooks[c][l * stride + a] = tp
+                co_hooks[c][l * stride + a] = cp
+    return co_hooks, tan_hooks
+
+
+def _partition_products(hooks, layout):
+    """[size][partition] products of the hook table `hooks` over the cells of
+    each partition of `layout`, the empty partition's product being 1."""
+    table = [[1]]
+    for size in layout:
+        table.append([prod(map(hooks.__getitem__, row)) * table[k][i] for row, k, i in size])
+    return table
+
+
+def _weight_tables(model, lin, layout, at, shift):
+    """Evaluate all per-partition weight products as exact integers.
+
+    `layout` is `_cell_layout(n_max)`.  Returns co_tables, tan_tables indexed
+    [chart][size][partition], for sizes 0..n_max.  Denominators of the
+    evaluation point cancel between the co and tangent products (both have
+    rank 2n), so the tables hold the cleared integer values x*P + y*Q.  A
+    partition's products are those of its cells' hook products, read from
+    one table per chart (`_hook_tables`, which makes every zero check).
+    """
+    scalars = _chart_scalars(model, lin, at, shift)
+    co_hooks, tan_hooks = _hook_tables(scalars, len(layout))
+    co_tables = [_partition_products(hooks, layout) for hooks in co_hooks]
+    tan_tables = [_partition_products(hooks, layout) for hooks in tan_hooks]
     return co_tables, tan_tables
+
+
+def _exact_sum(nums, dens):
+    """sum(nums[i] / dens[i]) in lowest terms, as (numerator, denominator).
+    Terms merge pairwise, each merge putting two sums over the lcm of their
+    denominators with one gcd, so the whole sum ends as one integer
+    numerator over the lcm of all denominators, reduced by one more gcd."""
+    terms = list(zip(nums, dens)) or [(0, 1)]
+    while len(terms) > 1:
+        merged = []
+        for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2]):
+            g = gcd(d1, d2)
+            merged.append((n1 * (d2 // g) + n2 * (d1 // g), d1 * (d2 // g)))
+        terms = merged + terms[2 * len(merged):]
+    num, den = terms[0]
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def chart_product(co_tables, tan_tables, n_max):
     """Coefficients 0..n_max of prod_c Z_c(q), Z_c[k] = sum co/tan over the
     partitions of k in chart c: for each n, the sum of prod co/prod tan over
-    all chart assignments of total size n, as exact Fractions."""
-    total = [Fraction(1)] + [Fraction(0)] * n_max
+    all chart assignments of total size n, as exact Fractions.
+
+    Each Z_c[k] is one exact sum over a common denominator (`_exact_sum`);
+    a chart's sizes are then put over the lcm of their denominators, so the
+    product over charts is a convolution of integers over the product of
+    those lcms, and only the n_max + 1 results become Fractions.
+    """
+    total, den = [1] + [0] * n_max, 1
     for co_rows, tan_rows in zip(co_tables, tan_tables):
-        z = [sum(map(Fraction, co_rows[k], tan_rows[k])) for k in range(n_max + 1)]
-        total = [sum(total[i] * z[n - i] for i in range(n + 1)) for n in range(n_max + 1)]
-    return total
+        sums = [_exact_sum(co_rows[k], tan_rows[k]) for k in range(n_max + 1)]
+        d = lcm(*(q for _, q in sums))
+        z = [p * (d // q) for p, q in sums]
+        total = [sum(map(mul, total[:n + 1], z[n::-1])) for n in range(n_max + 1)]
+        den *= d
+    return [Fraction(t, den) for t in total]
 
 
-def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
-    """Integrals over S^[n] for n = 0..n_max at the rational point `at`, from
-    one chart-factored pass.  Each exact result must be an integer; the
-    first that is not raises IntegralityError."""
-    co_tables, tan_tables = _weight_tables(model, lin, n_max, at, shift)
+def _series_values(model, lin, layout, at, shift):
+    """`fixed_point_series` on a prebuilt `_cell_layout`."""
+    co_tables, tan_tables = _weight_tables(model, lin, layout, at, shift)
     values = []
-    for n, v in enumerate(chart_product(co_tables, tan_tables, n_max)):
+    for n, v in enumerate(chart_product(co_tables, tan_tables, len(layout))):
         if v.denominator != 1:
             raise IntegralityError(
                 f"fixed-point sum {v} is not an integer (n={n}, at={at})"
             )
         values.append(v.numerator)
     return values
+
+
+def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
+    """Integrals over S^[n] for n = 0..n_max at the rational point `at`, from
+    one chart-factored pass.  Each exact result must be an integer; the
+    first that is not raises IntegralityError."""
+    return _series_values(model, lin, _cell_layout(n_max), at, shift)
 
 
 def trace_terms(model, lin, n, at, shift=(0, 0)):
@@ -318,11 +413,12 @@ def co_series(model, lin, n_max, seed=0, max_attempts=8):
     shift = (0, 0)
     disagreements = 0
     t0 = time.perf_counter()
+    layout = _cell_layout(n_max)
     for _ in range(max_attempts):
         p, q = _draw_point(rng), _draw_point(rng)
         try:
-            vals_p = fixed_point_series(model, lin, n_max, p, shift)
-            vals_q = fixed_point_series(model, lin, n_max, q, shift)
+            vals_p = _series_values(model, lin, layout, p, shift)
+            vals_q = _series_values(model, lin, layout, q, shift)
         except ZeroWeightError as exc:
             if exc.structural:
                 shift = (rng.randint(-40, 40), rng.randint(-40, 40))

@@ -5,11 +5,15 @@ The oracle writes every weight at cone (i, j) in that chart's basis
 2-vectors of the torus: cells, arms and legs counted cell by cell, the
 bundle weight m with <m, v_i> = a_i and <m, v_j> = a_j, and the evaluation
 t -> <t, at>.  A weight is structurally zero when its vector is (0, 0).
+
+`cell_weight_tables` and `fraction_chart_product` are the oracle's earlier
+fast path, kept as references for the hook tables and the exact sums: chart
+coordinates evaluated cell by cell, and one Fraction per partition.
 """
 
 from fractions import Fraction
 
-from dtseries.localization import ZeroWeightError
+from dtseries.localization import ZeroWeightError, _chart_scalars, hook_pairs
 from dtseries.partitions import partition_list
 
 
@@ -115,3 +119,55 @@ def weight_tables(model, lin, n_max, at, shift=(0, 0)):
             co_tables[c].append(co_row)
             tan_tables[c].append(tan_row)
     return co_tables, tan_tables
+
+
+def cell_weight_tables(model, lin, n_max, at, shift=(0, 0)):
+    """Per-partition products of tangent and class weights, indexed
+    [chart][size][partition], in chart coordinates: every weight of every
+    cell of every partition evaluated as x*P + y*Q.  Sizes ascending,
+    charts within a size, partitions in order, cells row by row; for each
+    weight the tangent check, then the structural check, then the class
+    check, each raising ZeroWeightError."""
+    scalars = _chart_scalars(model, lin, at, shift)
+    co_tables = [[] for _ in scalars]
+    tan_tables = [[] for _ in scalars]
+    for k in range(n_max + 1):
+        hooks = [hook_pairs(parts) for parts in partition_list(k)]
+        for c, (P, Q, si, sj) in enumerate(scalars):
+            base_val = si * P + sj * Q
+            co_row = []
+            tan_row = []
+            for pairs in hooks:
+                tp = cp = 1
+                for (x, y) in pairs:
+                    v = x * P + y * Q
+                    if v == 0:
+                        raise ZeroWeightError(
+                            f"tangent weight ({x},{y}) vanishes at the evaluation point"
+                        )
+                    tp *= v
+                    if x + si == 0 and y + sj == 0:
+                        raise ZeroWeightError(
+                            f"structurally zero weight at chart {c}", structural=True
+                        )
+                    w = v + base_val
+                    if w == 0:
+                        raise ZeroWeightError(
+                            f"class weight vanishes at the evaluation point (chart {c})"
+                        )
+                    cp *= w
+                co_row.append(cp)
+                tan_row.append(tp)
+            co_tables[c].append(co_row)
+            tan_tables[c].append(tan_row)
+    return co_tables, tan_tables
+
+
+def fraction_chart_product(co_tables, tan_tables, n_max):
+    """Coefficients 0..n_max of prod_c Z_c(q), each Z_c[k] summed as one
+    Fraction per partition."""
+    total = [Fraction(1)] + [Fraction(0)] * n_max
+    for co_rows, tan_rows in zip(co_tables, tan_tables):
+        z = [sum(map(Fraction, co_rows[k], tan_rows[k])) for k in range(n_max + 1)]
+        total = [sum(total[i] * z[n - i] for i in range(n + 1)) for n in range(n_max + 1)]
+    return total

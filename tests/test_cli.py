@@ -5,11 +5,23 @@ exactly what a shell user would see.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dtseries.cli import EXIT_BAD_INPUT, EXIT_CHECKS_FAILED, EXIT_MISMATCH, EXIT_OK, main
+from dtseries.cli import (
+    EXIT_BAD_INPUT,
+    EXIT_BROKEN_PIPE,
+    EXIT_CHECKS_FAILED,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    NMAX_CEILING,
+    main,
+)
 from dtseries.fixtures import BUILTIN, fixture_to_dict, get_fixture, save_fixture
 
 
@@ -384,7 +396,7 @@ def test_oracle_rejects_unknown_bundle(capsys):
 
 def test_oracle_nmax_bounds(capsys):
     code, _, err = run(
-        capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "13"
+        capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "21"
     )
     assert code == EXIT_BAD_INPUT
     assert "nmax" in err
@@ -479,12 +491,13 @@ def test_verify_nmax_zero_trivially_passes(capsys):
 
 def test_verify_at_nmax_ceiling(capsys):
     code, out, _ = run(
-        capsys, "verify", "--fixture", "quadric_p4_d2", "--nmax", "12",
+        capsys, "verify", "--fixture", "quadric_p4_d2", "--nmax", "20",
         "--format", "json",
     )
+    assert NMAX_CEILING == 20
     assert code == EXIT_OK
     data = json.loads(out)
-    assert len(data["oracle_values"]) == 13
+    assert len(data["oracle_values"]) == 21
     assert data["oracle_values"] == data["euler_minus_delta"]
 
 
@@ -682,4 +695,26 @@ def test_saved_fixture_matches_builtin(capsys, tmp_path, name):
 
 
 def test_exit_codes_are_distinct():
-    assert len({EXIT_OK, EXIT_CHECKS_FAILED, EXIT_MISMATCH, EXIT_BAD_INPUT}) == 4
+    assert len({EXIT_OK, EXIT_CHECKS_FAILED, EXIT_MISMATCH, EXIT_BAD_INPUT,
+                EXIT_BROKEN_PIPE}) == 5
+
+
+def test_closed_pipe_exits_broken_pipe_without_traceback():
+    # a real pipe whose reader closes after the first line; the rest of the
+    # series (about 550 kB at this order, far beyond a pipe's buffer) then
+    # meets a closed pipe
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dtseries.cli", "series", "--fixture", "quadric_p4_d2",
+         "--gamma", "ell", "--order", "1500", "--window", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert first == b"fixture quadric_p4_d2  gamma=(-1)\n"
+    assert "Traceback" not in err

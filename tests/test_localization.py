@@ -10,6 +10,7 @@ from dtseries.localization import (
     IntegralityError,
     OracleError,
     ZeroWeightError,
+    _cell_layout,
     _weight_tables,
     chart_product,
     co_series,
@@ -21,9 +22,17 @@ from dtseries.localization import (
     toric_surface,
     trace_terms,
 )
+from dtseries import localization
 from dtseries.partitions import conjugate, partition_list
 from dtseries.qseries import euler_product
-from oracle_reference import bundle_weights, co_class_weights, tangent_weights, weight_tables
+from oracle_reference import (
+    bundle_weights,
+    cell_weight_tables,
+    co_class_weights,
+    fraction_chart_product,
+    tangent_weights,
+    weight_tables,
+)
 
 AT = (Fraction(7, 3), Fraction(-5, 11))
 
@@ -115,11 +124,24 @@ def test_tangent_weights_conjugate_symmetry():
             assert sorted(hook_pairs(parts)) == swapped
 
 
+def hook_weight_tables(model, lin, n_max, at, shift=(0, 0)):
+    """The oracle's tables, from the hook tables over one cell layout."""
+    return _weight_tables(model, lin, _cell_layout(n_max), at, shift)
+
+
 def _outcome(tables, *args):
     try:
         return tables(*args)
     except ZeroWeightError as exc:
         return ("zero", exc.structural)
+
+
+def _fan_models(*fans):
+    # each fan with the zero divisor and the divisor (0, 1, 2, ...)
+    for rays, cones in fans:
+        yield toric_surface("fan", rays, cones, {
+            "0": ("0", (), (0,) * len(rays)), "D": ("D", (), tuple(range(len(rays)))),
+        })
 
 
 def test_chart_coordinates_match_torus_reference():
@@ -129,20 +151,46 @@ def test_chart_coordinates_match_torus_reference():
     # points and shifts small enough to hit zeros of both kinds
     rng = random.Random(6)
     seen = set()
-    for rays, cones in (P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
-        model = toric_surface("fan", rays, cones, {
-            "0": ("0", (), (0,) * len(rays)), "D": ("D", (), tuple(range(len(rays)))),
-        })
+    for model in _fan_models(P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
         for lin in model.bundles.values():
             for _ in range(12):
                 at = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                       Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                 shift = (rng.randint(-2, 2), rng.randint(-2, 2))
-                got = _outcome(_weight_tables, model, lin, 6, at, shift)
+                got = _outcome(hook_weight_tables, model, lin, 6, at, shift)
                 assert got == _outcome(weight_tables, model, lin, 6, at, shift)
                 seen.add(got if got[0] == "zero" else "tables")
             at = (Fraction(7919, 13), Fraction(-104729, 17))
-            assert _weight_tables(model, lin, 6, at, (0, 0)) == weight_tables(model, lin, 6, at)
+            assert hook_weight_tables(model, lin, 6, at) == weight_tables(model, lin, 6, at)
+    assert seen == {"tables", ("zero", True), ("zero", False)}
+
+
+def _first_zero(tables, *args):
+    try:
+        return tables(*args)
+    except ZeroWeightError as exc:
+        return ("zero", str(exc), exc.structural)
+
+
+def test_hook_tables_match_cell_by_cell_reference():
+    # the hook tables against the per-cell walk they replace, for n <= 7 on
+    # every chart of P2, P1xP1, F1 and F2: equal tables, or the same first
+    # zero weight (its message names the weight or the chart) with the same
+    # structural flag, at points and shifts small enough to hit both kinds
+    rng = random.Random(11)
+    seen = set()
+    for model in _fan_models(P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
+        for lin in model.bundles.values():
+            for _ in range(40):
+                n_max = rng.randint(0, 7)
+                # small spans and shifts hit zeros, wide spans reach n_max
+                span = rng.choice((5, 200))
+                at = (Fraction(rng.randint(-span, span), rng.randint(1, 3)),
+                      Fraction(rng.randint(-span, span), rng.randint(1, 3)))
+                shift = (rng.randint(-3, 3), rng.randint(-3, 3)) if rng.random() < 0.5 else (0, 0)
+                got = _first_zero(hook_weight_tables, model, lin, n_max, at, shift)
+                assert got == _first_zero(cell_weight_tables, model, lin, n_max, at, shift)
+                seen.add(got[::2] if got[0] == "zero" else "tables")
     assert seen == {"tables", ("zero", True), ("zero", False)}
 
 
@@ -384,6 +432,30 @@ def test_co_series_seed_changes_points_not_values():
     assert a.eval_points != b.eval_points
 
 
+def test_co_series_matches_reference_tables(monkeypatch):
+    # 240 seeded calls, a bundle whose divisor forces a structural zero at
+    # shift (0, 0) among them: the same values, evaluation points and shift
+    # as co_series driven by the per-cell tables and per-partition Fractions
+    q = p1xp1()
+    negative = toric_surface("p1xp1", q.rays, q.cones, {"n": ("n", (0, 0), (0, 0, -1, 0))})
+    f1 = toric_surface("f1", *F1_FAN, {"D": ("D", (), (0, 0, 1, 1))})
+    jobs = [(m, m.bundles[b]) for m in (p1xp1(), p2()) for b in ("L", "trivial")]
+    jobs += [(negative, negative.bundles["n"]), (f1, f1.bundles["D"])]
+    calls = [(jobs[seed % len(jobs)], seed) for seed in range(240)]
+    got = [co_series(m, lin, 5, seed=seed) for (m, lin), seed in calls]
+
+    def reference_tables(model, lin, layout, at, shift):
+        return cell_weight_tables(model, lin, len(layout), at, shift)
+
+    monkeypatch.setattr(localization, "_weight_tables", reference_tables)
+    monkeypatch.setattr(localization, "chart_product", fraction_chart_product)
+    want = [co_series(m, lin, 5, seed=seed) for (m, lin), seed in calls]
+    assert [(r.values, r.eval_points, r.shift) for r in got] == [
+        (r.values, r.eval_points, r.shift) for r in want
+    ]
+    assert any(r.shift != (0, 0) for r in got)
+
+
 def test_co_series_no_attempts_raises():
     model = p2()
     with pytest.raises(OracleError):
@@ -435,6 +507,25 @@ def test_chart_product_matches_direct_sum():
             tan_tables.append(tan_rows)
         got = chart_product(co_tables, tan_tables, n_max)
         assert got == [_oracle_sum(co_tables, tan_tables, n) for n in range(n_max + 1)]
+
+
+def test_chart_product_matches_fraction_reference():
+    # the exact sums over common denominators against one Fraction per
+    # partition, on random tables whose tangent products take both signs
+    rng = random.Random(12)
+    signs = set()
+    for _ in range(40):
+        num_charts = rng.randint(1, 4)
+        n_max = rng.randint(0, 6)
+        widths = [len(partition_list(k)) for k in range(n_max + 1)]
+        co_tables = [[[rng.randint(-10**6, 10**6) for _ in range(w)] for w in widths]
+                     for _c in range(num_charts)]
+        tan_tables = [[[rng.choice((-1, 1)) * rng.randint(1, 10**4) for _ in range(w)]
+                       for w in widths] for _c in range(num_charts)]
+        signs.update(t > 0 for rows in tan_tables for row in rows for t in row)
+        assert chart_product(co_tables, tan_tables, n_max) == fraction_chart_product(
+            co_tables, tan_tables, n_max)
+    assert signs == {True, False}
 
 
 def test_chart_product_single_cell():
