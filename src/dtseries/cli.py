@@ -12,6 +12,7 @@ before the output was written (a broken pipe, as in `dtseries ... | head`).
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -79,69 +80,56 @@ class RunConfig:
         return self
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it:
+    parsing does not change it, so repeated main() calls reuse one.
+
+    Flags have no defaults here: a flag left out is absent from the parsed
+    namespace, and RunConfig's field defaults apply."""
     parser = _Parser(prog="dtseries", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, gamma=False, series_flags=False, oracle_flags=False):
+    def add(name, summary, gamma=False, series_flags=False, oracle_flags=False):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--fixture", required=True, help="builtin fixture name or JSON file")
-        p.add_argument("--format", default="pretty", choices=("pretty", "json", "csv"))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--k", type=int, default=None,
-                       help="polarization parameter for the blow-up fixtures")
+        p.add_argument("--format", choices=("pretty", "json", "csv"))
+        p.add_argument("--seed", type=int)
+        p.add_argument("--k", type=int, help="polarization parameter for the blow-up fixtures")
         if gamma:
-            p.add_argument("--gamma", default=None,
+            p.add_argument("--gamma",
                            help="character: named ('ell'), parameters ('r=0,s=-1'), "
                                 "or a comma-separated rational vector")
         if series_flags:
-            p.add_argument("--order", type=int, default=8,
+            p.add_argument("--order", type=int,
                            help="truncation: keep exponents up to this power of q")
-            p.add_argument("--window", type=int, default=2,
+            p.add_argument("--window", type=int,
                            help="lattice search radius for curve classes")
         if oracle_flags:
-            p.add_argument("--nmax", type=int, default=4,
+            p.add_argument("--nmax", type=int,
                            help=f"largest number of points (at most {NMAX_CEILING})")
-            p.add_argument("--bundle", default="L",
-                           help="which linearized bundle to integrate against")
+            p.add_argument("--bundle", help="which linearized bundle to integrate against")
+        return p
 
-    p = sub.add_parser("check", help="run the positivity and stability-gap checks")
-    common(p, gamma=True)
-
-    p = sub.add_parser("classes", help="enumerate contributing curve classes")
-    common(p, gamma=True, series_flags=True)
-
-    p = sub.add_parser("series", help="assemble the generating series")
-    common(p, gamma=True, series_flags=True)
+    add("check", "run the positivity and stability-gap checks", gamma=True)
+    add("classes", "enumerate contributing curve classes", gamma=True, series_flags=True)
+    p = add("series", "assemble the generating series", gamma=True, series_flags=True)
     p.add_argument("--override-checks", action="store_true",
                    help="produce the series even when the checks fail")
-
-    p = sub.add_parser("oracle", help="equivariant integrals on the Hilbert scheme")
-    common(p, oracle_flags=True)
-    p.add_argument("--trace", default=None,
-                   help="write a per-fixed-point JSON trace (small n) to this file")
-
-    p = sub.add_parser("verify", help="compare the oracle against the Euler product")
-    common(p, oracle_flags=True)
-
+    p = add("oracle", "equivariant integrals on the Hilbert scheme", oracle_flags=True)
+    p.add_argument("--trace", help="write a per-fixed-point JSON trace (small n) to this file")
+    add("verify", "compare the oracle against the Euler product", oracle_flags=True)
     return parser
 
 
+# the flags whose RunConfig field has another name; every other flag's
+# dest is its field's name
+_FIELD_OF_FLAG = {"gamma": "gamma_spec", "nmax": "n_max", "format": "fmt"}
+
+
 def config_from_args(args):
-    cfg = RunConfig(
-        command=args.command,
-        fixture=args.fixture,
-        gamma_spec=getattr(args, "gamma", None),
-        order=getattr(args, "order", 8),
-        window=getattr(args, "window", 2),
-        n_max=getattr(args, "nmax", 4),
-        k=getattr(args, "k", None),
-        seed=args.seed,
-        fmt=args.format,
-        override_checks=getattr(args, "override_checks", False),
-        bundle=getattr(args, "bundle", "L"),
-        trace=getattr(args, "trace", None),
-    )
-    return cfg.validate()
+    fields = {_FIELD_OF_FLAG.get(flag, flag): value for flag, value in vars(args).items()}
+    return RunConfig(**fields).validate()
 
 
 def resolve_gamma(fx, spec):
@@ -383,10 +371,10 @@ def cmd_series(cfg):
             "total": result.total.to_json_dict(),
         })
     elif cfg.fmt == "csv":
+        # q^(offset + i) is (p + i*d)/d in lowest terms for offset p/d
+        p, d = result.total.offset.numerator, result.total.offset.denominator
         rows = [["q_exp_num", "q_exp_den", "coeff_num", "coeff_den"]]
-        for i, c in enumerate(result.total.coeffs):
-            e = result.total.offset + i
-            rows.append([e.numerator, e.denominator, c, 1])
+        rows += [[p + i * d, d, c, 1] for i, c in enumerate(result.total.coeffs)]
         _csv_print(rows)
     else:
         print(f"fixture {fx.name}  gamma=({', '.join(frac_str(g) for g in gamma)})")

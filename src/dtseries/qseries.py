@@ -31,11 +31,6 @@ def frac_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def _exp_str(e):
-    """An exponent as rendered after '^': bare when a nonnegative integer."""
-    return frac_str(e) if e.denominator == 1 and e >= 0 else f"({frac_str(e)})"
-
-
 class QSeries:
     """Exact truncated q-series.  Immutable; operators return new objects.
 
@@ -94,18 +89,27 @@ class QSeries:
         return QSeries(self.offset + other.offset, coeffs)
 
     def pretty(self, var="q"):
+        # term i sits at q^((p + i*d)/d) for offset p/d, already in lowest
+        # terms since gcd(p + i*d, d) = gcd(p, d) = 1; an exponent is bare
+        # only when it is a nonnegative integer
+        p, d = self.offset.numerator, self.offset.denominator
+        den = "" if d == 1 else f"/{d}"
+
+        def power(num):
+            return f"{var}^{num}" if d == 1 and num >= 0 else f"{var}^({num}{den})"
+
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            e = self.offset + i
-            if e == 0:
+            num = p + i * d
+            if num == 0:
                 terms.append(str(c))
             else:
                 cs = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                terms.append(f"{cs}{var}^{_exp_str(e)}")
+                terms.append(f"{cs}{power(num)}")
         body = " + ".join(terms) if terms else "0"
-        return f"{body} + O({var}^{_exp_str(self.offset + self.order)})"
+        return f"{body} + O({power(p + self.order * d)})"
 
     def __repr__(self):
         return f"QSeries(offset={frac_str(self.offset)}, coeffs={self.coeffs!r})"

@@ -20,6 +20,7 @@ from dtseries.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     NMAX_CEILING,
+    build_parser,
     main,
 )
 from dtseries.fixtures import BUILTIN, fixture_to_dict, get_fixture, save_fixture
@@ -252,6 +253,23 @@ def test_series_csv(capsys):
     assert lines[0] == "q_exp_num,q_exp_den,coeff_num,coeff_den"
     # first row is the k=+-1 ground term: 2 q^(-7/12)
     assert lines[1] == "-7,12,2,1"
+
+
+@pytest.mark.parametrize("argv, offset", [
+    (("quadric_p4_d2", "--gamma", "ell", "--order", "30", "--window", "1"), "-7/12"),
+    (("cubic_p4_d3", "--gamma", "1/2", "--order", "4", "--window", "1"), "-395/8"),
+])
+def test_series_csv_exponents_are_offset_plus_i(capsys, argv, offset):
+    code, out, _ = run(capsys, "series", "--fixture", *argv, "--format", "json")
+    total = json.loads(out)["total"]
+    assert code == EXIT_OK and total["offset"] == offset
+    code, out, _ = run(capsys, "series", "--fixture", *argv, "--format", "csv")
+    assert code == EXIT_OK
+    want = []
+    for i, c in enumerate(total["coeffs"]):
+        e = Fraction(offset) + i
+        want.append([str(e.numerator), str(e.denominator), c, "1"])
+    assert [line.split(",") for line in out.splitlines()[1:]] == want
 
 
 def test_series_renders_the_shared_euler_factor_once(capsys, monkeypatch):
@@ -694,6 +712,50 @@ def test_saved_fixture_matches_builtin(capsys, tmp_path, name):
         assert loaded[:2] == builtin[:2], (cmd, *flags)
 
 
+def _src_env(**extra):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def _without_oracle_time(err):
+    return "".join(line for line in err.splitlines(keepends=True)
+                   if not line.startswith("oracle time:"))
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
+    # every call in one process shares one parser; each must print and exit
+    # exactly as the same argv does in a fresh interpreter
+    assert build_parser() is build_parser()
+    q2 = ("--fixture", "quadric_p4_d2")
+    calls = [
+        (("check", *q2, "--order", "3"), 80, EXIT_BAD_INPUT),  # --order is not a check flag
+        (("--help",), 60, EXIT_OK),
+        (("--help",), 200, EXIT_OK),
+        (("oracle", *q2, "--nmax", str(NMAX_CEILING + 1)), 80, EXIT_BAD_INPUT),
+        (("series", *q2, "--format", "csv"), 80, EXIT_OK),
+        (("verify", *q2, "--format", "json"), 80, EXIT_OK),
+        (("classes", *q2), 80, EXIT_OK),
+    ]
+    helps = []
+    for argv, columns, want in calls:
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "dtseries.cli", *argv], capture_output=True, text=True,
+            env=_src_env(COLUMNS=str(columns)), timeout=120,
+        )
+        assert code == want, argv
+        assert (code, out, _without_oracle_time(err)) == (
+            fresh.returncode, fresh.stdout, _without_oracle_time(fresh.stderr)
+        ), argv
+        if argv == ("--help",):
+            helps.append(out)
+    # the help text is laid out for the width at each call
+    assert helps[0] != helps[1]
+
+
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_CHECKS_FAILED, EXIT_MISMATCH, EXIT_BAD_INPUT,
                 EXIT_BROKEN_PIPE}) == 5
@@ -703,13 +765,10 @@ def test_closed_pipe_exits_broken_pipe_without_traceback():
     # a real pipe whose reader closes after the first line; the rest of the
     # series (about 550 kB at this order, far beyond a pipe's buffer) then
     # meets a closed pipe
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "dtseries.cli", "series", "--fixture", "quadric_p4_d2",
          "--gamma", "ell", "--order", "1500", "--window", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()

@@ -189,6 +189,42 @@ def test_json_round_trip():
     assert frac_str(Fraction(-3, 2)) == "-3/2" and frac_str(Fraction(4, 2)) == "2"
 
 
+def pretty_reference(series, var="q"):
+    """QSeries.pretty with one Fraction exponent per term: the reference for
+    its rendering from integer numerators over the offset's denominator."""
+    def exp_str(e):
+        return frac_str(e) if e.denominator == 1 and e >= 0 else f"({frac_str(e)})"
+
+    terms = []
+    for i, c in enumerate(series.coeffs):
+        if c == 0:
+            continue
+        e = series.offset + i
+        if e == 0:
+            terms.append(str(c))
+        else:
+            cs = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+            terms.append(f"{cs}{var}^{exp_str(e)}")
+    body = " + ".join(terms) if terms else "0"
+    return f"{body} + O({var}^{exp_str(series.offset + series.order)})"
+
+
+def test_pretty_matches_fraction_rendering():
+    assert (QSeries(Fraction(-7, 12), [1, -3, 0, 1]).pretty()
+            == "q^(-7/12) + -3*q^(5/12) + q^(29/12) + O(q^(41/12))")
+    assert QSeries(-2, [0, -1, 5, 1]).pretty() == "-q^(-1) + 5 + q^1 + O(q^2)"
+    coeffs = [0, 1, -1, 0, 7, -12, 10**40, -(10**40), 1, 0]
+    for d in (1, 2, 3, 8, 12, 24):
+        # offsets from -3 to 3 cross zero; at d = 1 one term lands on q^0
+        for p in range(-3 * d, 3 * d + 1):
+            if gcd(p, d) != 1:
+                continue
+            for cs in (coeffs, coeffs[:1], [], [1], [-1] * 7):
+                s = QSeries(Fraction(p, d), cs)
+                assert s.pretty() == pretty_reference(s), s
+                assert s.pretty("t") == pretty_reference(s, "t"), s
+
+
 def test_dt_series_blocks_share_one_euler_factor():
     fx = get_fixture("quadric_p4_d2")
     table = enumerate_contributions(

@@ -1,5 +1,5 @@
 """Every `python` block of README.md runs as written, so the documented
-library example cannot drift from the API."""
+library and CLI examples cannot drift from the API."""
 
 import re
 from pathlib import Path
