@@ -12,9 +12,7 @@ from .geometry import (
     ChernVector,
     SurfaceModel,
     ThreefoldModel,
-    check_assumption0,
     check_consistency,
-    check_stability_gap,
     delta_invariant,
     hilbert_coeffs,
     run_all_checks,
@@ -44,9 +42,7 @@ __all__ = [
     "SurfaceModel",
     "ThreefoldModel",
     "beta_constraint_lattice",
-    "check_assumption0",
     "check_consistency",
-    "check_stability_gap",
     "co_series",
     "delta_invariant",
     "dt_series",

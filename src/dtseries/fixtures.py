@@ -53,6 +53,10 @@ class GeometryFixture:
         for c in self.candidates:
             if len(c) != self.threefold.h2_rank:
                 raise FixtureError(f"{self.name}: candidate {c} has wrong length")
+            if not any(c):
+                raise FixtureError(f"{self.name}: candidate decomposition class is zero")
+            if c == self.threefold.L:
+                raise FixtureError(f"{self.name}: candidate decomposition class equals L")
         for name, g in self.gamma_names.items():
             if len(g) != self.threefold.h4_rank:
                 raise FixtureError(f"{self.name}: named gamma {name!r} has wrong length")

@@ -7,6 +7,11 @@ cohomology) with its pairing against divisors.  A SurfaceModel carries the
 intersection form of a member S of |L| together with the pushforward of its
 curve classes into the threefold.  All checks below are exact integer or
 rational identities; nothing is approximated.
+
+run_all_checks is the one entry point to the hypotheses of the product
+formula: it evaluates the two positivity inequalities, the asserted
+cohomology vanishing and the stability gap at every candidate decomposition
+of L, and returns one complete AssumptionReport.
 """
 
 from dataclasses import dataclass, fields
@@ -112,14 +117,6 @@ class ThreefoldModel:
                         )
         return self
 
-    @property
-    def h4_pairing(self):
-        """Pairing of the curve-class basis against the polarization."""
-        return tuple(
-            sum(row[a] * self.polarization[a] for a in range(self.h2_rank))
-            for row in self.h4_h2_pairing
-        )
-
 
 @dataclass(frozen=True)
 class SurfaceModel:
@@ -186,40 +183,26 @@ class StabilityEntry:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of the numeric hypotheses behind the product formula.
+    """Outcome of the numeric hypotheses behind the product formula."""
 
-    Parts not evaluated are None; `passed` treats them as vacuous.
-    """
-
-    ineq_KL2_gt_L3: InequalityCheck | None = None
-    ineq_KLO1_pos: InequalityCheck | None = None
-    vanishing_asserted: bool | None = None
-    irreducible: bool = False
-    stability_gap: tuple | None = None
+    ineq_KL2_gt_L3: InequalityCheck
+    ineq_KLO1_pos: InequalityCheck
+    vanishing_asserted: bool
+    irreducible: bool
+    stability_gap: tuple  # one StabilityEntry per candidate decomposition
 
     @property
     def passed(self):
-        for iq in (self.ineq_KL2_gt_L3, self.ineq_KLO1_pos):
-            if iq is not None and not iq.holds:
-                return False
-        if self.vanishing_asserted is False:
-            return False
-        if self.stability_gap is not None and not all(e.gap_holds for e in self.stability_gap):
-            return False
-        return True
+        return not self.failures
 
     @property
     def failures(self):
-        out = []
-        for iq in (self.ineq_KL2_gt_L3, self.ineq_KLO1_pos):
-            if iq is not None and not iq.holds:
-                out.append(iq.label)
-        if self.vanishing_asserted is False:
+        out = [iq.label for iq in (self.ineq_KL2_gt_L3, self.ineq_KLO1_pos) if not iq.holds]
+        if not self.vanishing_asserted:
             out.append("cohomology vanishing")
-        if self.stability_gap is not None:
-            out.extend(
-                f"stability gap at {e.candidate}" for e in self.stability_gap if not e.gap_holds
-            )
+        out.extend(
+            f"stability gap at {e.candidate}" for e in self.stability_gap if not e.gap_holds
+        )
         return out
 
 
@@ -269,19 +252,6 @@ def sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
 
 
-def check_assumption0(X):
-    """The two positivity inequalities plus the asserted cohomology vanishing."""
-    mK = minus(X.canonical)
-    lhs1 = triple_product(X, mK, X.L, X.L)
-    rhs1 = triple_product(X, X.L, X.L, X.L)
-    val2 = triple_product(X, mK, X.L, X.polarization)
-    return AssumptionReport(
-        ineq_KL2_gt_L3=InequalityCheck("-K.L^2 > L^3", Fraction(lhs1), Fraction(rhs1), lhs1 > rhs1),
-        ineq_KLO1_pos=InequalityCheck("-K.L.O(1) > 0", Fraction(val2), Fraction(0), val2 > 0),
-        vanishing_asserted=X.vanishing_asserted,
-    )
-
-
 def hilbert_coeffs(X, ch):
     """Leading and subleading Hilbert polynomial coefficients (a2, a1) of a
     sheaf with character (0, L, gamma, xi)."""
@@ -301,35 +271,31 @@ def stability_forbidden_m(X, a2, a1, L1):
     return num / 2
 
 
-def check_stability_gap(X, ch, candidates, irreducible=False):
-    """Evaluate the forbidden-twist criterion for each decomposition L = L1 + L2.
-
-    Empty candidate list passes vacuously (in particular when the class of
-    L is irreducible and no decomposition exists).
-    """
-    a2, a1 = hilbert_coeffs(X, ch)
-    entries = []
-    for L1 in candidates:
-        L1 = tuple(L1)
-        if all(x == 0 for x in L1):
-            raise ModelError("candidate decomposition class is zero")
-        if L1 == tuple(X.L):
-            raise ModelError("candidate decomposition class equals L")
-        m = stability_forbidden_m(X, a2, a1, L1)
-        entries.append(StabilityEntry(candidate=L1, forbidden_m=m, is_integer=m.denominator == 1))
-    return AssumptionReport(irreducible=irreducible, stability_gap=tuple(entries))
-
-
 def run_all_checks(X, ch, candidates, irreducible=False):
-    """Positivity plus stability in a single merged report."""
-    pos = check_assumption0(X)
-    stab = check_stability_gap(X, ch, candidates, irreducible=irreducible)
+    """The two positivity inequalities, the asserted cohomology vanishing and
+    the forbidden-twist criterion at each candidate L1 of a decomposition
+    L = L1 + L2, in one report.
+
+    The candidates are nonzero classes other than L, as
+    GeometryFixture.validate ensures.  An empty candidate list passes the
+    stability gap vacuously (in particular when the class of L is
+    irreducible and no decomposition exists).
+    """
+    mK = minus(X.canonical)
+    lhs1 = triple_product(X, mK, X.L, X.L)
+    rhs1 = triple_product(X, X.L, X.L, X.L)
+    val2 = triple_product(X, mK, X.L, X.polarization)
+    a2, a1 = hilbert_coeffs(X, ch)
+    gap = []
+    for L1 in candidates:
+        m = stability_forbidden_m(X, a2, a1, L1)
+        gap.append(StabilityEntry(tuple(L1), m, m.denominator == 1))
     return AssumptionReport(
-        ineq_KL2_gt_L3=pos.ineq_KL2_gt_L3,
-        ineq_KLO1_pos=pos.ineq_KLO1_pos,
-        vanishing_asserted=pos.vanishing_asserted,
+        ineq_KL2_gt_L3=InequalityCheck("-K.L^2 > L^3", Fraction(lhs1), Fraction(rhs1), lhs1 > rhs1),
+        ineq_KLO1_pos=InequalityCheck("-K.L.O(1) > 0", Fraction(val2), Fraction(0), val2 > 0),
+        vanishing_asserted=X.vanishing_asserted,
         irreducible=irreducible,
-        stability_gap=stab.stability_gap,
+        stability_gap=tuple(gap),
     )
 
 

@@ -24,9 +24,9 @@ from dtseries.qseries import (
     QSeries,
     dt_series,
     euler_product,
-    theta_block,
 )
 from oracle_reference import co_class_weights
+from test_qseries import dense_euler
 
 
 def _report(num, desc, ok, detail=""):
@@ -205,8 +205,15 @@ def test_criterion_9_series_equals_theta_times_euler():
     table = enumerate_contributions(S, X, fx.gamma_names["ell"], 8, 2)
     result = dt_series(S, table, 8, convention)
 
-    theta = theta_block([Fraction(-k * k) for k in range(-2, 3)], 8)
-    expected = (theta * euler_product(sign * delta, 8)).shift(Fraction(delta, 24))
+    # each class k = -2..2 contributes q^(-k^2) * euler, added in coefficient
+    # by coefficient from the factor-by-factor expansion
+    euler = dense_euler(sign * delta, 8)
+    coeffs = [0] * 8
+    for k in range(-2, 3):
+        j = 4 - k * k  # q^(-k^2) sits j places above the lowest class, q^-4
+        for i in range(j, 8):
+            coeffs[i] += euler[i - j]
+    expected = QSeries(-4, coeffs).shift(Fraction(delta, 24))
     ok = ok and result.total == expected
     _report(
         9,

@@ -92,6 +92,23 @@ def test_check_csv(capsys):
     assert lines[-1] == "overall,,,False"
 
 
+def test_check_failing_stability_gap_json_and_csv(capsys):
+    argv = ("check", "--fixture", "blowup_p3_point", "--k", "1", "--gamma", "r=0,s=-1")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_CHECKS_FAILED
+    report = json.loads(out)["report"]
+    assert report["stability_gap"] == [
+        {"candidate": [0, 1], "forbidden_m": "-1", "is_integer": True, "holds": False}
+    ]
+    assert report["failures"] == ["stability gap at (0, 1)"]
+    assert report["passed"] is False
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_CHECKS_FAILED
+    lines = out.strip().splitlines()
+    assert '"stability[0, 1]",-1,Z,False' in lines
+    assert lines[-1] == "overall,,,False"
+
+
 def test_check_named_gamma_equals_explicit_vector(capsys):
     _, out_named, _ = run(
         capsys, "check", "--fixture", "quadric_p4_d2", "--gamma", "ell"
@@ -570,9 +587,10 @@ def test_missing_subcommand(capsys):
 
 
 def test_unknown_flag(capsys):
-    code = main(["check", "--fixture", "quadric_p4_d2", "--bogus"])
-    capsys.readouterr()
-    assert code == EXIT_BAD_INPUT
+    for bad in (["--bogus"], ["--format", "xml"]):
+        code = main(["check", "--fixture", "quadric_p4_d2", *bad])
+        capsys.readouterr()
+        assert code == EXIT_BAD_INPUT, bad
 
 
 def test_bad_order_and_window(capsys):
@@ -657,6 +675,11 @@ def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
                      id="string-in-K_S"),
         pytest.param("blowup_p3_point", ("candidates",), [[0, 1.5]],
                      "GeometryFixture.candidates", id="float-in-candidates"),
+        # L1 = 0 or L1 = L decomposes nothing
+        pytest.param("blowup_p3_point", ("candidates",), [[0, 0]], "class is zero",
+                     id="zero-candidate"),
+        pytest.param("blowup_p3_point", ("candidates",), [[1, 0]], "class equals L",
+                     id="L-candidate"),
         pytest.param("quadric_p4_d2", ("threefold", "vanishing_asserted"), "no",
                      "ThreefoldModel.vanishing_asserted", id="string-vanishing"),
         pytest.param("blowup_p3_point", ("irreducible",), "false",
@@ -688,7 +711,7 @@ def test_bad_model_value_exits_bad_input(capsys, tmp_path, name, keys, value, re
     target[last] = value
     fx_path = tmp_path / "bad.json"
     fx_path.write_text(json.dumps(d))
-    for cmd in ("check", "series"):
+    for cmd in ("check", "classes", "series", "oracle", "verify"):
         code, out, err = run(capsys, cmd, "--fixture", str(fx_path))
         assert code == EXIT_BAD_INPUT, (cmd, err)
         assert out == ""

@@ -1,16 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from dtseries.fixtures import BUILTIN, get_fixture
+from dtseries.fixtures import BUILTIN, FixtureError, get_fixture
 from dtseries.geometry import (
     ChernVector,
     ModelError,
     SurfaceModel,
-    check_assumption0,
     check_consistency,
-    check_stability_gap,
     delta_invariant,
     hilbert_coeffs,
     l_squared_h4,
@@ -38,15 +37,22 @@ def test_triple_product_is_symmetric_and_trilinear():
         assert lhs == t + s * triple_product(X, d, b, c)
 
 
+def _checks(fx, gamma=None):
+    """run_all_checks on a fixture's own candidates, zero character by default."""
+    gamma = gamma or (0,) * fx.threefold.h4_rank
+    return run_all_checks(fx.threefold, ChernVector(gamma), fx.candidates,
+                          irreducible=fx.irreducible)
+
+
 def test_hypersurface_positivity_values():
     # -K.L^2 = (5-d)*d and -K.L.O(1) = (5-d)*d by direct contraction
     for d, name in ((1, "quadric_p4_d1"), (2, "quadric_p4_d2"), (3, "cubic_p4_d3")):
-        rep = check_assumption0(get_fixture(name).threefold)
+        rep = _checks(get_fixture(name))
         assert rep.ineq_KL2_gt_L3.lhs == (5 - d) * d
         assert rep.ineq_KL2_gt_L3.rhs == d
         assert rep.ineq_KLO1_pos.lhs == (5 - d) * d
         assert rep.passed
-    rep = check_assumption0(get_fixture("quartic_p4_d4").threefold)
+    rep = _checks(get_fixture("quartic_p4_d4"))
     assert not rep.ineq_KL2_gt_L3.holds  # 4 > 4 is false
     assert rep.ineq_KL2_gt_L3.lhs == 4 and rep.ineq_KL2_gt_L3.rhs == 4
     assert rep.ineq_KLO1_pos.holds
@@ -128,27 +134,25 @@ def test_stability_gap_known_verdicts():
     # k=1, r=0, s=-1: m* = -1 is an integer, the gap fails
     fx = get_fixture("blowup_p3_point", k=1)
     gamma = fx.gamma_from_params({"r": 0, "s": -1})
-    rep = check_stability_gap(fx.threefold, ChernVector(gamma), fx.candidates)
+    rep = _checks(fx, gamma)
     assert rep.stability_gap[0].forbidden_m == -1
     assert not rep.passed
+    assert rep.failures == ["stability gap at (0, 1)"]
     # default k=3 passes for the zero character
-    fx = get_fixture("blowup_p3_point")
-    rep = check_stability_gap(fx.threefold, ChernVector((0, 0)), fx.candidates)
+    rep = _checks(get_fixture("blowup_p3_point"))
     assert rep.passed
     # line blow-up, k=3: m* = (2k+1)/(k-1) = 7/2, not an integer
-    fx = get_fixture("blowup_p3_line")
-    rep = check_stability_gap(fx.threefold, ChernVector((0, 0)), fx.candidates)
+    rep = _checks(get_fixture("blowup_p3_line"))
     assert rep.stability_gap[0].forbidden_m == Fraction(7, 2)
     assert rep.passed
 
 
 def test_stability_gap_rejects_degenerate_candidates():
+    # L1 = 0 or L1 = L is no decomposition: the fixture refuses it on load
     fx = get_fixture("blowup_p3_point")
-    ch = ChernVector((0, 0))
-    with pytest.raises(ModelError):
-        check_stability_gap(fx.threefold, ch, [(0, 0)])
-    with pytest.raises(ModelError):
-        check_stability_gap(fx.threefold, ch, [fx.threefold.L])
+    for candidate, reason in (((0, 0), "is zero"), (fx.threefold.L, "equals L")):
+        with pytest.raises(FixtureError, match=reason):
+            dataclasses.replace(fx, candidates=(candidate,)).validate()
 
 
 def test_vacuous_stability_passes():
