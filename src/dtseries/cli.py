@@ -138,7 +138,12 @@ def resolve_gamma(fx, spec):
         return fx.gamma_names[spec]
     if "=" in spec:
         try:
-            pairs = dict(item.split("=", 1) for item in spec.split(","))
+            items = [item.split("=", 1) for item in spec.split(",")]
+            pairs = dict(items)
+            if len(pairs) < len(items):
+                names = [name for name, _ in items]
+                repeated = next(name for name in names if names.count(name) > 1)
+                raise ValueError(f"parameter {repeated!r} given more than once")
             return tuple(fx.gamma_from_params(pairs))
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad character parameters {spec!r}: {exc}") from exc

@@ -1,14 +1,14 @@
 """Equivariant residue oracle on Hilbert schemes of points of toric surfaces.
 
-A toric surface is given by its smooth fan alone: `toric_surface` derives
-each fixed point's chart, the dual basis (w1, w2) of its cone's rays
-(v_i, v_j), so the models are consistent by construction.  Every torus
-weight t there is written in chart coordinates (<t, v_i>, <t, v_j>): the
-bundle O(sum_k a_k D_k) has the weight (a_i, a_j), and a cell with arm a
-and leg l has the tangent weights (-l, a+1) and (l+1, -a) in every chart
-(Carlsson-Okounkov, *Exts and vertex operators*, Duke 161, 2012).  At a
-point `at` of the Lie algebra a weight (x, y) is x*P + y*Q, with
-P = <w1, at> and Q = <w2, at>.
+A toric surface is given by its smooth fan alone: each fixed point's
+chart is the dual basis (w1, w2) of its cone's rays (v_i, v_j), read off
+the rays where weights are evaluated, so the models are consistent by
+construction.  Every torus weight t there is written in chart coordinates
+(<t, v_i>, <t, v_j>): the bundle O(sum_k a_k D_k) has the weight
+(a_i, a_j), and a cell with arm a and leg l has the tangent weights
+(-l, a+1) and (l+1, -a) in every chart (Carlsson-Okounkov, *Exts and
+vertex operators*, Duke 161, 2012).  At a point `at` of the Lie algebra a
+weight (x, y) is x*P + y*Q, with P = <w1, at> and Q = <w2, at>.
 
 Fixed points of the torus on S^[n] are tuples of partitions, one per
 chart.  The obstruction-type class attached to a linearized line bundle is
@@ -37,17 +37,41 @@ no Fraction is made per partition.
 Exactness of the arithmetic plus a degree count make every coefficient an
 integer independent of the evaluation point and of the chosen linearization
 shift; integrality and both independences are rechecked at runtime.
-`trace_terms` keeps the direct walk over fixed points as a cross-check.
+`trace_terms` lists the fixed points' terms one by one, read from the same
+tables; the direct walk over every cell of every fixed point is kept in the
+tests as the independent reference.
 """
 
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
-from .partitions import conjugate, partition_list
+# evaluation points (and shifts) co_series draws before giving up
+MAX_ATTEMPTS = 8
+
+
+def partitions(n, max_part=None):
+    """Yield the partitions of n as weakly decreasing tuples of positive ints."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def partition_list(n):
+    """Cached tuple of all partitions of n (used heavily by the localization sums)."""
+    return tuple(partitions(n))
 
 
 class ZeroWeightError(ArithmeticError):
@@ -69,14 +93,6 @@ class OracleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Chart:
-    """Torus weights of the two coordinate directions at a surface fixed point."""
-
-    w1: tuple
-    w2: tuple
-
-
-@dataclass(frozen=True)
 class Linearization:
     """The equivariant line bundle O(sum_i a_i D_i): its divisor coefficients
     a_i per ray and its divisor class in the surface model's basis."""
@@ -88,18 +104,17 @@ class Linearization:
 
 @dataclass(frozen=True)
 class ToricSurfaceModel:
-    """A smooth toric surface given by its fan, with the charts and bundles
-    that `toric_surface` derives from it."""
+    """A smooth toric surface given by its fan, one cone per fixed point,
+    with its equivariant line bundles."""
 
     name: str
     rays: tuple
     cones: tuple
-    charts: tuple
     bundles: dict
 
     @property
     def euler(self):
-        return len(self.charts)
+        return len(self.cones)
 
 
 def _int_vector(v, length, what):
@@ -113,7 +128,7 @@ def toric_surface(name, rays, cones, bundles):
     """Build a toric surface model from a smooth fan.
 
     `rays` are primitive integer 2-vectors v_i; each cone (i, j) is an ordered
-    pair of ray indices, one per fixed point, and its chart is the dual basis
+    pair of ray indices, one per fixed point, whose chart is the dual basis
     of (v_i, v_j).  `bundles` maps a key to (label, surface_class, divisor)
     for the bundle O(sum_i a_i D_i), whose weight at cone (i, j) has the
     chart coordinates (a_i, a_j).  Raises ValueError when there is no cone,
@@ -125,7 +140,6 @@ def toric_surface(name, rays, cones, bundles):
     cones = tuple(_int_vector(c, 2, f"{name}: cone") for c in cones)
     if not cones:
         raise ValueError(f"{name}: the fan has no cone")
-    charts = []
     for i, j in cones:
         if not (0 <= i < len(rays) and 0 <= j < len(rays)):
             raise ValueError(f"{name}: cone {[i, j]} has a ray index outside 0..{len(rays) - 1}")
@@ -133,8 +147,6 @@ def toric_surface(name, rays, cones, bundles):
         det = a * d - b * c
         if det not in (1, -1):  # also catches a repeated index (det 0)
             raise ValueError(f"{name}: cone {[i, j]} is not smooth (det {det})")
-        # inverse of [[a, b], [c, d]] transposed; 1/det = det
-        charts.append(Chart((d * det, -c * det), (-b * det, a * det)))
     lins = {}
     for key, (label, surface_class, divisor) in bundles.items():
         divisor = _int_vector(divisor, len(rays), f"{name}/{label}: divisor")
@@ -143,7 +155,7 @@ def toric_surface(name, rays, cones, bundles):
         surface_class = _int_vector(surface_class, len(surface_class),
                                     f"{name}/{label}: surface class")
         lins[key] = Linearization(label, divisor, surface_class)
-    return ToricSurfaceModel(name, rays, cones, tuple(charts), lins)
+    return ToricSurfaceModel(name, rays, cones, lins)
 
 
 def p1xp1():
@@ -169,31 +181,14 @@ def p2():
     )
 
 
-def hook_pairs(parts):
-    """Tangent weights of the Hilbert scheme at the monomial ideal of a
-    partition, in chart coordinates (the same in every chart): each cell
-    contributes (-l, a+1) and (l+1, -a), cells taken row by row, with arm
-    a = parts[i]-j-1 and leg l = conj[j]-i-1 of cell (i, j), conj the
-    conjugate partition."""
-    conj = conjugate(parts)
-    out = []
-    for i, p in enumerate(parts):
-        for j in range(p):
-            a = p - j - 1
-            l = conj[j] - i - 1
-            out.append((-l, a + 1))
-            out.append((l + 1, -a))
-    return out
-
-
 def _cell_layout(n_max):
     """The partitions of sizes 1..n_max, each size in `partition_list`
     order, as (row, k, i): the hooks of the cells of the first row, left to
     right, and the place (size k, index i) of the partition that removing
     that row leaves.  Removing the first row changes no other cell's arm or
     leg, so a partition's weight products are those of its first row times
-    those of the rest.  The hook with leg l and arm a (as in `hook_pairs`)
-    is the one integer l*(n_max+1) + a, its slot in the hook tables."""
+    those of the rest.  The hook with leg l and arm a is the one integer
+    l*(n_max+1) + a, its slot in the hook tables."""
     stride = n_max + 1
     # column heights as lists: short-lived tuples of many lengths would
     # fill the interpreter's per-length tuple free lists, and resident
@@ -229,18 +224,21 @@ def hilb_fixed_points(num_charts, n):
 def _chart_scalars(model, lin, at, shift):
     """Per chart, at cone (i, j): P = <w1, at> and Q = <w2, at> with the
     denominators of `at` cleared, and the linearization's chart coordinates
-    s_i = a_i + <shift, v_i>, s_j = a_j + <shift, v_j>.  A weight (x, y)
-    evaluates to x*P + y*Q; its class weight is (x + s_i, y + s_j)."""
+    s_i = a_i + <shift, v_i>, s_j = a_j + <shift, v_j>.  For v_i = (a, b)
+    and v_j = (c, d) the dual basis is w1 = det*(d, -c), w2 = det*(-b, a),
+    as 1/det = det.  A weight (x, y) evaluates to x*P + y*Q; its class
+    weight is (x + s_i, y + s_j)."""
     x, y = Fraction(at[0]), Fraction(at[1])
     A, B = x.numerator * y.denominator, y.numerator * x.denominator
     out = []
-    for (i, j), ch in zip(model.cones, model.charts):
-        (vi0, vi1), (vj0, vj1) = model.rays[i], model.rays[j]
+    for i, j in model.cones:
+        (a, b), (c, d) = model.rays[i], model.rays[j]
+        det = a * d - b * c
         out.append((
-            ch.w1[0] * A + ch.w1[1] * B,
-            ch.w2[0] * A + ch.w2[1] * B,
-            lin.divisor[i] + shift[0] * vi0 + shift[1] * vi1,
-            lin.divisor[j] + shift[0] * vj0 + shift[1] * vj1,
+            det * (d * A - c * B),
+            det * (a * B - b * A),
+            lin.divisor[i] + shift[0] * a + shift[1] * b,
+            lin.divisor[j] + shift[0] * c + shift[1] * d,
         ))
     return out
 
@@ -373,15 +371,19 @@ def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
 
 
 def trace_terms(model, lin, n, at, shift=(0, 0)):
-    """Per-fixed-point contributions, for debugging small n."""
-    scalars = _chart_scalars(model, lin, at, shift)
+    """Per-fixed-point contributions, for debugging small n: each term is
+    the product over charts of a partition's class product over its tangent
+    product, read from the tables `co_series` sums."""
+    co_tables, tan_tables = _weight_tables(model, lin, _cell_layout(n), at, shift)
+    places = [{parts: i for i, parts in enumerate(partition_list(k))} for k in range(n + 1)]
     rows = []
     for point in hilb_fixed_points(model.euler, n):
         num = den = 1
-        for parts, (P, Q, si, sj) in zip(point, scalars):
-            for (x, y) in hook_pairs(parts):
-                den *= x * P + y * Q
-                num *= (x + si) * P + (y + sj) * Q
+        for co_rows, tan_rows, parts in zip(co_tables, tan_tables, point):
+            k = sum(parts)
+            i = places[k][parts]
+            num *= co_rows[k][i]
+            den *= tan_rows[k][i]
         rows.append({"point": [list(p) for p in point], "term": Fraction(num, den)})
     return rows
 
@@ -402,19 +404,20 @@ class CoSeriesResult:
     elapsed: float
 
 
-def co_series(model, lin, n_max, seed=0, max_attempts=8):
+def co_series(model, lin, n_max, seed=0):
     """Integrals for n = 0..n_max at two independent evaluation points.
 
     Zero weights trigger fresh points (and, for structural zeros, a fresh
-    common shift of the linearization); the two evaluations must agree
-    exactly, and persistent disagreement is an error, not a retry loop.
+    common shift of the linearization), at most MAX_ATTEMPTS times; the two
+    evaluations must agree exactly, and persistent disagreement is an
+    error, not a retry loop.
     """
     rng = random.Random(seed)
     shift = (0, 0)
     disagreements = 0
     t0 = time.perf_counter()
     layout = _cell_layout(n_max)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         p, q = _draw_point(rng), _draw_point(rng)
         try:
             vals_p = _series_values(model, lin, layout, p, shift)

@@ -1,20 +1,90 @@
 """Brute-force references for the localization oracle, in torus vectors.
 
 The oracle writes every weight at cone (i, j) in that chart's basis
-(w1, w2).  These helpers compute the same weights the long way, as integer
-2-vectors of the torus: cells, arms and legs counted cell by cell, the
-bundle weight m with <m, v_i> = a_i and <m, v_j> = a_j, and the evaluation
-t -> <t, at>.  A weight is structurally zero when its vector is (0, 0).
+(w1, w2), the dual basis of the rays (v_i, v_j).  These helpers compute the
+same weights the long way, as integer 2-vectors of the torus: the dual
+basis found by search (`dual_basis`), cells, arms and legs counted cell by
+cell, the bundle weight m with <m, v_i> = a_i and <m, v_j> = a_j, and the
+evaluation t -> <t, at>.  A weight is structurally zero when its vector is
+(0, 0).
 
 `cell_weight_tables` and `fraction_chart_product` are the oracle's earlier
 fast path, kept as references for the hook tables and the exact sums: chart
-coordinates evaluated cell by cell, and one Fraction per partition.
+coordinates evaluated cell by cell from `hook_pairs`, and one Fraction per
+partition.  `direct_trace_terms` is the direct walk over fixed points that
+`trace_terms` replaced by reading the oracle's tables: every weight of
+every cell of every fixed point multiplied out, one Fraction per point.
 """
 
 from fractions import Fraction
 
-from dtseries.localization import ZeroWeightError, _chart_scalars, hook_pairs
-from dtseries.partitions import partition_list
+from dtseries.localization import (
+    ZeroWeightError,
+    _chart_scalars,
+    hilb_fixed_points,
+    partition_list,
+)
+
+
+def conjugate(parts):
+    """Transpose of the Young diagram: column j holds one cell per part > j."""
+    conj = [0] * (parts[0] if parts else 0)
+    for p in parts:
+        for j in range(p):
+            conj[j] += 1
+    return tuple(conj)
+
+
+def hook_pairs(parts):
+    """Tangent weights of the Hilbert scheme at the monomial ideal of a
+    partition, in chart coordinates (the same in every chart): each cell
+    contributes (-l, a+1) and (l+1, -a), cells taken row by row, with arm
+    a = parts[i]-j-1 and leg l = conj[j]-i-1 of cell (i, j), conj the
+    conjugate partition."""
+    conj = conjugate(parts)
+    out = []
+    for i, p in enumerate(parts):
+        for j in range(p):
+            a = p - j - 1
+            l = conj[j] - i - 1
+            out.append((-l, a + 1))
+            out.append((l + 1, -a))
+    return out
+
+
+def direct_trace_terms(model, lin, n, at, shift=(0, 0)):
+    """Per-fixed-point contributions of S^[n], in `hilb_fixed_points` order,
+    each as prod(class weights)/prod(tangent weights) over every cell of
+    every chart's partition, evaluated weight by weight."""
+    scalars = _chart_scalars(model, lin, at, shift)
+    rows = []
+    for point in hilb_fixed_points(model.euler, n):
+        num = den = 1
+        for parts, (P, Q, si, sj) in zip(point, scalars):
+            for (x, y) in hook_pairs(parts):
+                den *= x * P + y * Q
+                num *= (x + si) * P + (y + sj) * Q
+        rows.append({"point": [list(p) for p in point], "term": Fraction(num, den)})
+    return rows
+
+
+def dual_basis(model):
+    """Per cone (i, j), the torus basis (w1, w2) dual to the rays (v_i, v_j):
+    <w1, v_i> = <w2, v_j> = 1 and <w1, v_j> = <w2, v_i> = 0.  Each vector is
+    found by a search over the integer vectors whose entries are no larger
+    than the rays' (a unimodular 2x2 matrix's inverse has its entries)."""
+    out = []
+    for i, j in model.cones:
+        vi, vj = model.rays[i], model.rays[j]
+        m = max(map(abs, vi + vj))
+        box = [(x, y) for x in range(-m, m + 1) for y in range(-m, m + 1)]
+
+        def pairings(w):
+            return (w[0] * vi[0] + w[1] * vi[1], w[0] * vj[0] + w[1] * vj[1])
+
+        out.append((next(w for w in box if pairings(w) == (1, 0)),
+                    next(w for w in box if pairings(w) == (0, 1))))
+    return tuple(out)
 
 
 def cells(parts):
@@ -45,17 +115,17 @@ def bundle_weights(model, lin):
     """Torus weight of the bundle O(sum a_k D_k) at each cone (i, j):
     a_i*w1 + a_j*w2 in that cone's chart."""
     return tuple(
-        (lin.divisor[i] * ch.w1[0] + lin.divisor[j] * ch.w2[0],
-         lin.divisor[i] * ch.w1[1] + lin.divisor[j] * ch.w2[1])
-        for (i, j), ch in zip(model.cones, model.charts)
+        (lin.divisor[i] * w1[0] + lin.divisor[j] * w2[0],
+         lin.divisor[i] * w1[1] + lin.divisor[j] * w2[1])
+        for (i, j), (w1, w2) in zip(model.cones, dual_basis(model))
     )
 
 
 def tangent_weights(parts, chart):
-    """Tangent weights at the monomial ideal of a partition in one chart:
-    each cell, row by row, contributes -l*w1 + (a+1)*w2 and
+    """Tangent weights at the monomial ideal of a partition in one chart
+    (w1, w2): each cell, row by row, contributes -l*w1 + (a+1)*w2 and
     (l+1)*w1 - a*w2, with arm a and leg l counted cell by cell."""
-    (x1, y1), (x2, y2) = chart.w1, chart.w2
+    (x1, y1), (x2, y2) = chart
     out = []
     for (i, j) in cells(parts):
         a, l = arm(parts, i, j), leg(parts, i, j)
@@ -70,8 +140,9 @@ def co_class_weights(point, model, lin, shift=(0, 0)):
     weight t, so rank 2n in total.  A zero vector raises a structural
     ZeroWeightError."""
     out = []
+    charts = dual_basis(model)
     for c, (parts, wl) in enumerate(zip(point, bundle_weights(model, lin))):
-        for t in tangent_weights(parts, model.charts[c]):
+        for t in tangent_weights(parts, charts[c]):
             w = (t[0] + wl[0] + shift[0], t[1] + wl[1] + shift[1])
             if w == (0, 0):
                 raise ZeroWeightError(f"structurally zero weight at chart {c}", structural=True)
@@ -95,10 +166,11 @@ def weight_tables(model, lin, n_max, at, shift=(0, 0)):
         return v.numerator
 
     bases = [(w[0] + shift[0], w[1] + shift[1]) for w in bundle_weights(model, lin)]
-    co_tables = [[] for _ in model.charts]
-    tan_tables = [[] for _ in model.charts]
+    charts = dual_basis(model)
+    co_tables = [[] for _ in charts]
+    tan_tables = [[] for _ in charts]
     for k in range(n_max + 1):
-        for c, chart in enumerate(model.charts):
+        for c, chart in enumerate(charts):
             co_row, tan_row = [], []
             for parts in partition_list(k):
                 tp = cp = 1

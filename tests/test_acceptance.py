@@ -14,10 +14,9 @@ from dtseries.localization import (
     co_series,
     fixed_point_series,
     hilb_fixed_points,
-    hook_pairs,
+    partition_list,
     trace_terms,
 )
-from dtseries.partitions import partition_list
 from dtseries.qseries import (
     CONVENTION_MINUS,
     CONVENTION_PLUS,
@@ -25,7 +24,7 @@ from dtseries.qseries import (
     dt_series,
     euler_product,
 )
-from oracle_reference import co_class_weights
+from oracle_reference import co_class_weights, hook_pairs
 from test_qseries import dense_euler
 
 

@@ -24,6 +24,8 @@ from dtseries.cli import (
     main,
 )
 from dtseries.fixtures import BUILTIN, fixture_to_dict, get_fixture, save_fixture
+from dtseries.qseries import frac_str
+from oracle_reference import direct_trace_terms
 
 
 def run(capsys, *argv):
@@ -393,7 +395,7 @@ def test_oracle_seed_changes_points_not_values(capsys):
 
 def test_oracle_trace_file(capsys, tmp_path):
     path = tmp_path / "trace.json"
-    code, _, _ = run(
+    code, out, _ = run(
         capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "2",
         "--trace", str(path), "--format", "json",
     )
@@ -403,6 +405,17 @@ def test_oracle_trace_file(capsys, tmp_path):
     terms = trace[2]["terms"]
     assert len(terms) == 14
     assert sum(Fraction(t["term"]) for t in terms) == 65
+    # term for term the reference walk over every cell of every fixed
+    # point, at the evaluation point and shift the command prints
+    payload = json.loads(out)
+    at = tuple(Fraction(x) for x in payload["eval_points"][0])
+    model = get_fixture("quadric_p4_d2").toric
+    assert trace == [
+        {"n": n, "terms": [{"point": r["point"], "term": frac_str(r["term"])}
+                           for r in direct_trace_terms(model, model.bundles["L"], n, at,
+                                                       tuple(payload["shift"]))]}
+        for n in range(3)
+    ]
 
 
 def test_oracle_trace_unwritable_exits_bad_input(capsys, tmp_path):
@@ -574,6 +587,16 @@ def test_gamma_params_on_plain_fixture(capsys):
         capsys, "check", "--fixture", "quadric_p4_d2", "--gamma", "r=1"
     )
     assert code == EXIT_BAD_INPUT
+
+
+def test_gamma_repeated_parameter(capsys):
+    # the last value must not silently win
+    code, out, err = run(
+        capsys, "classes", "--fixture", "blowup_p3_point", "--gamma", "r=1,r=2,s=0"
+    )
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error:") and "parameter 'r' given more than once" in err
 
 
 def test_k_on_non_blowup(capsys):

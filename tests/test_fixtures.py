@@ -141,7 +141,7 @@ def test_round_trip_through_dict():
         assert (back.toric is None) == (fx.toric is None)
         if fx.toric is not None:
             T, B = fx.toric, back.toric
-            assert (B.name, B.rays, B.cones, B.charts) == (T.name, T.rays, T.cones, T.charts)
+            assert (B.name, B.rays, B.cones) == (T.name, T.rays, T.cones)
             assert B.bundles == T.bundles
             assert back.toric_L == fx.toric_L
 

@@ -6,30 +6,33 @@ from fractions import Fraction
 import pytest
 
 from dtseries.localization import (
-    Chart,
     IntegralityError,
     OracleError,
     ZeroWeightError,
     _cell_layout,
+    _chart_scalars,
     _weight_tables,
     chart_product,
     co_series,
     fixed_point_series,
     hilb_fixed_points,
-    hook_pairs,
     p1xp1,
     p2,
+    partition_list,
     toric_surface,
     trace_terms,
 )
 from dtseries import localization
-from dtseries.partitions import conjugate, partition_list
 from dtseries.qseries import euler_product
 from oracle_reference import (
     bundle_weights,
     cell_weight_tables,
     co_class_weights,
+    conjugate,
+    direct_trace_terms,
+    dual_basis,
     fraction_chart_product,
+    hook_pairs,
     tangent_weights,
     weight_tables,
 )
@@ -42,14 +45,19 @@ AT = (Fraction(7, 3), Fraction(-5, 11))
 
 
 def test_builtin_models_validate():
-    # the fan builder against the charts these models had when typed by hand
-    assert p1xp1().charts == (
-        Chart((1, 0), (0, 1)), Chart((1, 0), (0, -1)),
-        Chart((-1, 0), (0, 1)), Chart((-1, 0), (0, -1)),
+    # the reference's dual bases against the charts these models had when
+    # typed by hand, and the oracle's P = <w1, at>, Q = <w2, at> against them
+    assert dual_basis(p1xp1()) == (
+        ((1, 0), (0, 1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1)), ((-1, 0), (0, -1)),
     )
-    assert p2().charts == (
-        Chart((1, 0), (0, 1)), Chart((-1, 0), (-1, 1)), Chart((0, -1), (1, -1)),
+    assert dual_basis(p2()) == (
+        ((1, 0), (0, 1)), ((-1, 0), (-1, 1)), ((0, -1), (1, -1)),
     )
+    for model in (p1xp1(), p2()):
+        scalars = _chart_scalars(model, model.bundles["trivial"], (3, 5), (0, 0))
+        assert [(P, Q) for P, Q, _, _ in scalars] == [
+            (3 * w1[0] + 5 * w1[1], 3 * w2[0] + 5 * w2[1]) for w1, w2 in dual_basis(model)
+        ]
     assert p1xp1().euler == 4
     assert p2().euler == 3
 
@@ -76,13 +84,13 @@ def test_line_bundle_weight_tables():
     assert lin.surface_class == (2, 3)
     assert lin.divisor == (0, 0, 2, 3)
     # one cell at the second fixed point: tangent weights w2, w1 of its chart
-    assert tangent_weights((1,), model.charts[1]) == [(0, -1), (1, 0)]
+    assert tangent_weights((1,), dual_basis(model)[1]) == [(0, -1), (1, 0)]
     assert co_class_weights(((), (1,), (), ()), model, lin) == [(0, -4), (1, -3)]
     p = p2()
     model = toric_surface("p2", p.rays, p.cones, {"b": ("O(2)", (2,), (0, 0, 2))})
     lin = model.bundles["b"]
     assert bundle_weights(model, lin) == ((0, 0), (-2, 0), (0, -2))
-    assert tangent_weights((1,), model.charts[1]) == [(-1, 1), (-1, 0)]
+    assert tangent_weights((1,), dual_basis(model)[1]) == [(-1, 1), (-1, 0)]
     assert co_class_weights(((), (1,), ()), model, lin) == [(-3, 1), (-3, 0)]
 
 
@@ -107,8 +115,8 @@ def test_tangent_weights_match_arm_leg_formula():
     # hook pairs (x, y) in each chart's basis against the reference's
     # torus vectors, built cell by cell from arm and leg
     for model in (p1xp1(), p2()):
-        for chart in model.charts:
-            (x1, y1), (x2, y2) = chart.w1, chart.w2
+        for chart in dual_basis(model):
+            (x1, y1), (x2, y2) = chart
             for n in range(9):
                 for parts in partition_list(n):
                     assert [(x * x1 + y * x2, x * y1 + y * y2)
@@ -383,8 +391,26 @@ def test_integrate_equals_fixed_point_walk(make, bundle, shift):
     model = make()
     lin = model.bundles[bundle]
     assert fixed_point_series(model, lin, 5, AT, shift) == [
-        sum(r["term"] for r in trace_terms(model, lin, n, AT, shift)) for n in range(6)
+        sum(r["term"] for r in direct_trace_terms(model, lin, n, AT, shift)) for n in range(6)
     ]
+
+
+@pytest.mark.parametrize("shift", [(0, 0), (101, 103)])
+def test_trace_terms_match_direct_walk(shift):
+    # the terms read from the oracle's tables against the reference walk
+    # over every cell of every fixed point: the same points in the same
+    # order with the same Fractions, on P2, P1xP1, F1 and F2 and every bundle
+    models = [p2(), p1xp1(), *_fan_models(F1_FAN, F2_FAN)]
+    count = 0
+    for model in models:
+        for lin in model.bundles.values():
+            for n in range(5):
+                got = trace_terms(model, lin, n, AT, shift)
+                assert got == direct_trace_terms(model, lin, n, AT, shift)
+                assert all(type(r["term"]) is Fraction for r in got)
+                count += len(got)
+    # two bundles each; fixed points of S^[0..4]: 86 on P2, 164 on the others
+    assert count == 2 * (86 + 3 * 164)
 
 
 def test_fixed_point_series_entries_are_integrals():
@@ -456,10 +482,11 @@ def test_co_series_matches_reference_tables(monkeypatch):
     assert any(r.shift != (0, 0) for r in got)
 
 
-def test_co_series_no_attempts_raises():
+def test_co_series_no_attempts_raises(monkeypatch):
+    monkeypatch.setattr(localization, "MAX_ATTEMPTS", 0)
     model = p2()
     with pytest.raises(OracleError):
-        co_series(model, model.bundles["L"], 1, max_attempts=0)
+        co_series(model, model.bundles["L"], 1)
 
 
 # ---------------------------------------------------------------------------

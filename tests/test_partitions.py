@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from dtseries.partitions import conjugate, partition_list, partitions
-from oracle_reference import arm, cells, leg
+from dtseries.localization import partition_list, partitions
+from oracle_reference import arm, cells, conjugate, leg
 
 # p(0)..p(20), classical values
 P_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627]

@@ -7,7 +7,7 @@ import pytest
 from dtseries.classenum import enumerate_contributions
 from dtseries.fixtures import get_fixture
 from dtseries.geometry import delta_invariant
-from dtseries.partitions import partition_list
+from dtseries.localization import partition_list
 from dtseries.qseries import (
     CONVENTION_MINUS,
     CONVENTION_PLUS,
