@@ -418,7 +418,7 @@ def cmd_oracle(cfg):
                 ],
             })
         try:
-            with open(cfg.trace, "w") as fh:
+            with open(cfg.trace, "w", encoding="utf-8") as fh:
                 json.dump(trace, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as exc:

@@ -6,23 +6,26 @@ character vectors or a linear map from named parameters to character
 vectors, and (when the surface is toric) the equivariant model that feeds
 the localization oracle.  Fixtures round-trip through JSON.
 
-The `threefold` and `surface` blocks are the fields of ThreefoldModel and
-SurfaceModel, which type-check themselves: intersection data must be JSON
-integers and flags JSON booleans.  Characters (`gamma_names`, and
-`gamma_params: {name: vector}` with gamma = sum of value * vector) are
-strings such as "-1/2" or integers.  A missing, unknown or wrong-typed value
-raises FixtureError or ModelError.  A toric model is stored as its fan,
-`{name, rays, cones, bundles: {key: {name, surface_class, divisor}},
-L_bundle}`, and loaded through `localization.toric_surface`, the builder of
-the builtin models; only `"toric": null` means the surface is not toric.
+A fixture file is the fixture's `dataclasses.asdict`, with `toric_L` kept
+in the toric block as `L_bundle`.  The `threefold`, `surface` and `toric`
+blocks are the fields of ThreefoldModel, SurfaceModel and ToricSurfaceModel
+(each toric bundle those of Linearization), and every model, builtin or
+loaded, is built by the same constructor, which checks it: intersection
+data must be JSON integers and flags JSON booleans.  So the toric block is
+the fan, `{name, rays, cones, bundles: {key: {name, surface_class,
+divisor}}, L_bundle}`; only `"toric": null` means the surface is not toric.
+Characters (`gamma_names`, and `gamma_params: {name:
+vector}` with gamma = sum of value * vector) are strings such as "-1/2" or
+integers.  A missing, unknown or wrong-typed value, or a file that is not a
+JSON object, raises FixtureError or ModelError.
 """
 
 import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .geometry import SurfaceModel, ThreefoldModel, _typed_fields, check_consistency
-from .localization import ToricSurfaceModel, p1xp1, p2, toric_surface
+from .geometry import SurfaceModel, ThreefoldModel, _ints, _typed_fields, check_consistency
+from .localization import Linearization, ToricSurfaceModel, p1xp1, p2
 from .qseries import frac_str
 
 
@@ -45,14 +48,11 @@ class GeometryFixture:
 
     def __post_init__(self):
         _typed_fields(self)
-
-    def validate(self):
-        self.threefold.validate()
-        self.surface.validate()
         check_consistency(self.threefold, self.surface)
         for c in self.candidates:
-            if len(c) != self.threefold.h2_rank:
-                raise FixtureError(f"{self.name}: candidate {c} has wrong length")
+            if not _ints(c, self.threefold.h2_rank):
+                raise FixtureError(f"{self.name}: candidate {c} must have length "
+                                   f"{self.threefold.h2_rank} and integer entries")
             if not any(c):
                 raise FixtureError(f"{self.name}: candidate decomposition class is zero")
             if c == self.threefold.L:
@@ -67,7 +67,7 @@ class GeometryFixture:
             if self.toric_L not in self.toric.bundles:
                 raise FixtureError(f"{self.name}: toric model has no bundle {self.toric_L!r}")
             for lin in self.toric.bundles.values():
-                if len(lin.surface_class) != self.surface.h2_rank:
+                if not _ints(lin.surface_class, self.surface.h2_rank):
                     raise FixtureError(
                         f"{self.name}: bundle {lin.name} class not in the surface basis"
                     )
@@ -85,7 +85,6 @@ class GeometryFixture:
                     f"{self.name}: incomplete fan: {len(cones)} cones, "
                     f"but e(S) = {self.surface.euler}"
                 )
-        return self
 
     def gamma_from_params(self, values):
         """The character sum of value * gamma_params[name] over the given
@@ -119,7 +118,7 @@ def _hypersurface(name, d, surface, dim_l, toric=None, gamma_names=None, notes="
         vanishing_asserted=True,
         dim_linear_system=dim_l,
     )
-    fx = GeometryFixture(
+    return GeometryFixture(
         name=name,
         threefold=X,
         surface=surface,
@@ -129,7 +128,6 @@ def _hypersurface(name, d, surface, dim_l, toric=None, gamma_names=None, notes="
         toric=toric,
         notes=notes,
     )
-    return fx.validate()
 
 
 def quadric_p4_d1():
@@ -246,7 +244,7 @@ def blowup_p3_point(k=3):
         euler=3,
         pushforward=((1,), (0,)),
     )
-    fx = GeometryFixture(
+    return GeometryFixture(
         name="blowup_p3_point",
         threefold=X,
         surface=surface,
@@ -256,7 +254,6 @@ def blowup_p3_point(k=3):
         toric=p2(),
         notes="Characters are specified by r, s with gamma = (r/2) * [line] + s * e_E.",
     )
-    return fx.validate()
 
 
 def blowup_p3_line(k=3):
@@ -291,7 +288,7 @@ def blowup_p3_line(k=3):
         euler=4,
         pushforward=((1, 0), (0, 1)),
     )
-    fx = GeometryFixture(
+    return GeometryFixture(
         name="blowup_p3_line",
         threefold=X,
         surface=surface,
@@ -306,7 +303,6 @@ def blowup_p3_line(k=3):
         "+ s1 * [minimal section of E] + s2 * [fiber of E]; in the curve basis "
         "([line], [fiber]) this is (r/2 + s1, s1 + s2).",
     )
-    return fx.validate()
 
 
 BUILTIN = {
@@ -352,37 +348,20 @@ def _characters(table, key):
 
 
 def fixture_to_dict(fx):
-    d = {
-        "name": fx.name,
-        "threefold": asdict(fx.threefold),
-        "surface": asdict(fx.surface),
-        "candidates": fx.candidates,
-        "irreducible": fx.irreducible,
-        "gamma_names": {k: [frac_str(g) for g in v] for k, v in fx.gamma_names.items()},
-        "gamma_params": {k: [frac_str(g) for g in v] for k, v in fx.gamma_params.items()},
-        "notes": fx.notes,
-        "toric": None,
-    }
-    if fx.toric is not None:
-        T = fx.toric
-        d["toric"] = {
-            "name": T.name,
-            "rays": [list(v) for v in T.rays],
-            "cones": [list(c) for c in T.cones],
-            "bundles": {
-                key: {
-                    "name": lin.name,
-                    "surface_class": list(lin.surface_class),
-                    "divisor": list(lin.divisor),
-                }
-                for key, lin in T.bundles.items()
-            },
-            "L_bundle": fx.toric_L,
-        }
+    """The fixture's fields as JSON data: characters as fraction strings,
+    and `toric_L` inside the toric block as its `L_bundle`."""
+    d = asdict(fx)
+    for key in ("gamma_names", "gamma_params"):
+        d[key] = {name: [frac_str(g) for g in vec] for name, vec in d[key].items()}
+    toric_L = d.pop("toric_L")
+    if d["toric"] is not None:
+        d["toric"]["L_bundle"] = toric_L
     return d
 
 
 def fixture_from_dict(d):
+    if not isinstance(d, dict):
+        raise FixtureError(f"fixture must be a JSON object, not {type(d).__name__}")
     try:
         kwargs = dict(d)
         kwargs["threefold"] = ThreefoldModel(**kwargs["threefold"])
@@ -396,26 +375,22 @@ def fixture_from_dict(d):
         # only null means "not toric"; any other value must be a toric block
         t = kwargs.pop("toric", None)
         if t is not None:
-            kwargs["toric"] = toric_surface(
-                t["name"],
-                t["rays"],
-                t["cones"],
-                {
-                    key: (b["name"], b["surface_class"], b["divisor"])
-                    for key, b in t["bundles"].items()
-                },
-            )
-            if "L_bundle" in t:
-                kwargs["toric_L"] = t["L_bundle"]
-        # a key that names no GeometryFixture field is unknown: TypeError
-        return GeometryFixture(**kwargs).validate()
+            block = {**t}
+            if "L_bundle" in block:
+                kwargs["toric_L"] = block.pop("L_bundle")
+            block["bundles"] = {
+                key: Linearization(**entry) for key, entry in block["bundles"].items()
+            }
+            kwargs["toric"] = ToricSurfaceModel(**block)
+        # a key that names no field of its model is unknown: TypeError
+        return GeometryFixture(**kwargs)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FixtureError(f"malformed fixture data: {exc}") from exc
 
 
 def load_fixture(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise FixtureError(f"cannot read fixture: {exc}") from exc
@@ -425,6 +400,6 @@ def load_fixture(path):
 
 
 def save_fixture(fx, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(fixture_to_dict(fx), fh, indent=2, sort_keys=True)
         fh.write("\n")

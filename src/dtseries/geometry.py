@@ -16,6 +16,7 @@ of L, and returns one complete AssumptionReport.
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import get_args
 
 from .intlinalg import symmetric_signature
@@ -27,21 +28,31 @@ class ModelError(ValueError):
 
 def _int_tuple(x, where):
     """A list of ints, or of such lists, as nested tuples.  Entries must be
-    exactly int, as in localization._int_vector: True and 1.0 are refused."""
+    exactly int: True and 1.0 are refused."""
     if not isinstance(x, (list, tuple)):
         raise ModelError(f"{where} must hold integers in nested lists, not {x!r}")
     return tuple(y if type(y) is int else _int_tuple(y, where) for y in x)
+
+
+def _ints(v, n):
+    """Whether v is a tuple of n ints: a vector, not a deeper nesting."""
+    return type(v) is tuple and len(v) == n and {*map(type, v)} <= {int}
+
+
+@lru_cache(maxsize=None)
+def _schema(cls):
+    """(name, allowed types) of each field of a model class."""
+    return tuple((f.name, get_args(f.type) or (f.type,)) for f in fields(cls))
 
 
 def _typed_fields(obj):
     """Coerce each dataclass field by its declared type: a `tuple` becomes
     nested tuples of ints, anything else must be exactly one of its types
     (True is no int, 1 no bool).  The fields are the fixture JSON's schema."""
-    for f in fields(obj):
-        value, where = getattr(obj, f.name), f"{type(obj).__name__}.{f.name}"
-        allowed = get_args(f.type) or (f.type,)
-        if f.type is tuple:
-            object.__setattr__(obj, f.name, _int_tuple(value, where))
+    for name, allowed in _schema(type(obj)):
+        value, where = getattr(obj, name), f"{type(obj).__name__}.{name}"
+        if allowed == (tuple,):
+            object.__setattr__(obj, name, _int_tuple(value, where))
         elif type(value) not in allowed:
             names = " or ".join(t.__name__ for t in allowed)
             raise ModelError(f"{where} must be {names}, not {value!r}")
@@ -79,16 +90,16 @@ class ThreefoldModel:
 
     def __post_init__(self):
         _typed_fields(self)
-
-    def validate(self):
         r, h = self.h2_rank, self.h4_rank
         if len(self.triple) != r or any(
-            len(p) != r or any(len(row) != r for row in p) for p in self.triple
+            len(p) != r or not all(_ints(row, r) for row in p) for p in self.triple
         ):
             raise ModelError(f"{self.name}: triple tensor must be {r}x{r}x{r}")
         for v in (self.canonical, self.polarization, self.L):
-            if len(v) != r:
-                raise ModelError(f"{self.name}: divisor vectors must have length {r}")
+            if not _ints(v, r):
+                raise ModelError(
+                    f"{self.name}: divisor vectors must have length {r} and integer entries"
+                )
         for a in range(r):
             for b in range(r):
                 for c in range(r):
@@ -98,9 +109,9 @@ class ThreefoldModel:
                         raise ModelError(f"{self.name}: triple tensor not symmetric at {(a, b, c)}")
         if len(self.quad) != r or any(len(row) != r for row in self.quad):
             raise ModelError(f"{self.name}: quad must be {r}x{r} of curve classes")
-        if any(len(self.quad[a][b]) != h for a in range(r) for b in range(r)):
-            raise ModelError(f"{self.name}: quad entries must have length {h}")
-        if len(self.h4_h2_pairing) != h or any(len(row) != r for row in self.h4_h2_pairing):
+        if not all(_ints(self.quad[a][b], h) for a in range(r) for b in range(r)):
+            raise ModelError(f"{self.name}: quad entries must be curve classes of length {h}")
+        if len(self.h4_h2_pairing) != h or not all(_ints(row, r) for row in self.h4_h2_pairing):
             raise ModelError(f"{self.name}: pairing must be {h}x{r}")
         for a in range(r):
             for b in range(r):
@@ -115,7 +126,6 @@ class ThreefoldModel:
                         raise ModelError(
                             f"{self.name}: quad/pairing disagree with triple at {(a, b, c)}"
                         )
-        return self
 
 
 @dataclass(frozen=True)
@@ -132,26 +142,25 @@ class SurfaceModel:
 
     def __post_init__(self):
         _typed_fields(self)
-
-    def validate(self):
         s = self.h2_rank
-        if len(self.gram) != s or any(len(row) != s for row in self.gram):
+        if len(self.gram) != s or not all(_ints(row, s) for row in self.gram):
             raise ModelError(f"{self.name}: gram must be {s}x{s}")
         for i in range(s):
             for j in range(s):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ModelError(f"{self.name}: gram not symmetric")
         for v in (self.K_S, self.L_S, self.O1_S):
-            if len(v) != s:
-                raise ModelError(f"{self.name}: surface divisor vectors must have length {s}")
-        if any(len(row) != s for row in self.pushforward):
-            raise ModelError(f"{self.name}: pushforward rows must have length {s}")
+            if not _ints(v, s):
+                raise ModelError(f"{self.name}: surface divisor vectors must have length {s} "
+                                 "and integer entries")
+        if not all(_ints(row, s) for row in self.pushforward):
+            raise ModelError(f"{self.name}: pushforward rows must have length {s} "
+                             "and integer entries")
         sig = symmetric_signature([list(row) for row in self.gram])
         if sig != (1, s - 1, 0):
             raise ModelError(
                 f"{self.name}: intersection form has signature {sig}, want (1, {s - 1}, 0)"
             )
-        return self
 
     def dot(self, u, v):
         """Intersection number u . v on the surface."""
@@ -276,8 +285,8 @@ def run_all_checks(X, ch, candidates, irreducible=False):
     the forbidden-twist criterion at each candidate L1 of a decomposition
     L = L1 + L2, in one report.
 
-    The candidates are nonzero classes other than L, as
-    GeometryFixture.validate ensures.  An empty candidate list passes the
+    The candidates are nonzero classes other than L, as a GeometryFixture
+    ensures when it is built.  An empty candidate list passes the
     stability gap vacuously (in particular when the class of L is
     irreducible and no decomposition exists).
     """

@@ -2,8 +2,9 @@
 
 A toric surface is given by its smooth fan alone: each fixed point's
 chart is the dual basis (w1, w2) of its cone's rays (v_i, v_j), read off
-the rays where weights are evaluated, so the models are consistent by
-construction.  Every torus weight t there is written in chart coordinates
+the rays where weights are evaluated.  A ToricSurfaceModel checks its fan
+and its bundles when it is built, so every model that exists is smooth and
+consistent.  Every torus weight t there is written in chart coordinates
 (<t, v_i>, <t, v_j>): the bundle O(sum_k a_k D_k) has the weight
 (a_i, a_j), and a cell with arm a and leg l has the tangent weights
 (-l, a+1) and (l+1, -a) in every chart (Carlsson-Okounkov, *Exts and
@@ -49,6 +50,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
+
+from .geometry import ModelError, _ints, _typed_fields
 
 # evaluation points (and shifts) co_series draws before giving up
 MAX_ATTEMPTS = 8
@@ -101,83 +104,81 @@ class Linearization:
     divisor: tuple
     surface_class: tuple
 
+    def __post_init__(self):
+        _typed_fields(self)
+
 
 @dataclass(frozen=True)
 class ToricSurfaceModel:
     """A smooth toric surface given by its fan, one cone per fixed point,
-    with its equivariant line bundles."""
+    with its equivariant line bundles.
+
+    `rays` are primitive integer 2-vectors v_i; each cone (i, j) is an
+    ordered pair of ray indices whose chart is the dual basis of (v_i, v_j).
+    `bundles` maps a key to the Linearization O(sum_i a_i D_i), whose weight
+    at cone (i, j) has the chart coordinates (a_i, a_j).  Raises ModelError
+    when there is no cone, when a ray or cone is not an integer pair, when a
+    cone index is out of range, when det(v_i, v_j) is not +-1 (a repeated
+    index gives 0), or when a bundle is no Linearization with one divisor
+    coefficient per ray.
+    """
 
     name: str
     rays: tuple
     cones: tuple
     bundles: dict
 
+    def __post_init__(self):
+        _typed_fields(self)
+        name, rays = self.name, self.rays
+        for what, pairs in (("ray", rays), ("cone", self.cones)):
+            for v in pairs:
+                if not _ints(v, 2):
+                    raise ModelError(f"{name}: {what} must be an integer pair, not {v}")
+        if not self.cones:
+            raise ModelError(f"{name}: the fan has no cone")
+        for i, j in self.cones:
+            if not (0 <= i < len(rays) and 0 <= j < len(rays)):
+                raise ModelError(
+                    f"{name}: cone {[i, j]} has a ray index outside 0..{len(rays) - 1}"
+                )
+            (a, b), (c, d) = rays[i], rays[j]
+            det = a * d - b * c
+            if det not in (1, -1):  # also catches a repeated index (det 0)
+                raise ModelError(f"{name}: cone {[i, j]} is not smooth (det {det})")
+        for key, lin in self.bundles.items():
+            if type(lin) is not Linearization:
+                raise ModelError(f"{name}: bundle {key!r} must be a Linearization, not {lin!r}")
+            if not _ints(lin.divisor, len(rays)):
+                raise ModelError(f"{name}/{lin.name}: divisor {lin.divisor} must have "
+                                 "one integer entry per ray")
+
     @property
     def euler(self):
         return len(self.cones)
 
 
-def _int_vector(v, length, what):
-    v = tuple(v)
-    if len(v) != length or not all(type(x) is int for x in v):
-        raise ValueError(f"{what} must be {length} integers, got {list(v)}")
-    return v
-
-
-def toric_surface(name, rays, cones, bundles):
-    """Build a toric surface model from a smooth fan.
-
-    `rays` are primitive integer 2-vectors v_i; each cone (i, j) is an ordered
-    pair of ray indices, one per fixed point, whose chart is the dual basis
-    of (v_i, v_j).  `bundles` maps a key to (label, surface_class, divisor)
-    for the bundle O(sum_i a_i D_i), whose weight at cone (i, j) has the
-    chart coordinates (a_i, a_j).  Raises ValueError when there is no cone,
-    when a cone index is out of range, when det(v_i, v_j) is not +-1 (a
-    repeated index gives 0), when a divisor does not have one coefficient
-    per ray, or when a surface class entry is not an integer.
-    """
-    rays = tuple(_int_vector(v, 2, f"{name}: ray") for v in rays)
-    cones = tuple(_int_vector(c, 2, f"{name}: cone") for c in cones)
-    if not cones:
-        raise ValueError(f"{name}: the fan has no cone")
-    for i, j in cones:
-        if not (0 <= i < len(rays) and 0 <= j < len(rays)):
-            raise ValueError(f"{name}: cone {[i, j]} has a ray index outside 0..{len(rays) - 1}")
-        (a, b), (c, d) = rays[i], rays[j]
-        det = a * d - b * c
-        if det not in (1, -1):  # also catches a repeated index (det 0)
-            raise ValueError(f"{name}: cone {[i, j]} is not smooth (det {det})")
-    lins = {}
-    for key, (label, surface_class, divisor) in bundles.items():
-        divisor = _int_vector(divisor, len(rays), f"{name}/{label}: divisor")
-        # its length is the surface's Picard rank, which validate checks
-        surface_class = tuple(surface_class)
-        surface_class = _int_vector(surface_class, len(surface_class),
-                                    f"{name}/{label}: surface class")
-        lins[key] = Linearization(label, divisor, surface_class)
-    return ToricSurfaceModel(name, rays, cones, lins)
-
-
 def p1xp1():
     """P1 x P1 with the product torus action; charts ordered (0,0),(0,1),(1,0),(1,1).
     O(a,b) is the divisor a*D_2 + b*D_3."""
-    return toric_surface(
+    return ToricSurfaceModel(
         "p1xp1",
         rays=((1, 0), (0, 1), (-1, 0), (0, -1)),
         cones=((0, 1), (0, 3), (2, 1), (2, 3)),
-        bundles={"L": ("O(1,1)", (1, 1), (0, 0, 1, 1)),
-                 "trivial": ("O(0,0)", (0, 0), (0, 0, 0, 0))},
+        bundles={"L": Linearization("O(1,1)", divisor=(0, 0, 1, 1), surface_class=(1, 1)),
+                 "trivial": Linearization("O(0,0)", divisor=(0, 0, 0, 0), surface_class=(0, 0))},
     )
 
 
 def p2():
     """P2 with the standard torus action; fixed points are the coordinate
     points.  O(d) is the divisor d*D_2."""
-    return toric_surface(
+    return ToricSurfaceModel(
         "p2",
         rays=((1, 0), (0, 1), (-1, -1)),
         cones=((0, 1), (2, 1), (2, 0)),
-        bundles={"L": ("O(1)", (1,), (0, 0, 1)), "trivial": ("O(0)", (0,), (0, 0, 0))},
+        bundles={"L": Linearization("O(1)", divisor=(0, 0, 1), surface_class=(1,)),
+                 "trivial": Linearization("O(0)", divisor=(0, 0, 0), surface_class=(0,))},
     )
 
 

@@ -643,7 +643,8 @@ def _with_divisor(t, divisor):
 @pytest.mark.parametrize(
     "bad, reason",
     [
-        pytest.param(lambda t: OLD_TORIC_SHAPE, "'rays'", id="old-shape"),
+        # its bundles are built first, and their first old key is 'weights'
+        pytest.param(lambda t: OLD_TORIC_SHAPE, "'weights'", id="old-shape"),
         pytest.param(lambda t: {**t, "cones": [[0, 1], [2, 3], [2, 0]]}, "cone [2, 3]",
                      id="cone-index-out-of-range"),
         pytest.param(lambda t: {**t, "cones": [[0, 1], [2, -1], [2, 0]]}, "cone [2, -1]",
@@ -667,7 +668,18 @@ def _with_divisor(t, divisor):
                      id="divisor-too-long"),
         pytest.param(lambda t: {**t, "bundles": {"L": {**t["bundles"]["L"],
                                                        "surface_class": [1.0]}}},
-                     "surface class", id="float-in-surface-class"),
+                     "Linearization.surface_class", id="float-in-surface-class"),
+        pytest.param(lambda t: _with_divisor(t, [[0], 0, 1]), "divisor", id="nested-divisor"),
+        pytest.param(lambda t: {**t, "bundles": {"L": {**t["bundles"]["L"],
+                                                       "surface_class": [[1]]}}},
+                     "not in the surface basis", id="nested-surface-class"),
+        pytest.param(lambda t: {**t, "name": 2}, "ToricSurfaceModel.name",
+                     id="number-as-toric-name"),
+        pytest.param(lambda t: {**t, "bundles": {"L": {**t["bundles"]["L"], "name": None}}},
+                     "Linearization.name", id="null-as-bundle-name"),
+        pytest.param(lambda t: {**t, "fan": "complete"}, "'fan'", id="unknown-toric-key"),
+        pytest.param(lambda t: {**t, "bundles": {"L": {**t["bundles"]["L"], "degree": 1}}},
+                     "'degree'", id="unknown-bundle-key"),
         # only null means "not toric"
         pytest.param(lambda t: {}, "malformed fixture data", id="empty-block"),
         pytest.param(lambda t: False, "malformed fixture data", id="false-block"),
@@ -723,6 +735,13 @@ def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
                      id="gamma-names-not-a-table"),
         # the saved shape keeps the bundle key in toric.L_bundle
         pytest.param("quadric_p4_d2", ("toric_L",), "L", "'toric_L'", id="top-level-toric-L"),
+        # a vector is a list of integers, not of lists
+        pytest.param("blowup_p3_point", ("candidates",), [[[0], 1]], "candidate ((0,), 1)",
+                     id="nested-candidate"),
+        pytest.param("quadric_p4_d2", ("threefold", "canonical"), [[-3]], "divisor vectors",
+                     id="nested-canonical"),
+        pytest.param("quadric_p4_d2", ("surface", "K_S"), [[-2], -2], "divisor vectors",
+                     id="nested-K_S"),
     ],
 )
 def test_bad_model_value_exits_bad_input(capsys, tmp_path, name, keys, value, reason):

@@ -1,5 +1,6 @@
 """Tests for the built-in geometries and fixture serialization."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -33,9 +34,11 @@ def test_builtin_names():
 
 
 def test_all_builtins_validate():
+    # building a fixture checks it: rebuilding a builtin from its own
+    # fields passes every check again and gives the same fixture
     for name in ALL_NAMES:
         fx = get_fixture(name)
-        assert fx.validate() is fx
+        assert dataclasses.replace(fx) == fx
 
 
 def test_delta_invariants():
@@ -164,6 +167,18 @@ def test_round_trip_is_identity(tmp_path, name, k):
 
 def test_round_trip_through_file(tmp_path):
     path = tmp_path / "fx.json"
+    # the toric block on disk, as the README documents it
+    save_fixture(get_fixture("quadric_p4_d1"), path)
+    assert json.loads(path.read_text())["toric"] == {
+        "name": "p2",
+        "rays": [[1, 0], [0, 1], [-1, -1]],
+        "cones": [[0, 1], [2, 1], [2, 0]],
+        "bundles": {
+            "L": {"name": "O(1)", "surface_class": [1], "divisor": [0, 0, 1]},
+            "trivial": {"name": "O(0)", "surface_class": [0], "divisor": [0, 0, 0]},
+        },
+        "L_bundle": "L",
+    }
     fx = get_fixture("quadric_p4_d2")
     save_fixture(fx, path)
     data = json.loads(path.read_text())
@@ -194,6 +209,11 @@ def test_load_malformed_dict(tmp_path):
     path.write_text(json.dumps({"name": "x"}))
     with pytest.raises(FixtureError):
         load_fixture(path)
+    # valid JSON that is no object
+    for data, kind in (("abc", "str"), (5, "int"), (None, "NoneType"), ([1, 2], "list")):
+        path.write_text(json.dumps(data))
+        with pytest.raises(FixtureError, match=f"must be a JSON object, not {kind}$"):
+            load_fixture(path)
 
 
 def test_inconsistent_fixture_rejected():

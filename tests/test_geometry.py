@@ -152,7 +152,7 @@ def test_stability_gap_rejects_degenerate_candidates():
     fx = get_fixture("blowup_p3_point")
     for candidate, reason in (((0, 0), "is zero"), (fx.threefold.L, "equals L")):
         with pytest.raises(FixtureError, match=reason):
-            dataclasses.replace(fx, candidates=(candidate,)).validate()
+            dataclasses.replace(fx, candidates=(candidate,))
 
 
 def test_vacuous_stability_passes():
@@ -183,22 +183,19 @@ def test_consistency_detects_broken_adjunction():
 def test_model_validators_reject_bad_data():
     fx = get_fixture("quadric_p4_d2")
     S = fx.surface
-    lopsided = SurfaceModel(
-        name="bad", h2_rank=2, gram=((0, 1), (2, 0)), K_S=S.K_S, L_S=S.L_S,
-        O1_S=S.O1_S, euler=4, pushforward=S.pushforward,
-    )
-    with pytest.raises(ModelError):
-        lopsided.validate()
-    negdef = SurfaceModel(
-        name="bad", h2_rank=2, gram=((-1, 0), (0, -1)), K_S=S.K_S, L_S=S.L_S,
-        O1_S=S.O1_S, euler=4, pushforward=S.pushforward,
-    )
-    with pytest.raises(ModelError):
-        negdef.validate()
+    with pytest.raises(ModelError, match="not symmetric"):
+        SurfaceModel(
+            name="bad", h2_rank=2, gram=((0, 1), (2, 0)), K_S=S.K_S, L_S=S.L_S,
+            O1_S=S.O1_S, euler=4, pushforward=S.pushforward,
+        )
+    with pytest.raises(ModelError, match="signature"):
+        SurfaceModel(
+            name="bad", h2_rank=2, gram=((-1, 0), (0, -1)), K_S=S.K_S, L_S=S.L_S,
+            O1_S=S.O1_S, euler=4, pushforward=S.pushforward,
+        )
     X = fx.threefold
-    skew = X.__class__(**{**X.__dict__, "quad": (((3,),),)})
-    with pytest.raises(ModelError):
-        skew.validate()
+    with pytest.raises(ModelError, match="disagree with triple"):
+        X.__class__(**{**X.__dict__, "quad": (((3,),),)})
 
 
 def test_model_fields_are_coerced_by_type():

@@ -7,7 +7,9 @@ import pytest
 
 from dtseries.localization import (
     IntegralityError,
+    Linearization,
     OracleError,
+    ToricSurfaceModel,
     ZeroWeightError,
     _cell_layout,
     _chart_scalars,
@@ -19,7 +21,6 @@ from dtseries.localization import (
     p1xp1,
     p2,
     partition_list,
-    toric_surface,
     trace_terms,
 )
 from dtseries import localization
@@ -64,21 +65,37 @@ def test_builtin_models_validate():
 
 def test_validate_rejects_non_unimodular_chart():
     with pytest.raises(ValueError):
-        toric_surface("bad", rays=((2, 0), (0, 1)), cones=((0, 1),), bundles={})
+        ToricSurfaceModel("bad", rays=((2, 0), (0, 1)), cones=((0, 1),), bundles={})
 
 
 def test_validate_rejects_wrong_weight_count():
     # a divisor needs one coefficient per ray
     model = p2()
     with pytest.raises(ValueError):
-        toric_surface("p2", model.rays, model.cones, {"short": ("short", (0,), (0, 0))})
+        ToricSurfaceModel("p2", model.rays, model.cones,
+                          {"short": Linearization("short", (0, 0), (0,))})
+
+
+def test_validate_rejects_untyped_fan_and_bundles():
+    # the model checks its own fields: a bundle is a Linearization, not the
+    # (label, class, divisor) triple, and True is no ray coordinate
+    model = p2()
+    with pytest.raises(ValueError, match="must be a Linearization"):
+        ToricSurfaceModel("p2", model.rays, model.cones, {"L": ("O(1)", (1,), (0, 0, 1))})
+    with pytest.raises(ValueError, match="ToricSurfaceModel.rays"):
+        ToricSurfaceModel("p2", ((1, 0), (0, 1), (-1, [True])), model.cones, {})
+    with pytest.raises(ValueError, match="ray must be an integer pair"):
+        ToricSurfaceModel("p2", ((1, 0), (0, 1), (-1, -1, 0)), model.cones, {})
+    with pytest.raises(ValueError, match="Linearization.name"):
+        Linearization(None, (0, 0, 1), (1,))
 
 
 def test_line_bundle_weight_tables():
     # literal torus weights from the reference: the independent anchor for
     # the signs of the chart coordinates (a_i, a_j)
     q = p1xp1()
-    model = toric_surface("p1xp1", q.rays, q.cones, {"b": ("O(2,3)", (2, 3), (0, 0, 2, 3))})
+    model = ToricSurfaceModel("p1xp1", q.rays, q.cones,
+                              {"b": Linearization("O(2,3)", (0, 0, 2, 3), (2, 3))})
     lin = model.bundles["b"]
     assert bundle_weights(model, lin) == ((0, 0), (0, -3), (-2, 0), (-2, -3))
     assert lin.surface_class == (2, 3)
@@ -87,7 +104,7 @@ def test_line_bundle_weight_tables():
     assert tangent_weights((1,), dual_basis(model)[1]) == [(0, -1), (1, 0)]
     assert co_class_weights(((), (1,), (), ()), model, lin) == [(0, -4), (1, -3)]
     p = p2()
-    model = toric_surface("p2", p.rays, p.cones, {"b": ("O(2)", (2,), (0, 0, 2))})
+    model = ToricSurfaceModel("p2", p.rays, p.cones, {"b": Linearization("O(2)", (0, 0, 2), (2,))})
     lin = model.bundles["b"]
     assert bundle_weights(model, lin) == ((0, 0), (-2, 0), (0, -2))
     assert tangent_weights((1,), dual_basis(model)[1]) == [(-1, 1), (-1, 0)]
@@ -147,8 +164,9 @@ def _outcome(tables, *args):
 def _fan_models(*fans):
     # each fan with the zero divisor and the divisor (0, 1, 2, ...)
     for rays, cones in fans:
-        yield toric_surface("fan", rays, cones, {
-            "0": ("0", (), (0,) * len(rays)), "D": ("D", (), tuple(range(len(rays)))),
+        yield ToricSurfaceModel("fan", rays, cones, {
+            "0": Linearization("0", (0,) * len(rays), ()),
+            "D": Linearization("D", tuple(range(len(rays))), ()),
         })
 
 
@@ -334,7 +352,7 @@ def test_integrate_higher_degree_bundles(fan, divisor, delta):
     # prod (1-q^k)^(-delta) with delta = e(S) - K.D + D^2 read off the fan
     rays, cones = fan
     assert _fan_delta(rays, divisor) == delta
-    model = toric_surface("fan", rays, cones, {"D": ("D", divisor, divisor)})
+    model = ToricSurfaceModel("fan", rays, cones, {"D": Linearization("D", divisor, divisor)})
     res = co_series(model, model.bundles["D"], 5, seed=0)
     assert list(res.values) == [int(c) for c in euler_product(-delta, 6).coeffs]
 
@@ -364,8 +382,8 @@ def test_integrate_class_weight_vanishes_at_point():
 def test_integrality_error_on_fake_geometry():
     # a single affine chart is not compact; the fixed-point sum is a generic
     # rational function and the integrality check must fire
-    model = toric_surface("a2", rays=((1, 0), (0, 1)), cones=((0, 1),),
-                          bundles={"w": ("w", (0,), (-2, 1))})
+    model = ToricSurfaceModel("a2", rays=((1, 0), (0, 1)), cones=((0, 1),),
+                              bundles={"w": Linearization("w", (-2, 1), (0,))})
     assert bundle_weights(model, model.bundles["w"]) == ((-2, 1),)
     with pytest.raises(IntegralityError):
         fixed_point_series(model, model.bundles["w"], 1, (Fraction(5, 3), Fraction(7, 2)))
@@ -463,8 +481,9 @@ def test_co_series_matches_reference_tables(monkeypatch):
     # shift (0, 0) among them: the same values, evaluation points and shift
     # as co_series driven by the per-cell tables and per-partition Fractions
     q = p1xp1()
-    negative = toric_surface("p1xp1", q.rays, q.cones, {"n": ("n", (0, 0), (0, 0, -1, 0))})
-    f1 = toric_surface("f1", *F1_FAN, {"D": ("D", (), (0, 0, 1, 1))})
+    negative = ToricSurfaceModel("p1xp1", q.rays, q.cones,
+                                 {"n": Linearization("n", (0, 0, -1, 0), (0, 0))})
+    f1 = ToricSurfaceModel("f1", *F1_FAN, {"D": Linearization("D", (0, 0, 1, 1), ())})
     jobs = [(m, m.bundles[b]) for m in (p1xp1(), p2()) for b in ("L", "trivial")]
     jobs += [(negative, negative.bundles["n"]), (f1, f1.bundles["D"])]
     calls = [(jobs[seed % len(jobs)], seed) for seed in range(240)]
