@@ -4,8 +4,8 @@ The divisor-level character pins the pushforward of a contributing class
 beta to gamma + L^2/2; the solutions form an affine lattice inside the
 surface curve lattice.  On the orthogonal complement of an ample class the
 intersection form is negative definite (index theorem), so each square
-beta^2 is attained by finitely many classes and a completed-square descent
-enumerates them exactly.
+beta^2 is attained by finitely many classes: one integer completion of the
+form and a completed-square descent enumerate them exactly.
 """
 
 import math
@@ -14,13 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from .geometry import delta_invariant, pair_h4_h2, triple_product
-from .intlinalg import (
-    mat_vec,
-    quadratic_completion,
-    solve_completed_square,
-    solve_integer_system,
-    solve_rational,
-)
+from .intlinalg import integer_completion, mat_vec, solve_completed_square, solve_integer_system
 
 
 class NoSheafError(ValueError):
@@ -60,15 +54,18 @@ def _round_half_to_zero(x):
 
 
 def _constraint_lattice(S, gamma, L2):
-    """(lattice, A, peak) for the classes with pushforward gamma + L2/2, or
-    None when the target is non-integral or outside the image.
+    """(lattice, M, rows, pivots, tail) for the classes with pushforward
+    gamma + L2/2, or None when the target is non-integral or outside the
+    image.
 
-    A[a][c] = basis[a].basis[c] is the kernel Gram, from one G.B product.
-    The origin is translated by the kernel to the lattice point nearest the
-    real maximum of beta^2 (rounding half to zero), which makes window-based
-    enumeration symmetric and the output independent of internal
-    row-reduction choices; peak holds that maximum's coordinates from the
-    new origin, or None when A is singular.
+    M = [[-A, -g], [-g^T, -o.o]] from one G.B product, A the kernel Gram
+    and g = B^T G o, so -beta(x)^2 = (x, 1)^T M (x, 1); (rows, pivots,
+    tail) is its integer_completion.  The origin is translated by the
+    kernel to the lattice point nearest the real maximum of beta^2
+    (rounding half to zero), which makes window-based enumeration
+    symmetric and the output independent of internal row-reduction
+    choices; each row's constant entry moves with it.  A kernel form that
+    is not negative definite raises IndefiniteKernelError.
     """
     target = [Fraction(g) + Fraction(l, 2) for g, l in zip(gamma, L2)]
     if any(t.denominator != 1 for t in target):
@@ -79,22 +76,27 @@ def _constraint_lattice(S, gamma, L2):
     origin, basis = sol
     # one G.B product gives A and, G being symmetric, B^T G origin
     GB = [mat_vec(S.gram, b) for b in basis]
-    A = [[sum(map(mul, b, gb)) for gb in GB] for b in basis]
-    peak = None
-    if basis:
-        try:
-            # beta^2 peaks where (-A) x = B^T G origin
-            x = solve_rational([[-a for a in row] for row in A],
-                               [sum(map(mul, gb, origin)) for gb in GB])
-        except ValueError:
-            pass
-        else:
-            shift = [_round_half_to_zero(c) for c in x]
-            for r, b in zip(shift, basis):
-                origin = [o + r * e for o, e in zip(origin, b)]
-            peak = [c - r for c, r in zip(x, shift)]
+    g = [-sum(map(mul, gb, origin)) for gb in GB]
+    M = [[-sum(map(mul, b, gb)) for gb in GB] + [gi] for b, gi in zip(basis, g)]
+    M.append(g + [-S.dot(origin, origin)])
+    try:
+        rows, pivots, tail = integer_completion(M)
+    except ValueError as exc:
+        raise IndefiniteKernelError(
+            f"{S.name}: the intersection form on the constraint lattice of gamma = "
+            f"({', '.join(map(str, gamma))}) is not negative definite") from exc
+    # beta^2 peaks where every square vanishes: back-substitution
+    m = len(basis)
+    peak = [0] * m
+    for k in reversed(range(m)):
+        row = rows[k]
+        peak[k] = Fraction(-row[-1] - sum(map(mul, row[1:-1], peak[k + 1:])), pivots[k])
+    shift = [_round_half_to_zero(c) for c in peak]
+    for r, b in zip(shift, basis):
+        origin = [o + r * e for o, e in zip(origin, b)]
+    rows = [row[:-1] + [row[-1] + sum(map(mul, row, shift[k:]))] for k, row in enumerate(rows)]
     lattice = AffineLattice(origin=tuple(origin), basis=tuple(tuple(b) for b in basis))
-    return lattice, A, peak
+    return lattice, M, rows, pivots, tail
 
 
 def beta_constraint_lattice(S, gamma, L2):
@@ -114,26 +116,15 @@ def enumerate_beta(S, gamma, beta_sq):
     found = _constraint_lattice(S, gamma, S.push(S.L_S))
     if found is None:
         return []
-    lattice, A, peak = found
-    origin = lattice.origin
-    c = S.dot(origin, origin)
-    if lattice.rank == 0:
-        return [origin] if c == beta_sq else []
-    try:
-        d, u = quadratic_completion([[-a for a in row] for row in A])
-    except ValueError as exc:
-        raise IndefiniteKernelError(str(exc)) from exc
+    lattice, M, rows, pivots, tail = found
     m = lattice.rank
     # beta(x)^2 = x.A.x + 2 b.x + c = sum_i A_ii x_i + c (mod 2): when every
-    # A_ii is even, every class has the parity of c, the origin's square
-    if (beta_sq - c) % 2 and all(A[i][i] % 2 == 0 for i in range(m)):
+    # A_ii = -M_ii is even, every class has the parity of c = -M_mm
+    if (beta_sq + M[m][m]) % 2 and all(M[i][i] % 2 == 0 for i in range(m)):
         return []
-    # -beta^2 = Q(x - peak) - top with Q = x^T(-A)x positive definite and
-    # top = beta(peak)^2; squares are in the shifted variable, so the
-    # constant offsets absorb both the peak and its triangular cross terms.
-    top = c - sum(p * sum(map(mul, row, peak)) for p, row in zip(peak, A))
-    offs = [-peak[i] - sum(u[i][j] * peak[j] for j in range(i + 1, m)) for i in range(m)]
-    out = solve_completed_square(d, u, offs, top - beta_sq, origin, lattice.basis)
+    # -beta^2 = sum of the completed squares + tail / p_{m-1}
+    value = -beta_sq - Fraction(tail, pivots[-1] if pivots else 1)
+    out = solve_completed_square(rows, pivots, value, lattice.origin, lattice.basis)
     out.sort()
     return out
 

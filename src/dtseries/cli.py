@@ -39,6 +39,7 @@ EXIT_BAD_INPUT = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer the pipe killed
 
 NMAX_CEILING = 20
+ORDER_CEILING = 2000
 
 
 class CliError(ValueError):
@@ -69,8 +70,8 @@ class RunConfig:
     trace: str | None = None
 
     def validate(self):
-        if self.order < 1:
-            raise CliError("--order must be at least 1")
+        if not (1 <= self.order <= ORDER_CEILING):
+            raise CliError(f"--order must lie in 1..{ORDER_CEILING}")
         if self.window < 0:
             raise CliError("--window must be nonnegative")
         if not (0 <= self.n_max <= NMAX_CEILING):
@@ -100,7 +101,8 @@ def build_parser():
                                 "or a comma-separated rational vector")
         if series_flags:
             p.add_argument("--order", type=int,
-                           help="truncation: keep exponents up to this power of q")
+                           help="truncation: keep exponents up to this power of q "
+                                f"(at most {ORDER_CEILING})")
             p.add_argument("--window", type=int,
                            help="lattice search radius for curve classes")
         if oracle_flags:

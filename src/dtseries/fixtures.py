@@ -331,11 +331,18 @@ def get_fixture(name_or_path, k=None):
     return load_fixture(name_or_path)
 
 
+def _object(value, where):
+    """value, when it is a JSON object; a TypeError naming where otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{where} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _characters(table, key):
     """A {name: vector} table of characters read from JSON, whose entries
     are fraction strings such as "-1/2" or integers."""
     out = {}
-    for name, vec in table.items():
+    for name, vec in _object(table, key).items():
         if not isinstance(vec, (list, tuple)) or any(type(g) not in (str, int) for g in vec):
             raise FixtureError(
                 f"{key}[{name!r}] must be a list of strings or integers, not {vec!r}"
@@ -364,8 +371,8 @@ def fixture_from_dict(d):
         raise FixtureError(f"fixture must be a JSON object, not {type(d).__name__}")
     try:
         kwargs = dict(d)
-        kwargs["threefold"] = ThreefoldModel(**kwargs["threefold"])
-        kwargs["surface"] = SurfaceModel(**kwargs["surface"])
+        kwargs["threefold"] = ThreefoldModel(**_object(kwargs["threefold"], "threefold"))
+        kwargs["surface"] = SurfaceModel(**_object(kwargs["surface"], "surface"))
         for key in ("gamma_names", "gamma_params"):
             if key in kwargs:
                 kwargs[key] = _characters(kwargs[key], key)
@@ -375,11 +382,12 @@ def fixture_from_dict(d):
         # only null means "not toric"; any other value must be a toric block
         t = kwargs.pop("toric", None)
         if t is not None:
-            block = {**t}
+            block = {**_object(t, "toric")}
             if "L_bundle" in block:
                 kwargs["toric_L"] = block.pop("L_bundle")
             block["bundles"] = {
-                key: Linearization(**entry) for key, entry in block["bundles"].items()
+                key: Linearization(**_object(entry, f"toric bundle {key!r}"))
+                for key, entry in _object(block["bundles"], "toric bundles").items()
             }
             kwargs["toric"] = ToricSurfaceModel(**block)
         # a key that names no field of its model is unknown: TypeError

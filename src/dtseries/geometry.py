@@ -17,9 +17,10 @@ of L, and returns one complete AssumptionReport.
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import get_args
 
-from .intlinalg import symmetric_signature
+from .intlinalg import integer_completion
 
 
 class ModelError(ValueError):
@@ -34,9 +35,12 @@ def _int_tuple(x, where):
     return tuple(y if type(y) is int else _int_tuple(y, where) for y in x)
 
 
-def _ints(v, n):
-    """Whether v is a tuple of n ints: a vector, not a deeper nesting."""
-    return type(v) is tuple and len(v) == n and {*map(type, v)} <= {int}
+def _ints(v, n, *inner):
+    """Whether v is a tuple of n ints or, with inner dimensions, a tuple of
+    n such tuples: _ints(G, s, s) is an s x s integer matrix."""
+    if type(v) is not tuple or len(v) != n:
+        return False
+    return all(_ints(x, *inner) for x in v) if inner else {*map(type, v)} <= {int}
 
 
 @lru_cache(maxsize=None)
@@ -91,9 +95,7 @@ class ThreefoldModel:
     def __post_init__(self):
         _typed_fields(self)
         r, h = self.h2_rank, self.h4_rank
-        if len(self.triple) != r or any(
-            len(p) != r or not all(_ints(row, r) for row in p) for p in self.triple
-        ):
+        if not _ints(self.triple, r, r, r):
             raise ModelError(f"{self.name}: triple tensor must be {r}x{r}x{r}")
         for v in (self.canonical, self.polarization, self.L):
             if not _ints(v, r):
@@ -107,11 +109,9 @@ class ThreefoldModel:
                          self.triple[b][c][a], self.triple[c][a][b], self.triple[c][b][a]}
                     if len(s) != 1:
                         raise ModelError(f"{self.name}: triple tensor not symmetric at {(a, b, c)}")
-        if len(self.quad) != r or any(len(row) != r for row in self.quad):
-            raise ModelError(f"{self.name}: quad must be {r}x{r} of curve classes")
-        if not all(_ints(self.quad[a][b], h) for a in range(r) for b in range(r)):
-            raise ModelError(f"{self.name}: quad entries must be curve classes of length {h}")
-        if len(self.h4_h2_pairing) != h or not all(_ints(row, r) for row in self.h4_h2_pairing):
+        if not _ints(self.quad, r, r, h):
+            raise ModelError(f"{self.name}: quad must be {r}x{r} of curve classes of length {h}")
+        if not _ints(self.h4_h2_pairing, h, r):
             raise ModelError(f"{self.name}: pairing must be {h}x{r}")
         for a in range(r):
             for b in range(r):
@@ -143,7 +143,7 @@ class SurfaceModel:
     def __post_init__(self):
         _typed_fields(self)
         s = self.h2_rank
-        if len(self.gram) != s or not all(_ints(row, s) for row in self.gram):
+        if not _ints(self.gram, s, s):
             raise ModelError(f"{self.name}: gram must be {s}x{s}")
         for i in range(s):
             for j in range(s):
@@ -156,11 +156,24 @@ class SurfaceModel:
         if not all(_ints(row, s) for row in self.pushforward):
             raise ModelError(f"{self.name}: pushforward rows must have length {s} "
                              "and integer entries")
-        sig = symmetric_signature([list(row) for row in self.gram])
-        if sig != (1, s - 1, 0):
-            raise ModelError(
-                f"{self.name}: intersection form has signature {sig}, want (1, {s - 1}, 0)"
-            )
+        # Hodge index: signature (1, s-1, 0) with h = O1_S means h^2 > 0 and
+        # a negative definite form on h^perp.  N = w w^T - h^2 G, w = G h,
+        # vanishes on h and is -h^2 G on h^perp, so that holds exactly when
+        # N is positive definite on a hyperplane x_j = 0 with h_j != 0: with
+        # x_j moved last, N's leading block
+        h = self.O1_S
+        w = [sum(map(mul, row, h)) for row in self.gram]
+        hh = sum(map(mul, w, h))
+        j = next((i for i in range(s) if h[i]), 0)
+        order = sorted(range(s), key=lambda i: i == j)
+        try:
+            integer_completion([[w[a] * w[b] - hh * self.gram[a][b] for b in order]
+                                for a in order])
+        except ValueError:
+            hh = 0
+        if hh <= 0:
+            raise ModelError(f"{self.name}: intersection form must have signature "
+                             f"(1, {s - 1}, 0) with O1_S^2 > 0")
 
     def dot(self, u, v):
         """Intersection number u . v on the surface."""

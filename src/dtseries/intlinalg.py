@@ -2,12 +2,14 @@
 
 Everything here works on plain nested lists/tuples of ints or Fractions;
 ranks in this package never exceed single digits, so the elimination
-routines favour clarity over asymptotics.  The one hot loop, the
-completed-square descent that enumerates lattice points of a given norm,
-scales its data to integers once and then runs in Python ints only.  It
-returns the points themselves, origin + sum_i x_i*basis[i], built along
-the descent: the outer levels carry a partial sum and each solution adds
-its last two terms.  No floating point anywhere.
+routines favour clarity over asymptotics.  Quadratic forms are completed
+once, in integers, by fraction-free symmetric elimination
+(integer_completion); the one hot loop, the completed-square descent that
+enumerates lattice points of a given norm, reads that completion and runs
+in Python ints only.  It returns the points themselves,
+origin + sum_i x_i*basis[i], built along the descent: the outer levels
+carry a partial sum and each solution adds its last two terms.  No
+floating point anywhere.
 """
 
 from fractions import Fraction
@@ -129,131 +131,68 @@ def solve_integer_system(A, target):
     return x0, basis
 
 
-def solve_rational(A, b):
-    """Solve the square nonsingular system A x = b over Q."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
+def integer_completion(M):
+    """Complete the square of y^T M y in integers, y = (x, 1).
 
+    M is a symmetric integer (m+1)x(m+1) matrix whose leading m x m block
+    is positive definite.  Fraction-free symmetric elimination (Bareiss,
+    Math. Comp. 22, 1968) divides every update exactly by the previous
+    pivot and returns (rows, pivots, tail) with
 
-def symmetric_signature(G):
-    """Signature (n_plus, n_minus, n_zero) of a rational symmetric matrix.
+        y^T M y = sum_k (rows[k] . y[k:])^2 / (p_{k-1} p_k) + tail / p_{m-1},
 
-    Congruence elimination with the usual fix when only off-diagonal
-    entries are nonzero (add a row to make a nonzero diagonal pivot).
+    p_k = pivots[k] = rows[k][0] the k+1 leading minor, p_{-1} = 1.  A pivot
+    that is not positive means the leading block is not positive definite
+    (Sylvester's criterion): ValueError.
     """
-    n = len(G)
-    M = [[Fraction(G[i][j]) for j in range(n)] for i in range(n)]
-    pos = neg = zero = 0
-    for k in range(n):
-        piv = next((i for i in range(k, n) if M[i][i] != 0), None)
-        if piv is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if M[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                zero += n - k
-                break
-            i, j = off
-            for r in range(n):
-                M[i][r] += M[j][r]
-            for r in range(n):
-                M[r][i] += M[r][j]
-            piv = i
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            for r in range(n):
-                M[r][k], M[r][piv] = M[r][piv], M[r][k]
-        p = M[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if M[i][k] != 0:
-                f = M[i][k] / p
-                for j in range(k, n):
-                    M[i][j] -= f * M[k][j]
-                for j in range(k, n):
-                    M[j][i] = M[i][j]
-    return pos, neg, zero
-
-
-def quadratic_completion(Q):
-    """Write a positive definite rational form as sum of completed squares.
-
-    Returns (d, u) with Q(x) = sum_i d_i * (x_i + sum_{j>i} u[i][j] x_j)^2.
-    Raises ValueError if Q is not positive definite.
-    """
-    n = len(Q)
-    A = [[Fraction(Q[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        d[k] = A[k][k]
-        if d[k] <= 0:
+    m = len(M) - 1
+    A = [list(row) for row in M]
+    rows, pivots, prev = [], [], 1
+    for k in range(m):
+        p = A[k][k]
+        if p <= 0:
             raise ValueError("form is not positive definite")
-        for j in range(k + 1, n):
-            u[k][j] = A[k][j] / d[k]
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                A[i][j] -= A[k][i] * A[k][j] / d[k]
-                A[j][i] = A[i][j]
-    return d, u
+        rows.append(A[k][k:])
+        pivots.append(p)
+        # only the upper triangle is read, so only it is updated
+        for i in range(k + 1, m + 1):
+            a = A[k][i]
+            row = A[i]
+            for j in range(i, m + 1):
+                row[j] = (p * row[j] - a * A[k][j]) // prev
+        prev = p
+    return rows, pivots, A[m][m]
 
 
-def solve_completed_square(d, u, offsets, value, origin, basis):
+def solve_completed_square(rows, pivots, value, origin, basis):
     """Vectors origin + sum_i x_i*basis[i] over the integer solutions x of
-    sum_i d_i (x_i + t_i(x))^2 == value.
+    sum_i s_i^2 / (p_{i-1} p_i) == value, s_i = rows[i] . (x, 1)[i:].
 
-    Here t_i(x) = offsets[i] + sum_{j>i} u[i][j] x_j, with (d, u) from
-    quadratic_completion (every d_i > 0).  Solutions are listed with x_{n-1}
-    as the slowest coordinate and x_0 the fastest, each ascending; the zero
-    origin with the unit basis lists the coordinates x themselves.
+    (rows, pivots) come from integer_completion: rows[i] holds p_i, the
+    coefficients of x_{i+1} ... x_{n-1} and the constant term, and every
+    p_i > 0 (p_{-1} = 1).  Solutions are listed with x_{n-1} as the slowest
+    coordinate and x_0 the fastest, each ascending; the zero origin with
+    the unit basis lists the coordinates x themselves.
 
     The descent (Fincke & Pohst, Math. Comp. 44, 1985) runs in integers
-    only.  Row i of the shift is scaled once by den_i, the lcm of its
-    denominators, so s_i = den_i*x_i + T_i(x) is an integer with T_i linear
-    in the outer coordinates; one factor W makes W*value and every
-    c_i = W*d_i/den_i^2 integral.  The budget R = W*remaining then stays
-    an integer, each level spends c_i*s_i^2 of it, and |s_i| <= isqrt(R // c_i)
-    bounds x_i exactly.  The last coordinate is solved, not scanned:
-    c_0*s_0^2 must equal what is left.  Levels i >= 2 carry the partial sum
+    only: s_i = p_i*x_i + T_i(x) with T_i linear in the outer coordinates,
+    and one factor W makes W*value and every c_i = W/(p_{i-1} p_i)
+    integral.  The budget R = W*remaining then stays an integer, each
+    level spends c_i*s_i^2 of it, and |s_i| <= isqrt(R // c_i) bounds x_i
+    exactly.  The last coordinate is solved, not scanned: c_0*s_0^2 must
+    equal what is left.  Levels i >= 2 carry the partial sum
     origin + sum_{k>=i} x_k*basis[k]; each solution adds x_1*basis[1] and
     x_0*basis[0] to it.
     """
-    n = len(d)
+    n = len(pivots)
     value = Fraction(value)
     if value < 0:
         return []
     if n == 0:
         return [tuple(origin)] if value == 0 else []
-    dens, rows = [], []
-    for i in range(n):
-        row = [Fraction(offsets[i])] + [Fraction(u[i][j]) for j in range(i + 1, n)]
-        den = lcm(*(f.denominator for f in row))
-        dens.append(den)
-        # rows[i] = (den_i*offsets[i], den_i*u[i][i+1], ..., den_i*u[i][n-1])
-        rows.append([f.numerator * (den // f.denominator) for f in row])
-    weights = [Fraction(d[i]) / (dens[i] * dens[i]) for i in range(n)]
-    W = lcm(value.denominator, *(f.denominator for f in weights))
-    c = [f.numerator * (W // f.denominator) for f in weights]
+    weights = [a * b for a, b in zip([1, *pivots], pivots)]
+    W = lcm(value.denominator, *weights)
+    c = [W // w for w in weights]
     out = []
     # rank 1 has no x_1: a zero column stands in for basis[1]
     x = [0] * max(n, 2)
@@ -261,10 +200,10 @@ def solve_completed_square(d, u, offsets, value, origin, basis):
 
     def descend(i, R, part):
         row = rows[i]
-        T = row[0]
+        T = row[-1]
         for k in range(i + 1, n):
             T += row[k - i] * x[k]
-        den, ci = dens[i], c[i]
+        den, ci = pivots[i], c[i]
         if i == 0:
             q, rem = divmod(R, ci)
             r = isqrt(q)

@@ -9,6 +9,11 @@ arithmetic.
 descent.  Its reference here is the per-level path the long way: the origin
 and the centre each from their own Gram product and Fraction solve, a descent
 over lattice coordinates, and one `AffineLattice.element` per class.
+
+The `Fraction` linear algebra the library replaced by one integer
+completion lives here too, as references for `intlinalg.integer_completion`
+and the surface model's Hodge-index check: the rational solve, the
+completed square and the signature by congruence elimination.
 """
 
 from fractions import Fraction
@@ -23,7 +28,96 @@ from dtseries.classenum import (
     _round_half_to_zero,
 )
 from dtseries.geometry import delta_invariant, pair_h4_h2, triple_product
-from dtseries.intlinalg import quadratic_completion, solve_integer_system, solve_rational
+from dtseries.intlinalg import solve_integer_system
+
+
+def solve_rational(A, b):
+    """Solve the square nonsingular system A x = b over Q."""
+    n = len(A)
+    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        M[col], M[piv] = M[piv], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [M[i][n] for i in range(n)]
+
+
+def symmetric_signature(G):
+    """Signature (n_plus, n_minus, n_zero) of a rational symmetric matrix.
+
+    Congruence elimination with the usual fix when only off-diagonal
+    entries are nonzero (add a row to make a nonzero diagonal pivot).
+    """
+    n = len(G)
+    M = [[Fraction(G[i][j]) for j in range(n)] for i in range(n)]
+    pos = neg = zero = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][i] != 0), None)
+        if piv is None:
+            off = None
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if M[i][j] != 0:
+                        off = (i, j)
+                        break
+                if off:
+                    break
+            if off is None:
+                zero += n - k
+                break
+            i, j = off
+            for r in range(n):
+                M[i][r] += M[j][r]
+            for r in range(n):
+                M[r][i] += M[r][j]
+            piv = i
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            for r in range(n):
+                M[r][k], M[r][piv] = M[r][piv], M[r][k]
+        p = M[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if M[i][k] != 0:
+                f = M[i][k] / p
+                for j in range(k, n):
+                    M[i][j] -= f * M[k][j]
+                for j in range(k, n):
+                    M[j][i] = M[i][j]
+    return pos, neg, zero
+
+
+def quadratic_completion(Q):
+    """Write a positive definite rational form as sum of completed squares.
+
+    Returns (d, u) with Q(x) = sum_i d_i * (x_i + sum_{j>i} u[i][j] x_j)^2.
+    Raises ValueError if Q is not positive definite.
+    """
+    n = len(Q)
+    A = [[Fraction(Q[i][j]) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        d[k] = A[k][k]
+        if d[k] <= 0:
+            raise ValueError("form is not positive definite")
+        for j in range(k + 1, n):
+            u[k][j] = A[k][j] / d[k]
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                A[i][j] -= A[k][i] * A[k][j] / d[k]
+                A[j][i] = A[i][j]
+    return d, u
 
 
 def enumerate_contributions(S, X, gamma, max_power, window):

@@ -1,12 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, isqrt, prod
+from operator import mul
 
 import pytest
 
 import classenum_reference
+from classenum_reference import solve_rational
 from dtseries.classenum import (
+    IndefiniteKernelError,
     beta_constraint_lattice,
     enumerate_beta,
     enumerate_contributions,
@@ -15,8 +19,7 @@ from dtseries.classenum import (
     xi_from_n,
 )
 from dtseries.fixtures import BUILTIN, get_fixture
-from dtseries.geometry import SurfaceModel
-from dtseries.intlinalg import solve_rational
+from dtseries.geometry import ChernVector, SurfaceModel, delta_invariant, run_all_checks
 
 
 def brute_force_betas(S, gamma, beta_sq, radius):
@@ -192,6 +195,77 @@ def test_enumerate_beta_keeps_both_parities_on_odd_kernels(gram):
         if got:
             found.add(beta_sq % 2)
     assert found == {0, 1}
+
+
+def test_indefinite_kernel_raises():
+    """quadric_p4_d2 with pushforward (3, -1) has the kernel class (1, 3) of
+    square +6: the lattice itself is refused, not just its enumeration."""
+    S = get_fixture("quadric_p4_d2").surface
+    S = dataclasses.replace(S, pushforward=((3, -1),))
+    for gamma in ((-1,), (0,), (2,)):
+        with pytest.raises(IndefiniteKernelError, match="constraint lattice"):
+            beta_constraint_lattice(S, gamma, S.push(S.L_S))
+        for beta_sq in (6, 0, -2):
+            with pytest.raises(IndefiniteKernelError, match="not negative definite"):
+                enumerate_beta(S, gamma, beta_sq)
+    # a semidefinite kernel: pushforward (1, 0) leaves (0, 1), of square 0
+    S = dataclasses.replace(S, pushforward=((1, 0),))
+    with pytest.raises(IndefiniteKernelError):
+        enumerate_beta(S, (Fraction(1, 2),), 0)
+
+
+def _unimodular(rng, n, steps):
+    """(U, U^-1) for a random U in GL(n, Z): a product of column shears
+    col_j += c col_i, each undone by the row shear row_i -= c row_j."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [row[:] for row in U]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in U:
+            row[j] += c * row[i]
+        V[i] = [a - c * b for a, b in zip(V[i], V[j])]
+    return U, V
+
+
+def test_enumerate_beta_independent_of_surface_basis():
+    """cubic_p4_d3's surface rewritten in a random basis U of Pic(S) (gram
+    U^T G U, pushforward P U, divisor classes U^-1 v) is accepted, and the
+    classes of each level beta^2 = 1 ... -8 are the old ones mapped by U^-1;
+    delta and the checks do not move.  The kernel forms are then far from
+    diagonal."""
+    rng = random.Random(41)
+    fx = get_fixture("cubic_p4_d3")
+    S = fx.surface
+    n = S.h2_rank
+    G = S.gram
+    for _ in range(3):
+        U, V = _unimodular(rng, n, 12)
+
+        def inv(v):
+            return tuple(sum(map(mul, row, v)) for row in V)
+
+        T = dataclasses.replace(
+            S,
+            gram=tuple(tuple(sum(U[a][i] * G[a][b] * U[b][j] for a in range(n) for b in range(n))
+                             for j in range(n)) for i in range(n)),
+            pushforward=tuple(tuple(sum(row[a] * U[a][j] for a in range(n)) for j in range(n))
+                              for row in S.pushforward),
+            K_S=inv(S.K_S), L_S=inv(S.L_S), O1_S=inv(S.O1_S),
+        )
+        assert any(T.gram[i][j] for i in range(n) for j in range(n) if i != j)
+        fy = dataclasses.replace(fx, surface=T)  # consistency with the threefold holds
+        assert delta_invariant(T) == delta_invariant(S)
+        for gamma in ((0,), (Fraction(1, 2),), (Fraction(-1, 2),), (Fraction(3, 2),)):
+            assert run_all_checks(fy.threefold, ChernVector(gamma), fy.candidates) == (
+                run_all_checks(fx.threefold, ChernVector(gamma), fx.candidates))
+        total = 0
+        for gamma in ((Fraction(1, 2),), (Fraction(-1, 2),), (Fraction(3, 2),)):
+            for beta_sq in range(1, -9, -1):
+                got = enumerate_beta(T, gamma, beta_sq)
+                assert got == sorted(inv(beta) for beta in enumerate_beta(S, gamma, beta_sq))
+                total += len(got)
+        assert total > 1000
 
 
 def _chi3(m):

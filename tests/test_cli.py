@@ -20,6 +20,7 @@ from dtseries.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     NMAX_CEILING,
+    ORDER_CEILING,
     build_parser,
     main,
 )
@@ -469,20 +470,24 @@ def test_oracle_integrality_error_exits_mismatch(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_indefinite_kernel_error_exits_mismatch(capsys, monkeypatch):
-    from dtseries import cli
-    from dtseries.classenum import IndefiniteKernelError
-
-    def broken(*args, **kwargs):
-        raise IndefiniteKernelError("form is not positive definite")
-
-    monkeypatch.setattr(cli, "enumerate_contributions", broken)
+def test_indefinite_kernel_error_exits_mismatch(capsys, tmp_path):
+    # quadric_p4_d2 with pushforward (3, -1): the kernel is spanned by (1, 3),
+    # of square +6, so no finite list of classes exists for any square
+    d = fixture_to_dict(get_fixture("quadric_p4_d2"))
+    d["surface"]["pushforward"] = [[3, -1]]
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(d))
     for command in ("classes", "series"):
-        code, out, err = run(capsys, command, "--fixture", "quadric_p4_d2")
-        assert code == EXIT_MISMATCH
-        assert out == ""
-        assert "error: form is not positive definite" in err
-        assert "Traceback" not in err
+        for fmt in ("pretty", "json", "csv"):
+            code, out, err = run(capsys, command, "--fixture", str(path), "--gamma", "ell",
+                                 "--format", fmt)
+            assert code == EXIT_MISMATCH, (command, fmt)
+            assert out == ""
+            assert err == ("error: quadric surface: the intersection form on the constraint "
+                           "lattice of gamma = (-1) is not negative definite\n")
+    # the checks do not enumerate classes
+    code, _, _ = run(capsys, "check", "--fixture", str(path), "--gamma", "ell")
+    assert code == EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +626,16 @@ def test_bad_order_and_window(capsys):
         capsys, "series", "--fixture", "quadric_p4_d2", "--order", "0"
     )
     assert code == EXIT_BAD_INPUT
+    # the order has a ceiling: above it both commands refuse at once
+    for command in ("classes", "series"):
+        code, out, err = run(capsys, command, "--fixture", "quadric_p4_d2", "--gamma", "ell",
+                             "--order", str(ORDER_CEILING + 1))
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == f"error: --order must lie in 1..{ORDER_CEILING}\n"
+    code, _, _ = run(capsys, "classes", "--fixture", "quadric_p4_d2", "--gamma", "ell",
+                     "--order", str(ORDER_CEILING), "--window", "0", "--format", "csv")
+    assert ORDER_CEILING == 2000
+    assert code == EXIT_OK
     code, _, _ = run(
         capsys, "classes", "--fixture", "quadric_p4_d2", "--window", "-1"
     )
@@ -729,8 +744,11 @@ def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
                      "gamma_params['r']", id="zero-denominator-in-gamma-params"),
         pytest.param("blowup_p3_point", ("gamma_param",), {"r": ["1/2", "0"]}, "'gamma_param'",
                      id="unknown-top-level-key"),
-        pytest.param("quadric_p4_d2", ("threefold", "triple"), [2], "malformed fixture data",
+        pytest.param("quadric_p4_d2", ("threefold", "triple"), [2], "triple tensor must be 1x1x1",
                      id="ragged-triple"),
+        pytest.param("quadric_p4_d2", ("threefold",), [1],
+                     "malformed fixture data: threefold must be a JSON object, not list",
+                     id="threefold-not-an-object"),
         pytest.param("quadric_p4_d2", ("gamma_names",), [["-1"]], "malformed fixture data",
                      id="gamma-names-not-a-table"),
         # the saved shape keeps the bundle key in toric.L_bundle

@@ -214,6 +214,26 @@ def test_load_malformed_dict(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(FixtureError, match=f"must be a JSON object, not {kind}$"):
             load_fixture(path)
+    # an int or a list where a list of lists or an object belongs: the
+    # message names the field, and the CLI exits 4 (both are ValueErrors)
+    for keys, value, message in (
+        (("threefold", "triple"), [2], "triple tensor must be 1x1x1"),
+        (("surface", "gram"), [0, 1], "gram must be 2x2"),
+        (("threefold",), [1], "threefold must be a JSON object, not list"),
+        (("surface",), 4, "surface must be a JSON object, not int"),
+        (("toric", "bundles"), [], "toric bundles must be a JSON object, not list"),
+        (("toric", "bundles", "L"), [1], "toric bundle 'L' must be a JSON object, not list"),
+        (("gamma_names",), [["-1"]], "gamma_names must be a JSON object, not list"),
+    ):
+        d = json.loads(json.dumps(fixture_to_dict(get_fixture("quadric_p4_d2"))))
+        *inner, last = keys
+        target = d
+        for key in inner:
+            target = target[key]
+        target[last] = value
+        path.write_text(json.dumps(d))
+        with pytest.raises((FixtureError, ModelError), match=message):
+            load_fixture(path)
 
 
 def test_inconsistent_fixture_rejected():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from classenum_reference import symmetric_signature
 from dtseries.fixtures import BUILTIN, FixtureError, get_fixture
 from dtseries.geometry import (
     ChernVector,
@@ -180,6 +181,32 @@ def test_consistency_detects_broken_adjunction():
         check_consistency(fx.threefold, broken)
 
 
+def test_surface_model_hodge_check_matches_signature():
+    """A surface model is accepted exactly when its form has signature
+    (1, s-1, 0) and O1_S^2 > 0, as the reference congruence elimination in
+    Fractions finds, on random forms of rank at most 5."""
+    rng = random.Random(17)
+    accepted = 0
+    for _ in range(4000):
+        s = rng.randint(1, 5)
+        G = [[0] * s for _ in range(s)]
+        for i in range(s):
+            for j in range(i, s):
+                G[i][j] = G[j][i] = rng.randint(-3, 3)
+        h = tuple(rng.randint(-2, 2) for _ in range(s))
+        hh = sum(G[i][j] * h[i] * h[j] for i in range(s) for j in range(s))
+        want = symmetric_signature(G) == (1, s - 1, 0) and hh > 0
+        try:
+            SurfaceModel(name="random", h2_rank=s, gram=tuple(map(tuple, G)), K_S=h, L_S=h,
+                         O1_S=h, euler=0, pushforward=())
+        except ModelError as exc:
+            assert not want and "signature" in str(exc)
+        else:
+            assert want
+            accepted += 1
+    assert accepted > 400
+
+
 def test_model_validators_reject_bad_data():
     fx = get_fixture("quadric_p4_d2")
     S = fx.surface
@@ -193,6 +220,13 @@ def test_model_validators_reject_bad_data():
             name="bad", h2_rank=2, gram=((-1, 0), (0, -1)), K_S=S.K_S, L_S=S.L_S,
             O1_S=S.O1_S, euler=4, pushforward=S.pushforward,
         )
+    # the right signature, but O1_S^2 = 0 or < 0: not a polarization
+    for h in ((1, 0), (1, -1)):
+        with pytest.raises(ModelError, match="signature"):
+            SurfaceModel(
+                name="bad", h2_rank=2, gram=S.gram, K_S=S.K_S, L_S=S.L_S,
+                O1_S=h, euler=4, pushforward=S.pushforward,
+            )
     X = fx.threefold
     with pytest.raises(ModelError, match="disagree with triple"):
         X.__class__(**{**X.__dict__, "quad": (((3,),),)})

@@ -5,14 +5,13 @@ from math import ceil, floor, isqrt, lcm
 
 import pytest
 
+from classenum_reference import quadratic_completion, solve_rational, symmetric_signature
 from dtseries.intlinalg import (
     identity_matrix,
-    quadratic_completion,
+    integer_completion,
     smith_normal_form,
     solve_completed_square,
     solve_integer_system,
-    solve_rational,
-    symmetric_signature,
 )
 
 
@@ -187,49 +186,102 @@ def test_floor_sqrt_fraction():
         floor_sqrt_fraction(Fraction(-1))
 
 
+def _positive_definite(rng, n, k):
+    """M^T M + I for a random integer M with entries in [-k, k]: eigenvalues >= 1."""
+    M = [[rng.randint(-k, k) for _ in range(n)] for _ in range(n)]
+    return [[sum(M[k][i] * M[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+
+
+def _bordered(A, v, e):
+    """(x, 1)^T M (x, 1) = x^T A x + 2 v.x + e as one integer matrix M."""
+    return [row + [vi] for row, vi in zip(A, v)] + [list(v) + [e]]
+
+
+def _completed(rows, pivots, tail, y):
+    """sum_k (rows[k] . y[k:])^2 / (p_{k-1} p_k) + tail / p_{m-1}, in Fractions."""
+    ps = [1, *pivots]
+    return sum(Fraction(sum(a * b for a, b in zip(row, y[k:])) ** 2, ps[k] * ps[k + 1])
+               for k, row in enumerate(rows)) + Fraction(tail, ps[-1])
+
+
+def test_integer_completion_reproduces_form():
+    """y^T M y equals the completed squares plus the tail exactly, and the
+    completion is the Fraction one scaled to integers: d_k = p_k / p_{k-1},
+    u[k][j] = rows[k][j - k] / p_k."""
+    rng = random.Random(13)
+    for trial in range(60):
+        m = trial % 6
+        A = _positive_definite(rng, m, 2)
+        M = _bordered(A, [rng.randint(-9, 9) for _ in range(m)], rng.randint(-20, 20))
+        rows, pivots, tail = integer_completion(M)
+        assert [row[0] for row in rows] == pivots and all(p > 0 for p in pivots)
+        assert [len(row) for row in rows] == [m + 1 - k for k in range(m)]
+        for _ in range(5):
+            y = [rng.randint(-6, 6) for _ in range(m)] + [1]
+            direct = sum(M[i][j] * y[i] * y[j] for i in range(m + 1) for j in range(m + 1))
+            assert _completed(rows, pivots, tail, y) == direct
+        if m:
+            d, u = quadratic_completion(A)
+            assert d == [Fraction(p, q) for p, q in zip(pivots, [1, *pivots])]
+            assert all(u[k][j] == Fraction(rows[k][j - k], pivots[k])
+                       for k in range(m) for j in range(k + 1, m))
+    # the last row and column need not be definite
+    assert integer_completion([[-3]]) == ([], [], -3)
+    assert integer_completion([[2, 1], [1, -5]]) == ([[2, 1]], [2], -11)
+
+
+def test_integer_completion_rejects_non_definite_blocks():
+    # indefinite, negative definite and singular positive semidefinite
+    # leading blocks, each bordered by a zero row and column
+    for block in ([[0, 1], [1, 0]], [[-1]], [[1, 1], [1, 1]], [[1, 2], [2, 4]],
+                  [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            integer_completion(_bordered(block, [0] * len(block), 0))
+
+
 def test_solve_completed_square_matches_box_scan():
     """The descent must return exactly the box-scan solution set of
-    sum_i d_i (x_i + offsets[i] + sum_{j>i} u[i][j] x_j)^2 == value, in the
-    documented order, for ranks 0-4, zero and fractional offsets and
-    non-integral values.
+    y^T M y == target, y = (x, 1), in the documented order, for ranks 0-4,
+    zero and fractional centres and non-integral values.
 
-    With (d, u) the completion of A, that sum is Q_A(x + z) where z solves
-    z_i + sum_{j>i} u[i][j] z_j = offsets[i].  A = M^T M + I has eigenvalues
-    >= 1, so every solution has |x_i + z_i| <= sqrt(value): the scan box is
-    rigorous.  The scan evaluates Q_A itself, not the completed squares."""
+    M borders D^2 A with the centre z (D its common denominator) and a
+    constant e, so y^T M y = Q_A(D x + D z) + e: its real minimum is e, the
+    completion's tail / p_{m-1}, and the descent's value is target - e.
+    A = M^T M + I has eigenvalues >= 1, so every solution has
+    |x_i + z_i| <= sqrt(value) / D: the scan box is rigorous.  The scan
+    evaluates Q_A itself, not the completed squares."""
     rng = random.Random(23)
     for trial in range(60):
         n = trial % 5
-        k = 1 if n == 4 else 2  # keeps the rank-4 scan boxes to a few thousand points
-        M = [[rng.randint(-k, k) for _ in range(n)] for _ in range(n)]
-        A = [[sum(M[k][i] * M[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
-        d, u = quadratic_completion(A)
+        A = _positive_definite(rng, n, 1 if n == 4 else 2)  # rank-4 boxes stay small
         if trial % 3:
-            offs = [Fraction(rng.randint(-9, 9), rng.randint(2, 6)) for _ in range(n)]
+            z = [Fraction(rng.randint(-9, 9), rng.randint(2, 6)) for _ in range(n)]
         else:
-            offs = [Fraction(0)] * n
-        z = [Fraction(0)] * n
-        for i in reversed(range(n)):
-            z[i] = offs[i] - sum(u[i][j] * z[j] for j in range(i + 1, n))
-        # a probe near -z keeps the value, and so the scan box, small
-        probe = [round(-c) + rng.randint(-1, 1) for c in z]
-        hit = sum(A[i][j] * (probe[i] + z[i]) * (probe[j] + z[j]) for i in range(n) for j in range(n))
-        # Q_A(x + z) == value  <=>  Q_A(D x + D z) == D^2 value, all in integers
+            z = [Fraction(0)] * n
         D = lcm(1, *(c.denominator for c in z))
         Dz = [int(c * D) for c in z]
+        ADz = [sum(a * b for a, b in zip(row, Dz)) for row in A]
+        e = rng.randint(-5, 5)
+        M = _bordered([[D * D * a for a in row] for row in A], [D * c for c in ADz],
+                      sum(a * b for a, b in zip(ADz, Dz)) + e)
+        rows, pivots, tail = integer_completion(M)
+        assert Fraction(tail, pivots[-1] if pivots else 1) == e
+
+        def Q(x):
+            w = [D * xi + dz for xi, dz in zip(x, Dz)]
+            return sum(A[i][j] * w[i] * w[j] for i in range(n) for j in range(n))
+
+        # a probe near -z keeps the value, and so the scan box, small
+        probe = [round(-c) + rng.randint(-1, 1) for c in z]
+        hit = Q(probe)
         for value in (hit, hit + Fraction(1, 3), Fraction(rng.randint(0, 24), rng.randint(1, 6)), Fraction(0)):
-            got = solve_completed_square(d, u, offs, value, [0] * n, identity_matrix(n))
-            r = floor_sqrt_fraction(value)
+            got = solve_completed_square(rows, pivots, value, [0] * n, identity_matrix(n))
+            r = floor_sqrt_fraction(value / (D * D))
             ranges = [range(floor(-c) - r, ceil(-c) + r + 1) for c in z]
-            target = D * D * value
-            want = []
-            for x in product(*ranges):
-                w = [D * xi + dz for xi, dz in zip(x, Dz)]
-                if sum(A[i][j] * w[i] * w[j] for i in range(n) for j in range(n)) == target:
-                    want.append(x)
+            want = [x for x in product(*ranges) if Q(x) == value]
             assert sorted(got) == sorted(want)
             assert got == sorted(got, key=lambda v: v[::-1])
-        assert tuple(probe) in solve_completed_square(d, u, offs, hit, [0] * n, identity_matrix(n))
-    assert solve_completed_square([], [], [], 0, [], []) == [()]
-    assert solve_completed_square([], [], [], Fraction(1, 2), [], []) == []
-    assert solve_completed_square([Fraction(1)], [[Fraction(0)]], [Fraction(0)], -1, [0], [[1]]) == []
+        assert tuple(probe) in solve_completed_square(rows, pivots, hit, [0] * n, identity_matrix(n))
+    assert solve_completed_square([], [], 0, [], []) == [()]
+    assert solve_completed_square([], [], Fraction(1, 2), [], []) == []
+    assert solve_completed_square([[1, 0]], [1], -1, [0], [[1]]) == []
