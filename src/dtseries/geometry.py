@@ -1,12 +1,14 @@
 """Intersection arithmetic for a polarized threefold carrying a surface class.
 
-A ThreefoldModel is pure linear-algebra data: the triple-intersection tensor
-on a basis of divisor classes, the canonical class, a polarization, the
-distinguished surface class L, and a basis of curve classes (degree-4
-cohomology) with its pairing against divisors.  A SurfaceModel carries the
-intersection form of a member S of |L| together with the pushforward of its
-curve classes into the threefold.  All checks below are exact integer or
-rational identities; nothing is approximated.
+A ThreefoldModel is pure linear-algebra data on a basis of divisor classes
+and a basis of curve classes (degree-4 cohomology): the curve class of each
+product D_a.D_b, the pairing of curve classes with divisors, the canonical
+class, a polarization and the distinguished surface class L.  Every number
+is stored once: a triple product is the curve class a.b paired with c, and
+the ranks are vector lengths.  A SurfaceModel carries the intersection form
+of a member S of |L| together with the pushforward of its curve classes
+into the threefold.  All checks below are exact integer or rational
+identities; nothing is approximated.
 
 run_all_checks is the one entry point to the hypotheses of the product
 formula: it evaluates the two positivity inequalities, the asserted
@@ -80,65 +82,68 @@ class ChernVector:
 
 @dataclass(frozen=True)
 class ThreefoldModel:
+    """Divisor classes D_a and curve classes C_i of a threefold, each triple
+    product read as the curve class D_a.D_b paired with D_c.  The ranks are
+    the lengths of L and of the pairing."""
+
     name: str
-    h2_rank: int
-    triple: tuple  # triple[a][b][c] = D_a . D_b . D_c
     canonical: tuple  # K_X in the divisor basis
     polarization: tuple  # O(1) in the divisor basis
     L: tuple  # the surface class
-    h4_rank: int
     quad: tuple  # quad[a][b] = curve-class coordinates of D_a . D_b
     h4_h2_pairing: tuple  # pairing[i][a] = C_i . D_a
     vanishing_asserted: bool
     dim_linear_system: int | None = None
 
+    @property
+    def h2_rank(self):
+        return len(self.L)
+
+    @property
+    def h4_rank(self):
+        return len(self.h4_h2_pairing)
+
     def __post_init__(self):
         _typed_fields(self)
         r, h = self.h2_rank, self.h4_rank
-        if not _ints(self.triple, r, r, r):
-            raise ModelError(f"{self.name}: triple tensor must be {r}x{r}x{r}")
         for v in (self.canonical, self.polarization, self.L):
             if not _ints(v, r):
                 raise ModelError(
                     f"{self.name}: divisor vectors must have length {r} and integer entries"
                 )
-        for a in range(r):
-            for b in range(r):
-                for c in range(r):
-                    s = {self.triple[a][b][c], self.triple[a][c][b], self.triple[b][a][c],
-                         self.triple[b][c][a], self.triple[c][a][b], self.triple[c][b][a]}
-                    if len(s) != 1:
-                        raise ModelError(f"{self.name}: triple tensor not symmetric at {(a, b, c)}")
-        if not _ints(self.quad, r, r, h):
-            raise ModelError(f"{self.name}: quad must be {r}x{r} of curve classes of length {h}")
         if not _ints(self.h4_h2_pairing, h, r):
             raise ModelError(f"{self.name}: pairing must be {h}x{r}")
+        if not _ints(self.quad, r, r, h):
+            raise ModelError(f"{self.name}: quad must be {r}x{r} of curve classes of length {h}")
+        # quad symmetric in (a, b) and (D_a.D_b).D_c symmetric in (b, c)
+        # make D_a.D_b.D_c symmetric under every permutation
+        cols = [[row[c] for row in self.h4_h2_pairing] for c in range(r)]
         for a in range(r):
             for b in range(r):
                 if self.quad[a][b] != self.quad[b][a]:
                     raise ModelError(f"{self.name}: quad not symmetric at {(a, b)}")
-                # contracting D_a.D_b (as a curve class) with D_c must give the triple product
-                for c in range(r):
-                    lhs = sum(
-                        self.quad[a][b][i] * self.h4_h2_pairing[i][c] for i in range(h)
-                    )
-                    if lhs != self.triple[a][b][c]:
+                for c in range(b):
+                    if (sum(map(mul, self.quad[a][b], cols[c]))
+                            != sum(map(mul, self.quad[a][c], cols[b]))):
                         raise ModelError(
-                            f"{self.name}: quad/pairing disagree with triple at {(a, b, c)}"
+                            f"{self.name}: triple product not symmetric at {(a, b, c)}"
                         )
 
 
 @dataclass(frozen=True)
 class SurfaceModel:
     name: str
-    h2_rank: int  # rank s of the surface divisor lattice
-    gram: tuple  # s x s intersection form, signature (1, s-1)
+    gram: tuple  # s x s intersection form, signature (1, s-1); s is the rank
     K_S: tuple
     L_S: tuple  # restriction of L to S
     O1_S: tuple  # restriction of the polarization to S
     euler: int
     pushforward: tuple  # h4_rank x s matrix into the threefold curve basis
     torsion_note: str = ""
+
+    @property
+    def h2_rank(self):
+        return len(self.gram)
 
     def __post_init__(self):
         _typed_fields(self)
@@ -160,24 +165,25 @@ class SurfaceModel:
         # a negative definite form on h^perp.  N = w w^T - h^2 G, w = G h,
         # vanishes on h and is -h^2 G on h^perp, so that holds exactly when
         # N is positive definite on a hyperplane x_j = 0 with h_j != 0: with
-        # x_j moved last, N's leading block
+        # x_j moved last, N's leading block.  Rank 0 has no such signature.
         h = self.O1_S
         w = [sum(map(mul, row, h)) for row in self.gram]
         hh = sum(map(mul, w, h))
-        j = next((i for i in range(s) if h[i]), 0)
-        order = sorted(range(s), key=lambda i: i == j)
-        try:
-            integer_completion([[w[a] * w[b] - hh * self.gram[a][b] for b in order]
-                                for a in order])
-        except ValueError:
-            hh = 0
+        if hh > 0:
+            j = next(i for i in range(s) if h[i])
+            order = sorted(range(s), key=lambda i: i == j)
+            try:
+                integer_completion([[w[a] * w[b] - hh * self.gram[a][b] for b in order]
+                                    for a in order])
+            except ValueError:
+                hh = 0
         if hh <= 0:
             raise ModelError(f"{self.name}: intersection form must have signature "
                              f"(1, {s - 1}, 0) with O1_S^2 > 0")
 
     def dot(self, u, v):
         """Intersection number u . v on the surface."""
-        return sum(self.gram[i][j] * u[i] * v[j] for i in range(self.h2_rank) for j in range(self.h2_rank))
+        return sum(g * u[i] * v[j] for i, row in enumerate(self.gram) for j, g in enumerate(row))
 
     def push(self, beta):
         """Pushforward of a surface curve class into the threefold curve basis."""
@@ -228,21 +234,20 @@ class AssumptionReport:
         return out
 
 
-def triple_product(X, a, b, c):
-    """Cup product a.b.c of three divisor vectors (entries may be rational)."""
+def curve_class(X, a, b):
+    """Curve-class coordinates of the product a.b of two divisor vectors
+    (entries may be rational)."""
     r = X.h2_rank
-    if not (len(a) == len(b) == len(c) == r):
+    if not (len(a) == len(b) == r):
         raise ModelError("divisor vector of wrong length")
-    total = 0
+    out = [0] * X.h4_rank
     for i in range(r):
-        if not a[i]:
-            continue
-        for j in range(r):
-            if not b[j]:
-                continue
-            row = X.triple[i][j]
-            total += a[i] * b[j] * sum(row[k] * c[k] for k in range(r) if c[k])
-    return total
+        if a[i]:
+            for j in range(r):
+                if b[j]:
+                    for k, x in enumerate(X.quad[i][j]):
+                        out[k] += a[i] * b[j] * x
+    return tuple(out)
 
 
 def pair_h4_h2(X, u, v):
@@ -254,16 +259,10 @@ def pair_h4_h2(X, u, v):
     )
 
 
-def l_squared_h4(X):
-    """Curve-class coordinates of L^2."""
-    r = X.h2_rank
-    out = [0] * X.h4_rank
-    for a in range(r):
-        for b in range(r):
-            if X.L[a] and X.L[b]:
-                for i in range(X.h4_rank):
-                    out[i] += X.L[a] * X.L[b] * X.quad[a][b][i]
-    return tuple(out)
+def triple_product(X, a, b, c):
+    """Cup product a.b.c of three divisor vectors: the curve class a.b
+    paired with c."""
+    return pair_h4_h2(X, curve_class(X, a, b), c)
 
 
 def minus(v):
@@ -345,6 +344,6 @@ def check_consistency(X, S):
     KplusL = tuple(k + l for k, l in zip(X.canonical, X.L))
     if S.dot(S.K_S, S.L_S) != triple_product(X, KplusL, X.L, X.L):
         raise ModelError(f"{S.name}: adjunction K_S.L_S = (K_X+L).L^2 fails")
-    if S.push(S.L_S) != l_squared_h4(X):
+    if S.push(S.L_S) != curve_class(X, X.L, X.L):
         raise ModelError(f"{S.name}: pushforward of L_S is not the class of L^2")
     return True

@@ -3,10 +3,10 @@
 A toric surface is given by its smooth fan alone: each fixed point's
 chart is the dual basis (w1, w2) of its cone's rays (v_i, v_j), read off
 the rays where weights are evaluated.  A ToricSurfaceModel checks its fan
-and its bundles when it is built, so every model that exists is smooth and
-consistent.  Every torus weight t there is written in chart coordinates
-(<t, v_i>, <t, v_j>): the bundle O(sum_k a_k D_k) has the weight
-(a_i, a_j), and a cell with arm a and leg l has the tangent weights
+and its bundles when it is built, so every model that exists is smooth,
+complete and consistent.  Every torus weight t there is written in chart
+coordinates (<t, v_i>, <t, v_j>): the bundle O(sum_k a_k D_k) has the
+weight (a_i, a_j), and a cell with arm a and leg l has the tangent weights
 (-l, a+1) and (l+1, -a) in every chart (Carlsson-Okounkov, *Exts and
 vertex operators*, Duke 161, 2012).  At a point `at` of the Lie algebra a
 weight (x, y) is x*P + y*Q, with P = <w1, at> and Q = <w2, at>.
@@ -119,7 +119,8 @@ class ToricSurfaceModel:
     at cone (i, j) has the chart coordinates (a_i, a_j).  Raises ModelError
     when there is no cone, when a ray or cone is not an integer pair, when a
     cone index is out of range, when det(v_i, v_j) is not +-1 (a repeated
-    index gives 0), or when a bundle is no Linearization with one divisor
+    index gives 0), when a ray does not lie in exactly two cones (the fan is
+    not complete), or when a bundle is no Linearization with one divisor
     coefficient per ray.
     """
 
@@ -146,6 +147,10 @@ class ToricSurfaceModel:
             det = a * d - b * c
             if det not in (1, -1):  # also catches a repeated index (det 0)
                 raise ModelError(f"{name}: cone {[i, j]} is not smooth (det {det})")
+        for k in range(len(rays)):  # a complete fan: each ray bounds two cones
+            count = sum(k in cone for cone in self.cones)
+            if count != 2:
+                raise ModelError(f"{name}: incomplete fan: ray {k} lies in {count} cone(s), not 2")
         for key, lin in self.bundles.items():
             if type(lin) is not Linearization:
                 raise ModelError(f"{name}: bundle {key!r} must be a Linearization, not {lin!r}")

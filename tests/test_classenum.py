@@ -183,7 +183,7 @@ def test_enumerate_beta_matches_reference():
 def test_enumerate_beta_keeps_both_parities_on_odd_kernels(gram):
     """The parity prune applies only when every diagonal entry of the kernel
     form is even; on these kernels both parities of beta^2 occur."""
-    S = SurfaceModel(name="odd kernel", h2_rank=3, gram=gram, K_S=(-3, 1, 1), L_S=(2, 0, 0),
+    S = SurfaceModel(name="odd kernel", gram=gram, K_S=(-3, 1, 1), L_S=(2, 0, 0),
                      O1_S=(1, 0, 0), euler=5, pushforward=((1, 0, 0),))
     lat = beta_constraint_lattice(S, (0,), S.push(S.L_S))
     assert lat.rank == 2 and any(S.dot(b, b) % 2 for b in lat.basis)

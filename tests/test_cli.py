@@ -4,6 +4,7 @@ All invocations go through main(argv) so exit codes and emitted text are
 exactly what a shell user would see.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ from dtseries.cli import (
     build_parser,
     main,
 )
+from dtseries.classenum import enumerate_beta
 from dtseries.fixtures import BUILTIN, fixture_to_dict, get_fixture, save_fixture
 from dtseries.qseries import frac_str
 from oracle_reference import direct_trace_terms
@@ -744,8 +746,16 @@ def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
                      "gamma_params['r']", id="zero-denominator-in-gamma-params"),
         pytest.param("blowup_p3_point", ("gamma_param",), {"r": ["1/2", "0"]}, "'gamma_param'",
                      id="unknown-top-level-key"),
-        pytest.param("quadric_p4_d2", ("threefold", "triple"), [2], "triple tensor must be 1x1x1",
-                     id="ragged-triple"),
+        pytest.param("quadric_p4_d2", ("threefold", "quad"), [[2]],
+                     "quad must be 1x1 of curve classes of length 1", id="ragged-quad"),
+        pytest.param("blowup_p3_line", ("threefold", "quad"),
+                     [[[1, 0], [1, 1]], [[1, 1], [-1, -2]]],
+                     "triple product not symmetric at (0, 1, 0)", id="asymmetric-quad"),
+        # a key of the older schema, whose numbers are now derived
+        pytest.param("quadric_p4_d2", ("threefold", "triple"), [[[2]]],
+                     "unexpected keyword argument 'triple'", id="old-key-triple"),
+        pytest.param("quadric_p4_d2", ("surface", "h2_rank"), 2,
+                     "unexpected keyword argument 'h2_rank'", id="old-key-h2-rank"),
         pytest.param("quadric_p4_d2", ("threefold",), [1],
                      "malformed fixture data: threefold must be a JSON object, not list",
                      id="threefold-not-an-object"),
@@ -793,6 +803,62 @@ def test_saved_fixture_matches_builtin(capsys, tmp_path, name):
         builtin = run(capsys, cmd, "--fixture", name, *flags)
         loaded = run(capsys, cmd, "--fixture", str(path), *flags)
         assert loaded[:2] == builtin[:2], (cmd, *flags)
+
+
+def _in_basis(fx, U):
+    """The fixture with its surface rewritten in the basis U of Pic(S), a
+    2x2 integer matrix of determinant +-1: gram U^T G U, pushforward P U,
+    and U^-1 v for K_S, L_S, O1_S and every toric bundle's surface class."""
+    (a, b), (c, d) = U
+    det = a * d - b * c
+
+    def inv(v):  # U^-1 = adj(U) / det(U), exact for det = +-1
+        return ((d * v[0] - b * v[1]) // det, (a * v[1] - c * v[0]) // det)
+
+    def times_U(row):
+        return tuple(sum(row[k] * U[k][j] for k in range(2)) for j in range(2))
+
+    S = fx.surface
+    T = dataclasses.replace(
+        S, gram=tuple(times_U(col) for col in zip(*map(times_U, S.gram))),
+        pushforward=tuple(map(times_U, S.pushforward)),
+        K_S=inv(S.K_S), L_S=inv(S.L_S), O1_S=inv(S.O1_S))
+    bundles = {key: dataclasses.replace(lin, surface_class=inv(lin.surface_class))
+               for key, lin in fx.toric.bundles.items()}
+    toric = dataclasses.replace(fx.toric, bundles=bundles)
+    return dataclasses.replace(fx, surface=T, toric=toric), inv
+
+
+@pytest.mark.parametrize("U", [((1, 1), (0, 1)), ((2, 1), (1, 1)), ((-1, 0), (3, 1))])
+def test_quadric_in_another_surface_basis_prints_the_same(capsys, tmp_path, U):
+    # the quadric's surface P1 x P1 in the basis U of Pic(S), saved and run
+    # by path: only the classes (and the series blocks) name beta, which
+    # moves to U^-1 beta
+    fx = get_fixture("quadric_p4_d2")
+    fy, inv = _in_basis(fx, U)
+    assert fy.surface.gram != fx.surface.gram
+    path = tmp_path / "quadric_in_basis.json"
+    save_fixture(fy, path)
+    for cmd in ("check", "oracle", "verify"):
+        for fmt in ("pretty", "json", "csv"):
+            builtin = run(capsys, cmd, "--fixture", "quadric_p4_d2", "--format", fmt)
+            assert run(capsys, cmd, "--fixture", str(path), "--format", fmt)[:2] == builtin[:2]
+    for gamma in ("ell", "2ell"):
+        flags = ("--gamma", gamma, "--order", "4", "--window", "2")
+        builtin = run(capsys, "series", "--fixture", "quadric_p4_d2", *flags, "--format", "csv")
+        assert run(capsys, "series", "--fixture", str(path), *flags, "--format", "csv") == builtin
+
+        def lines(fixture):
+            out = run(capsys, "series", "--fixture", fixture, *flags)[1].splitlines()
+            return [line for line in out if line.lstrip().startswith(("convention", "total"))]
+        assert len(lines("quadric_p4_d2")) == 2
+        assert lines(str(path)) == lines("quadric_p4_d2")
+        g, found = fx.gamma_names[gamma], 0
+        for beta_sq in range(2, -13, -1):
+            got = enumerate_beta(fy.surface, g, beta_sq)
+            assert got == sorted(inv(beta) for beta in enumerate_beta(fx.surface, g, beta_sq))
+            found += len(got)
+        assert found >= 4
 
 
 def _src_env(**extra):

@@ -217,7 +217,11 @@ def test_load_malformed_dict(tmp_path):
     # an int or a list where a list of lists or an object belongs: the
     # message names the field, and the CLI exits 4 (both are ValueErrors)
     for keys, value, message in (
-        (("threefold", "triple"), [2], "triple tensor must be 1x1x1"),
+        (("threefold", "quad"), [2], "quad must be 1x1 of curve classes of length 1"),
+        # the ranks and the triple products are derived, not stored
+        (("threefold", "triple"), [[[2]]], "unexpected keyword argument 'triple'"),
+        (("threefold", "h2_rank"), 1, "unexpected keyword argument 'h2_rank'"),
+        (("surface", "h2_rank"), 2, "unexpected keyword argument 'h2_rank'"),
         (("surface", "gram"), [0, 1], "gram must be 2x2"),
         (("threefold",), [1], "threefold must be a JSON object, not list"),
         (("surface",), 4, "surface must be a JSON object, not int"),

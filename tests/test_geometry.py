@@ -11,9 +11,9 @@ from dtseries.geometry import (
     ModelError,
     SurfaceModel,
     check_consistency,
+    curve_class,
     delta_invariant,
     hilbert_coeffs,
-    l_squared_h4,
     pair_h4_h2,
     run_all_checks,
     stability_forbidden_m,
@@ -36,6 +36,32 @@ def test_triple_product_is_symmetric_and_trilinear():
         s = rng.randint(-3, 3)
         lhs = triple_product(X, tuple(x + s * y for x, y in zip(a, d)), b, c)
         assert lhs == t + s * triple_product(X, d, b, c)
+
+
+# the triple-intersection tensors D_a.D_b.D_c the builtin threefolds once
+# stored beside their curve classes, typed by hand
+HAND_TYPED_TRIPLE = {
+    "quadric_p4_d1": (((1,),),),
+    "quadric_p4_d2": (((2,),),),
+    "cubic_p4_d3": (((3,),),),
+    "quartic_p4_d4": (((4,),),),
+    "blowup_p3_point": (((1, 0), (0, 0)), ((0, 0), (0, -1))),
+    "blowup_p3_line": (((1, 0), (0, -1)), ((0, -1), (-1, 2))),
+}
+
+
+def test_triple_product_matches_hand_typed_tensors():
+    # the blow-ups at every polarization kL - E up to k = 4 (L - E does not
+    # polarize the line's blow-up)
+    ks = {"blowup_p3_point": (1, 2, 3, 4), "blowup_p3_line": (2, 3, 4)}
+    for name, triple in HAND_TYPED_TRIPLE.items():
+        for k in ks.get(name, (None,)):
+            X = get_fixture(name, k=k).threefold
+            r = len(triple)
+            e = [tuple(int(i == a) for i in range(r)) for a in range(r)]
+            got = tuple(tuple(tuple(triple_product(X, e[a], e[b], e[c]) for c in range(r))
+                              for b in range(r)) for a in range(r))
+            assert got == triple, (name, k)
 
 
 def _checks(fx, gamma=None):
@@ -167,14 +193,15 @@ def test_consistency_all_fixtures():
     for name in BUILTIN:
         fx = get_fixture(name)
         assert check_consistency(fx.threefold, fx.surface)
-        assert fx.surface.push(fx.surface.L_S) == l_squared_h4(fx.threefold)
+        X = fx.threefold
+        assert fx.surface.push(fx.surface.L_S) == curve_class(X, X.L, X.L)
 
 
 def test_consistency_detects_broken_adjunction():
     fx = get_fixture("quadric_p4_d2")
     S = fx.surface
     broken = SurfaceModel(
-        name=S.name, h2_rank=S.h2_rank, gram=S.gram, K_S=(-2, -4), L_S=S.L_S,
+        name=S.name, gram=S.gram, K_S=(-2, -4), L_S=S.L_S,
         O1_S=S.O1_S, euler=S.euler, pushforward=S.pushforward,
     )
     with pytest.raises(ModelError):
@@ -197,7 +224,7 @@ def test_surface_model_hodge_check_matches_signature():
         hh = sum(G[i][j] * h[i] * h[j] for i in range(s) for j in range(s))
         want = symmetric_signature(G) == (1, s - 1, 0) and hh > 0
         try:
-            SurfaceModel(name="random", h2_rank=s, gram=tuple(map(tuple, G)), K_S=h, L_S=h,
+            SurfaceModel(name="random", gram=tuple(map(tuple, G)), K_S=h, L_S=h,
                          O1_S=h, euler=0, pushforward=())
         except ModelError as exc:
             assert not want and "signature" in str(exc)
@@ -212,24 +239,33 @@ def test_model_validators_reject_bad_data():
     S = fx.surface
     with pytest.raises(ModelError, match="not symmetric"):
         SurfaceModel(
-            name="bad", h2_rank=2, gram=((0, 1), (2, 0)), K_S=S.K_S, L_S=S.L_S,
+            name="bad", gram=((0, 1), (2, 0)), K_S=S.K_S, L_S=S.L_S,
             O1_S=S.O1_S, euler=4, pushforward=S.pushforward,
         )
     with pytest.raises(ModelError, match="signature"):
         SurfaceModel(
-            name="bad", h2_rank=2, gram=((-1, 0), (0, -1)), K_S=S.K_S, L_S=S.L_S,
+            name="bad", gram=((-1, 0), (0, -1)), K_S=S.K_S, L_S=S.L_S,
             O1_S=S.O1_S, euler=4, pushforward=S.pushforward,
         )
     # the right signature, but O1_S^2 = 0 or < 0: not a polarization
     for h in ((1, 0), (1, -1)):
         with pytest.raises(ModelError, match="signature"):
             SurfaceModel(
-                name="bad", h2_rank=2, gram=S.gram, K_S=S.K_S, L_S=S.L_S,
+                name="bad", gram=S.gram, K_S=S.K_S, L_S=S.L_S,
                 O1_S=h, euler=4, pushforward=S.pushforward,
             )
-    X = fx.threefold
-    with pytest.raises(ModelError, match="disagree with triple"):
-        X.__class__(**{**X.__dict__, "quad": (((3,),),)})
+    # rank 0: no form has signature (1, -1)
+    with pytest.raises(ModelError, match="signature"):
+        SurfaceModel(name="bad", gram=(), K_S=(), L_S=(), O1_S=(), euler=1, pushforward=())
+    # D_a.D_b as a curve class: symmetric in (a, b), and its pairing with D_c
+    # symmetric in (b, c)
+    X = get_fixture("blowup_p3_line").threefold
+    with pytest.raises(ModelError, match=r"quad not symmetric at \(0, 1\)"):
+        X.__class__(**{**X.__dict__, "quad": (((1, 0), (1, 1)), ((0, 1), (-1, -2)))})
+    with pytest.raises(ModelError, match=r"triple product not symmetric at \(0, 1, 0\)"):
+        X.__class__(**{**X.__dict__, "quad": (((1, 0), (1, 1)), ((1, 1), (-1, -2)))})
+    with pytest.raises(ModelError, match="quad must be 2x2 of curve classes of length 2"):
+        X.__class__(**{**X.__dict__, "quad": (((1, 0), (0, 1)), ((0, 1),))})
 
 
 def test_model_fields_are_coerced_by_type():

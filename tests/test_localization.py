@@ -24,6 +24,7 @@ from dtseries.localization import (
     trace_terms,
 )
 from dtseries import localization
+from dtseries.geometry import ModelError
 from dtseries.qseries import euler_product
 from oracle_reference import (
     bundle_weights,
@@ -66,6 +67,17 @@ def test_builtin_models_validate():
 def test_validate_rejects_non_unimodular_chart():
     with pytest.raises(ValueError):
         ToricSurfaceModel("bad", rays=((2, 0), (0, 1)), cones=((0, 1),), bundles={})
+
+
+def test_validate_rejects_incomplete_fan():
+    # each ray of a complete fan bounds exactly two cones: P2 without its
+    # third cone, one cone twice, and a single affine chart
+    p2_rays, p2_cones = P2_FAN
+    for rays, cones, ray, count in ((p2_rays, p2_cones[:2], 0, 1),
+                                    (p2_rays, (*p2_cones, p2_cones[0]), 0, 3),
+                                    (p2_rays[:2], p2_cones[:1], 0, 1)):
+        with pytest.raises(ModelError, match=f"incomplete fan: ray {ray} lies in {count} cone"):
+            ToricSurfaceModel("p2", rays, cones, {})
 
 
 def test_validate_rejects_wrong_weight_count():
@@ -381,9 +393,13 @@ def test_integrate_class_weight_vanishes_at_point():
 
 def test_integrality_error_on_fake_geometry():
     # a single affine chart is not compact; the fixed-point sum is a generic
-    # rational function and the integrality check must fire
-    model = ToricSurfaceModel("a2", rays=((1, 0), (0, 1)), cones=((0, 1),),
-                              bundles={"w": Linearization("w", (-2, 1), (0,))})
+    # rational function and the integrality check must fire.  Its model is
+    # refused when built (test_validate_rejects_incomplete_fan), so its
+    # fields are set directly
+    model = object.__new__(ToricSurfaceModel)
+    for key, value in (("name", "a2"), ("rays", ((1, 0), (0, 1))), ("cones", ((0, 1),)),
+                       ("bundles", {"w": Linearization("w", (-2, 1), (0,))})):
+        object.__setattr__(model, key, value)
     assert bundle_weights(model, model.bundles["w"]) == ((-2, 1),)
     with pytest.raises(IntegralityError):
         fixed_point_series(model, model.bundles["w"], 1, (Fraction(5, 3), Fraction(7, 2)))
@@ -499,6 +515,22 @@ def test_co_series_matches_reference_tables(monkeypatch):
         (r.values, r.eval_points, r.shift) for r in want
     ]
     assert any(r.shift != (0, 0) for r in got)
+
+
+@pytest.mark.parametrize("A", [((1, 1), (0, 1)), ((2, 1), (1, 1)), ((0, -1), (1, 0)),
+                               ((1, 0), (2, -1))])  # the last is a reflection
+def test_co_series_independent_of_torus_basis(A):
+    # rays A v for A in GL(2, Z) give the same toric surface with the same
+    # cones and bundles: the values agree, at other seeds and so at other
+    # evaluation points
+    for model in (p2(), p1xp1()):
+        rays = tuple((A[0][0] * x + A[0][1] * y, A[1][0] * x + A[1][1] * y) for x, y in model.rays)
+        moved = ToricSurfaceModel(model.name, rays, model.cones, model.bundles)
+        assert moved.rays != model.rays
+        for key in ("L", "trivial"):
+            want = co_series(model, model.bundles[key], 8, seed=0).values
+            for seed in (1, 2):
+                assert co_series(moved, moved.bundles[key], 8, seed=seed).values == want
 
 
 def test_co_series_no_attempts_raises(monkeypatch):
