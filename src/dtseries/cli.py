@@ -66,7 +66,7 @@ class RunConfig:
     seed: int = 0
     fmt: str = "pretty"
     override_checks: bool = False
-    bundle: str = "L"
+    bundle: str | None = None  # None: the bundle of L, fx.toric_L
     trace: str | None = None
 
     def validate(self):
@@ -108,7 +108,8 @@ def build_parser():
         if oracle_flags:
             p.add_argument("--nmax", type=int,
                            help=f"largest number of points (at most {NMAX_CEILING})")
-            p.add_argument("--bundle", help="which linearized bundle to integrate against")
+            p.add_argument("--bundle", help="which linearized bundle to integrate against "
+                                            "(default: the bundle of L)")
         return p
 
     add("check", "run the positivity and stability-gap checks", gamma=True)
@@ -393,15 +394,14 @@ def cmd_series(cfg):
 
 
 def _toric_bundle(cfg):
-    """The fixture and its toric bundle named by --bundle, for oracle and verify."""
+    """The fixture and the toric bundle named by --bundle (default: the bundle of L)."""
     fx = get_fixture(cfg.fixture, cfg.k)
     if fx.toric is None:
         raise CliError(f"fixture {fx.name} has no toric surface model")
-    if cfg.bundle not in fx.toric.bundles:
-        raise CliError(
-            f"no bundle {cfg.bundle!r}; available: {sorted(fx.toric.bundles)}"
-        )
-    return fx, fx.toric.bundles[cfg.bundle]
+    key = fx.toric_L if cfg.bundle is None else cfg.bundle
+    if key not in fx.toric.bundles:
+        raise CliError(f"no bundle {key!r}; available: {sorted(fx.toric.bundles)}")
+    return fx, fx.toric.bundles[key]
 
 
 def cmd_oracle(cfg):

@@ -6,16 +6,16 @@ character vectors or a linear map from named parameters to character
 vectors, and (when the surface is toric) the equivariant model that feeds
 the localization oracle.  Fixtures round-trip through JSON.
 
-A fixture file is the fixture's `dataclasses.asdict`, with `toric_L` kept
-in the toric block as `L_bundle`.  The `threefold`, `surface` and `toric`
-blocks are the fields of ThreefoldModel, SurfaceModel and ToricSurfaceModel
-(each toric bundle those of Linearization), and every model, builtin or
-loaded, is built by the same constructor, which checks it: intersection
-data must be JSON integers and flags JSON booleans.  Ranks and triple
-products are derived from the stored vectors, so a `triple`, `h2_rank` or
-`h4_rank` key is unknown.  The toric block is the (complete) fan, `{name,
-rays, cones, bundles: {key: {name, surface_class, divisor}}, L_bundle}`;
-only `"toric": null` means the surface is not toric.
+A fixture file is the fixture's `dataclasses.asdict`.  The `threefold`,
+`surface` and `toric` blocks are the fields of ThreefoldModel, SurfaceModel
+and ToricSurfaceModel (each toric bundle those of Linearization), and every
+model, builtin or loaded, is built by the same constructor, which checks
+it: intersection data must be JSON integers and flags JSON booleans.  The
+toric block is `{name, rays, bundles: {key: {name, surface_class,
+divisor}}}`.  Ranks, triple products, cones and the bundle of L (the one
+whose class is L_S) are derived, so a `triple`, `h2_rank`, `h4_rank`,
+`cones` or `L_bundle` key is unknown.  Each bundle's (e, K.D, D^2) on the
+fan must be S's.  Only `"toric": null` means the surface is not toric.
 Characters (`gamma_names`, and `gamma_params: {name:
 vector}` with gamma = sum of value * vector) are strings such as "-1/2" or
 integers.  A missing, unknown or wrong-typed value, or a file that is not a
@@ -45,7 +45,6 @@ class GeometryFixture:
     gamma_names: dict = field(default_factory=dict)
     gamma_params: dict = field(default_factory=dict)
     toric: ToricSurfaceModel | None = None
-    toric_L: str = "L"
     notes: str = ""
 
     def __post_init__(self):
@@ -66,19 +65,30 @@ class GeometryFixture:
             if len(g) != self.threefold.h4_rank:
                 raise FixtureError(f"{self.name}: gamma parameter {name!r} has wrong length")
         if self.toric is not None:
-            if self.toric_L not in self.toric.bundles:
-                raise FixtureError(f"{self.name}: toric model has no bundle {self.toric_L!r}")
-            for lin in self.toric.bundles.values():
-                if not _ints(lin.surface_class, self.surface.h2_rank):
+            S = self.surface
+            for key, lin in self.toric.bundles.items():
+                c = lin.surface_class
+                if not _ints(c, S.h2_rank):
                     raise FixtureError(
                         f"{self.name}: bundle {lin.name} class not in the surface basis"
                     )
-            # the model's fan is complete; it has one cone per unit of e(S)
-            if len(self.toric.cones) != self.surface.euler:
-                raise FixtureError(
-                    f"{self.name}: the fan has {len(self.toric.cones)} cones, "
-                    f"but e(S) = {self.surface.euler}"
-                )
+                # the fan must be S: the CO series reads only e, K.D and D^2
+                fan = self.toric.intersection_numbers(lin.divisor)
+                surface = (S.euler, S.dot(S.K_S, c), S.dot(c, c))
+                if fan != surface:
+                    raise FixtureError(f"{self.name}: bundle {key!r} has (e, K.D, D^2) = "
+                                       f"{fan} on the fan, but {surface} on the surface")
+            count = sum(lin.surface_class == S.L_S for lin in self.toric.bundles.values())
+            if count != 1:
+                raise FixtureError(f"{self.name}: {count} toric bundles have the class L_S, "
+                                   "not exactly one")
+
+    @property
+    def toric_L(self):
+        """The key of the toric bundle whose class is L_S (None if S is not toric)."""
+        bundles = self.toric.bundles if self.toric else {}
+        return next((k for k, lin in bundles.items() if lin.surface_class == self.surface.L_S),
+                    None)
 
     def gamma_from_params(self, values):
         """The character sum of value * gamma_params[name] over the given
@@ -328,14 +338,10 @@ def _characters(table, key):
 
 
 def fixture_to_dict(fx):
-    """The fixture's fields as JSON data: characters as fraction strings,
-    and `toric_L` inside the toric block as its `L_bundle`."""
+    """The fixture's fields as JSON data, characters as fraction strings."""
     d = asdict(fx)
     for key in ("gamma_names", "gamma_params"):
         d[key] = {name: [frac_str(g) for g in vec] for name, vec in d[key].items()}
-    toric_L = d.pop("toric_L")
-    if d["toric"] is not None:
-        d["toric"]["L_bundle"] = toric_L
     return d
 
 
@@ -349,15 +355,10 @@ def fixture_from_dict(d):
         for key in ("gamma_names", "gamma_params"):
             if key in kwargs:
                 kwargs[key] = _characters(kwargs[key], key)
-        if "toric_L" in kwargs:
-            # the saved shape keeps the bundle key in toric.L_bundle
-            raise TypeError("unknown key 'toric_L'")
         # only null means "not toric"; any other value must be a toric block
         t = kwargs.pop("toric", None)
         if t is not None:
             block = {**_object(t, "toric")}
-            if "L_bundle" in block:
-                kwargs["toric_L"] = block.pop("L_bundle")
             block["bundles"] = {
                 key: Linearization(**_object(entry, f"toric bundle {key!r}"))
                 for key, entry in _object(block["bundles"], "toric bundles").items()

@@ -1,15 +1,15 @@
 """Equivariant residue oracle on Hilbert schemes of points of toric surfaces.
 
-A toric surface is given by its smooth fan alone: each fixed point's
-chart is the dual basis (w1, w2) of its cone's rays (v_i, v_j), read off
-the rays where weights are evaluated.  A ToricSurfaceModel checks its fan
-and its bundles when it is built, so every model that exists is smooth,
-complete and consistent.  Every torus weight t there is written in chart
-coordinates (<t, v_i>, <t, v_j>): the bundle O(sum_k a_k D_k) has the
-weight (a_i, a_j), and a cell with arm a and leg l has the tangent weights
-(-l, a+1) and (l+1, -a) in every chart (Carlsson-Okounkov, *Exts and
-vertex operators*, Duke 161, 2012).  At a point `at` of the Lie algebra a
-weight (x, y) is x*P + y*Q, with P = <w1, at> and Q = <w2, at>.
+A smooth complete toric surface is given by its rays alone, listed once
+around the origin: the cones are the consecutive pairs of rays, one per
+fixed point, and a fixed point's chart is the dual basis (w1, w2) of its
+cone's rays (v_i, v_j).  A ToricSurfaceModel checks its rays and bundles
+when it is built, and reads e(S), K.D and D^2 of a divisor off the rays.
+A torus weight t is written in chart coordinates (<t, v_i>, <t, v_j>): the
+bundle O(sum_k a_k D_k) has the weight (a_i, a_j), and a cell with arm a
+and leg l has the tangent weights (-l, a+1) and (l+1, -a) in every chart
+(Carlsson-Okounkov, *Exts and vertex operators*, Duke 161, 2012).  At a
+point `at` a weight (x, y) is x*P + y*Q, with P = <w1, at>, Q = <w2, at>.
 
 Fixed points of the torus on S^[n] are tuples of partitions, one per
 chart.  The obstruction-type class attached to a linearized line bundle is
@@ -110,47 +110,40 @@ class Linearization:
 
 @dataclass(frozen=True)
 class ToricSurfaceModel:
-    """A smooth toric surface given by its fan, one cone per fixed point,
-    with its equivariant line bundles.
+    """A smooth complete toric surface given by its rays, with its
+    equivariant line bundles.
 
-    `rays` are primitive integer 2-vectors v_i; each cone (i, j) is an
-    ordered pair of ray indices whose chart is the dual basis of (v_i, v_j).
-    `bundles` maps a key to the Linearization O(sum_i a_i D_i), whose weight
-    at cone (i, j) has the chart coordinates (a_i, a_j).  Raises ModelError
-    when there is no cone, when a ray or cone is not an integer pair, when a
-    cone index is out of range, when det(v_i, v_j) is not +-1 (a repeated
-    index gives 0), when a ray does not lie in exactly two cones (the fan is
-    not complete), or when a bundle is no Linearization with one divisor
-    coefficient per ray.
+    `rays` are the integer 2-vectors v_0, ..., v_(e-1), listed once around
+    the origin either way round; cone k is (k, k+1 mod e), and its chart is
+    the dual basis of its two rays.  `bundles` maps a key to the
+    Linearization O(sum_k a_k D_k), whose weight at cone (i, j) has the
+    chart coordinates (a_i, a_j).  Raises ModelError when a ray is not an
+    integer pair, when det(v_k, v_(k+1)) is not +1 for every k or -1 for
+    every k (a cone is not smooth, or the rays turn back), when the rays do
+    not wind once around the origin, or when a bundle is no Linearization
+    with one divisor coefficient per ray.
     """
 
     name: str
     rays: tuple
-    cones: tuple
     bundles: dict
 
     def __post_init__(self):
         _typed_fields(self)
         name, rays = self.name, self.rays
-        for what, pairs in (("ray", rays), ("cone", self.cones)):
-            for v in pairs:
-                if not _ints(v, 2):
-                    raise ModelError(f"{name}: {what} must be an integer pair, not {v}")
-        if not self.cones:
-            raise ModelError(f"{name}: the fan has no cone")
-        for i, j in self.cones:
-            if not (0 <= i < len(rays) and 0 <= j < len(rays)):
-                raise ModelError(
-                    f"{name}: cone {[i, j]} has a ray index outside 0..{len(rays) - 1}"
-                )
-            (a, b), (c, d) = rays[i], rays[j]
-            det = a * d - b * c
-            if det not in (1, -1):  # also catches a repeated index (det 0)
-                raise ModelError(f"{name}: cone {[i, j]} is not smooth (det {det})")
-        for k in range(len(rays)):  # a complete fan: each ray bounds two cones
-            count = sum(k in cone for cone in self.cones)
-            if count != 2:
-                raise ModelError(f"{name}: incomplete fan: ray {k} lies in {count} cone(s), not 2")
+        for v in rays:
+            if not _ints(v, 2):
+                raise ModelError(f"{name}: ray must be an integer pair, not {v}")
+        dets = [_det(rays[i], rays[j]) for i, j in self.cones]
+        if set(dets) not in ({1}, {-1}, set()):
+            raise ModelError(f"{name}: det(v_k, v_(k+1)) = {dets}: not all 1 or all -1, so "
+                             "a cone is not smooth or the rays turn back")
+        # turning one way by less than pi a step, the rays enter and leave
+        # the lower half-plane once per turn around the origin
+        below = [y < 0 or (y == 0 and x < 0) for x, y in rays]
+        winding = sum(below[k - 1] != below[k] for k in range(len(rays))) // 2
+        if winding != 1:
+            raise ModelError(f"{name}: the rays wind {winding} times around the origin, not once")
         for key, lin in self.bundles.items():
             if type(lin) is not Linearization:
                 raise ModelError(f"{name}: bundle {key!r} must be a Linearization, not {lin!r}")
@@ -160,16 +153,33 @@ class ToricSurfaceModel:
 
     @property
     def euler(self):
-        return len(self.cones)
+        return len(self.rays)
+
+    @property
+    def cones(self):
+        return tuple((k, (k + 1) % len(self.rays)) for k in range(len(self.rays)))
+
+    def intersection_numbers(self, a):
+        """(e(S), K.D, D^2) of D = sum_k a_k D_k.  With eps the common det(v_k, v_(k+1)),
+        v_(k-1) + v_(k+1) = b_k v_k for b_k = eps * det(v_(k-1), v_(k+1)), so
+        D.D_k = a_(k-1) + a_(k+1) - b_k a_k; and K = -sum_k D_k."""
+        v, e = self.rays, len(self.rays)
+        eps = _det(v[0], v[1])
+        dots = [a[k - 1] + a[(k + 1) % e] - eps * _det(v[k - 1], v[(k + 1) % e]) * a[k]
+                for k in range(e)]
+        return e, -sum(dots), sum(map(mul, a, dots))
+
+
+def _det(v, w):
+    return v[0] * w[1] - v[1] * w[0]
 
 
 def p1xp1():
-    """P1 x P1 with the product torus action; charts ordered (0,0),(0,1),(1,0),(1,1).
-    O(a,b) is the divisor a*D_2 + b*D_3."""
+    """P1 x P1 with the product torus action; charts ordered (0,0),(1,0),(1,1),(0,1),
+    where (x, y) is the cone of rays 2x and 2y+1.  O(a,b) is the divisor a*D_2 + b*D_3."""
     return ToricSurfaceModel(
         "p1xp1",
         rays=((1, 0), (0, 1), (-1, 0), (0, -1)),
-        cones=((0, 1), (0, 3), (2, 1), (2, 3)),
         bundles={"L": Linearization("O(1,1)", divisor=(0, 0, 1, 1), surface_class=(1, 1)),
                  "trivial": Linearization("O(0,0)", divisor=(0, 0, 0, 0), surface_class=(0, 0))},
     )
@@ -181,7 +191,6 @@ def p2():
     return ToricSurfaceModel(
         "p2",
         rays=((1, 0), (0, 1), (-1, -1)),
-        cones=((0, 1), (2, 1), (2, 0)),
         bundles={"L": Linearization("O(1)", divisor=(0, 0, 1), surface_class=(1,)),
                  "trivial": Linearization("O(0)", divisor=(0, 0, 0), surface_class=(0,))},
     )

@@ -662,24 +662,29 @@ def _with_divisor(t, divisor):
     [
         # its bundles are built first, and their first old key is 'weights'
         pytest.param(lambda t: OLD_TORIC_SHAPE, "'weights'", id="old-shape"),
-        pytest.param(lambda t: {**t, "cones": [[0, 1], [2, 3], [2, 0]]}, "cone [2, 3]",
-                     id="cone-index-out-of-range"),
-        pytest.param(lambda t: {**t, "cones": [[0, 1], [2, -1], [2, 0]]}, "cone [2, -1]",
-                     id="cone-index-negative"),
-        pytest.param(lambda t: {**t, "cones": [[0, 1], [2, 2], [2, 0]]}, "cone [2, 2]",
-                     id="cone-index-repeated"),
+        # keys of the older schema: the cones and the bundle of L are derived
+        pytest.param(lambda t: {**t, "cones": [[0, 1], [2, 3], [2, 0]]},
+                     "unexpected keyword argument 'cones'", id="old-key-cones"),
+        pytest.param(lambda t: {**t, "L_bundle": "L"}, "unexpected keyword argument 'L_bundle'",
+                     id="old-key-L-bundle"),
+        # the cones are the consecutive pairs of rays, det(v_k, v_(k+1)) all
+        # 1 or all -1: a repeated ray makes the cone [1, 2] of one ray
+        pytest.param(lambda t: {**t, "rays": [[1, 0], [0, 1], [0, 1], [-1, -1]]},
+                     "det(v_k, v_(k+1)) = [1, 0, 1, 1]", id="ray-repeated"),
         pytest.param(lambda t: {**t, "rays": [[1, 0], [0, 1], [-1, -2]]}, "not smooth",
                      id="cone-not-smooth"),
-        pytest.param(lambda t: {**t, "cones": []}, "no cone", id="no-cones"),
-        pytest.param(lambda t: {**t, "cones": [[0, 1], [0, 1], [2, 0]]}, "incomplete fan",
+        pytest.param(lambda t: {**t, "rays": []}, "wind 0 times", id="no-cones"),
+        pytest.param(lambda t: {**t, "rays": t["rays"] * 2}, "wind 2 times",
                      id="cone-duplicated"),
-        pytest.param(lambda t: {**t, "cones": [[0, 1], [2, 1]]}, "incomplete fan",
-                     id="cone-missing"),
+        pytest.param(lambda t: {**t, "rays": [[1, 0], [0, 1]]},
+                     "det(v_k, v_(k+1)) = [1, -1]", id="too-few-rays"),
+        pytest.param(lambda t: {**t, "rays": [[1, 0], [0, 1], [-1, 0], [-1, 1]]},
+                     "det(v_k, v_(k+1)) = [1, 1, -1, -1]", id="rays-turn-both-ways"),
         pytest.param(lambda t: {**t, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
-                                "cones": [[0, 1], [0, 3], [2, 1], [2, 3]],
                                 "bundles": {k: {**b, "divisor": [0, 0, 1, 1]}
                                             for k, b in t["bundles"].items()}},
-                     "4 cones, but e(S) = 3", id="fan-of-another-surface"),
+                     "bundle 'L' has (e, K.D, D^2) = (4, -4, 2) on the fan, "
+                     "but (3, -3, 1) on the surface", id="fan-of-another-surface"),
         pytest.param(lambda t: _with_divisor(t, [0, 1]), "divisor", id="divisor-too-short"),
         pytest.param(lambda t: _with_divisor(t, [0, 0, 1, 0]), "divisor",
                      id="divisor-too-long"),
@@ -761,7 +766,7 @@ def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
                      id="threefold-not-an-object"),
         pytest.param("quadric_p4_d2", ("gamma_names",), [["-1"]], "malformed fixture data",
                      id="gamma-names-not-a-table"),
-        # the saved shape keeps the bundle key in toric.L_bundle
+        # the bundle of L is the toric bundle whose class is L_S
         pytest.param("quadric_p4_d2", ("toric_L",), "L", "'toric_L'", id="top-level-toric-L"),
         # a vector is a list of integers, not of lists
         pytest.param("blowup_p3_point", ("candidates",), [[[0], 1]], "candidate ((0,), 1)",
@@ -803,6 +808,55 @@ def test_saved_fixture_matches_builtin(capsys, tmp_path, name):
         builtin = run(capsys, cmd, "--fixture", name, *flags)
         loaded = run(capsys, cmd, "--fixture", str(path), *flags)
         assert loaded[:2] == builtin[:2], (cmd, *flags)
+
+
+def test_fan_of_another_bundle_exits_bad_input(capsys, tmp_path):
+    # the quadric's L with the divisor of O(2,1) and the class (1, 1) of
+    # O(1,1): the fan's (e, K.D, D^2) are not the surface's, and every
+    # subcommand refuses the file
+    fx = get_fixture("quadric_p4_d2")
+    d = fixture_to_dict(fx)
+    d["toric"]["bundles"]["L"]["divisor"] = [0, 0, 2, 1]
+    path = tmp_path / "o21.json"
+    path.write_text(json.dumps(d))
+    for cmd in ("check", "classes", "series", "oracle", "verify"):
+        code, out, err = run(capsys, cmd, "--fixture", str(path))
+        assert (code, out) == (EXIT_BAD_INPUT, ""), cmd
+        assert ("bundle 'L' has (e, K.D, D^2) = (4, -6, 4) on the fan, "
+                "but (4, -4, 2) on the surface") in err
+
+
+def test_oracle_defaults_to_the_bundle_of_L(capsys, tmp_path):
+    # the bundle of L is found by its class, whatever its key: with L's
+    # bundle renamed, oracle and verify integrate against it by default and
+    # print what the builtin prints, and series resolves the same sign
+    fx = get_fixture("quadric_p4_d2")
+    d = fixture_to_dict(fx)
+    d["toric"]["bundles"] = {"O11" if k == "L" else k: b
+                             for k, b in d["toric"]["bundles"].items()}
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(d))
+    assert get_fixture(str(path)).toric_L == "O11"
+    for argv in (("oracle",), ("verify",), ("oracle", "--bundle", "trivial"),
+                 ("series", "--gamma", "ell")):
+        for fmt in ("pretty", "json", "csv"):
+            builtin = run(capsys, *argv, "--fixture", "quadric_p4_d2", "--format", fmt)
+            assert builtin[0] == EXIT_OK
+            assert run(capsys, *argv, "--fixture", str(path), "--format", fmt)[:2] == builtin[:2]
+    code, _, err = run(capsys, "oracle", "--fixture", str(path), "--bundle", "L")
+    assert code == EXIT_BAD_INPUT and "no bundle 'L'; available: ['O11', 'trivial']" in err
+    # a toric block must hold the bundle of L, and only one: L made O(1,0),
+    # or the trivial bundle made a second O(1,1)
+    for key, count in (("L", 0), ("trivial", 2)):
+        d = fixture_to_dict(fx)
+        d["toric"]["bundles"][key].update(
+            {"L": {"surface_class": [1, 0], "divisor": [0, 0, 1, 0]},
+             "trivial": {"surface_class": [1, 1], "divisor": [0, 0, 1, 1]}}[key])
+        bad = tmp_path / f"count{count}.json"
+        bad.write_text(json.dumps(d))
+        code, out, err = run(capsys, "check", "--fixture", str(bad))
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert f"{count} toric bundles have the class L_S, not exactly one" in err
 
 
 def _in_basis(fx, U):

@@ -18,6 +18,8 @@ from dtseries.fixtures import (
     save_fixture,
 )
 from dtseries.geometry import ModelError, delta_invariant, virtual_dimension
+from dtseries.localization import Linearization, ToricSurfaceModel, co_series
+from dtseries.qseries import euler_product
 
 ALL_NAMES = [
     "quadric_p4_d1",
@@ -67,10 +69,12 @@ def test_hypersurface_virtual_dimensions():
 def test_toric_attachments():
     fx = get_fixture("quadric_p4_d2")
     assert fx.toric is not None and fx.toric.name == "p1xp1"
-    assert fx.toric_L in fx.toric.bundles
+    assert fx.toric_L == "L"
     fx = get_fixture("quadric_p4_d1")
     assert fx.toric is not None and fx.toric.name == "p2"
+    assert fx.toric_L == "L"
     assert get_fixture("cubic_p4_d3").toric is None
+    assert get_fixture("cubic_p4_d3").toric_L is None
     assert get_fixture("quartic_p4_d4").toric is None
 
 
@@ -172,12 +176,10 @@ def test_round_trip_through_file(tmp_path):
     assert json.loads(path.read_text())["toric"] == {
         "name": "p2",
         "rays": [[1, 0], [0, 1], [-1, -1]],
-        "cones": [[0, 1], [2, 1], [2, 0]],
         "bundles": {
             "L": {"name": "O(1)", "surface_class": [1], "divisor": [0, 0, 1]},
             "trivial": {"name": "O(0)", "surface_class": [0], "divisor": [0, 0, 0]},
         },
-        "L_bundle": "L",
     }
     fx = get_fixture("quadric_p4_d2")
     save_fixture(fx, path)
@@ -226,6 +228,10 @@ def test_load_malformed_dict(tmp_path):
         (("threefold",), [1], "threefold must be a JSON object, not list"),
         (("surface",), 4, "surface must be a JSON object, not int"),
         (("toric", "bundles"), [], "toric bundles must be a JSON object, not list"),
+        # the cones and the bundle of L are derived, not stored
+        (("toric", "cones"), [[0, 1], [1, 2], [2, 3], [3, 0]],
+         "unexpected keyword argument 'cones'"),
+        (("toric", "L_bundle"), "L", "unexpected keyword argument 'L_bundle'"),
         (("toric", "bundles", "L"), [1], "toric bundle 'L' must be a JSON object, not list"),
         (("gamma_names",), [["-1"]], "gamma_names must be a JSON object, not list"),
     ):
@@ -259,3 +265,32 @@ def test_k_rejected_for_paths(tmp_path):
     save_fixture(get_fixture("quadric_p4_d1"), path)
     with pytest.raises(FixtureError):
         get_fixture(str(path), k=2)
+
+
+@pytest.mark.parametrize(
+    "name, rays, divisor, delta",
+    [
+        # P2 blown up torically six times, with L = -K
+        pytest.param("cubic_p4_d3", ((1, 0), (2, 1), (1, 1), (0, 1), (-1, 1), (-1, 0),
+                                     (-1, -1), (-1, -2), (0, -1)), (1,) * 9, 15, id="cubic"),
+        # F1, P2 blown up at a point, with the class of a line
+        pytest.param("blowup_p3_line", ((1, 0), (0, 1), (-1, 1), (0, -1)), (0, 0, 0, 1), 8,
+                     id="line-blowup"),
+    ],
+)
+def test_toric_stand_in_passes_the_fan_check(name, rays, divisor, delta):
+    # a toric surface with the same e, K.L and L^2 as S stands in for it in
+    # the oracle: the fixture accepts the fan, and the Carlsson-Okounkov
+    # series is the Euler product of delta(S, L_S)
+    fx = get_fixture(name)
+    lin = Linearization("L", divisor, fx.surface.L_S)
+    fy = dataclasses.replace(fx, toric=ToricSurfaceModel(name, rays, {"L": lin}))
+    assert fy.toric_L == "L"
+    assert delta_invariant(fx.surface, fx.surface.L_S) == delta
+    assert list(co_series(fy.toric, lin, 6).values) == [
+        int(c) for c in euler_product(-delta, 7).coeffs
+    ]
+    # L + D_0 on the same fan is another class: the fixture refuses it
+    other = Linearization("L", (divisor[0] + 1, *divisor[1:]), fx.surface.L_S)
+    with pytest.raises(FixtureError, match="on the fan, but"):
+        dataclasses.replace(fx, toric=ToricSurfaceModel(name, rays, {"L": other}))

@@ -46,14 +46,26 @@ AT = (Fraction(7, 3), Fraction(-5, 11))
 # models
 
 
+# the cones of the builtin models when they were typed by hand
+HAND_TYPED_CONES = {"p1xp1": ((0, 1), (0, 3), (2, 1), (2, 3)),
+                    "p2": ((0, 1), (2, 1), (2, 0))}
+
+
 def test_builtin_models_validate():
-    # the reference's dual bases against the charts these models had when
-    # typed by hand, and the oracle's P = <w1, at>, Q = <w2, at> against them
+    # the consecutive pairs of rays are the hand-typed cones, up to order
+    # within and among the cones; the reference's dual bases, and the
+    # oracle's P = <w1, at>, Q = <w2, at> against them
+    for model in (p1xp1(), p2()):
+        assert len(model.cones) == len(HAND_TYPED_CONES[model.name])
+        assert {frozenset(c) for c in model.cones} == {
+            frozenset(c) for c in HAND_TYPED_CONES[model.name]
+        }
+    assert p1xp1().cones == ((0, 1), (1, 2), (2, 3), (3, 0))
     assert dual_basis(p1xp1()) == (
-        ((1, 0), (0, 1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1)), ((-1, 0), (0, -1)),
+        ((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)),
     )
     assert dual_basis(p2()) == (
-        ((1, 0), (0, 1)), ((-1, 0), (-1, 1)), ((0, -1), (1, -1)),
+        ((1, 0), (0, 1)), ((-1, 1), (-1, 0)), ((0, -1), (1, -1)),
     )
     for model in (p1xp1(), p2()):
         scalars = _chart_scalars(model, model.bundles["trivial"], (3, 5), (0, 0))
@@ -65,27 +77,53 @@ def test_builtin_models_validate():
 
 
 def test_validate_rejects_non_unimodular_chart():
-    with pytest.raises(ValueError):
-        ToricSurfaceModel("bad", rays=((2, 0), (0, 1)), cones=((0, 1),), bundles={})
+    with pytest.raises(ValueError, match=r"= \[2, 1, 2\]: .* not smooth"):
+        ToricSurfaceModel("bad", rays=((2, 0), (0, 1), (-1, -1)), bundles={})
+    # a repeated ray makes the cone (1, 2) of one ray
+    with pytest.raises(ModelError, match=r"= \[1, 0, 1, 1\]: .* not smooth"):
+        ToricSurfaceModel("bad", rays=((1, 0), (0, 1), (0, 1), (-1, -1)), bundles={})
 
 
 def test_validate_rejects_incomplete_fan():
-    # each ray of a complete fan bounds exactly two cones: P2 without its
-    # third cone, one cone twice, and a single affine chart
-    p2_rays, p2_cones = P2_FAN
-    for rays, cones, ray, count in ((p2_rays, p2_cones[:2], 0, 1),
-                                    (p2_rays, (*p2_cones, p2_cones[0]), 0, 3),
-                                    (p2_rays[:2], p2_cones[:1], 0, 1)):
-        with pytest.raises(ModelError, match=f"incomplete fan: ray {ray} lies in {count} cone"):
-            ToricSurfaceModel("p2", rays, cones, {})
+    # the rays of a complete fan go once around the origin, turning one way:
+    # P2's rays twice over, no ray, one ray, one affine chart (its two rays
+    # turn one way and back), and P1xP1's rays out of cyclic order (two
+    # opposite rays meet)
+    for rays, message in ((P2_FAN * 2, "wind 2 times"),
+                          ((), "wind 0 times"),
+                          (((1, 0),), r"= \[0\]"),
+                          (((1, 0), (0, 1)), r"= \[1, -1\]"),
+                          (((1, 0), (-1, 0), (0, 1), (0, -1)), r"= \[0, -1, 0, 1\]")):
+        with pytest.raises(ModelError, match=message):
+            ToricSurfaceModel("fan", rays, {})
+
+
+def test_validate_rejects_mixed_orientation():
+    # det(v_k, v_(k+1)) = +1 at (0, 1) and (1, 2), -1 at (2, 3) and (3, 0):
+    # every cone is smooth, but the rays turn back
+    with pytest.raises(ModelError, match=r"= \[1, 1, -1, -1\]: .* turn back"):
+        ToricSurfaceModel("fan", ((1, 0), (0, 1), (-1, 0), (-1, 1)), {})
+    # either way round is one surface: P2 and P1xP1 listed clockwise
+    for model in (p2(), p1xp1()):
+        rays = model.rays[::-1]
+        bundles = {key: Linearization(lin.name, lin.divisor[::-1], lin.surface_class)
+                   for key, lin in model.bundles.items()}
+        clockwise = ToricSurfaceModel(model.name, rays, bundles)
+        assert {frozenset(c) for c in clockwise.cones} == {
+            frozenset((len(rays) - 1 - i, len(rays) - 1 - j)) for i, j in model.cones
+        }
+        for key, lin in model.bundles.items():
+            assert (clockwise.intersection_numbers(bundles[key].divisor)
+                    == model.intersection_numbers(lin.divisor))
+            want = co_series(model, lin, 6, seed=0).values
+            assert co_series(clockwise, bundles[key], 6, seed=0).values == want
 
 
 def test_validate_rejects_wrong_weight_count():
     # a divisor needs one coefficient per ray
     model = p2()
     with pytest.raises(ValueError):
-        ToricSurfaceModel("p2", model.rays, model.cones,
-                          {"short": Linearization("short", (0, 0), (0,))})
+        ToricSurfaceModel("p2", model.rays, {"short": Linearization("short", (0, 0), (0,))})
 
 
 def test_validate_rejects_untyped_fan_and_bundles():
@@ -93,11 +131,11 @@ def test_validate_rejects_untyped_fan_and_bundles():
     # (label, class, divisor) triple, and True is no ray coordinate
     model = p2()
     with pytest.raises(ValueError, match="must be a Linearization"):
-        ToricSurfaceModel("p2", model.rays, model.cones, {"L": ("O(1)", (1,), (0, 0, 1))})
+        ToricSurfaceModel("p2", model.rays, {"L": ("O(1)", (1,), (0, 0, 1))})
     with pytest.raises(ValueError, match="ToricSurfaceModel.rays"):
-        ToricSurfaceModel("p2", ((1, 0), (0, 1), (-1, [True])), model.cones, {})
+        ToricSurfaceModel("p2", ((1, 0), (0, 1), (-1, [True])), {})
     with pytest.raises(ValueError, match="ray must be an integer pair"):
-        ToricSurfaceModel("p2", ((1, 0), (0, 1), (-1, -1, 0)), model.cones, {})
+        ToricSurfaceModel("p2", ((1, 0), (0, 1), (-1, -1, 0)), {})
     with pytest.raises(ValueError, match="Linearization.name"):
         Linearization(None, (0, 0, 1), (1,))
 
@@ -105,22 +143,20 @@ def test_validate_rejects_untyped_fan_and_bundles():
 def test_line_bundle_weight_tables():
     # literal torus weights from the reference: the independent anchor for
     # the signs of the chart coordinates (a_i, a_j)
-    q = p1xp1()
-    model = ToricSurfaceModel("p1xp1", q.rays, q.cones,
+    model = ToricSurfaceModel("p1xp1", p1xp1().rays,
                               {"b": Linearization("O(2,3)", (0, 0, 2, 3), (2, 3))})
     lin = model.bundles["b"]
-    assert bundle_weights(model, lin) == ((0, 0), (0, -3), (-2, 0), (-2, -3))
+    assert bundle_weights(model, lin) == ((0, 0), (-2, 0), (-2, -3), (0, -3))
     assert lin.surface_class == (2, 3)
     assert lin.divisor == (0, 0, 2, 3)
     # one cell at the second fixed point: tangent weights w2, w1 of its chart
-    assert tangent_weights((1,), dual_basis(model)[1]) == [(0, -1), (1, 0)]
-    assert co_class_weights(((), (1,), (), ()), model, lin) == [(0, -4), (1, -3)]
-    p = p2()
-    model = ToricSurfaceModel("p2", p.rays, p.cones, {"b": Linearization("O(2)", (0, 0, 2), (2,))})
+    assert tangent_weights((1,), dual_basis(model)[1]) == [(-1, 0), (0, 1)]
+    assert co_class_weights(((), (1,), (), ()), model, lin) == [(-3, 0), (-2, 1)]
+    model = ToricSurfaceModel("p2", p2().rays, {"b": Linearization("O(2)", (0, 0, 2), (2,))})
     lin = model.bundles["b"]
     assert bundle_weights(model, lin) == ((0, 0), (-2, 0), (0, -2))
-    assert tangent_weights((1,), dual_basis(model)[1]) == [(-1, 1), (-1, 0)]
-    assert co_class_weights(((), (1,), ()), model, lin) == [(-3, 1), (-3, 0)]
+    assert tangent_weights((1,), dual_basis(model)[1]) == [(-1, 0), (-1, 1)]
+    assert co_class_weights(((), (1,), ()), model, lin) == [(-3, 0), (-3, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +211,8 @@ def _outcome(tables, *args):
 
 def _fan_models(*fans):
     # each fan with the zero divisor and the divisor (0, 1, 2, ...)
-    for rays, cones in fans:
-        yield ToricSurfaceModel("fan", rays, cones, {
+    for rays in fans:
+        yield ToricSurfaceModel("fan", rays, {
             "0": Linearization("0", (0,) * len(rays), ()),
             "D": Linearization("D", tuple(range(len(rays))), ()),
         })
@@ -339,11 +375,10 @@ def _fan_delta(rays, divisor):
     return r + minus_KD + DD
 
 
-P2_FAN = (((1, 0), (0, 1), (-1, -1)), ((0, 1), (2, 1), (2, 0)))
-P1XP1_FAN = (((1, 0), (0, 1), (-1, 0), (0, -1)), ((0, 1), (0, 3), (2, 1), (2, 3)))
-CYCLE4 = ((0, 1), (1, 2), (2, 3), (3, 0))
-F1_FAN = (((1, 0), (0, 1), (-1, 1), (0, -1)), CYCLE4)
-F2_FAN = (((1, 0), (0, 1), (-1, 2), (0, -1)), CYCLE4)
+P2_FAN = ((1, 0), (0, 1), (-1, -1))
+P1XP1_FAN = ((1, 0), (0, 1), (-1, 0), (0, -1))
+F1_FAN = ((1, 0), (0, 1), (-1, 1), (0, -1))
+F2_FAN = ((1, 0), (0, 1), (-1, 2), (0, -1))
 
 
 @pytest.mark.parametrize(
@@ -361,10 +396,12 @@ F2_FAN = (((1, 0), (0, 1), (-1, 2), (0, -1)), CYCLE4)
 )
 def test_integrate_higher_degree_bundles(fan, divisor, delta):
     # across the Hirzebruch family and beyond degree 1, the oracle's series is
-    # prod (1-q^k)^(-delta) with delta = e(S) - K.D + D^2 read off the fan
-    rays, cones = fan
-    assert _fan_delta(rays, divisor) == delta
-    model = ToricSurfaceModel("fan", rays, cones, {"D": Linearization("D", divisor, divisor)})
+    # prod (1-q^k)^(-delta) with delta = e(S) - K.D + D^2 read off the fan,
+    # by the reference and by the model
+    assert _fan_delta(fan, divisor) == delta
+    model = ToricSurfaceModel("fan", fan, {"D": Linearization("D", divisor, divisor)})
+    e, KD, DD = model.intersection_numbers(divisor)
+    assert e - KD + DD == delta
     res = co_series(model, model.bundles["D"], 5, seed=0)
     assert list(res.values) == [int(c) for c in euler_product(-delta, 6).coeffs]
 
@@ -392,15 +429,16 @@ def test_integrate_class_weight_vanishes_at_point():
 
 
 def test_integrality_error_on_fake_geometry():
-    # a single affine chart is not compact; the fixed-point sum is a generic
-    # rational function and the integrality check must fire.  Its model is
-    # refused when built (test_validate_rejects_incomplete_fan), so its
-    # fields are set directly
+    # two rays give two copies of one affine chart, which is not compact;
+    # the fixed-point sum is a generic rational function and the integrality
+    # check must fire.  Its model is refused when built
+    # (test_validate_rejects_incomplete_fan), so its fields are set directly
     model = object.__new__(ToricSurfaceModel)
-    for key, value in (("name", "a2"), ("rays", ((1, 0), (0, 1))), ("cones", ((0, 1),)),
+    for key, value in (("name", "a2"), ("rays", ((1, 0), (0, 1))),
                        ("bundles", {"w": Linearization("w", (-2, 1), (0,))})):
         object.__setattr__(model, key, value)
-    assert bundle_weights(model, model.bundles["w"]) == ((-2, 1),)
+    assert model.cones == ((0, 1), (1, 0))
+    assert bundle_weights(model, model.bundles["w"]) == ((-2, 1), (-2, 1))
     with pytest.raises(IntegralityError):
         fixed_point_series(model, model.bundles["w"], 1, (Fraction(5, 3), Fraction(7, 2)))
 
@@ -496,10 +534,9 @@ def test_co_series_matches_reference_tables(monkeypatch):
     # 240 seeded calls, a bundle whose divisor forces a structural zero at
     # shift (0, 0) among them: the same values, evaluation points and shift
     # as co_series driven by the per-cell tables and per-partition Fractions
-    q = p1xp1()
-    negative = ToricSurfaceModel("p1xp1", q.rays, q.cones,
+    negative = ToricSurfaceModel("p1xp1", P1XP1_FAN,
                                  {"n": Linearization("n", (0, 0, -1, 0), (0, 0))})
-    f1 = ToricSurfaceModel("f1", *F1_FAN, {"D": Linearization("D", (0, 0, 1, 1), ())})
+    f1 = ToricSurfaceModel("f1", F1_FAN, {"D": Linearization("D", (0, 0, 1, 1), ())})
     jobs = [(m, m.bundles[b]) for m in (p1xp1(), p2()) for b in ("L", "trivial")]
     jobs += [(negative, negative.bundles["n"]), (f1, f1.bundles["D"])]
     calls = [(jobs[seed % len(jobs)], seed) for seed in range(240)]
@@ -521,11 +558,11 @@ def test_co_series_matches_reference_tables(monkeypatch):
                                ((1, 0), (2, -1))])  # the last is a reflection
 def test_co_series_independent_of_torus_basis(A):
     # rays A v for A in GL(2, Z) give the same toric surface with the same
-    # cones and bundles: the values agree, at other seeds and so at other
-    # evaluation points
+    # cones and bundles (a reflection lists them clockwise): the values
+    # agree, at other seeds and so at other evaluation points
     for model in (p2(), p1xp1()):
         rays = tuple((A[0][0] * x + A[0][1] * y, A[1][0] * x + A[1][1] * y) for x, y in model.rays)
-        moved = ToricSurfaceModel(model.name, rays, model.cones, model.bundles)
+        moved = ToricSurfaceModel(model.name, rays, model.bundles)
         assert moved.rays != model.rays
         for key in ("L", "trivial"):
             want = co_series(model, model.bundles[key], 8, seed=0).values
