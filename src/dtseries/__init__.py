@@ -4,60 +4,33 @@ The pieces: intersection-theory models and numeric hypothesis checks
 (`geometry`), enumeration of contributing curve classes (`classenum`),
 eta-type q-series assembly (`qseries`), an independent equivariant
 localization oracle on Hilbert schemes of points (`localization`),
-built-in geometries (`fixtures`), and a CLI (`cli`).
+built-in geometries (`fixtures`), and a CLI (`cli`).  The names below are
+imported from their modules on first use.
 """
-
-from .geometry import (
-    AssumptionReport,
-    ChernVector,
-    SurfaceModel,
-    ThreefoldModel,
-    check_consistency,
-    delta_invariant,
-    hilbert_coeffs,
-    run_all_checks,
-    triple_product,
-    virtual_dimension,
-)
-from .classenum import (
-    BetaData,
-    beta_constraint_lattice,
-    enumerate_beta,
-    enumerate_contributions,
-    n_from_xi,
-    xi_from_n,
-)
-from .qseries import QSeries, dt_series, eta_power, euler_product, theta_block
-from .localization import co_series
-from .fixtures import BUILTIN, get_fixture, load_fixture, save_fixture
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionReport",
-    "BetaData",
-    "BUILTIN",
-    "ChernVector",
-    "QSeries",
-    "SurfaceModel",
-    "ThreefoldModel",
-    "beta_constraint_lattice",
-    "check_consistency",
-    "co_series",
-    "delta_invariant",
-    "dt_series",
-    "enumerate_beta",
-    "enumerate_contributions",
-    "eta_power",
-    "euler_product",
-    "get_fixture",
-    "hilbert_coeffs",
-    "load_fixture",
-    "n_from_xi",
-    "run_all_checks",
-    "save_fixture",
-    "theta_block",
-    "triple_product",
-    "virtual_dimension",
-    "xi_from_n",
-]
+# each export under the module that defines it
+_EXPORTS = {
+    "geometry": ("AssumptionReport", "ChernVector", "SurfaceModel", "ThreefoldModel",
+                 "check_consistency", "delta_invariant", "hilbert_coeffs", "run_all_checks",
+                 "triple_product", "virtual_dimension"),
+    "classenum": ("BetaData", "beta_constraint_lattice", "enumerate_beta",
+                  "enumerate_contributions", "n_from_xi", "xi_from_n"),
+    "qseries": ("QSeries", "dt_series", "eta_power", "euler_product", "theta_block"),
+    "localization": ("co_series",),
+    "fixtures": ("BUILTIN", "get_fixture", "load_fixture", "save_fixture"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    """An export, imported from its module on first use (PEP 562), so that
+    `import dtseries` alone imports no submodule."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

@@ -6,8 +6,10 @@ verify (oracle vs. Euler-product coefficients).  Output is deterministic
 for a fixed configuration and seed: timing goes to stderr, never stdout.
 
 Exit codes: 0 success, 2 hypothesis checks failed, 3 verification
-mismatch or inconsistent model data, 4 invalid input, 141 stdout closed
-before the output was written (a broken pipe, as in `dtseries ... | head`).
+mismatch or inconsistent model data (a class lattice that is not negative
+definite, or classes of both parities of beta^2), 4 invalid input, 141
+stdout closed before the output was written (a broken pipe, as in
+`dtseries ... | head`).
 """
 
 import argparse
@@ -21,12 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classenum import IndefiniteKernelError, enumerate_contributions
-from .fixtures import FixtureError, get_fixture
+from .fixtures import get_fixture, write_json
 from .geometry import delta_invariant, run_all_checks, virtual_dimension, ChernVector
 from .localization import IntegralityError, OracleError, co_series, trace_terms
 from .qseries import (
     CONVENTION_MINUS,
     CONVENTION_PLUS,
+    SectorError,
     dt_series,
     euler_product,
     frac_str,
@@ -197,11 +200,9 @@ def _report_dict(report):
 def _print_report_pretty(fx, gamma, report):
     print(f"fixture {fx.name}")
     print(f"  character gamma     : ({', '.join(frac_str(g) for g in gamma)})")
-    iq = report.ineq_KL2_gt_L3
-    print(f"  -K.L^2 > L^3        : {frac_str(iq.lhs)} > {frac_str(iq.rhs)}  "
-          f"{'ok' if iq.holds else 'FAIL'}")
-    iq = report.ineq_KLO1_pos
-    print(f"  -K.L.O(1) > 0       : {frac_str(iq.lhs)} > 0  {'ok' if iq.holds else 'FAIL'}")
+    for iq in (report.ineq_KL2_gt_L3, report.ineq_KLO1_pos):
+        print(f"  {iq.label:<20}: {frac_str(iq.lhs)} > {frac_str(iq.rhs)}  "
+              f"{'ok' if iq.holds else 'FAIL'}")
     print(f"  vanishing asserted  : {'yes' if report.vanishing_asserted else 'NO'}")
     if report.irreducible and not report.stability_gap:
         print("  stability gap       : vacuous (irreducible support class)")
@@ -230,10 +231,8 @@ def cmd_check(cfg):
         })
     elif cfg.fmt == "csv":
         rows = [["check", "lhs", "rhs", "holds"]]
-        rows.append(["-K.L^2>L^3", frac_str(report.ineq_KL2_gt_L3.lhs),
-                     frac_str(report.ineq_KL2_gt_L3.rhs), report.ineq_KL2_gt_L3.holds])
-        rows.append(["-K.L.O(1)>0", frac_str(report.ineq_KLO1_pos.lhs), "0",
-                     report.ineq_KLO1_pos.holds])
+        rows += [[iq.label.replace(" ", ""), frac_str(iq.lhs), frac_str(iq.rhs), iq.holds]
+                 for iq in (report.ineq_KL2_gt_L3, report.ineq_KLO1_pos)]
         rows.append(["vanishing_asserted", "", "", report.vanishing_asserted])
         for e in report.stability_gap:
             rows.append([f"stability{list(e.candidate)}", frac_str(e.forbidden_m), "Z",
@@ -295,16 +294,21 @@ def cmd_classes(cfg):
     return EXIT_OK
 
 
-def euler_convention(vals, delta):
-    """Compare oracle values with the first len(vals) coefficients of
-    prod(1-q^k)^(-delta) (minus) and prod(1-q^k)^delta (plus).  Returns
-    (convention, minus, plus): the convention whose coefficients equal the
-    values, minus when both do (delta = 0), None when neither does."""
-    minus = list(euler_product(-delta, len(vals)).coeffs)
-    plus = list(euler_product(delta, len(vals)).coeffs)
-    if vals == minus:
-        return CONVENTION_MINUS, minus, plus
-    return (CONVENTION_PLUS if vals == plus else None), minus, plus
+def oracle_verdict(fx, lin, n_max, seed):
+    """Run the oracle on the toric bundle lin up to n_max points and compare
+    its values with the first n_max + 1 coefficients of
+    prod(1-q^k)^(-delta) (minus) and prod(1-q^k)^delta (plus), for the delta
+    of lin's class.  Returns (convention, result, delta, minus, plus): the
+    convention whose coefficients equal the values, minus when both do
+    (delta = 0), None when neither does."""
+    result = co_series(fx.toric, lin, n_max, seed=seed)
+    delta = delta_invariant(fx.surface, lin.surface_class)
+    vals = list(result.values)
+    minus = list(euler_product(-delta, n_max + 1).coeffs)
+    plus = list(euler_product(delta, n_max + 1).coeffs)
+    convention = (CONVENTION_MINUS if vals == minus else
+                  CONVENTION_PLUS if vals == plus else None)
+    return convention, result, delta, minus, plus
 
 
 def resolve_convention(fx, seed):
@@ -312,14 +316,10 @@ def resolve_convention(fx, seed):
     has a toric surface; otherwise use the product-formula default."""
     if fx.toric is None:
         return CONVENTION_MINUS, "default"
-    lin = fx.toric.bundles[fx.toric_L]
-    delta = delta_invariant(fx.surface, lin.surface_class)
-    vals = list(co_series(fx.toric, lin, n_max=2, seed=seed).values)
-    convention, _, _ = euler_convention(vals, delta)
+    convention, result, delta, _, _ = oracle_verdict(fx, fx.toric.bundles[fx.toric_L], 2, seed)
     if convention is None:
-        raise OracleError(
-            f"oracle values {vals} match neither Euler-product sign for delta={delta}"
-        )
+        raise OracleError(f"oracle values {list(result.values)} match neither "
+                          f"Euler-product sign for delta={delta}")
     return convention, "oracle-resolved"
 
 
@@ -341,11 +341,7 @@ def cmd_series(cfg):
             _print_report_pretty(fx, gamma, report)
             print("series not produced: checks failed (use --override-checks to force)")
         return EXIT_CHECKS_FAILED
-    try:
-        convention, provenance = resolve_convention(fx, cfg.seed)
-    except OracleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    convention, provenance = resolve_convention(fx, cfg.seed)
     table = enumerate_contributions(fx.surface, fx.threefold, gamma, cfg.order, cfg.window)
     result = dt_series(fx.surface, table, cfg.order, convention)
     v = virtual_dimension(fx.threefold)
@@ -420,9 +416,7 @@ def cmd_oracle(cfg):
                 ],
             })
         try:
-            with open(cfg.trace, "w", encoding="utf-8") as fh:
-                json.dump(trace, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(trace, cfg.trace)
         except OSError as exc:
             raise CliError(f"cannot write trace: {exc}") from exc
     payload = {
@@ -451,12 +445,10 @@ def cmd_oracle(cfg):
 
 def cmd_verify(cfg):
     fx, lin = _toric_bundle(cfg)
-    delta = delta_invariant(fx.surface, lin.surface_class)
-    result = co_series(fx.toric, lin, cfg.n_max, seed=cfg.seed)
+    sign, result, delta, minus, plus = oracle_verdict(fx, lin, cfg.n_max, cfg.seed)
     print(f"oracle time: {result.elapsed:.3f}s", file=sys.stderr)
     order = cfg.n_max + 1
     vals = list(result.values)
-    sign, minus, plus = euler_convention(vals, delta)
     matches_minus = vals == minus
     matches_plus = vals == plus
     payload = {
@@ -519,13 +511,13 @@ def _dispatch(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
+    # the one map from a command's exception to its exit code; the data
+    # errors come first, since IndefiniteKernelError and SectorError are
+    # ValueErrors, and every other ValueError is invalid input
     try:
         cfg = config_from_args(args)
         return COMMANDS[cfg.command](cfg)
-    except (CliError, FixtureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OracleError, IntegralityError, IndefiniteKernelError) as exc:
+    except (OracleError, IntegralityError, IndefiniteKernelError, SectorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as exc:

@@ -381,7 +381,13 @@ def load_fixture(path):
     return fixture_from_dict(data)
 
 
-def save_fixture(fx, path):
+def write_json(obj, path):
+    """Write obj to the file path as UTF-8 JSON: indent 2, sorted keys and a
+    final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fixture_to_dict(fx), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_fixture(fx, path):
+    write_json(fixture_to_dict(fx), path)

@@ -5,8 +5,10 @@ exactly what a shell user would see.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -492,6 +494,33 @@ def test_indefinite_kernel_error_exits_mismatch(capsys, tmp_path):
     assert code == EXIT_OK
 
 
+def test_classes_of_both_parities_exit_mismatch(capsys, tmp_path):
+    # a cubic whose surface block breaks Wu's formula: beta = (1, 0, 0) has
+    # beta^2 = 1 but K_S.beta = -2, so the classes of one character have
+    # squares of both parities and their theta exponents lie in different
+    # cosets of Z.  The file parses and passes its checks; the model data is
+    # inconsistent, which is exit 3, not the invalid input of exit 4
+    fx = get_fixture("cubic_p4_d3")
+    surface = dataclasses.replace(
+        fx.surface, gram=((1, 0, 0), (0, -1, 0), (0, 0, -1)), K_S=(-2, -1, 0),
+        L_S=(2, 1, 0), O1_S=(2, 1, 0), euler=9, pushforward=((2, -1, 0),))
+    path = tmp_path / "odd.json"
+    save_fixture(dataclasses.replace(fx, surface=surface), path)
+    for fmt in ("pretty", "json", "csv"):
+        for gamma in ("1/2", "3/2"):
+            code, out, err = run(capsys, "series", "--fixture", str(path), "--gamma", gamma,
+                                 "--format", fmt)
+            assert (code, out, err) == (
+                EXIT_MISMATCH, "", "error: theta exponents lie in different cosets of Z\n")
+        assert run(capsys, "check", "--fixture", str(path), "--format", fmt)[0] == EXIT_OK
+        code, out, _ = run(capsys, "classes", "--fixture", str(path), "--gamma", "1/2",
+                           "--format", fmt)
+        assert code == EXIT_OK and out
+    rows = json.loads(run(capsys, "classes", "--fixture", str(path), "--gamma", "1/2",
+                          "--format", "json")[1])["rows"]
+    assert {r["beta_sq"] % 2 for r in rows} == {0, 1}
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -859,27 +888,44 @@ def test_oracle_defaults_to_the_bundle_of_L(capsys, tmp_path):
         assert f"{count} toric bundles have the class L_S, not exactly one" in err
 
 
-def _in_basis(fx, U):
-    """The fixture with its surface rewritten in the basis U of Pic(S), a
-    2x2 integer matrix of determinant +-1: gram U^T G U, pushforward P U,
-    and U^-1 v for K_S, L_S, O1_S and every toric bundle's surface class."""
-    (a, b), (c, d) = U
-    det = a * d - b * c
+def _inverse(U):
+    """U^-1 for a square integer matrix U of determinant +-1, by exact
+    Gauss-Jordan elimination."""
+    n = len(U)
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(U)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c])
+        A[c], A[p] = A[p], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for r in range(n):
+            if r != c and A[r][c]:
+                A[r] = [x - A[r][c] * y for x, y in zip(A[r], A[c])]
+    return [[int(x) for x in row[n:]] for row in A]
 
-    def inv(v):  # U^-1 = adj(U) / det(U), exact for det = +-1
-        return ((d * v[0] - b * v[1]) // det, (a * v[1] - c * v[0]) // det)
+
+def _in_basis(fx, U):
+    """The fixture with its surface rewritten in the basis U of Pic(S), an
+    integer matrix of determinant +-1: gram U^T G U, pushforward P U, and
+    U^-1 v for K_S, L_S, O1_S and every toric bundle's surface class."""
+    n, V = len(U), _inverse(U)
+
+    def inv(v):
+        return tuple(sum(V[i][k] * v[k] for k in range(n)) for i in range(n))
 
     def times_U(row):
-        return tuple(sum(row[k] * U[k][j] for k in range(2)) for j in range(2))
+        return tuple(sum(row[k] * U[k][j] for k in range(n)) for j in range(n))
 
     S = fx.surface
     T = dataclasses.replace(
         S, gram=tuple(times_U(col) for col in zip(*map(times_U, S.gram))),
         pushforward=tuple(map(times_U, S.pushforward)),
         K_S=inv(S.K_S), L_S=inv(S.L_S), O1_S=inv(S.O1_S))
-    bundles = {key: dataclasses.replace(lin, surface_class=inv(lin.surface_class))
-               for key, lin in fx.toric.bundles.items()}
-    toric = dataclasses.replace(fx.toric, bundles=bundles)
+    toric = fx.toric
+    if toric is not None:
+        toric = dataclasses.replace(toric, bundles={
+            key: dataclasses.replace(lin, surface_class=inv(lin.surface_class))
+            for key, lin in toric.bundles.items()})
     return dataclasses.replace(fx, surface=T, toric=toric), inv
 
 
@@ -913,6 +959,74 @@ def test_quadric_in_another_surface_basis_prints_the_same(capsys, tmp_path, U):
             assert got == sorted(inv(beta) for beta in enumerate_beta(fx.surface, g, beta_sq))
             found += len(got)
         assert found >= 4
+
+
+def _same_check_output(capsys, name, path, *flags):
+    for fmt in ("pretty", "json", "csv"):
+        builtin = run(capsys, "check", "--fixture", name, *flags, "--format", fmt)
+        assert run(capsys, "check", "--fixture", str(path), *flags, "--format", fmt) == builtin
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_cubic_in_another_surface_basis_through_json(capsys, tmp_path, seed):
+    """cubic_p4_d3 in a random basis U of Pic(S), saved and run by path:
+    the checks print the same, and the loaded surface's classes at
+    beta^2 = 1 ... -8 are the old ones mapped by U^-1.  The box `total` of
+    `series` is not compared: it depends on the basis until the box scan
+    is replaced by the graded total (ROADMAP item 1)."""
+    from test_classenum import _unimodular
+
+    fx = get_fixture("cubic_p4_d3")
+    U, _ = _unimodular(random.Random(seed), fx.surface.h2_rank, 12)
+    fy, inv = _in_basis(fx, U)
+    path = tmp_path / "cubic_in_basis.json"
+    save_fixture(fy, path)
+    for flags in ((), ("--gamma", "1/2")):
+        _same_check_output(capsys, "cubic_p4_d3", path, *flags)
+    loaded = get_fixture(str(path)).surface
+    assert loaded.gram != fx.surface.gram
+    found = 0
+    for beta_sq in range(1, -9, -1):
+        got = enumerate_beta(loaded, (Fraction(1, 2),), beta_sq)
+        assert got == sorted(inv(b) for b in enumerate_beta(fx.surface, (Fraction(1, 2),), beta_sq))
+        found += len(got)
+    assert found > 300
+
+
+@pytest.mark.parametrize("name, U, characters", [
+    *(("blowup_p3_line", U, ("r=1,s1=0,s2=-1", "r=0,s1=1,s2=0"))
+      for U in (((0, 1), (1, 0)), ((1, 0), (2, 1)), ((1, -1), (-1, 2)))),
+    ("blowup_p3_point", ((-1,),), ("r=1,s=0", "r=-1,s=0", "r=0,s=-1")),
+])
+def test_blowup_in_another_surface_basis_through_json(capsys, tmp_path, name, U, characters):
+    # both blow-ups push Pic(S) injectively into the threefold, so the class
+    # lattice has rank 0: the series total does not depend on the basis, and
+    # the one class per character moves to U^-1 beta
+    fx = get_fixture(name)
+    fy, inv = _in_basis(fx, U)
+    path = tmp_path / f"{name}_in_basis.json"
+    save_fixture(fy, path)
+    fixtures = (name, str(path))
+    if fx.toric is not None:
+        for cmd in ("oracle", "verify"):
+            for fmt in ("pretty", "json", "csv"):
+                builtin = run(capsys, cmd, "--fixture", name, "--format", fmt)
+                assert run(capsys, cmd, "--fixture", str(path), "--format", fmt)[:2] == builtin[:2]
+    rows = 0
+    for gamma in characters:
+        _same_check_output(capsys, name, path, "--gamma", gamma)
+        # the series of a character whose checks fail is compared too
+        series = ("series", "--gamma", gamma, "--override-checks")
+        csv_out = [run(capsys, *series, "--fixture", fx_, "--format", "csv") for fx_ in fixtures]
+        assert csv_out[0][0] == EXIT_OK and csv_out[1] == csv_out[0]
+        totals = [[line for line in run(capsys, *series, "--fixture", fx_)[1].splitlines()
+                   if line.lstrip().startswith("total")] for fx_ in fixtures]
+        assert len(totals[0]) == 1 and totals[1] == totals[0]
+        old, new = (json.loads(run(capsys, "classes", "--fixture", fx_, "--gamma", gamma,
+                                   "--format", "json")[1])["rows"] for fx_ in fixtures)
+        assert new == [dict(r, beta=list(inv(r["beta"]))) for r in old]
+        rows += len(old)
+    assert rows > 0
 
 
 def _src_env(**extra):
@@ -957,6 +1071,60 @@ def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
             helps.append(out)
     # the help text is laid out for the width at each call
     assert helps[0] != helps[1]
+
+
+@pytest.mark.parametrize("name, gamma", [
+    ("quadric_p4_d1", "0"), ("quadric_p4_d2", "ell"), ("blowup_p3_point", "r=1,s=0"),
+])
+def test_series_and_verify_resolve_the_same_convention(capsys, name, gamma):
+    assert get_fixture(name).toric is not None
+    for seed in ("0", "1", "2"):
+        code, out, _ = run(capsys, "series", "--fixture", name, "--gamma", gamma,
+                           "--seed", seed, "--order", "2")
+        assert code == EXIT_OK
+        line, = (x for x in out.splitlines() if x.startswith("  convention = "))
+        code, out, _ = run(capsys, "verify", "--fixture", name, "--seed", seed,
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert line == f"  convention = {json.loads(out)['resolved_convention']} (oracle-resolved)"
+
+
+def test_package_exports_are_the_module_objects():
+    import dtseries
+
+    assert len(set(dtseries.__all__)) == len(dtseries.__all__) == 26
+    for name in dtseries.__all__:
+        obj = getattr(dtseries, name)
+        home = "dtseries.fixtures" if name == "BUILTIN" else obj.__module__
+        assert getattr(sys.modules[home], name) is obj, name
+    star = {}
+    exec("from dtseries import *", star)
+    assert set(star) - {"__builtins__"} == set(dtseries.__all__)
+    with pytest.raises(ImportError):
+        exec("from dtseries import nonexistent", {})
+
+
+def test_import_dtseries_imports_no_submodule():
+    code = ("import sys, dtseries; "
+            "print(sorted(m for m in sys.modules if m.startswith('dtseries.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=120, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_json_files_are_written_as_before(capsys, tmp_path):
+    # UTF-8, indent 2, sorted keys and a final newline; the digests are
+    # those of the files written before save_fixture and --trace shared
+    # one writer
+    fixture, trace = tmp_path / "fx.json", tmp_path / "trace.json"
+    save_fixture(get_fixture("quadric_p4_d2"), fixture)
+    assert run(capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "2",
+               "--trace", str(trace))[0] == EXIT_OK
+    for path in (fixture, trace):
+        raw = path.read_bytes()
+        assert raw == (json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n").encode()
+    assert [hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in (fixture, trace)] == [
+        "ad64759788abf263", "eea6b4bd8efe85cb"]
 
 
 def test_exit_codes_are_distinct():
