@@ -16,7 +16,7 @@ _EXPORTS = {
                  "check_consistency", "delta_invariant", "hilbert_coeffs", "run_all_checks",
                  "triple_product", "virtual_dimension"),
     "classenum": ("BetaData", "beta_constraint_lattice", "enumerate_beta",
-                  "enumerate_contributions", "n_from_xi", "xi_from_n"),
+                  "enumerate_contributions"),
     "qseries": ("QSeries", "dt_series", "eta_power", "euler_product", "theta_block"),
     "localization": ("co_series",),
     "fixtures": ("BUILTIN", "get_fixture", "load_fixture", "save_fixture"),

@@ -17,10 +17,6 @@ from .geometry import delta_invariant, pair_h4_h2, triple_product
 from .intlinalg import integer_completion, mat_vec, solve_completed_square, solve_integer_system
 
 
-class NoSheafError(ValueError):
-    """Requested degree-6 data admits no sheaf (non-integral or negative length)."""
-
-
 class IndefiniteKernelError(ValueError):
     """Residual form on the constraint lattice is not negative definite."""
 
@@ -129,30 +125,6 @@ def enumerate_beta(S, gamma, beta_sq):
     return out
 
 
-def n_from_xi(S, X, gamma, beta, xi):
-    """Box count n = beta^2/2 + gamma.L/2 + 2L^3/3 - xi; must be a
-    nonnegative integer for a sheaf to exist."""
-    bsq = S.dot(beta, beta)
-    gL = pair_h4_h2(X, gamma, X.L)
-    L3 = triple_product(X, X.L, X.L, X.L)
-    n = Fraction(bsq, 2) + Fraction(gL) / 2 + Fraction(2 * L3, 3) - Fraction(xi)
-    if n.denominator != 1:
-        raise NoSheafError(f"n = {n} is not an integer")
-    if n < 0:
-        raise NoSheafError(f"n = {n} is negative")
-    return n.numerator
-
-
-def xi_from_n(S, X, gamma, beta, n):
-    """Inverse of n_from_xi."""
-    if n < 0:
-        raise NoSheafError("n must be nonnegative")
-    bsq = S.dot(beta, beta)
-    gL = pair_h4_h2(X, gamma, X.L)
-    L3 = triple_product(X, X.L, X.L, X.L)
-    return Fraction(bsq, 2) + Fraction(gL) / 2 + Fraction(2 * L3, 3) - n
-
-
 @dataclass(frozen=True)
 class BetaData:
     beta: tuple
@@ -185,8 +157,8 @@ def enumerate_contributions(S, X, gamma, max_power, window):
     lattice = beta_constraint_lattice(S, gamma, L2)
     rows = []
     if lattice is not None:
-        # xi = beta^2/2 + gamma.L/2 + 2L^3/3 - n as in xi_from_n, which the
-        # tests compare against, and the exponent beta^2/2 + delta/24 + n
+        # xi = beta^2/2 + gamma.L/2 + 2L^3/3 - n, which the tests compare
+        # against a reference, and the exponent beta^2/2 + delta/24 + n
         # depend on (beta^2, n) only: each pair builds them once, each as one
         # Fraction (2 xi = beta^2 - 2n + a/b, 24 exponent = 12(beta^2 + 2n)
         # + delta), and the classes of that square share them

@@ -137,12 +137,14 @@ def config_from_args(args):
 
 
 def resolve_gamma(fx, spec):
-    """Named character, parameter list, explicit vector, or the zero default."""
+    """Named character, parameter list, explicit vector, or the zero default.
+    A character with an entry too long to print is refused here, before any
+    output."""
     if spec is None:
         return tuple(Fraction(0) for _ in range(fx.threefold.h4_rank))
     if spec in fx.gamma_names:
-        return fx.gamma_names[spec]
-    if "=" in spec:
+        gamma = fx.gamma_names[spec]
+    elif "=" in spec:
         try:
             items = [item.split("=", 1) for item in spec.split(",")]
             pairs = dict(items)
@@ -150,18 +152,24 @@ def resolve_gamma(fx, spec):
                 names = [name for name, _ in items]
                 repeated = next(name for name in names if names.count(name) > 1)
                 raise ValueError(f"parameter {repeated!r} given more than once")
-            return tuple(fx.gamma_from_params(pairs))
+            gamma = tuple(fx.gamma_from_params(pairs))
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad character parameters {spec!r}: {exc}") from exc
+    else:
+        try:
+            gamma = tuple(Fraction(x) for x in spec.split(","))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CliError(f"bad character vector {spec!r}: {exc}") from exc
+        if len(gamma) != fx.threefold.h4_rank:
+            raise CliError(
+                f"character vector has length {len(gamma)}, expected {fx.threefold.h4_rank}"
+            )
     try:
-        vec = tuple(Fraction(x) for x in spec.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad character vector {spec!r}: {exc}") from exc
-    if len(vec) != fx.threefold.h4_rank:
-        raise CliError(
-            f"character vector has length {len(vec)}, expected {fx.threefold.h4_rank}"
-        )
-    return vec
+        for g in gamma:
+            frac_str(g)
+    except ValueError as exc:
+        raise CliError(f"bad character {spec!r}: {exc}") from exc
+    return gamma
 
 
 def emit_json(obj):
@@ -200,7 +208,7 @@ def _report_dict(report):
 def _print_report_pretty(fx, gamma, report):
     print(f"fixture {fx.name}")
     print(f"  character gamma     : ({', '.join(frac_str(g) for g in gamma)})")
-    for iq in (report.ineq_KL2_gt_L3, report.ineq_KLO1_pos):
+    for iq in report.inequalities:
         print(f"  {iq.label:<20}: {frac_str(iq.lhs)} > {frac_str(iq.rhs)}  "
               f"{'ok' if iq.holds else 'FAIL'}")
     print(f"  vanishing asserted  : {'yes' if report.vanishing_asserted else 'NO'}")
@@ -232,7 +240,7 @@ def cmd_check(cfg):
     elif cfg.fmt == "csv":
         rows = [["check", "lhs", "rhs", "holds"]]
         rows += [[iq.label.replace(" ", ""), frac_str(iq.lhs), frac_str(iq.rhs), iq.holds]
-                 for iq in (report.ineq_KL2_gt_L3, report.ineq_KLO1_pos)]
+                 for iq in report.inequalities]
         rows.append(["vanishing_asserted", "", "", report.vanishing_asserted])
         for e in report.stability_gap:
             rows.append([f"stability{list(e.candidate)}", frac_str(e.forbidden_m), "Z",

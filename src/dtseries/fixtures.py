@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .geometry import SurfaceModel, ThreefoldModel, _ints, _typed_fields, check_consistency
+from .intlinalg import mat_vec
 from .localization import Linearization, ToricSurfaceModel, p1xp1, p2
 from .qseries import frac_str
 
@@ -108,7 +109,14 @@ class GeometryFixture:
         return tuple(gamma)
 
 
-def _hypersurface(name, d, surface, dim_l, toric=None, gamma_names=None, notes=""):
+def _hypersurface(name, d, surface_name, gram, h, dim_l, toric=None, gamma_names=None,
+                  notes="", torsion_note=""):
+    """A smooth degree-d threefold X in P4 with L = O(1), and its hyperplane
+    section S, a degree-d surface in P3 whose Picard lattice has Gram matrix
+    gram and hyperplane class h.  The rest of S follows from d: L and O(1)
+    both restrict to h, adjunction gives K_S = (K_X + L)|_S = (d - 4)h from
+    K_X = (d - 5)H, a curve's class in X is its degree h.beta, and
+    e(S) = d^3 - 4d^2 + 6d."""
     X = ThreefoldModel(
         name=name,
         canonical=(d - 5,),
@@ -118,6 +126,16 @@ def _hypersurface(name, d, surface, dim_l, toric=None, gamma_names=None, notes="
         h4_h2_pairing=((1,),),
         vanishing_asserted=True,
         dim_linear_system=dim_l,
+    )
+    surface = SurfaceModel(
+        name=surface_name,
+        gram=gram,
+        K_S=tuple((d - 4) * x for x in h),
+        L_S=h,
+        O1_S=h,
+        euler=d**3 - 4 * d**2 + 6 * d,
+        pushforward=(mat_vec(gram, h),),
+        torsion_note=torsion_note,
     )
     return GeometryFixture(
         name=name,
@@ -133,17 +151,8 @@ def _hypersurface(name, d, surface, dim_l, toric=None, gamma_names=None, notes="
 
 def quadric_p4_d1():
     """Degree-1 hypersurface in P4 (a P3); S is a plane."""
-    surface = SurfaceModel(
-        name="plane",
-        gram=((1,),),
-        K_S=(-3,),
-        L_S=(1,),
-        O1_S=(1,),
-        euler=3,
-        pushforward=((1,),),
-    )
     return _hypersurface(
-        "quadric_p4_d1", 1, surface, dim_l=3, toric=p2(),
+        "quadric_p4_d1", 1, "plane", ((1,),), (1,), dim_l=3, toric=p2(),
         notes="Hyperplane in P4 with its plane section; the plane carries the "
         "standard torus action for the localization cross-check.",
     )
@@ -151,17 +160,9 @@ def quadric_p4_d1():
 
 def quadric_p4_d2():
     """Smooth quadric threefold; S is P1 x P1."""
-    surface = SurfaceModel(
-        name="quadric surface",
-        gram=((0, 1), (1, 0)),
-        K_S=(-2, -2),
-        L_S=(1, 1),
-        O1_S=(1, 1),
-        euler=4,
-        pushforward=((1, 1),),
-    )
     return _hypersurface(
-        "quadric_p4_d2", 2, surface, dim_l=4, toric=p1xp1(),
+        "quadric_p4_d2", 2, "quadric surface", ((0, 1), (1, 0)), (1, 1), dim_l=4,
+        toric=p1xp1(),
         gamma_names={"ell": (Fraction(-1),), "2ell": (Fraction(0),)},
         notes="Named characters are normalized representatives modulo twisting "
         "by L: 'ell' stores ell - L^2 and '2ell' stores 2ell - L^2, which "
@@ -170,20 +171,12 @@ def quadric_p4_d2():
 
 
 def cubic_p4_d3():
-    """Smooth cubic threefold; S is a cubic surface (P2 blown up in 6 points)."""
+    """Smooth cubic threefold; S is a cubic surface (P2 blown up in 6 points),
+    with the hyperplane class 3H - E1 - ... - E6."""
     gram = tuple(
         tuple((1 if i == j == 0 else (-1 if i == j else 0)) for j in range(7)) for i in range(7)
     )
-    surface = SurfaceModel(
-        name="cubic surface",
-        gram=gram,
-        K_S=(-3, 1, 1, 1, 1, 1, 1),
-        L_S=(3, -1, -1, -1, -1, -1, -1),
-        O1_S=(3, -1, -1, -1, -1, -1, -1),
-        euler=9,
-        pushforward=((3, 1, 1, 1, 1, 1, 1),),
-    )
-    return _hypersurface("cubic_p4_d3", 3, surface, dim_l=4)
+    return _hypersurface("cubic_p4_d3", 3, "cubic surface", gram, (3,) + (-1,) * 6, dim_l=4)
 
 
 def quartic_p4_d4():
@@ -192,17 +185,36 @@ def quartic_p4_d4():
     The first positivity inequality fails here by design of the geometry,
     not of the model: -K.L^2 = 4 = L^3.
     """
-    surface = SurfaceModel(
-        name="quartic surface",
-        gram=((4,),),
-        K_S=(0,),
-        L_S=(1,),
-        O1_S=(1,),
-        euler=24,
-        pushforward=((4,),),
+    return _hypersurface(
+        "quartic_p4_d4", 4, "quartic surface", ((4,),), (1,), dim_l=4,
         torsion_note="rank-1 slice of the K3 lattice; enough for every check here",
     )
-    return _hypersurface("quartic_p4_d4", 4, surface, dim_l=4)
+
+
+def _blowup(name, k, quad, surface, gamma_params, notes, toric=None):
+    """P3 blown up along a centre, in the divisor basis (L, E): K_X = -4L + E,
+    polarized by kL - E, dim |L| = 3, and the curve basis paired with (L, E)
+    by ((1, 0), (0, -1)).  E is the one candidate decomposition class."""
+    X = ThreefoldModel(
+        name=f"{name}(k={k})",
+        canonical=(-4, 1),
+        polarization=(k, -1),
+        L=(1, 0),
+        quad=quad,
+        h4_h2_pairing=((1, 0), (0, -1)),
+        vanishing_asserted=True,
+        dim_linear_system=3,
+    )
+    return GeometryFixture(
+        name=name,
+        threefold=X,
+        surface=surface,
+        candidates=((0, 1),),
+        irreducible=False,
+        gamma_params=gamma_params,
+        toric=toric,
+        notes=notes,
+    )
 
 
 def blowup_p3_point(k=3):
@@ -215,16 +227,6 @@ def blowup_p3_point(k=3):
     k = int(k)
     if k < 1:
         raise FixtureError("k must be a positive integer")
-    X = ThreefoldModel(
-        name=f"blowup_p3_point(k={k})",
-        canonical=(-4, 1),
-        polarization=(k, -1),
-        L=(1, 0),
-        quad=(((1, 0), (0, 0)), ((0, 0), (0, 1))),
-        h4_h2_pairing=((1, 0), (0, -1)),
-        vanishing_asserted=True,
-        dim_linear_system=3,
-    )
     surface = SurfaceModel(
         name="plane (missing the center)",
         gram=((1,),),
@@ -234,15 +236,11 @@ def blowup_p3_point(k=3):
         euler=3,
         pushforward=((1,), (0,)),
     )
-    return GeometryFixture(
-        name="blowup_p3_point",
-        threefold=X,
-        surface=surface,
-        candidates=((0, 1),),
-        irreducible=False,
-        gamma_params={"r": (Fraction(1, 2), Fraction(0)), "s": (Fraction(0), Fraction(1))},
+    return _blowup(
+        "blowup_p3_point", k, (((1, 0), (0, 0)), ((0, 0), (0, 1))), surface,
+        {"r": (Fraction(1, 2), Fraction(0)), "s": (Fraction(0), Fraction(1))},
+        "Characters are specified by r, s with gamma = (r/2) * [line] + s * e_E.",
         toric=p2(),
-        notes="Characters are specified by r, s with gamma = (r/2) * [line] + s * e_E.",
     )
 
 
@@ -252,16 +250,6 @@ def blowup_p3_line(k=3):
     k = int(k)
     if k < 2:
         raise FixtureError("k must be at least 2 for kL - E to polarize")
-    X = ThreefoldModel(
-        name=f"blowup_p3_line(k={k})",
-        canonical=(-4, 1),
-        polarization=(k, -1),
-        L=(1, 0),
-        quad=(((1, 0), (0, 1)), ((0, 1), (-1, -2))),
-        h4_h2_pairing=((1, 0), (0, -1)),
-        vanishing_asserted=True,
-        dim_linear_system=3,
-    )
     surface = SurfaceModel(
         name="plane blown up at a point",
         gram=((1, 0), (0, -1)),
@@ -271,18 +259,14 @@ def blowup_p3_line(k=3):
         euler=4,
         pushforward=((1, 0), (0, 1)),
     )
-    return GeometryFixture(
-        name="blowup_p3_line",
-        threefold=X,
-        surface=surface,
-        candidates=((0, 1),),
-        irreducible=False,
-        gamma_params={
+    return _blowup(
+        "blowup_p3_line", k, (((1, 0), (0, 1)), ((0, 1), (-1, -2))), surface,
+        {
             "r": (Fraction(1, 2), Fraction(0)),
             "s1": (Fraction(1), Fraction(1)),
             "s2": (Fraction(0), Fraction(1)),
         },
-        notes="Characters are specified by r, s1, s2 with gamma = (r/2) * [line] "
+        "Characters are specified by r, s1, s2 with gamma = (r/2) * [line] "
         "+ s1 * [minimal section of E] + s2 * [fiber of E]; in the curve basis "
         "([line], [fiber]) this is (r/2 + s1, s1 + s2).",
     )
@@ -378,6 +362,8 @@ def load_fixture(path):
         raise FixtureError(f"cannot read fixture: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(f"fixture is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FixtureError("fixture nests JSON arrays or objects too deeply to read") from exc
     return fixture_from_dict(data)
 
 

@@ -29,12 +29,15 @@ class ModelError(ValueError):
     """Model data violates a structural invariant."""
 
 
-def _int_tuple(x, where):
-    """A list of ints, or of such lists, as nested tuples.  Entries must be
+def _int_tuple(x, where, depth=3):
+    """A list of ints, or of such lists, as nested tuples at most depth
+    lists deep (the deepest field, quad, has three).  Entries must be
     exactly int: True and 1.0 are refused."""
     if not isinstance(x, (list, tuple)):
         raise ModelError(f"{where} must hold integers in nested lists, not {x!r}")
-    return tuple(y if type(y) is int else _int_tuple(y, where) for y in x)
+    if not depth:
+        raise ModelError(f"{where} nests lists more than three deep")
+    return tuple(y if type(y) is int else _int_tuple(y, where, depth - 1) for y in x)
 
 
 def _ints(v, n, *inner):
@@ -195,14 +198,20 @@ class InequalityCheck:
     label: str
     lhs: Fraction
     rhs: Fraction
-    holds: bool
+
+    @property
+    def holds(self):
+        return self.lhs > self.rhs
 
 
 @dataclass(frozen=True)
 class StabilityEntry:
     candidate: tuple
     forbidden_m: Fraction
-    is_integer: bool
+
+    @property
+    def is_integer(self):
+        return self.forbidden_m.denominator == 1
 
     @property
     def gap_holds(self):
@@ -220,12 +229,17 @@ class AssumptionReport:
     stability_gap: tuple  # one StabilityEntry per candidate decomposition
 
     @property
+    def inequalities(self):
+        """The two positivity checks, in report order."""
+        return self.ineq_KL2_gt_L3, self.ineq_KLO1_pos
+
+    @property
     def passed(self):
         return not self.failures
 
     @property
     def failures(self):
-        out = [iq.label for iq in (self.ineq_KL2_gt_L3, self.ineq_KLO1_pos) if not iq.holds]
+        out = [iq.label for iq in self.inequalities if not iq.holds]
         if not self.vanishing_asserted:
             out.append("cohomology vanishing")
         out.extend(
@@ -307,16 +321,13 @@ def run_all_checks(X, ch, candidates, irreducible=False):
     rhs1 = triple_product(X, X.L, X.L, X.L)
     val2 = triple_product(X, mK, X.L, X.polarization)
     a2, a1 = hilbert_coeffs(X, ch)
-    gap = []
-    for L1 in candidates:
-        m = stability_forbidden_m(X, a2, a1, L1)
-        gap.append(StabilityEntry(tuple(L1), m, m.denominator == 1))
     return AssumptionReport(
-        ineq_KL2_gt_L3=InequalityCheck("-K.L^2 > L^3", Fraction(lhs1), Fraction(rhs1), lhs1 > rhs1),
-        ineq_KLO1_pos=InequalityCheck("-K.L.O(1) > 0", Fraction(val2), Fraction(0), val2 > 0),
+        ineq_KL2_gt_L3=InequalityCheck("-K.L^2 > L^3", Fraction(lhs1), Fraction(rhs1)),
+        ineq_KLO1_pos=InequalityCheck("-K.L.O(1) > 0", Fraction(val2), Fraction(0)),
         vanishing_asserted=X.vanishing_asserted,
         irreducible=irreducible,
-        stability_gap=tuple(gap),
+        stability_gap=tuple(StabilityEntry(tuple(L1), stability_forbidden_m(X, a2, a1, L1))
+                            for L1 in candidates),
     )
 
 

@@ -52,16 +52,6 @@ class QSeries:
         """Number of known coefficients; q^(offset+order) is the error term."""
         return len(self.coeffs)
 
-    def coefficient(self, exponent):
-        """Exact coefficient of q^exponent; 0 outside the support lattice,
-        ValueError beyond the truncation window."""
-        j = Fraction(exponent) - self.offset
-        if j.denominator != 1 or j < 0:
-            return 0
-        if j >= self.order:
-            raise ValueError(f"coefficient of q^{exponent} beyond truncation order")
-        return self.coeffs[j.numerator]
-
     def shift(self, r):
         """Multiply by q^r."""
         return QSeries(self.offset + Fraction(r), self.coeffs)

@@ -14,6 +14,10 @@ The `Fraction` linear algebra the library replaced by one integer
 completion lives here too, as references for `intlinalg.integer_completion`
 and the surface model's Hodge-index check: the rational solve, the
 completed square and the signature by congruence elimination.
+
+`xi_from_n` and its inverse `n_from_xi` are the degree-6 bookkeeping of a
+row, each with its own inline formula, so that the rows' xi are checked
+against an independent computation.
 """
 
 from fractions import Fraction
@@ -118,6 +122,34 @@ def quadratic_completion(Q):
                 A[i][j] -= A[k][i] * A[k][j] / d[k]
                 A[j][i] = A[i][j]
     return d, u
+
+
+class NoSheafError(ValueError):
+    """Requested degree-6 data admits no sheaf (non-integral or negative length)."""
+
+
+def n_from_xi(S, X, gamma, beta, xi):
+    """Box count n = beta^2/2 + gamma.L/2 + 2L^3/3 - xi; must be a
+    nonnegative integer for a sheaf to exist."""
+    bsq = S.dot(beta, beta)
+    gL = pair_h4_h2(X, gamma, X.L)
+    L3 = triple_product(X, X.L, X.L, X.L)
+    n = Fraction(bsq, 2) + Fraction(gL) / 2 + Fraction(2 * L3, 3) - Fraction(xi)
+    if n.denominator != 1:
+        raise NoSheafError(f"n = {n} is not an integer")
+    if n < 0:
+        raise NoSheafError(f"n = {n} is negative")
+    return n.numerator
+
+
+def xi_from_n(S, X, gamma, beta, n):
+    """Inverse of n_from_xi."""
+    if n < 0:
+        raise NoSheafError("n must be nonnegative")
+    bsq = S.dot(beta, beta)
+    gL = pair_h4_h2(X, gamma, X.L)
+    L3 = triple_product(X, X.L, X.L, X.L)
+    return Fraction(bsq, 2) + Fraction(gL) / 2 + Fraction(2 * L3, 3) - n
 
 
 def enumerate_contributions(S, X, gamma, max_power, window):

@@ -98,7 +98,7 @@ def test_criterion_4_curve_class_windows():
 
 def test_criterion_5_euler_product_identities():
     series = euler_product(-1, 31)
-    ok = all(series.coefficient(n) == len(partition_list(n)) for n in range(31))
+    ok = all(series.coeffs[n] == len(partition_list(n)) for n in range(31))
     one = QSeries(0, [1] + [0] * 29)
     for e in range(-12, 13):
         ok = ok and euler_product(e, 30) * euler_product(-e, 30) == one
@@ -136,7 +136,7 @@ def test_criterion_6_point_counts_match_product_formula():
         ok = (
             ok
             and list(res.values) == want
-            and [product.coefficient(n) for n in range(5)] == want
+            and list(product.coeffs) == want
             and census == want
             and counts == want
         )

@@ -8,15 +8,12 @@ from operator import mul
 import pytest
 
 import classenum_reference
-from classenum_reference import solve_rational
+from classenum_reference import NoSheafError, n_from_xi, solve_rational, xi_from_n
 from dtseries.classenum import (
     IndefiniteKernelError,
     beta_constraint_lattice,
     enumerate_beta,
     enumerate_contributions,
-    n_from_xi,
-    NoSheafError,
-    xi_from_n,
 )
 from dtseries.fixtures import BUILTIN, get_fixture
 from dtseries.geometry import ChernVector, SurfaceModel, delta_invariant, run_all_checks

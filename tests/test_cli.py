@@ -635,6 +635,20 @@ def test_gamma_repeated_parameter(capsys):
     assert err.startswith("error:") and "parameter 'r' given more than once" in err
 
 
+@pytest.mark.parametrize("fixture, gamma", [
+    ("quadric_p4_d2", "1e5000"), ("blowup_p3_point", "r=1e9999,s=0")])
+def test_character_too_long_to_print_exits_bad_input(capsys, fixture, gamma):
+    # its entry has more digits than int-to-str conversion allows: refused
+    # before any output, in every format
+    for cmd in ("check", "series"):
+        for fmt in ("pretty", "json", "csv"):
+            code, out, err = run(capsys, cmd, "--fixture", fixture, "--gamma", gamma,
+                                 "--format", fmt)
+            assert code == EXIT_BAD_INPUT, (cmd, fmt)
+            assert out == ""
+            assert err.startswith(f"error: bad character {gamma!r}: ") and err.count("\n") == 1
+
+
 def test_k_on_non_blowup(capsys):
     code, _, _ = run(capsys, "check", "--fixture", "quadric_p4_d2", "--k", "2")
     assert code == EXIT_BAD_INPUT
@@ -820,6 +834,25 @@ def test_bad_model_value_exits_bad_input(capsys, tmp_path, name, keys, value, re
         assert code == EXIT_BAD_INPUT, (cmd, err)
         assert out == ""
         assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth, reason", [
+    (900, "SurfaceModel.gram nests lists more than three deep"),
+    (200_000, "fixture nests JSON arrays or objects too deeply to read")])
+def test_deeply_nested_gram_exits_bad_input(tmp_path, depth, reason):
+    # json reads 900 levels and the model refuses them; 200,000 levels
+    # overflow json's own recursion.  A fresh process, as a user runs it.
+    d = fixture_to_dict(get_fixture("quadric_p4_d2"))
+    d["surface"]["gram"] = "NESTED"
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(d).replace('"NESTED"', "[" * depth + "0" + "]" * depth),
+                    encoding="utf-8")
+    for cmd in ("check", "series"):
+        proc = subprocess.run([sys.executable, "-m", "dtseries.cli", cmd, "--fixture", str(path)],
+                              capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert proc.returncode == EXIT_BAD_INPUT, proc.stderr[-500:]
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {reason}\n"
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN))
@@ -1092,7 +1125,7 @@ def test_series_and_verify_resolve_the_same_convention(capsys, name, gamma):
 def test_package_exports_are_the_module_objects():
     import dtseries
 
-    assert len(set(dtseries.__all__)) == len(dtseries.__all__) == 26
+    assert len(set(dtseries.__all__)) == len(dtseries.__all__) == 24
     for name in dtseries.__all__:
         obj = getattr(dtseries, name)
         home = "dtseries.fixtures" if name == "BUILTIN" else obj.__module__
@@ -1100,8 +1133,9 @@ def test_package_exports_are_the_module_objects():
     star = {}
     exec("from dtseries import *", star)
     assert set(star) - {"__builtins__"} == set(dtseries.__all__)
-    with pytest.raises(ImportError):
-        exec("from dtseries import nonexistent", {})
+    for name in ("nonexistent", "xi_from_n"):
+        with pytest.raises(ImportError):
+            exec(f"from dtseries import {name}", {})
 
 
 def test_import_dtseries_imports_no_submodule():

@@ -1,6 +1,7 @@
 """Tests for the built-in geometries and fixture serialization."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -64,6 +65,112 @@ def test_hypersurface_virtual_dimensions():
         ("cubic_p4_d3", 3),
     ):
         assert virtual_dimension(get_fixture(name).threefold) == (5 - d) * d // 2 + 1
+
+
+def _typed_by_hand(name, k):
+    """(threefold, surface, candidates, irreducible) of a builtin as its
+    builder once typed them, every number literal: the hypersurfaces'
+    surfaces are now derived from (d, gram, h) and the blow-ups share one
+    threefold builder, so this checks the derivation independently."""
+    hypersurface = {"vanishing_asserted": True, "polarization": (1,), "L": (1,),
+                    "h4_h2_pairing": ((1,),)}
+    blowup = {"name": f"{name}(k={k})", "canonical": (-4, 1), "polarization": (k, -1),
+              "L": (1, 0), "h4_h2_pairing": ((1, 0), (0, -1)), "vanishing_asserted": True,
+              "dim_linear_system": 3}
+    data = {
+        "quadric_p4_d1": (
+            {**hypersurface, "name": "quadric_p4_d1", "canonical": (-4,), "quad": (((1,),),),
+             "dim_linear_system": 3},
+            {"name": "plane", "gram": ((1,),), "K_S": (-3,), "L_S": (1,), "O1_S": (1,),
+             "euler": 3, "pushforward": ((1,),), "torsion_note": ""},
+            (), True),
+        "quadric_p4_d2": (
+            {**hypersurface, "name": "quadric_p4_d2", "canonical": (-3,), "quad": (((2,),),),
+             "dim_linear_system": 4},
+            {"name": "quadric surface", "gram": ((0, 1), (1, 0)), "K_S": (-2, -2),
+             "L_S": (1, 1), "O1_S": (1, 1), "euler": 4, "pushforward": ((1, 1),),
+             "torsion_note": ""},
+            (), True),
+        "cubic_p4_d3": (
+            {**hypersurface, "name": "cubic_p4_d3", "canonical": (-2,), "quad": (((3,),),),
+             "dim_linear_system": 4},
+            {"name": "cubic surface",
+             "gram": ((1, 0, 0, 0, 0, 0, 0),
+                      (0, -1, 0, 0, 0, 0, 0),
+                      (0, 0, -1, 0, 0, 0, 0),
+                      (0, 0, 0, -1, 0, 0, 0),
+                      (0, 0, 0, 0, -1, 0, 0),
+                      (0, 0, 0, 0, 0, -1, 0),
+                      (0, 0, 0, 0, 0, 0, -1)),
+             "K_S": (-3, 1, 1, 1, 1, 1, 1), "L_S": (3, -1, -1, -1, -1, -1, -1),
+             "O1_S": (3, -1, -1, -1, -1, -1, -1), "euler": 9,
+             "pushforward": ((3, 1, 1, 1, 1, 1, 1),), "torsion_note": ""},
+            (), True),
+        "quartic_p4_d4": (
+            {**hypersurface, "name": "quartic_p4_d4", "canonical": (-1,), "quad": (((4,),),),
+             "dim_linear_system": 4},
+            {"name": "quartic surface", "gram": ((4,),), "K_S": (0,), "L_S": (1,),
+             "O1_S": (1,), "euler": 24, "pushforward": ((4,),),
+             "torsion_note": "rank-1 slice of the K3 lattice; enough for every check here"},
+            (), True),
+        "blowup_p3_point": (
+            {**blowup, "quad": (((1, 0), (0, 0)), ((0, 0), (0, 1)))},
+            {"name": "plane (missing the center)", "gram": ((1,),), "K_S": (-3,),
+             "L_S": (1,), "O1_S": (k,), "euler": 3, "pushforward": ((1,), (0,)),
+             "torsion_note": ""},
+            ((0, 1),), False),
+        "blowup_p3_line": (
+            {**blowup, "quad": (((1, 0), (0, 1)), ((0, 1), (-1, -2)))},
+            {"name": "plane blown up at a point", "gram": ((1, 0), (0, -1)), "K_S": (-3, 1),
+             "L_S": (1, 0), "O1_S": (k, -1), "euler": 4, "pushforward": ((1, 0), (0, 1)),
+             "torsion_note": ""},
+            ((0, 1),), False),
+    }
+    return data[name]
+
+
+BUILTIN_VARIANTS = [(name, None) for name in ALL_NAMES[:4]] + [
+    ("blowup_p3_point", k) for k in range(1, 7)] + [("blowup_p3_line", k) for k in range(2, 7)]
+
+
+@pytest.mark.parametrize("name, k", BUILTIN_VARIANTS)
+def test_builtins_equal_the_hand_typed_data(name, k):
+    fx = get_fixture(name, k)
+    threefold, surface, candidates, irreducible = _typed_by_hand(name, k)
+    for model, typed in ((fx.threefold, threefold), (fx.surface, surface)):
+        fields = dataclasses.asdict(model)
+        assert fields.keys() == typed.keys()
+        for key, value in typed.items():
+            assert fields[key] == value, key
+    assert (fx.candidates, fx.irreducible) == (candidates, irreducible)
+
+
+# sha256 prefixes of each builtin's saved file, from before the builders
+# derived their data: the derivation changes no saved byte
+SAVED_DIGESTS = [
+    ("quadric_p4_d1", None, "515543695376d741"),
+    ("quadric_p4_d2", None, "ad64759788abf263"),
+    ("cubic_p4_d3", None, "1bceef5818ffbd12"),
+    ("quartic_p4_d4", None, "c45deb9b6c905933"),
+    ("blowup_p3_point", 1, "d058c0c12ae268a2"),
+    ("blowup_p3_point", 2, "c1ba23d1649734f1"),
+    ("blowup_p3_point", 3, "d074e079a093610d"),
+    ("blowup_p3_point", 4, "f31124b4128c452c"),
+    ("blowup_p3_point", 5, "ffc5ff9de567c08c"),
+    ("blowup_p3_point", 6, "93cef8413d577abc"),
+    ("blowup_p3_line", 2, "b3cd29a4f86e030a"),
+    ("blowup_p3_line", 3, "1cc3af8792c4a42a"),
+    ("blowup_p3_line", 4, "9b9bda734cb2ac9e"),
+    ("blowup_p3_line", 5, "e8279151d2ea9638"),
+    ("blowup_p3_line", 6, "c84117a40980d98e"),
+]
+
+
+@pytest.mark.parametrize("name, k, digest", SAVED_DIGESTS)
+def test_saved_builtin_files_are_unchanged(tmp_path, name, k, digest):
+    path = tmp_path / "fx.json"
+    save_fixture(get_fixture(name, k), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
 
 def test_toric_attachments():

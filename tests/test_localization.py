@@ -279,7 +279,7 @@ def test_fixed_point_census_matches_euler_product():
         series = euler_product(e, 7)
         for n in range(7):
             count = sum(1 for _ in hilb_fixed_points(model.euler, n))
-            assert count == series.coefficient(n)
+            assert count == series.coeffs[n]
 
 
 def test_fixed_points_have_total_n():

@@ -162,16 +162,6 @@ def test_scalar_and_shift():
     assert a.shift(-1).coeffs == a.coeffs
 
 
-def test_coefficient_accessor():
-    a = QSeries(Fraction(-1, 2), [4, 0, 6])
-    assert a.coefficient(Fraction(-1, 2)) == 4
-    assert a.coefficient(Fraction(3, 2)) == 6
-    assert a.coefficient(-10) == 0  # different coset: structurally zero
-    assert a.coefficient(Fraction(-5, 2)) == 0  # below the leading term
-    with pytest.raises(ValueError):
-        a.coefficient(Fraction(5, 2))  # beyond the window
-
-
 def test_theta_block():
     t = theta_block([0, -1, -1, -4], 6)
     assert t.offset == -4
