@@ -5,11 +5,11 @@ classes), series (the assembled q-series), oracle (localization integrals),
 verify (oracle vs. Euler-product coefficients).  Output is deterministic
 for a fixed configuration and seed: timing goes to stderr, never stdout.
 
-Exit codes: 0 success, 2 hypothesis checks failed, 3 verification
-mismatch or inconsistent model data (a class lattice that is not negative
-definite, or classes of both parities of beta^2), 4 invalid input, 141
-stdout closed before the output was written (a broken pipe, as in
-`dtseries ... | head`).
+Exit codes: 0 success, 2 hypothesis checks failed, 3 the oracle agrees
+with neither exponent sign or finds its sums inconsistent, 4 invalid input
+(a fixture whose surface breaks the projection formula or Wu's formula
+included), 141 stdout closed before the output was written (a broken pipe,
+as in `dtseries ... | head`).
 """
 
 import argparse
@@ -22,17 +22,17 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classenum import IndefiniteKernelError, enumerate_contributions
+from .classenum import enumerate_contributions
 from .fixtures import get_fixture, write_json
 from .geometry import delta_invariant, run_all_checks, virtual_dimension, ChernVector
 from .localization import IntegralityError, OracleError, co_series, trace_terms
 from .qseries import (
     CONVENTION_MINUS,
     CONVENTION_PLUS,
-    SectorError,
     dt_series,
     euler_product,
     frac_str,
+    parse_frac,
 )
 
 EXIT_OK = 0
@@ -142,32 +142,25 @@ def resolve_gamma(fx, spec):
     output."""
     if spec is None:
         return tuple(Fraction(0) for _ in range(fx.threefold.h4_rank))
-    if spec in fx.gamma_names:
-        gamma = fx.gamma_names[spec]
-    elif "=" in spec:
-        try:
+    try:
+        if spec in fx.gamma_names:
+            gamma = fx.gamma_names[spec]
+        elif "=" in spec:
             items = [item.split("=", 1) for item in spec.split(",")]
             pairs = dict(items)
             if len(pairs) < len(items):
                 names = [name for name, _ in items]
                 repeated = next(name for name in names if names.count(name) > 1)
                 raise ValueError(f"parameter {repeated!r} given more than once")
-            gamma = tuple(fx.gamma_from_params(pairs))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad character parameters {spec!r}: {exc}") from exc
-    else:
-        try:
-            gamma = tuple(Fraction(x) for x in spec.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad character vector {spec!r}: {exc}") from exc
-        if len(gamma) != fx.threefold.h4_rank:
-            raise CliError(
-                f"character vector has length {len(gamma)}, expected {fx.threefold.h4_rank}"
-            )
-    try:
+            gamma = fx.gamma_from_params(pairs)
+        else:
+            gamma = tuple(map(parse_frac, spec.split(",")))
+            if len(gamma) != fx.threefold.h4_rank:
+                raise ValueError(f"a vector of length {len(gamma)}, "
+                                 f"expected {fx.threefold.h4_rank}")
         for g in gamma:
             frac_str(g)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad character {spec!r}: {exc}") from exc
     return gamma
 
@@ -519,13 +512,12 @@ def _dispatch(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
-    # the one map from a command's exception to its exit code; the data
-    # errors come first, since IndefiniteKernelError and SectorError are
-    # ValueErrors, and every other ValueError is invalid input
+    # the one map from a command's exception to its exit code: the oracle's
+    # errors are a mismatch, and every ValueError is invalid input
     try:
         cfg = config_from_args(args)
         return COMMANDS[cfg.command](cfg)
-    except (OracleError, IntegralityError, IndefiniteKernelError, SectorError) as exc:
+    except (OracleError, IntegralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as exc:

@@ -18,8 +18,16 @@ whose class is L_S) are derived, so a `triple`, `h2_rank`, `h4_rank`,
 fan must be S's.  Only `"toric": null` means the surface is not toric.
 Characters (`gamma_names`, and `gamma_params: {name:
 vector}` with gamma = sum of value * vector) are strings such as "-1/2" or
-integers.  A missing, unknown or wrong-typed value, or a file that is not a
-JSON object, raises FixtureError or ModelError.
+integers; a decimal exponent beyond the integer-string limit is refused.
+A missing, unknown or wrong-typed value, or a file that is not a JSON
+object, raises FixtureError or ModelError.
+
+S must be a member of |L| in X, which check_consistency confirms as each
+fixture is built: push L_S = L^2 and, at each basis class e_i of Pic(S),
+K_S.e_i = (K_X+L).push e_i, L_S.e_i = L.push e_i, O1_S.e_i = H.push e_i
+(the projection formula) and e_i.e_i = K_S.e_i mod 2 (Wu's formula).  A
+loaded fixture's class lattice is therefore negative definite, and the
+classes of one character have squares of one parity.
 """
 
 import json
@@ -29,7 +37,7 @@ from fractions import Fraction
 from .geometry import SurfaceModel, ThreefoldModel, _ints, _typed_fields, check_consistency
 from .intlinalg import mat_vec
 from .localization import Linearization, ToricSurfaceModel, p1xp1, p2
-from .qseries import frac_str
+from .qseries import frac_str, parse_frac
 
 
 class FixtureError(ValueError):
@@ -104,7 +112,7 @@ class GeometryFixture:
             raise FixtureError(f"{self.name}: unknown parameters {extra}")
         gamma = [Fraction(0)] * self.threefold.h4_rank
         for name, vec in self.gamma_params.items():
-            value = Fraction(values[name])
+            value = parse_frac(values[name])
             gamma = [g + value * x for g, x in zip(gamma, vec)]
         return tuple(gamma)
 
@@ -315,7 +323,7 @@ def _characters(table, key):
                 f"{key}[{name!r}] must be a list of strings or integers, not {vec!r}"
             )
         try:
-            out[name] = tuple(Fraction(g) for g in vec)
+            out[name] = tuple(map(parse_frac, vec))
         except (ValueError, ZeroDivisionError) as exc:
             raise FixtureError(f"{key}[{name!r}]: {exc}") from exc
     return out

@@ -348,13 +348,25 @@ def delta_invariant(S, divisor=None):
 
 
 def check_consistency(X, S):
-    """Cross-checks tying a surface model to its ambient threefold:
-    restriction degrees, adjunction, and the pushforward of L_S."""
-    if S.dot(S.L_S, S.L_S) != triple_product(X, X.L, X.L, X.L):
-        raise ModelError(f"{S.name}: L_S.L_S differs from L^3")
-    KplusL = tuple(k + l for k, l in zip(X.canonical, X.L))
-    if S.dot(S.K_S, S.L_S) != triple_product(X, KplusL, X.L, X.L):
-        raise ModelError(f"{S.name}: adjunction K_S.L_S = (K_X+L).L^2 fails")
+    """Cross-checks tying a surface model to its ambient threefold: push L_S
+    is the class of L^2 and, at each basis class e_i of Pic(S), the
+    projection formula D|_S.e_i = D.push e_i holds for K_S = (K_X+L)|_S,
+    L_S = L|_S and O1_S = H|_S, and so does Wu's formula e_i.e_i = K_S.e_i
+    mod 2.  Together they give L_S^2 = L^3 and K_S.L_S = (K_X+L).L^2."""
     if S.push(S.L_S) != curve_class(X, X.L, X.L):
         raise ModelError(f"{S.name}: pushforward of L_S is not the class of L^2")
+    KplusL = tuple(k + l for k, l in zip(X.canonical, X.L))
+    restrictions = (("K_S", S.K_S, "K_X+L", KplusL), ("L_S", S.L_S, "L", X.L),
+                    ("O1_S", S.O1_S, "H", X.polarization))
+    for i, row in enumerate(S.gram):
+        pushed = tuple(p[i] for p in S.pushforward)
+        for name, on_S, ambient, D in restrictions:
+            a, b = sum(map(mul, row, on_S)), pair_h4_h2(X, pushed, D)
+            if a != b:
+                raise ModelError(f"{S.name}: projection formula fails at e_{i}: "
+                                 f"{name}.e_{i} = {a} but ({ambient}).push e_{i} = {b}")
+        k = sum(map(mul, row, S.K_S))
+        if (row[i] - k) % 2:
+            raise ModelError(f"{S.name}: Wu's formula fails at e_{i}: e_{i}.e_{i} = {row[i]} "
+                             f"and K_S.e_{i} = {k} differ mod 2")
     return True

@@ -9,6 +9,8 @@ blocks' common prefactor q^(delta/24).
 """
 
 import operator
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +31,22 @@ def frac_str(x):
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
+def parse_frac(x):
+    """A Fraction from an int, a Fraction or a string such as '-1/2' or
+    '2.5e-3'.  A decimal exponent beyond the int-to-str digit limit is
+    refused before Fraction builds 10**e (seconds at e = 10**7), since
+    such an entry is too long to print."""
+    if isinstance(x, str):
+        m = _EXPONENT.search(x)
+        limit = sys.get_int_max_str_digits()
+        if m and limit and abs(int(m.group(1))) > limit:
+            raise ValueError(f"decimal exponent {m.group(1)} exceeds {limit}")
+    return Fraction(x)
 
 
 class QSeries:

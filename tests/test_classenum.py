@@ -15,8 +15,15 @@ from dtseries.classenum import (
     enumerate_beta,
     enumerate_contributions,
 )
-from dtseries.fixtures import BUILTIN, get_fixture
-from dtseries.geometry import ChernVector, SurfaceModel, delta_invariant, run_all_checks
+from dtseries.fixtures import BUILTIN, get_fixture, save_fixture
+from dtseries.geometry import (
+    ChernVector,
+    SurfaceModel,
+    curve_class,
+    delta_invariant,
+    pair_h4_h2,
+    run_all_checks,
+)
 
 
 def brute_force_betas(S, gamma, beta_sq, radius):
@@ -263,6 +270,39 @@ def test_enumerate_beta_independent_of_surface_basis():
                 assert got == sorted(inv(beta) for beta in enumerate_beta(S, gamma, beta_sq))
                 total += len(got)
         assert total > 1000
+
+
+def test_loaded_fixtures_have_classes_of_one_parity(tmp_path):
+    """What the load-time projection and Wu checks buy: on every builtin,
+    and on three random bases of Pic(S) for the cubic and the line blow-up
+    read back from JSON, enumerate_beta never raises over a grid of
+    characters and levels beta^2 = 1 ... -8, and each class found has
+    beta^2 = K_S.beta = (K_X+L).(gamma + L^2/2) mod 2, read off X alone."""
+    from test_cli import _in_basis
+
+    fixtures = [get_fixture(name) for name in BUILTIN]
+    for name in ("cubic_p4_d3", "blowup_p3_line"):
+        fx = get_fixture(name)
+        for seed in range(3):
+            U, _ = _unimodular(random.Random(seed), fx.surface.h2_rank, 12)
+            path = tmp_path / f"{name}_{seed}.json"
+            save_fixture(_in_basis(fx, U)[0], path)
+            fixtures.append(get_fixture(str(path)))
+    steps = [Fraction(k, 2) for k in range(-2, 3)]
+    parities, found = set(), 0
+    for fx in fixtures:
+        X, S = fx.threefold, fx.surface
+        KplusL = tuple(k + l for k, l in zip(X.canonical, X.L))
+        for gamma in product(steps, repeat=X.h4_rank):
+            target = [g + Fraction(l, 2) for g, l in zip(gamma, curve_class(X, X.L, X.L))]
+            parity = pair_h4_h2(X, target, KplusL) % 2
+            for beta_sq in range(1, -9, -1):
+                got = enumerate_beta(S, gamma, beta_sq)
+                assert all(S.dot(b, b) % 2 == parity for b in got), (fx.name, gamma, beta_sq)
+                if got:
+                    parities.add(parity)
+                    found += len(got)
+    assert parities == {0, 1} and found > 10000
 
 
 def _chi3(m):

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -474,51 +475,40 @@ def test_oracle_integrality_error_exits_mismatch(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_indefinite_kernel_error_exits_mismatch(capsys, tmp_path):
-    # quadric_p4_d2 with pushforward (3, -1): the kernel is spanned by (1, 3),
-    # of square +6, so no finite list of classes exists for any square
+def _refused_at_load(capsys, path, gamma, error):
+    """check, classes and series on the fixture file exit 4 in every
+    format, with empty stdout and the one error line."""
+    for command in ("check", "classes", "series"):
+        for fmt in ("pretty", "json", "csv"):
+            got = run(capsys, command, "--fixture", str(path), "--gamma", gamma,
+                      "--format", fmt)
+            assert got == (EXIT_BAD_INPUT, "", f"error: {error}\n"), (command, fmt)
+
+
+def test_fixture_breaking_the_projection_formula_exits_bad_input(capsys, tmp_path):
+    # quadric_p4_d2 with pushforward (3, -1): push L_S is still L^2 = 2, but
+    # K_S.e_0 = -2 while (K_X+L).push e_0 = -6.  Its class lattice, spanned
+    # by (1, 3) of square +6, would not be negative definite
     d = fixture_to_dict(get_fixture("quadric_p4_d2"))
     d["surface"]["pushforward"] = [[3, -1]]
     path = tmp_path / "indefinite.json"
     path.write_text(json.dumps(d))
-    for command in ("classes", "series"):
-        for fmt in ("pretty", "json", "csv"):
-            code, out, err = run(capsys, command, "--fixture", str(path), "--gamma", "ell",
-                                 "--format", fmt)
-            assert code == EXIT_MISMATCH, (command, fmt)
-            assert out == ""
-            assert err == ("error: quadric surface: the intersection form on the constraint "
-                           "lattice of gamma = (-1) is not negative definite\n")
-    # the checks do not enumerate classes
-    code, _, _ = run(capsys, "check", "--fixture", str(path), "--gamma", "ell")
-    assert code == EXIT_OK
+    _refused_at_load(capsys, path, "ell", "quadric surface: projection formula fails at e_0: "
+                     "K_S.e_0 = -2 but (K_X+L).push e_0 = -6")
 
 
-def test_classes_of_both_parities_exit_mismatch(capsys, tmp_path):
-    # a cubic whose surface block breaks Wu's formula: beta = (1, 0, 0) has
-    # beta^2 = 1 but K_S.beta = -2, so the classes of one character have
-    # squares of both parities and their theta exponents lie in different
-    # cosets of Z.  The file parses and passes its checks; the model data is
-    # inconsistent, which is exit 3, not the invalid input of exit 4
-    fx = get_fixture("cubic_p4_d3")
-    surface = dataclasses.replace(
-        fx.surface, gram=((1, 0, 0), (0, -1, 0), (0, 0, -1)), K_S=(-2, -1, 0),
-        L_S=(2, 1, 0), O1_S=(2, 1, 0), euler=9, pushforward=((2, -1, 0),))
+def test_fixture_breaking_wus_formula_exits_bad_input(capsys, tmp_path):
+    # a cubic whose surface block meets the projection formula but breaks
+    # Wu's formula: e_0 = (1, 0, 0) has e_0^2 = 1 but K_S.e_0 = -2, so the
+    # classes of one character would have squares of both parities
+    d = fixture_to_dict(get_fixture("cubic_p4_d3"))
+    d["surface"].update(gram=[[1, 0, 0], [0, -1, 0], [0, 0, -1]], K_S=[-2, -1, 0],
+                        L_S=[2, 1, 0], O1_S=[2, 1, 0], euler=9, pushforward=[[2, -1, 0]])
     path = tmp_path / "odd.json"
-    save_fixture(dataclasses.replace(fx, surface=surface), path)
-    for fmt in ("pretty", "json", "csv"):
-        for gamma in ("1/2", "3/2"):
-            code, out, err = run(capsys, "series", "--fixture", str(path), "--gamma", gamma,
-                                 "--format", fmt)
-            assert (code, out, err) == (
-                EXIT_MISMATCH, "", "error: theta exponents lie in different cosets of Z\n")
-        assert run(capsys, "check", "--fixture", str(path), "--format", fmt)[0] == EXIT_OK
-        code, out, _ = run(capsys, "classes", "--fixture", str(path), "--gamma", "1/2",
-                           "--format", fmt)
-        assert code == EXIT_OK and out
-    rows = json.loads(run(capsys, "classes", "--fixture", str(path), "--gamma", "1/2",
-                          "--format", "json")[1])["rows"]
-    assert {r["beta_sq"] % 2 for r in rows} == {0, 1}
+    path.write_text(json.dumps(d))
+    for gamma in ("1/2", "3/2"):
+        _refused_at_load(capsys, path, gamma, "cubic surface: Wu's formula fails at e_0: "
+                         "e_0.e_0 = 1 and K_S.e_0 = -2 differ mod 2")
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +637,24 @@ def test_character_too_long_to_print_exits_bad_input(capsys, fixture, gamma):
             assert code == EXIT_BAD_INPUT, (cmd, fmt)
             assert out == ""
             assert err.startswith(f"error: bad character {gamma!r}: ") and err.count("\n") == 1
+
+
+def test_huge_decimal_exponent_exits_bad_input_at_once(capsys, tmp_path):
+    # Fraction would build 10**(10**7) first, for seconds; the exponent is
+    # refused before that, in a --gamma vector, in a --gamma parameter and
+    # in a fixture file's character
+    d = fixture_to_dict(get_fixture("quadric_p4_d2"))
+    d["gamma_names"]["big"] = ["1e10000000"]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(d))
+    for argv in (("--fixture", "quadric_p4_d2", "--gamma", "1e10000000"),
+                 ("--fixture", "blowup_p3_point", "--gamma", "r=1e10000000,s=0"),
+                 ("--fixture", str(path))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (EXIT_BAD_INPUT, "") and err.count("\n") == 1, argv
+        assert err.startswith("error: ") and "decimal exponent 10000000 exceeds" in err
 
 
 def test_k_on_non_blowup(capsys):

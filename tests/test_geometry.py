@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from classenum_reference import symmetric_signature
-from dtseries.fixtures import BUILTIN, FixtureError, get_fixture
+from dtseries.fixtures import BUILTIN, FixtureError, fixture_to_dict, get_fixture
 from dtseries.geometry import (
     ChernVector,
     ModelError,
     SurfaceModel,
+    ThreefoldModel,
     check_consistency,
     curve_class,
     delta_invariant,
@@ -206,6 +207,56 @@ def test_consistency_detects_broken_adjunction():
     )
     with pytest.raises(ModelError):
         check_consistency(fx.threefold, broken)
+
+
+def _broken_identities(X, S):
+    """Which of the five identities tying S to X fail, restated from the
+    dense arrays: push L_S = L^2, and at each e_i the projection formula
+    for K_S, L_S and O1_S and Wu's formula."""
+    r, h = X.h2_rank, X.h4_rank
+    LL = [sum(X.L[a] * X.L[b] * X.quad[a][b][k] for a in range(r) for b in range(r))
+          for k in range(h)]
+    broken = set() if list(S.push(S.L_S)) == LL else {"push"}
+    KplusL = [k + l for k, l in zip(X.canonical, X.L)]
+    for i in range(S.h2_rank):
+        e = [int(j == i) for j in range(S.h2_rank)]
+        pushed = [sum(X.h4_h2_pairing[k][a] * P[i] for k, P in enumerate(S.pushforward))
+                  for a in range(r)]
+        for name, on_S, D in (("K_S", S.K_S, KplusL), ("L_S", S.L_S, X.L),
+                              ("O1_S", S.O1_S, X.polarization)):
+            if S.dot(on_S, e) != sum(x * y for x, y in zip(pushed, D)):
+                broken.add(name)
+        if (S.dot(e, e) - S.dot(S.K_S, e)) % 2:
+            broken.add("Wu")
+    return broken
+
+
+@pytest.mark.parametrize("name, edits, broken, message", [
+    ("quadric_p4_d2", {"surface": {"K_S": [-4, -2]}}, "K_S",
+     r"projection formula fails at e_1: K_S\.e_1 = -4 but \(K_X\+L\)\.push e_1 = -2"),
+    ("quadric_p4_d2", {"surface": {"O1_S": [2, 1]}}, "O1_S",
+     r"projection formula fails at e_1: O1_S\.e_1 = 2 but \(H\)\.push e_1 = 1"),
+    ("quadric_p4_d2", {"threefold": {"quad": [[[3]]]}}, "push",
+     r"pushforward of L_S is not the class of L\^2"),
+    # a single entry of L_S moves push L_S, so L_S = (2, 0) keeps it at 2
+    ("quadric_p4_d2", {"surface": {"L_S": [2, 0]}}, "L_S",
+     r"projection formula fails at e_0: L_S\.e_0 = 0 but \(L\)\.push e_0 = 1"),
+    # a single change of K_S moves K_S.e_0, so K_X moves with it
+    ("blowup_p3_point", {"surface": {"K_S": [-2]}, "threefold": {"canonical": [-3, 1]}}, "Wu",
+     r"Wu's formula fails at e_0: e_0\.e_0 = 1 and K_S\.e_0 = -2 differ mod 2"),
+])
+def test_consistency_names_each_broken_identity(name, edits, broken, message):
+    """Each of the five identities fires alone, on a builtin with one field
+    (for Wu's formula, one field of each model) changed, and the error
+    names it and the basis class it fails at."""
+    fx = get_fixture(name)
+    assert _broken_identities(fx.threefold, fx.surface) == set()
+    d = fixture_to_dict(fx)
+    X = ThreefoldModel(**{**d["threefold"], **edits.get("threefold", {})})
+    S = SurfaceModel(**{**d["surface"], **edits.get("surface", {})})
+    assert _broken_identities(X, S) == {broken}
+    with pytest.raises(ModelError, match=message):
+        check_consistency(X, S)
 
 
 def test_surface_model_hodge_check_matches_signature():
