@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classenum import enumerate_contributions
@@ -57,83 +56,62 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_INPUT)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    fixture: str
-    gamma_spec: str | None = None
-    order: int = 8
-    window: int = 2
-    n_max: int = 4
-    k: int | None = None
-    seed: int = 0
-    fmt: str = "pretty"
-    override_checks: bool = False
-    bundle: str | None = None  # None: the bundle of L, fx.toric_L
-    trace: str | None = None
-
-    def validate(self):
-        if not (1 <= self.order <= ORDER_CEILING):
-            raise CliError(f"--order must lie in 1..{ORDER_CEILING}")
-        if self.window < 0:
-            raise CliError("--window must be nonnegative")
-        if not (0 <= self.n_max <= NMAX_CEILING):
-            raise CliError(f"--nmax must lie in 0..{NMAX_CEILING}")
-        return self
-
-
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and shared after it:
     parsing does not change it, so repeated main() calls reuse one.
 
-    Flags have no defaults here: a flag left out is absent from the parsed
-    namespace, and RunConfig's field defaults apply."""
+    It is the run configuration: each flag's type and default are stated
+    once, in its add_argument, and the parsed namespace is what the cmd_*
+    functions read, each flag under its own name.  A subcommand's namespace
+    holds only its own flags, and `run`, its command function."""
     parser = _Parser(prog="dtseries", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, summary, gamma=False, series_flags=False, oracle_flags=False):
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    def add(run, summary, gamma=False, series_flags=False, oracle_flags=False):
+        p = sub.add_parser(run.__name__.removeprefix("cmd_"), help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--fixture", required=True, help="builtin fixture name or JSON file")
-        p.add_argument("--format", choices=("pretty", "json", "csv"))
-        p.add_argument("--seed", type=int)
+        p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--k", type=int, help="polarization parameter for the blow-up fixtures")
         if gamma:
             p.add_argument("--gamma",
                            help="character: named ('ell'), parameters ('r=0,s=-1'), "
                                 "or a comma-separated rational vector")
         if series_flags:
-            p.add_argument("--order", type=int,
+            p.add_argument("--order", type=int, default=8,
                            help="truncation: keep exponents up to this power of q "
                                 f"(at most {ORDER_CEILING})")
-            p.add_argument("--window", type=int,
+            p.add_argument("--window", type=int, default=2,
                            help="lattice search radius for curve classes")
         if oracle_flags:
-            p.add_argument("--nmax", type=int,
+            p.add_argument("--nmax", type=int, default=4,
                            help=f"largest number of points (at most {NMAX_CEILING})")
             p.add_argument("--bundle", help="which linearized bundle to integrate against "
                                             "(default: the bundle of L)")
         return p
 
-    add("check", "run the positivity and stability-gap checks", gamma=True)
-    add("classes", "enumerate contributing curve classes", gamma=True, series_flags=True)
-    p = add("series", "assemble the generating series", gamma=True, series_flags=True)
+    add(cmd_check, "run the positivity and stability-gap checks", gamma=True)
+    add(cmd_classes, "enumerate contributing curve classes", gamma=True, series_flags=True)
+    p = add(cmd_series, "assemble the generating series", gamma=True, series_flags=True)
     p.add_argument("--override-checks", action="store_true",
                    help="produce the series even when the checks fail")
-    p = add("oracle", "equivariant integrals on the Hilbert scheme", oracle_flags=True)
+    p = add(cmd_oracle, "equivariant integrals on the Hilbert scheme", oracle_flags=True)
     p.add_argument("--trace", help="write a per-fixed-point JSON trace (small n) to this file")
-    add("verify", "compare the oracle against the Euler product", oracle_flags=True)
+    add(cmd_verify, "compare the oracle against the Euler product", oracle_flags=True)
     return parser
 
 
-# the flags whose RunConfig field has another name; every other flag's
-# dest is its field's name
-_FIELD_OF_FLAG = {"gamma": "gamma_spec", "nmax": "n_max", "format": "fmt"}
-
-
-def config_from_args(args):
-    fields = {_FIELD_OF_FLAG.get(flag, flag): value for flag, value in vars(args).items()}
-    return RunConfig(**fields).validate()
+def check_bounds(cfg):
+    """Refuse an --order, --window or --nmax out of its range; a subcommand
+    without one of these flags has nothing of it to check."""
+    if "order" in cfg and not 1 <= cfg.order <= ORDER_CEILING:
+        raise CliError(f"--order must lie in 1..{ORDER_CEILING}")
+    if "window" in cfg and cfg.window < 0:
+        raise CliError("--window must be nonnegative")
+    if "nmax" in cfg and not 0 <= cfg.nmax <= NMAX_CEILING:
+        raise CliError(f"--nmax must lie in 0..{NMAX_CEILING}")
 
 
 def resolve_gamma(fx, spec):
@@ -147,6 +125,9 @@ def resolve_gamma(fx, spec):
             gamma = fx.gamma_names[spec]
         elif "=" in spec:
             items = [item.split("=", 1) for item in spec.split(",")]
+            for item in items:
+                if len(item) == 1:
+                    raise ValueError(f"{item[0]!r} is not name=value")
             pairs = dict(items)
             if len(pairs) < len(items):
                 names = [name for name, _ in items]
@@ -219,18 +200,18 @@ def _print_report_pretty(fx, gamma, report):
 
 def cmd_check(cfg):
     fx = get_fixture(cfg.fixture, cfg.k)
-    gamma = resolve_gamma(fx, cfg.gamma_spec)
+    gamma = resolve_gamma(fx, cfg.gamma)
     report = run_all_checks(
         fx.threefold, ChernVector(gamma), fx.candidates, irreducible=fx.irreducible
     )
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         emit_json({
             "command": "check",
             "fixture": fx.name,
             "gamma": [frac_str(g) for g in gamma],
             "report": _report_dict(report),
         })
-    elif cfg.fmt == "csv":
+    elif cfg.format == "csv":
         rows = [["check", "lhs", "rhs", "holds"]]
         rows += [[iq.label.replace(" ", ""), frac_str(iq.lhs), frac_str(iq.rhs), iq.holds]
                  for iq in report.inequalities]
@@ -261,9 +242,9 @@ def _table_rows_csv(fx, table):
 
 def cmd_classes(cfg):
     fx = get_fixture(cfg.fixture, cfg.k)
-    gamma = resolve_gamma(fx, cfg.gamma_spec)
+    gamma = resolve_gamma(fx, cfg.gamma)
     table = enumerate_contributions(fx.surface, fx.threefold, gamma, cfg.order, cfg.window)
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         emit_json({
             "command": "classes",
             "fixture": fx.name,
@@ -282,7 +263,7 @@ def cmd_classes(cfg):
                 for r in table.rows
             ],
         })
-    elif cfg.fmt == "csv":
+    elif cfg.format == "csv":
         _csv_print(_table_rows_csv(fx, table))
     else:
         print(f"fixture {fx.name}  gamma=({', '.join(frac_str(g) for g in gamma)})  "
@@ -326,12 +307,12 @@ def resolve_convention(fx, seed):
 
 def cmd_series(cfg):
     fx = get_fixture(cfg.fixture, cfg.k)
-    gamma = resolve_gamma(fx, cfg.gamma_spec)
+    gamma = resolve_gamma(fx, cfg.gamma)
     report = run_all_checks(
         fx.threefold, ChernVector(gamma), fx.candidates, irreducible=fx.irreducible
     )
     if not report.passed and not cfg.override_checks:
-        if cfg.fmt == "json":
+        if cfg.format == "json":
             emit_json({
                 "command": "series",
                 "fixture": fx.name,
@@ -348,7 +329,7 @@ def cmd_series(cfg):
     v = virtual_dimension(fx.threefold)
     # every block shares dt_series' one Euler factor, so it is rendered once
     n_series = result.blocks[0].n_series if result.blocks else None
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         n_json = n_series.to_json_dict() if result.blocks else None
         emit_json({
             "command": "series",
@@ -370,7 +351,7 @@ def cmd_series(cfg):
             ],
             "total": result.total.to_json_dict(),
         })
-    elif cfg.fmt == "csv":
+    elif cfg.format == "csv":
         # q^(offset + i) is (p + i*d)/d in lowest terms for offset p/d
         p, d = result.total.offset.numerator, result.total.offset.denominator
         rows = [["q_exp_num", "q_exp_den", "coeff_num", "coeff_den"]]
@@ -403,10 +384,10 @@ def _toric_bundle(cfg):
 
 def cmd_oracle(cfg):
     fx, lin = _toric_bundle(cfg)
-    result = co_series(fx.toric, lin, cfg.n_max, seed=cfg.seed)
+    result = co_series(fx.toric, lin, cfg.nmax, seed=cfg.seed)
     print(f"oracle time: {result.elapsed:.3f}s", file=sys.stderr)
-    if cfg.trace:
-        depth = min(cfg.n_max, 3)
+    if cfg.trace is not None:
+        depth = min(cfg.nmax, 3)
         trace = []
         for n in range(depth + 1):
             terms = trace_terms(fx.toric, lin, n, result.eval_points[0], result.shift)
@@ -430,9 +411,9 @@ def cmd_oracle(cfg):
         "shift": list(result.shift),
         "seed": result.seed,
     }
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         emit_json(payload)
-    elif cfg.fmt == "csv":
+    elif cfg.format == "csv":
         rows = [["n", "value"]] + [[n, v] for n, v in enumerate(result.values)]
         _csv_print(rows)
     else:
@@ -446,9 +427,9 @@ def cmd_oracle(cfg):
 
 def cmd_verify(cfg):
     fx, lin = _toric_bundle(cfg)
-    sign, result, delta, minus, plus = oracle_verdict(fx, lin, cfg.n_max, cfg.seed)
+    sign, result, delta, minus, plus = oracle_verdict(fx, lin, cfg.nmax, cfg.seed)
     print(f"oracle time: {result.elapsed:.3f}s", file=sys.stderr)
-    order = cfg.n_max + 1
+    order = cfg.nmax + 1
     vals = list(result.values)
     matches_minus = vals == minus
     matches_plus = vals == plus
@@ -457,7 +438,7 @@ def cmd_verify(cfg):
         "fixture": fx.name,
         "bundle": lin.name,
         "delta": delta,
-        "n_max": cfg.n_max,
+        "n_max": cfg.nmax,
         "oracle_values": vals,
         "euler_minus_delta": minus,
         "euler_plus_delta": plus,
@@ -465,9 +446,9 @@ def cmd_verify(cfg):
         "matches_plus": matches_plus,
         "resolved_convention": sign,
     }
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         emit_json(payload)
-    elif cfg.fmt == "csv":
+    elif cfg.format == "csv":
         rows = [["n", "oracle", "euler_minus_delta", "euler_plus_delta"]]
         for n in range(order):
             rows.append([n, vals[n], minus[n], plus[n]])
@@ -485,15 +466,6 @@ def cmd_verify(cfg):
     return EXIT_OK if sign else EXIT_MISMATCH
 
 
-COMMANDS = {
-    "check": cmd_check,
-    "classes": cmd_classes,
-    "series": cmd_series,
-    "oracle": cmd_oracle,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None):
     try:
         code = _dispatch(argv)
@@ -509,14 +481,14 @@ def main(argv=None):
 def _dispatch(argv):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
     # the one map from a command's exception to its exit code: the oracle's
     # errors are a mismatch, and every ValueError is invalid input
     try:
-        cfg = config_from_args(args)
-        return COMMANDS[cfg.command](cfg)
+        check_bounds(cfg)
+        return cfg.run(cfg)
     except (OracleError, IntegralityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

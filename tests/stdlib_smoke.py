@@ -9,7 +9,10 @@ any import outside the standard library fails:
 encoding to the locale: fixture and trace JSON is UTF-8.  The fixture and
 trace files it writes (fx.json, line.json, q2.json, o21.json,
 indefinite.json, odd.json, nest900.json, nest200k.json, trace.json) go to
-the working directory.  Exits 0 when every call gives its documented code.
+the working directory.  It also asks each subcommand for its --help, which
+must exit 0 (under -W error an argparse deprecation warning fails it), and
+runs oracle with an empty --trace path, which must exit 4.  Exits 0 when
+every call gives its documented code.
 The name does not match test_*.py, so pytest does not collect it.
 """
 
@@ -98,6 +101,10 @@ assert main(["verify", "--fixture", "quadric_p4_d2", "--nmax", "6"]) == 0
 # call in the process shares one argument parser.
 assert main(["check", "--fixture", "quadric_p4_d2", "--order", "3"]) == 4
 
+# Each subcommand's help exits 0 with the flags it lists.
+for cmd in ("check", "classes", "series", "oracle", "verify"):
+    assert main([cmd, "--help"]) == 0, cmd
+
 # The point blow-up at k=1 fails its stability gap, so the check report's
 # failing verdict runs here too (exit 2).
 assert main(["check", "--fixture", "blowup_p3_point", "--k", "1", "--gamma", "r=0,s=-1"]) == 2
@@ -105,6 +112,10 @@ assert main(["check", "--fixture", "blowup_p3_point", "--k", "1", "--gamma", "r=
 # The oracle call writes a --trace file, whose per-fixed-point terms are
 # read from the tables the oracle sums.
 assert main(["oracle", "--fixture", "quadric_p4_d2", "--nmax", "3", "--trace", "trace.json"]) == 0
+
+# An empty --trace path fails to open like any unwritable one: exit 4, not
+# a silent run without a trace.
+assert main(["oracle", "--fixture", "quadric_p4_d2", "--nmax", "1", "--trace", ""]) == 4
 
 # The verify of quadric_p4_d1 runs P2 at the --nmax ceiling, 20; the classes
 # call runs the integer row builder on the rank-6 cubic, and the last call

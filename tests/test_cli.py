@@ -425,13 +425,15 @@ def test_oracle_trace_file(capsys, tmp_path):
 
 
 def test_oracle_trace_unwritable_exits_bad_input(capsys, tmp_path):
-    path = tmp_path / "missing" / "t.json"
-    code, out, err = run(
-        capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "1", "--trace", str(path),
-    )
-    assert code == EXIT_BAD_INPUT
-    assert out == ""
-    assert "error: cannot write trace: " in err and "Traceback" not in err
+    # the empty path is a path too: it fails to open like any other
+    # unwritable one, rather than leaving no trace and exiting 0
+    for path in (str(tmp_path / "missing" / "t.json"), ""):
+        code, out, err = run(
+            capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "1", "--trace", path,
+        )
+        assert code == EXIT_BAD_INPUT, path
+        assert out == ""
+        assert "error: cannot write trace: " in err and "Traceback" not in err
 
 
 def test_oracle_rejects_non_toric_fixture(capsys):
@@ -625,6 +627,15 @@ def test_gamma_repeated_parameter(capsys):
     assert err.startswith("error:") and "parameter 'r' given more than once" in err
 
 
+@pytest.mark.parametrize("spec, item", [("r=1,s", "s"), ("r=1,s=0,", "")])
+def test_gamma_parameter_without_value(capsys, spec, item):
+    # an item without '=' is named in the one error line, not left to dict()
+    code, out, err = run(capsys, "classes", "--fixture", "blowup_p3_point", "--gamma", spec)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == f"error: bad character {spec!r}: {item!r} is not name=value\n"
+
+
 @pytest.mark.parametrize("fixture, gamma", [
     ("quadric_p4_d2", "1e5000"), ("blowup_p3_point", "r=1e9999,s=0")])
 def test_character_too_long_to_print_exits_bad_input(capsys, fixture, gamma):
@@ -693,6 +704,23 @@ def test_bad_order_and_window(capsys):
         capsys, "classes", "--fixture", "quadric_p4_d2", "--window", "-1"
     )
     assert code == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("check", ()),
+    ("classes", ("--order", "8", "--window", "2")),
+    ("series", ("--order", "8", "--window", "2")),
+    ("oracle", ("--nmax", "4", "--bundle", "L")),
+    ("verify", ("--nmax", "4", "--bundle", "L")),
+])
+def test_defaults_spelled_out_change_nothing(capsys, command, flags):
+    # the defaults README documents: a call that spells each one out prints
+    # and exits as the call that leaves them out
+    gamma = ("--gamma", "ell") if command in ("check", "classes", "series") else ()
+    argv = (command, "--fixture", "quadric_p4_d2", *gamma)
+    code, out, _ = run(capsys, *argv)
+    assert out
+    assert run(capsys, *argv, "--format", "pretty", "--seed", "0", *flags)[:2] == (code, out)
 
 
 # the shape written before fans: hand-typed charts, edges and weights
