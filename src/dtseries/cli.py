@@ -19,19 +19,17 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .classenum import enumerate_contributions
 from .fixtures import get_fixture, write_json
 from .geometry import delta_invariant, run_all_checks, virtual_dimension, ChernVector
-from .localization import IntegralityError, OracleError, co_series, trace_terms
+from .localization import OracleError, co_series, trace_terms
 from .qseries import (
     CONVENTION_MINUS,
     CONVENTION_PLUS,
     dt_series,
     euler_product,
     frac_str,
-    parse_frac,
 )
 
 EXIT_OK = 0
@@ -42,10 +40,6 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer the p
 
 NMAX_CEILING = 20
 ORDER_CEILING = 2000
-
-
-class CliError(ValueError):
-    """Invalid command-line input (maps to exit code 4)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,43 +101,11 @@ def check_bounds(cfg):
     """Refuse an --order, --window or --nmax out of its range; a subcommand
     without one of these flags has nothing of it to check."""
     if "order" in cfg and not 1 <= cfg.order <= ORDER_CEILING:
-        raise CliError(f"--order must lie in 1..{ORDER_CEILING}")
+        raise ValueError(f"--order must lie in 1..{ORDER_CEILING}")
     if "window" in cfg and cfg.window < 0:
-        raise CliError("--window must be nonnegative")
+        raise ValueError("--window must be nonnegative")
     if "nmax" in cfg and not 0 <= cfg.nmax <= NMAX_CEILING:
-        raise CliError(f"--nmax must lie in 0..{NMAX_CEILING}")
-
-
-def resolve_gamma(fx, spec):
-    """Named character, parameter list, explicit vector, or the zero default.
-    A character with an entry too long to print is refused here, before any
-    output."""
-    if spec is None:
-        return tuple(Fraction(0) for _ in range(fx.threefold.h4_rank))
-    try:
-        if spec in fx.gamma_names:
-            gamma = fx.gamma_names[spec]
-        elif "=" in spec:
-            items = [item.split("=", 1) for item in spec.split(",")]
-            for item in items:
-                if len(item) == 1:
-                    raise ValueError(f"{item[0]!r} is not name=value")
-            pairs = dict(items)
-            if len(pairs) < len(items):
-                names = [name for name, _ in items]
-                repeated = next(name for name in names if names.count(name) > 1)
-                raise ValueError(f"parameter {repeated!r} given more than once")
-            gamma = fx.gamma_from_params(pairs)
-        else:
-            gamma = tuple(map(parse_frac, spec.split(",")))
-            if len(gamma) != fx.threefold.h4_rank:
-                raise ValueError(f"a vector of length {len(gamma)}, "
-                                 f"expected {fx.threefold.h4_rank}")
-        for g in gamma:
-            frac_str(g)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad character {spec!r}: {exc}") from exc
-    return gamma
+        raise ValueError(f"--nmax must lie in 0..{NMAX_CEILING}")
 
 
 def emit_json(obj):
@@ -200,7 +162,7 @@ def _print_report_pretty(fx, gamma, report):
 
 def cmd_check(cfg):
     fx = get_fixture(cfg.fixture, cfg.k)
-    gamma = resolve_gamma(fx, cfg.gamma)
+    gamma = fx.character(cfg.gamma)
     report = run_all_checks(
         fx.threefold, ChernVector(gamma), fx.candidates, irreducible=fx.irreducible
     )
@@ -242,7 +204,7 @@ def _table_rows_csv(fx, table):
 
 def cmd_classes(cfg):
     fx = get_fixture(cfg.fixture, cfg.k)
-    gamma = resolve_gamma(fx, cfg.gamma)
+    gamma = fx.character(cfg.gamma)
     table = enumerate_contributions(fx.surface, fx.threefold, gamma, cfg.order, cfg.window)
     if cfg.format == "json":
         emit_json({
@@ -307,7 +269,7 @@ def resolve_convention(fx, seed):
 
 def cmd_series(cfg):
     fx = get_fixture(cfg.fixture, cfg.k)
-    gamma = resolve_gamma(fx, cfg.gamma)
+    gamma = fx.character(cfg.gamma)
     report = run_all_checks(
         fx.threefold, ChernVector(gamma), fx.candidates, irreducible=fx.irreducible
     )
@@ -375,10 +337,10 @@ def _toric_bundle(cfg):
     """The fixture and the toric bundle named by --bundle (default: the bundle of L)."""
     fx = get_fixture(cfg.fixture, cfg.k)
     if fx.toric is None:
-        raise CliError(f"fixture {fx.name} has no toric surface model")
+        raise ValueError(f"fixture {fx.name} has no toric surface model")
     key = fx.toric_L if cfg.bundle is None else cfg.bundle
     if key not in fx.toric.bundles:
-        raise CliError(f"no bundle {key!r}; available: {sorted(fx.toric.bundles)}")
+        raise ValueError(f"no bundle {key!r}; available: {sorted(fx.toric.bundles)}")
     return fx, fx.toric.bundles[key]
 
 
@@ -400,7 +362,7 @@ def cmd_oracle(cfg):
         try:
             write_json(trace, cfg.trace)
         except OSError as exc:
-            raise CliError(f"cannot write trace: {exc}") from exc
+            raise ValueError(f"cannot write trace: {exc}") from exc
     payload = {
         "command": "oracle",
         "fixture": fx.name,
@@ -484,12 +446,12 @@ def _dispatch(argv):
         cfg = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_BAD_INPUT
-    # the one map from a command's exception to its exit code: the oracle's
-    # errors are a mismatch, and every ValueError is invalid input
+    # the one map from a command's exception to its exit code: an
+    # OracleError is a mismatch, and every ValueError is invalid input
     try:
         check_bounds(cfg)
         return cfg.run(cfg)
-    except (OracleError, IntegralityError) as exc:
+    except OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as exc:

@@ -33,6 +33,7 @@ classes of one character have squares of one parity.
 import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .geometry import SurfaceModel, ThreefoldModel, _ints, _typed_fields, check_consistency
 from .intlinalg import mat_vec
@@ -67,12 +68,10 @@ class GeometryFixture:
                 raise FixtureError(f"{self.name}: candidate decomposition class is zero")
             if c == self.threefold.L:
                 raise FixtureError(f"{self.name}: candidate decomposition class equals L")
-        for name, g in self.gamma_names.items():
-            if len(g) != self.threefold.h4_rank:
-                raise FixtureError(f"{self.name}: named gamma {name!r} has wrong length")
-        for name, g in self.gamma_params.items():
-            if len(g) != self.threefold.h4_rank:
-                raise FixtureError(f"{self.name}: gamma parameter {name!r} has wrong length")
+        for key in ("gamma_names", "gamma_params"):
+            for name, g in getattr(self, key).items():
+                if len(g) != self.threefold.h4_rank:
+                    raise FixtureError(f"{self.name}: {key}[{name!r}] has wrong length")
         if self.toric is not None:
             S = self.surface
             for key, lin in self.toric.bundles.items():
@@ -99,22 +98,49 @@ class GeometryFixture:
         return next((k for k, lin in bundles.items() if lin.surface_class == self.surface.L_S),
                     None)
 
-    def gamma_from_params(self, values):
-        """The character sum of value * gamma_params[name] over the given
-        {name: value} parameters; every parameter must be given."""
-        if not self.gamma_params:
-            raise FixtureError(f"{self.name}: fixture takes no character parameters")
-        missing = [p for p in self.gamma_params if p not in values]
-        if missing:
-            raise FixtureError(f"{self.name}: missing parameters {missing}")
-        extra = [p for p in values if p not in self.gamma_params]
-        if extra:
-            raise FixtureError(f"{self.name}: unknown parameters {extra}")
-        gamma = [Fraction(0)] * self.threefold.h4_rank
-        for name, vec in self.gamma_params.items():
-            value = parse_frac(values[name])
-            gamma = [g + value * x for g, x in zip(gamma, vec)]
-        return tuple(gamma)
+    def character(self, spec):
+        """The character a --gamma string names, as a tuple of Fractions:
+        None is zero, a key of gamma_names is its vector, a comma-separated
+        rational vector of length h4_rank is itself, and name=value pairs,
+        each parameter of gamma_params exactly once, give the sum of value *
+        gamma_params[name].  Any other spec, or an entry too long to print,
+        raises FixtureError."""
+        h = self.threefold.h4_rank
+        if spec is None:
+            return (Fraction(0),) * h
+        try:
+            if spec in self.gamma_names:
+                gamma = self.gamma_names[spec]
+            elif "=" in spec:
+                items = [item.split("=", 1) for item in spec.split(",")]
+                bare = next((item[0] for item in items if len(item) == 1), None)
+                if bare is not None:
+                    raise ValueError(f"{bare!r} is not name=value")
+                values = dict(items)
+                if len(values) < len(items):
+                    names = [name for name, _ in items]
+                    repeated = next(name for name in names if names.count(name) > 1)
+                    raise ValueError(f"parameter {repeated!r} given more than once")
+                if not self.gamma_params:
+                    raise ValueError(f"{self.name}: fixture takes no character parameters")
+                missing = [p for p in self.gamma_params if p not in values]
+                if missing:
+                    raise ValueError(f"{self.name}: missing parameters {missing}")
+                extra = [p for p in values if p not in self.gamma_params]
+                if extra:
+                    raise ValueError(f"{self.name}: unknown parameters {extra}")
+                weights = [parse_frac(values[p]) for p in self.gamma_params]
+                gamma = tuple(sum(map(mul, weights, col))
+                              for col in zip(*self.gamma_params.values()))
+            else:
+                gamma = tuple(map(parse_frac, spec.split(",")))
+                if len(gamma) != h:
+                    raise ValueError(f"a vector of length {len(gamma)}, expected {h}")
+            for g in gamma:
+                frac_str(g)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FixtureError(f"bad character {spec!r}: {exc}") from exc
+        return gamma
 
 
 def _hypersurface(name, d, surface_name, gram, h, dim_l, toric=None, gamma_names=None,
@@ -232,8 +258,7 @@ def blowup_p3_point(k=3):
     E^3 = -1 and K_X = -4L + E in the (L, E) basis; the model is consistent
     as stated and every downstream check works directly with these numbers.
     """
-    k = int(k)
-    if k < 1:
+    if type(k) is not int or k < 1:
         raise FixtureError("k must be a positive integer")
     surface = SurfaceModel(
         name="plane (missing the center)",
@@ -255,7 +280,8 @@ def blowup_p3_point(k=3):
 def blowup_p3_line(k=3):
     """P3 blown up along a line, polarized by kL - E; S is a plane's strict
     transform (P2 blown up at one point)."""
-    k = int(k)
+    if type(k) is not int:
+        raise FixtureError("k must be an integer")
     if k < 2:
         raise FixtureError("k must be at least 2 for kL - E to polarize")
     surface = SurfaceModel(

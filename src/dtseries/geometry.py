@@ -352,7 +352,11 @@ def check_consistency(X, S):
     is the class of L^2 and, at each basis class e_i of Pic(S), the
     projection formula D|_S.e_i = D.push e_i holds for K_S = (K_X+L)|_S,
     L_S = L|_S and O1_S = H|_S, and so does Wu's formula e_i.e_i = K_S.e_i
-    mod 2.  Together they give L_S^2 = L^3 and K_S.L_S = (K_X+L).L^2."""
+    mod 2.  Together they give L_S^2 = L^3 and K_S.L_S = (K_X+L).L^2.
+    The pushforward has one row per curve class of X."""
+    if len(S.pushforward) != X.h4_rank:
+        raise ModelError(f"{S.name}: pushforward row count {len(S.pushforward)} differs from "
+                         f"the number of curve classes of {X.name}, {X.h4_rank}")
     if S.push(S.L_S) != curve_class(X, X.L, X.L):
         raise ModelError(f"{S.name}: pushforward of L_S is not the class of L^2")
     KplusL = tuple(k + l for k, l in zip(X.canonical, X.L))

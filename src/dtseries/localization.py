@@ -87,12 +87,12 @@ class ZeroWeightError(ArithmeticError):
         self.structural = structural
 
 
-class IntegralityError(ArithmeticError):
-    """The fixed-point sum failed to be an integer; the model data is wrong."""
-
-
 class OracleError(RuntimeError):
-    """Could not obtain a stable answer after re-randomizing."""
+    """The oracle's sums are inconsistent, or no generic point was found."""
+
+
+class IntegralityError(OracleError):
+    """The fixed-point sum failed to be an integer; the model data is wrong."""
 
 
 @dataclass(frozen=True)
@@ -423,13 +423,12 @@ def co_series(model, lin, n_max, seed=0):
     """Integrals for n = 0..n_max at two independent evaluation points.
 
     Zero weights trigger fresh points (and, for structural zeros, a fresh
-    common shift of the linearization), at most MAX_ATTEMPTS times; the two
-    evaluations must agree exactly, and persistent disagreement is an
-    error, not a retry loop.
+    common shift of the linearization), at most MAX_ATTEMPTS times.  The
+    sums are exact, so two valid points of a consistent model agree: the
+    first disagreement comes from the model and raises OracleError.
     """
     rng = random.Random(seed)
     shift = (0, 0)
-    disagreements = 0
     t0 = time.perf_counter()
     layout = _cell_layout(n_max)
     for _ in range(MAX_ATTEMPTS):
@@ -441,18 +440,14 @@ def co_series(model, lin, n_max, seed=0):
             if exc.structural:
                 shift = (rng.randint(-40, 40), rng.randint(-40, 40))
             continue
-        if vals_p == vals_q:
-            return CoSeriesResult(
-                values=tuple(vals_p),
-                n_max=n_max,
-                eval_points=(p, q),
-                shift=shift,
-                seed=seed,
-                elapsed=time.perf_counter() - t0,
-            )
-        disagreements += 1
-        if disagreements >= 2:
-            break
-    if disagreements:
-        raise OracleError("evaluation points persistently disagree; model data is inconsistent")
+        if vals_p != vals_q:
+            raise OracleError("evaluation points disagree; model data is inconsistent")
+        return CoSeriesResult(
+            values=tuple(vals_p),
+            n_max=n_max,
+            eval_points=(p, q),
+            shift=shift,
+            seed=seed,
+            elapsed=time.perf_counter() - t0,
+        )
     raise OracleError("no generic evaluation data found after re-randomizing")

@@ -11,8 +11,11 @@ trace files it writes (fx.json, line.json, q2.json, o21.json,
 indefinite.json, odd.json, nest900.json, nest200k.json, trace.json) go to
 the working directory.  It also asks each subcommand for its --help, which
 must exit 0 (under -W error an argparse deprecation warning fails it), and
-runs oracle with an empty --trace path, which must exit 4.  Exits 0 when
-every call gives its documented code.
+runs oracle with an empty --trace path, which must exit 4.  It reads the
+character r=1/2,s1=0,s2=0 of blowup_p3_line through the fixture's one
+reader, GeometryFixture.character, and runs check on that fixture with
+the parameter s2 missing, which must exit 4.  Exits 0 when every call
+gives its documented code.
 The name does not match test_*.py, so pytest does not collect it.
 """
 
@@ -104,6 +107,12 @@ assert main(["check", "--fixture", "quadric_p4_d2", "--order", "3"]) == 4
 # Each subcommand's help exits 0 with the flags it lists.
 for cmd in ("check", "classes", "series", "oracle", "verify"):
     assert main([cmd, "--help"]) == 0, cmd
+
+# Every --gamma spelling is read by GeometryFixture.character: the line
+# blow-up's parameters give (r/2 + s1, s1 + s2), and a missing one exits 4.
+line_fx = get_fixture("blowup_p3_line")
+assert line_fx.character("r=1/2,s1=0,s2=0") == (Fraction(1, 4), Fraction(0))
+assert main(["check", "--fixture", "blowup_p3_line", "--gamma", "r=1,s1=0"]) == 4
 
 # The point blow-up at k=1 fails its stability gap, so the check report's
 # failing verdict runs here too (exit 2).

@@ -73,11 +73,11 @@ def test_enumerate_beta_rank_zero_lattice():
     fx = get_fixture("blowup_p3_point")
     S = fx.surface
     # r must be odd for gamma + L^2/2 to be integral; r=3 pins beta = (2)
-    gamma = fx.gamma_from_params({"r": 3, "s": 0})
+    gamma = fx.character("r=3,s=0")
     assert enumerate_beta(S, gamma, 4) == [(2,)]
     assert enumerate_beta(S, gamma, 5) == []
     # even r: the degree constraint has no integral solution at all
-    assert enumerate_beta(S, fx.gamma_from_params({"r": 2, "s": 0}), 4) == []
+    assert enumerate_beta(S, fx.character("r=2,s=0"), 4) == []
     # incompatible exceptional-curve coordinate: the system is inconsistent
     assert enumerate_beta(S, (Fraction(3, 2), Fraction(1)), 4) == []
 
@@ -153,7 +153,8 @@ def _reference_cases():
                       tuple(Fraction(-l, 2) for l in S.push(S.L_S))]
             if fx.gamma_params:
                 params = sorted(fx.gamma_params)
-                gammas += [fx.gamma_from_params(dict.fromkeys(params, 0) | {"r": r, params[-1]: s})
+                zeros = "".join(f",{p}=0" for p in params if p not in ("r", params[-1]))
+                gammas += [fx.character(f"r={r},{params[-1]}={s}{zeros}")
                            for r in (1, 3, -1) for s in (0, 1)]
             cases += [(fx, gamma) for gamma in gammas]
     cubic = get_fixture("cubic_p4_d3")

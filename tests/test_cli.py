@@ -477,6 +477,78 @@ def test_oracle_integrality_error_exits_mismatch(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_oracle_stops_at_its_first_disagreement(capsys, monkeypatch):
+    # the sums are exact, so two points that disagree say the model is
+    # inconsistent: the oracle draws one pair of points, not a second
+    from dtseries import localization
+
+    draw = localization._draw_point
+    draws = []
+    monkeypatch.setattr(localization, "_draw_point", lambda rng: draws.append(1) or draw(rng))
+    monkeypatch.setattr(localization, "_series_values",
+                        lambda model, lin, layout, at, shift: [1, at[0].numerator])
+    code, out, err = run(capsys, "verify", "--fixture", "quadric_p4_d2", "--nmax", "1")
+    assert (code, out, len(draws)) == (EXIT_MISMATCH, "", 2)
+    assert err == "error: evaluation points disagree; model data is inconsistent\n"
+
+
+def test_oracle_matching_neither_sign_exits_mismatch(capsys, monkeypatch):
+    from dtseries import cli
+
+    real = cli.co_series
+
+    def neither(model, lin, n_max, seed=0):
+        result = real(model, lin, n_max, seed=seed)
+        return dataclasses.replace(result, values=tuple(7 + n for n in range(n_max + 1)))
+
+    monkeypatch.setattr(cli, "co_series", neither)
+    for fmt in ("pretty", "json", "csv"):
+        code, out, err = run(capsys, "series", "--fixture", "quadric_p4_d2", "--gamma", "ell",
+                             "--format", fmt)
+        assert (code, out) == (EXIT_MISMATCH, ""), fmt
+        assert err == ("error: oracle values [7, 8, 9] match neither Euler-product sign "
+                       "for delta=10\n")
+    outputs = {}
+    for fmt in ("pretty", "json", "csv"):
+        code, outputs[fmt], _ = run(capsys, "verify", "--fixture", "quadric_p4_d2",
+                                    "--nmax", "2", "--format", fmt)
+        assert code == EXIT_MISMATCH, fmt
+    assert "  MISMATCH: oracle agrees with neither exponent sign\n" in outputs["pretty"]
+    data = json.loads(outputs["json"])
+    assert data["oracle_values"] == [7, 8, 9] and data["resolved_convention"] is None
+    assert not data["matches_minus"] and not data["matches_plus"]
+    assert outputs["csv"].splitlines()[1] == "0,7,1,1"
+
+
+def _edited_fixture(tmp_path, name, edit):
+    """The builtin saved as JSON with edit applied to its dict."""
+    d = json.loads(json.dumps(fixture_to_dict(get_fixture(name))))
+    edit(d)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+def test_fixture_without_candidates_says_so(capsys, tmp_path):
+    # a reducible class with no candidate decompositions passes the gap
+    # vacuously, and the report says that none were supplied
+    path = _edited_fixture(tmp_path, "blowup_p3_point", lambda d: d.update(candidates=[]))
+    code, out, _ = run(capsys, "check", "--fixture", path)
+    assert code == EXIT_OK
+    assert "  stability gap       : no candidate decompositions supplied\n" in out
+
+
+def test_fixture_without_vanishing_fails_checks(capsys, tmp_path):
+    path = _edited_fixture(tmp_path, "quadric_p4_d2",
+                           lambda d: d["threefold"].update(vanishing_asserted=False))
+    code, out, _ = run(capsys, "check", "--fixture", path, "--format", "json")
+    assert code == EXIT_CHECKS_FAILED
+    assert json.loads(out)["report"]["failures"] == ["cohomology vanishing"]
+    code, out, _ = run(capsys, "series", "--fixture", path, "--gamma", "ell")
+    assert code == EXIT_CHECKS_FAILED
+    assert out.endswith("series not produced: checks failed (use --override-checks to force)\n")
+
+
 def _refused_at_load(capsys, path, gamma, error):
     """check, classes and series on the fixture file exit 4 in every
     format, with empty stdout and the one error line."""
@@ -854,6 +926,22 @@ def test_bad_toric_block_exits_bad_input(capsys, tmp_path, bad, reason):
                      id="nested-canonical"),
         pytest.param("quadric_p4_d2", ("surface", "K_S"), [[-2], -2], "divisor vectors",
                      id="nested-K_S"),
+        # a table row or entry of the wrong length
+        pytest.param("quadric_p4_d2", ("threefold", "h4_h2_pairing"), [[1, 0]],
+                     "quadric_p4_d2: pairing must be 1x1", id="pairing-row-length"),
+        pytest.param("quadric_p4_d2", ("surface", "pushforward"), [[1]],
+                     "quadric surface: pushforward rows must have length 2",
+                     id="pushforward-row-length"),
+        pytest.param("quadric_p4_d2", ("gamma_names", "bad"), ["1", "2"],
+                     "quadric_p4_d2: gamma_names['bad'] has wrong length",
+                     id="named-gamma-length"),
+        # one pushforward row per curve class of X, and the error names both
+        pytest.param("blowup_p3_point", ("surface", "pushforward"), [[1]],
+                     "pushforward row count 1 differs from the number of curve classes "
+                     "of blowup_p3_point(k=3), 2", id="pushforward-one-row"),
+        pytest.param("blowup_p3_point", ("surface", "pushforward"), [[1], [0], [0]],
+                     "pushforward row count 3 differs from the number of curve classes "
+                     "of blowup_p3_point(k=3), 2", id="pushforward-three-rows"),
     ],
 )
 def test_bad_model_value_exits_bad_input(capsys, tmp_path, name, keys, value, reason):

@@ -218,24 +218,32 @@ def test_blowup_line_k_must_polarize():
     assert blowup_p3_line(2).surface.O1_S == (2, -1)
 
 
+@pytest.mark.parametrize("k", [3.7, 3.0, True, "3"])
+def test_blowup_k_must_be_an_int(k):
+    # the polarization kL - E is integral data: k is not truncated to one
+    for name in ("blowup_p3_point", "blowup_p3_line"):
+        with pytest.raises(FixtureError, match="k must be"):
+            get_fixture(name, k)
+
+
 def test_gamma_from_params_point():
     fx = get_fixture("blowup_p3_point")
-    assert fx.gamma_from_params({"r": 3, "s": -2}) == (Fraction(3, 2), Fraction(-2))
+    assert fx.character("r=3,s=-2") == (Fraction(3, 2), Fraction(-2))
     with pytest.raises(FixtureError):
-        fx.gamma_from_params({"r": 1})
+        fx.character("r=1")
     with pytest.raises(FixtureError):
-        fx.gamma_from_params({"r": 1, "s": 0, "t": 9})
+        fx.character("r=1,s=0,t=9")
 
 
 def test_gamma_from_params_line():
     fx = get_fixture("blowup_p3_line")
-    g = fx.gamma_from_params({"r": 0, "s1": -1, "s2": 0})
+    g = fx.character("r=0,s1=-1,s2=0")
     assert g == (Fraction(-1), Fraction(-1))
 
 
 def test_gamma_from_params_rejected_without_parameters():
     with pytest.raises(FixtureError):
-        get_fixture("quadric_p4_d2").gamma_from_params({"r": 1})
+        get_fixture("quadric_p4_d2").character("r=1")
 
 
 def test_round_trip_through_dict():
@@ -250,8 +258,9 @@ def test_round_trip_through_dict():
         assert back.gamma_names == fx.gamma_names
         assert back.gamma_params == fx.gamma_params
         if fx.gamma_params:
-            values = {p: Fraction(2 * i - 3, i + 2) for i, p in enumerate(fx.gamma_params)}
-            assert back.gamma_from_params(values) == fx.gamma_from_params(values)
+            spec = ",".join(f"{p}={Fraction(2 * i - 3, i + 2)}"
+                            for i, p in enumerate(fx.gamma_params))
+            assert back.character(spec) == fx.character(spec)
         assert (back.toric is None) == (fx.toric is None)
         if fx.toric is not None:
             T, B = fx.toric, back.toric

@@ -141,7 +141,7 @@ def test_hilbert_coeffs_point_blowup_closed_form():
     for k in (1, 2, 3, 5):
         fx = get_fixture("blowup_p3_point", k=k)
         for r, s in ((0, -1), (2, 0), (-1, 3), (3, -2)):
-            gamma = fx.gamma_from_params({"r": r, "s": s})
+            gamma = fx.character(f"r={r},s={s}")
             a2, a1 = hilbert_coeffs(fx.threefold, ChernVector(gamma))
             assert a2 == Fraction(k * k, 2)
             assert a1 == Fraction(r * k, 2) + s + 2 * k
@@ -152,7 +152,7 @@ def test_stability_point_blowup_closed_form():
     for k in (1, 2, 3):
         fx = get_fixture("blowup_p3_point", k=k)
         for r, s in ((0, -1), (1, 1), (2, -3)):
-            gamma = fx.gamma_from_params({"r": r, "s": s})
+            gamma = fx.character(f"r={r},s={s}")
             a2, a1 = hilbert_coeffs(fx.threefold, ChernVector(gamma))
             m = stability_forbidden_m(fx.threefold, a2, a1, (0, 1))
             assert m == Fraction(-(r * k + 2 * s + 4 * k), 2 * k * k)
@@ -161,7 +161,7 @@ def test_stability_point_blowup_closed_form():
 def test_stability_gap_known_verdicts():
     # k=1, r=0, s=-1: m* = -1 is an integer, the gap fails
     fx = get_fixture("blowup_p3_point", k=1)
-    gamma = fx.gamma_from_params({"r": 0, "s": -1})
+    gamma = fx.character("r=0,s=-1")
     rep = _checks(fx, gamma)
     assert rep.stability_gap[0].forbidden_m == -1
     assert not rep.passed

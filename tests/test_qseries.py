@@ -268,7 +268,7 @@ def _total_cases():
                 yield quadric, quadric.gamma_names[name], order, window
     yield get_fixture("cubic_p4_d3"), (Fraction(1, 2),), 2, 1
     blowup = get_fixture("blowup_p3_point")
-    yield blowup, blowup.gamma_from_params({"r": 1, "s": 0}), 8, 2
+    yield blowup, blowup.character("r=1,s=0"), 8, 2
     yield quadric, (Fraction(1, 3),), 8, 2  # no class solves the degree constraint
 
 
