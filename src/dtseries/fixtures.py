@@ -31,6 +31,7 @@ classes of one character have squares of one parity.
 """
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -118,8 +119,8 @@ class GeometryFixture:
                     raise ValueError(f"{bare!r} is not name=value")
                 values = dict(items)
                 if len(values) < len(items):
-                    names = [name for name, _ in items]
-                    repeated = next(name for name in names if names.count(name) > 1)
+                    counts = Counter(name for name, _ in items)
+                    repeated = next(name for name in counts if counts[name] > 1)
                     raise ValueError(f"parameter {repeated!r} given more than once")
                 if not self.gamma_params:
                     raise ValueError(f"{self.name}: fixture takes no character parameters")

@@ -7,13 +7,18 @@ once, in integers, by fraction-free symmetric elimination
 (integer_completion); the one hot loop, the completed-square descent that
 enumerates lattice points of a given norm, reads that completion and runs
 in Python ints only.  It returns the points themselves,
-origin + sum_i x_i*basis[i], built along the descent: the outer levels
-carry a partial sum and each solution adds its last two terms.  No
-floating point anywhere.
+origin + sum_i x_i*basis[i], built along the descent: each outer level
+carries one list, the partial sum and the offsets of the levels below,
+which setting its coordinate updates once; the two innermost coordinates
+are found in one loop, and each solution adds its last two terms from
+multiples of basis[1] and basis[0] built once per call.  No floating
+point anywhere.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import isqrt, lcm
+from operator import add
 
 
 def identity_matrix(n):
@@ -164,6 +169,18 @@ def integer_completion(M):
     return rows, pivots, A[m][m]
 
 
+class _Multiples(dict):
+    """x -> x*v for one integer vector v, each built on first use."""
+
+    def __init__(self, v):
+        super().__init__()
+        self.v = v
+
+    def __missing__(self, x):
+        m = self[x] = tuple(x * e for e in self.v)
+        return m
+
+
 def solve_completed_square(rows, pivots, value, origin, basis):
     """Vectors origin + sum_i x_i*basis[i] over the integer solutions x of
     sum_i s_i^2 / (p_{i-1} p_i) == value, s_i = rows[i] . (x, 1)[i:].
@@ -179,10 +196,13 @@ def solve_completed_square(rows, pivots, value, origin, basis):
     and one factor W makes W*value and every c_i = W/(p_{i-1} p_i)
     integral.  The budget R = W*remaining then stays an integer, each
     level spends c_i*s_i^2 of it, and |s_i| <= isqrt(R // c_i) bounds x_i
-    exactly.  The last coordinate is solved, not scanned: c_0*s_0^2 must
-    equal what is left.  Levels i >= 2 carry the partial sum
-    origin + sum_{k>=i} x_k*basis[k]; each solution adds x_1*basis[1] and
-    x_0*basis[0] to it.
+    exactly.  Each level i >= 2 carries one list down: the partial sum
+    origin + sum_{k>=i} x_k*basis[k] followed by the offsets T_0 ... T_{i-1},
+    and setting x_i adds x_i*basis[i] to the sum and x_i*rows[j][i-j] to
+    each T_j at once.  Level 1 scans x_1 and solves x_0 in the same loop:
+    c_0*s_0^2 must equal what is left of the budget, so s_0 = +-isqrt of
+    it when that is exact.  x_1*basis[1] is added only when x_0 has a
+    solution, and the multiples x*basis[i] are built once per call.
     """
     n = len(pivots)
     value = Fraction(value)
@@ -193,35 +213,53 @@ def solve_completed_square(rows, pivots, value, origin, basis):
     weights = [a * b for a, b in zip([1, *pivots], pivots)]
     W = lcm(value.denominator, *weights)
     c = [W // w for w in weights]
+    R = value.numerator * (W // value.denominator)
+    d = len(origin)
+    # level i's step: basis[i] on the sum, rows[j][i-j] on each T_j, j < i
+    steps = [_Multiples((*basis[i], *(rows[j][i - j] for j in range(i)))) for i in range(n)]
+    p0, c0, mult0 = pivots[0], c[0], steps[0]
+    if n > 1:
+        p1, c1, u1, mult1 = pivots[1], c[1], rows[0][1], steps[1]
+    else:
+        # rank 1 has no x_1: a level whose weight exceeds the whole budget
+        # admits x_1 = 0 only, with a zero column for basis[1]
+        p1, c1, u1, mult1 = 1, R + 1, 0, _Multiples([0] * d)
     out = []
-    # rank 1 has no x_1: a zero column stands in for basis[1]
-    x = [0] * max(n, 2)
-    b0, b1 = basis[0], basis[1] if n > 1 else [0] * len(origin)
 
-    def descend(i, R, part):
-        row = rows[i]
-        T = row[-1]
-        for k in range(i + 1, n):
-            T += row[k - i] * x[k]
-        den, ci = pivots[i], c[i]
-        if i == 0:
-            q, rem = divmod(R, ci)
+    def level1(R, state):
+        t0, t1 = state[d], state[d + 1]
+        m = isqrt(R // c1)
+        for x1 in range(-((m + t1) // p1), (m - t1) // p1 + 1):
+            s = p1 * x1 + t1
+            q, rem = divmod(R - c1 * s * s, c0)
+            if rem:
+                continue
             r = isqrt(q)
-            if rem or r * r != q:
-                return
-            x1 = x[1]
+            if r * r != q:
+                continue
+            t = t0 + u1 * x1
+            part = None
             for s in (-r, r) if r else (0,):
-                x0, miss = divmod(s - T, den)
+                x0, miss = divmod(s - t, p0)
                 if not miss:
-                    out.append(tuple(p + x1 * e1 + x0 * e0 for p, e1, e0 in zip(part, b1, b0)))
-            return
-        m = isqrt(R // ci)  # c_i*s_i^2 <= R  <=>  |den*x_i + T| <= m
-        bi = basis[i]
-        for xi in range(-((m + T) // den), (m - T) // den + 1):
-            x[i] = xi
-            s = den * xi + T
-            nxt = [p + xi * e for p, e in zip(part, bi)] if i > 1 else part
-            descend(i - 1, R - ci * s * s, nxt)
+                    if part is None:
+                        part = list(map(add, state, mult1[x1]))
+                    out.append(tuple(map(add, part, mult0[x0])))
 
-    descend(n - 1, value.numerator * (W // value.denominator), origin)
+    def descend(i, R, state):
+        p, ci, t, step = pivots[i], c[i], state[d + i], steps[i]
+        below = partial(descend, i - 1) if i > 2 else level1
+        m = isqrt(R // ci)  # c_i*s_i^2 <= R  <=>  |p_i*x_i + T_i| <= m
+        for xi in range(-((m + t) // p), (m - t) // p + 1):
+            s = p * xi + t
+            # a list, not a tuple: freed tuples of these sizes would stay
+            # on the interpreter's tuple free lists after the call
+            below(R - ci * s * s, list(map(add, state, step[xi])))
+
+    # the trailing 0 is T_1 of rank 1
+    state = (*origin, *(row[-1] for row in rows), 0)
+    if n > 2:
+        descend(n - 1, R, state)
+    else:
+        level1(R, state)
     return out

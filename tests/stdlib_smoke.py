@@ -9,13 +9,15 @@ any import outside the standard library fails:
 encoding to the locale: fixture and trace JSON is UTF-8.  The fixture and
 trace files it writes (fx.json, line.json, q2.json, o21.json,
 indefinite.json, odd.json, nest900.json, nest200k.json, trace.json) go to
-the working directory.  It also asks each subcommand for its --help, which
-must exit 0 (under -W error an argparse deprecation warning fails it), and
-runs oracle with an empty --trace path, which must exit 4.  It reads the
-character r=1/2,s1=0,s2=0 of blowup_p3_line through the fixture's one
-reader, GeometryFixture.character, and runs check on that fixture with
-the parameter s2 missing, which must exit 4.  Exits 0 when every call
-gives its documented code.
+the working directory.  It runs enumerate_beta, which no subcommand
+reaches, at rank 6 on the cubic and at rank 1 on the quadric.  It also
+asks each subcommand for its --help, which must exit 0 (under -W error an
+argparse deprecation warning fails it), and runs oracle with an empty
+--trace path, which must exit 4.  It reads the character r=1/2,s1=0,s2=0
+of blowup_p3_line through the fixture's one reader,
+GeometryFixture.character, and runs check on that fixture with the
+parameter s2 missing, which must exit 4.  Exits 0 when every call gives
+its documented code.
 The name does not match test_*.py, so pytest does not collect it.
 """
 
@@ -35,11 +37,17 @@ def write(path, data):
     pathlib.Path(path).write_text(json.dumps(data), encoding="utf-8")
 
 
-# No subcommand reaches enumerate_beta, so one library call runs its
-# descent on the cubic (the E6* coset counts at beta^2 = 0, -2, -4).
+# No subcommand reaches enumerate_beta, so library calls run its descent
+# in both shapes: rank 6 on the cubic (the E6* coset counts at beta^2 = 0,
+# -2, -4), where the outer levels carry their offsets down to the loop
+# that scans x_1 and solves x_0, and rank 1 on the quadric with ell, which
+# has no x_1 (Jacobi theta_3: 1, 2, 2 classes at beta^2 = 0, -2, -8).
 cubic = get_fixture("cubic_p4_d3").surface
 counts = [len(enumerate_beta(cubic, (Fraction(1, 2),), b)) for b in (0, -2, -4)]
 assert counts == [27, 216, 459], counts
+quadric = get_fixture("quadric_p4_d2")
+counts = [len(enumerate_beta(quadric.surface, quadric.character("ell"), b)) for b in (0, -2, -8)]
+assert counts == [1, 2, 2], counts
 
 # the last call below reads this fixture back through the JSON loader
 save_fixture(get_fixture("blowup_p3_point"), "fx.json")

@@ -699,7 +699,20 @@ def test_gamma_repeated_parameter(capsys):
     assert err.startswith("error:") and "parameter 'r' given more than once" in err
 
 
-@pytest.mark.parametrize("spec, item", [("r=1,s", "s"), ("r=1,s=0,", "")])
+@pytest.mark.parametrize("spec, name", [
+    ("a=1,b=1,b=2,a=3", "a"),  # the first name given that repeats, not the first repeat
+    (",".join(f"a{i}=1" for i in range(20000)) + ",a19999=1", "a19999"),
+])
+def test_gamma_repeated_parameter_named_in_order(capsys, spec, name):
+    # the names are counted once, so a long spec with a late repeat is
+    # refused as fast as a short one
+    code, out, err = run(capsys, "check", "--fixture", "blowup_p3_point", "--gamma", spec)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert f"bad character {spec!r}: parameter {name!r} given more than once" in err
+
+
+@pytest.mark.parametrize("spec, item",[("r=1,s", "s"), ("r=1,s=0,", "")])
 def test_gamma_parameter_without_value(capsys, spec, item):
     # an item without '=' is named in the one error line, not left to dict()
     code, out, err = run(capsys, "classes", "--fixture", "blowup_p3_point", "--gamma", spec)

@@ -285,3 +285,33 @@ def test_solve_completed_square_matches_box_scan():
     assert solve_completed_square([], [], 0, [], []) == [()]
     assert solve_completed_square([], [], Fraction(1, 2), [], []) == []
     assert solve_completed_square([[1, 0]], [1], -1, [0], [[1]]) == []
+
+
+def test_solve_completed_square_maps_through_origin_and_basis():
+    """With a nonzero origin and a non-identity unimodular basis, the
+    descent lists the unit-basis solutions x mapped to
+    origin + sum_i x_i*basis[i], in the same order, at ranks 0-6; rank 1
+    has no x_1.  The basis vectors are the rows of a unimodular matrix
+    with one more coordinate appended, so rank 0 has an origin too."""
+    rng = random.Random(31)
+    for n in range(7):
+        A = _positive_definite(rng, n, 1)
+        M = _bordered(A, [rng.randint(-4, 4) for _ in range(n)], rng.randint(-9, 9))
+        rows, pivots, tail = integer_completion(M)
+        U = identity_matrix(n)
+        for _ in range(3 * n if n > 1 else 0):  # shears need two coordinates
+            i, j = rng.sample(range(n), 2)
+            U = mat_mul([[int(a == b) + (a == i and b == j) * rng.choice((-2, -1, 1, 2))
+                          for b in range(n)] for a in range(n)], U)
+        basis = [[-a for a in U[0]], *U[1:]] if n else []  # rank 1 too is not the identity
+        basis = [row + [rng.randint(-3, 3)] for row in basis]
+        origin = [rng.randint(-5, 5) or 1 for _ in range(n + 1)]
+        for _ in range(4):
+            y = [rng.randint(-2, 2) for _ in range(n)] + [1]
+            value = sum(M[i][j] * y[i] * y[j] for i in range(n + 1) for j in range(n + 1))
+            value -= Fraction(tail, pivots[-1] if pivots else 1)
+            xs = solve_completed_square(rows, pivots, value, [0] * n, identity_matrix(n))
+            assert tuple(y[:n]) in xs
+            want = [tuple(o + sum(x[i] * basis[i][k] for i in range(n)) for k, o in enumerate(origin))
+                    for x in xs]
+            assert solve_completed_square(rows, pivots, value, origin, basis) == want
