@@ -9,11 +9,10 @@ form and a completed-square descent enumerate them exactly.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .geometry import delta_invariant, pair_h4_h2, triple_product
+from .geometry import Record, delta_invariant, pair_h4_h2, triple_product
 from .intlinalg import integer_completion, mat_vec, solve_completed_square, solve_integer_system
 
 
@@ -21,8 +20,7 @@ class IndefiniteKernelError(ValueError):
     """Residual form on the constraint lattice is not negative definite."""
 
 
-@dataclass(frozen=True)
-class AffineLattice:
+class AffineLattice(Record):
     """origin + Z-span(basis) inside Z^s."""
 
     origin: tuple
@@ -125,8 +123,7 @@ def enumerate_beta(S, gamma, beta_sq):
     return out
 
 
-@dataclass(frozen=True)
-class BetaData:
+class BetaData(Record):
     beta: tuple
     beta_sq: int
     n: int
@@ -134,8 +131,7 @@ class BetaData:
     q_exponent: Fraction
 
 
-@dataclass(frozen=True)
-class ContributionTable:
+class ContributionTable(Record):
     gamma: tuple
     window: int
     max_power: Fraction

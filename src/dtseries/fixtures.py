@@ -6,7 +6,7 @@ character vectors or a linear map from named parameters to character
 vectors, and (when the surface is toric) the equivariant model that feeds
 the localization oracle.  Fixtures round-trip through JSON.
 
-A fixture file is the fixture's `dataclasses.asdict`.  The `threefold`,
+A fixture file is the fixture's `asdict()`.  The `threefold`,
 `surface` and `toric` blocks are the fields of ThreefoldModel, SurfaceModel
 and ToricSurfaceModel (each toric bundle those of Linearization), and every
 model, builtin or loaded, is built by the same constructor, which checks
@@ -32,11 +32,11 @@ classes of one character have squares of one parity.
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .geometry import SurfaceModel, ThreefoldModel, _ints, _typed_fields, check_consistency
+from .geometry import (Record, SurfaceModel, ThreefoldModel, _ints, _typed_fields,
+                       check_consistency)
 from .intlinalg import mat_vec
 from .localization import Linearization, ToricSurfaceModel, p1xp1, p2
 from .qseries import frac_str, parse_frac
@@ -46,15 +46,14 @@ class FixtureError(ValueError):
     """Fixture data failed validation or could not be parsed."""
 
 
-@dataclass
-class GeometryFixture:
+class GeometryFixture(Record):
     name: str
     threefold: ThreefoldModel
     surface: SurfaceModel
     candidates: tuple = ()
     irreducible: bool = False
-    gamma_names: dict = field(default_factory=dict)
-    gamma_params: dict = field(default_factory=dict)
+    gamma_names: dict = {}
+    gamma_params: dict = {}
     toric: ToricSurfaceModel | None = None
     notes: str = ""
 
@@ -358,7 +357,7 @@ def _characters(table, key):
 
 def fixture_to_dict(fx):
     """The fixture's fields as JSON data, characters as fraction strings."""
-    d = asdict(fx)
+    d = fx.asdict()
     for key in ("gamma_names", "gamma_params"):
         d[key] = {name: [frac_str(g) for g in vec] for name, vec in d[key].items()}
     return d

@@ -16,11 +16,9 @@ cohomology vanishing and the stability gap at every candidate decomposition
 of L, and returns one complete AssumptionReport.
 """
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
-from typing import get_args
+from operator import attrgetter, mul
 
 from .intlinalg import integer_completion
 
@@ -48,14 +46,81 @@ def _ints(v, n, *inner):
     return all(_ints(x, *inner) for x in v) if inner else {*map(type, v)} <= {int}
 
 
+class Record:
+    """A frozen record: each annotation of a subclass body, in order, is a
+    field, and a class attribute of the same name is that field's default.
+
+    Each subclass gets one generated __init__ that sets every field, gives
+    each instance its own copy of a dict default and then calls the
+    class's __post_init__, if it has one.  Records of one type compare and
+    hash by their field values, repr as Name(field=value, ...) and refuse
+    assignment.  replace(**changes) builds a new record through the
+    constructor, so its checks run again; asdict() gives the fields as a
+    dict, recursing into records, dicts, lists and tuples.
+    """
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__annotations__)
+        defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        params = (f"{n}=_d[{n!r}]" if n in defaults else n for n in names)
+        lines = [f"def __init__(self, {', '.join(params)}):"]
+        for n in names:
+            copy = type(defaults.get(n)) is dict
+            value = f"{n}.copy() if {n} is _d[{n!r}] else {n}" if copy else n
+            lines.append(f"    _set(self, {n!r}, {value})")
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        namespace = {"_d": defaults, "_set": object.__setattr__}
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._fields = names
+        cls._values = staticmethod(attrgetter(*names) if len(names) > 1
+                                   else lambda obj: tuple(getattr(obj, n) for n in names))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values(self))), **changes})
+
+    def asdict(self):
+        return {n: _asdict(v) for n, v in zip(self._fields, self._values(self))}
+
+
+def _asdict(x):
+    if isinstance(x, Record):
+        return x.asdict()
+    if isinstance(x, dict):
+        return type(x)((_asdict(k), _asdict(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_asdict, x))
+    return x
+
+
 @lru_cache(maxsize=None)
 def _schema(cls):
-    """(name, allowed types) of each field of a model class."""
-    return tuple((f.name, get_args(f.type) or (f.type,)) for f in fields(cls))
+    """(name, allowed types) of each field of a record class."""
+    return tuple((n, getattr(t, "__args__", None) or (t,)) for n, t in cls.__annotations__.items())
 
 
 def _typed_fields(obj):
-    """Coerce each dataclass field by its declared type: a `tuple` becomes
+    """Coerce each record field by its declared type: a `tuple` becomes
     nested tuples of ints, anything else must be exactly one of its types
     (True is no int, 1 no bool).  The fields are the fixture JSON's schema."""
     for name, allowed in _schema(type(obj)):
@@ -67,8 +132,7 @@ def _typed_fields(obj):
             raise ModelError(f"{where} must be {names}, not {value!r}")
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(Record):
     """Character data (0, L, gamma, xi) of a sheaf supported on |L|.
 
     gamma is a rational vector in the curve-class basis (half-integral
@@ -83,8 +147,7 @@ class ChernVector:
         object.__setattr__(self, "xi", Fraction(self.xi))
 
 
-@dataclass(frozen=True)
-class ThreefoldModel:
+class ThreefoldModel(Record):
     """Divisor classes D_a and curve classes C_i of a threefold, each triple
     product read as the curve class D_a.D_b paired with D_c.  The ranks are
     the lengths of L and of the pairing."""
@@ -133,8 +196,7 @@ class ThreefoldModel:
                         )
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Record):
     name: str
     gram: tuple  # s x s intersection form, signature (1, s-1); s is the rank
     K_S: tuple
@@ -193,8 +255,7 @@ class SurfaceModel:
         return tuple(sum(row[j] * beta[j] for j in range(self.h2_rank)) for row in self.pushforward)
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(Record):
     label: str
     lhs: Fraction
     rhs: Fraction
@@ -204,8 +265,7 @@ class InequalityCheck:
         return self.lhs > self.rhs
 
 
-@dataclass(frozen=True)
-class StabilityEntry:
+class StabilityEntry(Record):
     candidate: tuple
     forbidden_m: Fraction
 
@@ -218,8 +278,7 @@ class StabilityEntry:
         return not self.is_integer
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(Record):
     """Outcome of the numeric hypotheses behind the product formula."""
 
     ineq_KL2_gt_L3: InequalityCheck

@@ -45,13 +45,12 @@ tests as the independent reference.
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
-from .geometry import ModelError, _ints, _typed_fields
+from .geometry import ModelError, Record, _ints, _typed_fields
 
 # evaluation points (and shifts) co_series draws before giving up
 MAX_ATTEMPTS = 8
@@ -95,8 +94,7 @@ class IntegralityError(OracleError):
     """The fixed-point sum failed to be an integer; the model data is wrong."""
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(Record):
     """The equivariant line bundle O(sum_i a_i D_i): its divisor coefficients
     a_i per ray and its divisor class in the surface model's basis."""
 
@@ -108,8 +106,7 @@ class Linearization:
         _typed_fields(self)
 
 
-@dataclass(frozen=True)
-class ToricSurfaceModel:
+class ToricSurfaceModel(Record):
     """A smooth complete toric surface given by its rays, with its
     equivariant line bundles.
 
@@ -409,8 +406,7 @@ def _draw_point(rng):
     return (x, y)
 
 
-@dataclass(frozen=True)
-class CoSeriesResult:
+class CoSeriesResult(Record):
     values: tuple
     n_max: int
     eval_points: tuple

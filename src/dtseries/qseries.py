@@ -11,10 +11,9 @@ blocks' common prefactor q^(delta/24).
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import delta_invariant
+from .geometry import Record, delta_invariant
 
 CONVENTION_MINUS = "theorem_minus_delta"
 CONVENTION_PLUS = "example_plus_delta"
@@ -204,8 +203,7 @@ def theta_block(exponents, order):
     return QSeries(base, coeffs)
 
 
-@dataclass(frozen=True)
-class BetaBlock:
+class BetaBlock(Record):
     """One curve-class block of the generating series:
     q^prefactor_exponent * n_series."""
 
@@ -215,8 +213,7 @@ class BetaBlock:
     n_series: QSeries  # the beta-independent Euler-product factor, based at 0
 
 
-@dataclass(frozen=True)
-class DTSeriesResult:
+class DTSeriesResult(Record):
     delta: int
     convention: str
     blocks: tuple

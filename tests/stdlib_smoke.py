@@ -9,7 +9,9 @@ any import outside the standard library fails:
 encoding to the locale: fixture and trace JSON is UTF-8.  The fixture and
 trace files it writes (fx.json, line.json, q2.json, o21.json,
 indefinite.json, odd.json, nest900.json, nest200k.json, trace.json) go to
-the working directory.  It runs enumerate_beta, which no subcommand
+the working directory.  Importing the package loads none of dataclasses,
+inspect and typing, which would add to every call's start-up.  It runs
+enumerate_beta, which no subcommand
 reaches, at rank 6 on the cubic and at rank 1 on the quadric.  It also
 asks each subcommand for its --help, which must exit 0 (under -W error an
 argparse deprecation warning fails it), and runs oracle with an empty
@@ -31,6 +33,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from dtseries.classenum import enumerate_beta  # noqa: E402
 from dtseries.cli import main  # noqa: E402
 from dtseries.fixtures import fixture_to_dict, get_fixture, save_fixture  # noqa: E402
+
+loaded = {"dataclasses", "inspect", "typing"} & sys.modules.keys()
+assert not loaded, loaded
 
 
 def write(path, data):

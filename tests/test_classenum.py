@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -206,7 +205,7 @@ def test_indefinite_kernel_raises():
     """quadric_p4_d2 with pushforward (3, -1) has the kernel class (1, 3) of
     square +6: the lattice itself is refused, not just its enumeration."""
     S = get_fixture("quadric_p4_d2").surface
-    S = dataclasses.replace(S, pushforward=((3, -1),))
+    S = S.replace(pushforward=((3, -1),))
     for gamma in ((-1,), (0,), (2,)):
         with pytest.raises(IndefiniteKernelError, match="constraint lattice"):
             beta_constraint_lattice(S, gamma, S.push(S.L_S))
@@ -214,7 +213,7 @@ def test_indefinite_kernel_raises():
             with pytest.raises(IndefiniteKernelError, match="not negative definite"):
                 enumerate_beta(S, gamma, beta_sq)
     # a semidefinite kernel: pushforward (1, 0) leaves (0, 1), of square 0
-    S = dataclasses.replace(S, pushforward=((1, 0),))
+    S = S.replace(pushforward=((1, 0),))
     with pytest.raises(IndefiniteKernelError):
         enumerate_beta(S, (Fraction(1, 2),), 0)
 
@@ -250,8 +249,7 @@ def test_enumerate_beta_independent_of_surface_basis():
         def inv(v):
             return tuple(sum(map(mul, row, v)) for row in V)
 
-        T = dataclasses.replace(
-            S,
+        T = S.replace(
             gram=tuple(tuple(sum(U[a][i] * G[a][b] * U[b][j] for a in range(n) for b in range(n))
                              for j in range(n)) for i in range(n)),
             pushforward=tuple(tuple(sum(row[a] * U[a][j] for a in range(n)) for j in range(n))
@@ -259,7 +257,7 @@ def test_enumerate_beta_independent_of_surface_basis():
             K_S=inv(S.K_S), L_S=inv(S.L_S), O1_S=inv(S.O1_S),
         )
         assert any(T.gram[i][j] for i in range(n) for j in range(n) if i != j)
-        fy = dataclasses.replace(fx, surface=T)  # consistency with the threefold holds
+        fy = fx.replace(surface=T)  # consistency with the threefold holds
         assert delta_invariant(T) == delta_invariant(S)
         for gamma in ((0,), (Fraction(1, 2),), (Fraction(-1, 2),), (Fraction(3, 2),)):
             assert run_all_checks(fy.threefold, ChernVector(gamma), fy.candidates) == (

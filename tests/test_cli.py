@@ -4,7 +4,6 @@ All invocations go through main(argv) so exit codes and emitted text are
 exactly what a shell user would see.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -499,7 +498,7 @@ def test_oracle_matching_neither_sign_exits_mismatch(capsys, monkeypatch):
 
     def neither(model, lin, n_max, seed=0):
         result = real(model, lin, n_max, seed=seed)
-        return dataclasses.replace(result, values=tuple(7 + n for n in range(n_max + 1)))
+        return result.replace(values=tuple(7 + n for n in range(n_max + 1)))
 
     monkeypatch.setattr(cli, "co_series", neither)
     for fmt in ("pretty", "json", "csv"):
@@ -1087,16 +1086,16 @@ def _in_basis(fx, U):
         return tuple(sum(row[k] * U[k][j] for k in range(n)) for j in range(n))
 
     S = fx.surface
-    T = dataclasses.replace(
-        S, gram=tuple(times_U(col) for col in zip(*map(times_U, S.gram))),
+    T = S.replace(
+        gram=tuple(times_U(col) for col in zip(*map(times_U, S.gram))),
         pushforward=tuple(map(times_U, S.pushforward)),
         K_S=inv(S.K_S), L_S=inv(S.L_S), O1_S=inv(S.O1_S))
     toric = fx.toric
     if toric is not None:
-        toric = dataclasses.replace(toric, bundles={
-            key: dataclasses.replace(lin, surface_class=inv(lin.surface_class))
+        toric = toric.replace(bundles={
+            key: lin.replace(surface_class=inv(lin.surface_class))
             for key, lin in toric.bundles.items()})
-    return dataclasses.replace(fx, surface=T, toric=toric), inv
+    return fx.replace(surface=T, toric=toric), inv
 
 
 @pytest.mark.parametrize("U", [((1, 1), (0, 1)), ((2, 1), (1, 1)), ((-1, 0), (3, 1))])
@@ -1280,6 +1279,16 @@ def test_import_dtseries_imports_no_submodule():
             "print(sorted(m for m in sys.modules if m.startswith('dtseries.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_src_env(), timeout=120, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_cli_imports_no_dataclasses_inspect_or_typing():
+    # a fresh interpreter, since pytest itself loads all three
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import dtseries.cli, dtseries.classenum; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
     assert proc.stdout == "[]\n"
 
 

@@ -1,6 +1,5 @@
 """Tests for the built-in geometries and fixture serialization."""
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -41,7 +40,7 @@ def test_all_builtins_validate():
     # fields passes every check again and gives the same fixture
     for name in ALL_NAMES:
         fx = get_fixture(name)
-        assert dataclasses.replace(fx) == fx
+        assert fx.replace() == fx
 
 
 def test_delta_invariants():
@@ -138,15 +137,16 @@ def test_builtins_equal_the_hand_typed_data(name, k):
     fx = get_fixture(name, k)
     threefold, surface, candidates, irreducible = _typed_by_hand(name, k)
     for model, typed in ((fx.threefold, threefold), (fx.surface, surface)):
-        fields = dataclasses.asdict(model)
+        fields = model.asdict()
         assert fields.keys() == typed.keys()
         for key, value in typed.items():
             assert fields[key] == value, key
     assert (fx.candidates, fx.irreducible) == (candidates, irreducible)
 
 
-# sha256 prefixes of each builtin's saved file, from before the builders
-# derived their data: the derivation changes no saved byte
+# sha256 prefixes of each builtin's saved file, fixture_to_dict as sorted,
+# indented JSON (k = 3 is each blow-up's default), from before the builders
+# derived their data and the models were records: neither changes a byte
 SAVED_DIGESTS = [
     ("quadric_p4_d1", None, "515543695376d741"),
     ("quadric_p4_d2", None, "ad64759788abf263"),
@@ -400,7 +400,7 @@ def test_toric_stand_in_passes_the_fan_check(name, rays, divisor, delta):
     # series is the Euler product of delta(S, L_S)
     fx = get_fixture(name)
     lin = Linearization("L", divisor, fx.surface.L_S)
-    fy = dataclasses.replace(fx, toric=ToricSurfaceModel(name, rays, {"L": lin}))
+    fy = fx.replace(toric=ToricSurfaceModel(name, rays, {"L": lin}))
     assert fy.toric_L == "L"
     assert delta_invariant(fx.surface, fx.surface.L_S) == delta
     assert list(co_series(fy.toric, lin, 6).values) == [
@@ -409,4 +409,4 @@ def test_toric_stand_in_passes_the_fan_check(name, rays, divisor, delta):
     # L + D_0 on the same fan is another class: the fixture refuses it
     other = Linearization("L", (divisor[0] + 1, *divisor[1:]), fx.surface.L_S)
     with pytest.raises(FixtureError, match="on the fan, but"):
-        dataclasses.replace(fx, toric=ToricSurfaceModel(name, rays, {"L": other}))
+        fx.replace(toric=ToricSurfaceModel(name, rays, {"L": other}))

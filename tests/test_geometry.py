@@ -1,14 +1,14 @@
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from classenum_reference import symmetric_signature
-from dtseries.fixtures import BUILTIN, FixtureError, fixture_to_dict, get_fixture
+from dtseries.fixtures import BUILTIN, FixtureError, GeometryFixture, fixture_to_dict, get_fixture
 from dtseries.geometry import (
     ChernVector,
     ModelError,
+    Record,
     SurfaceModel,
     ThreefoldModel,
     check_consistency,
@@ -180,7 +180,7 @@ def test_stability_gap_rejects_degenerate_candidates():
     fx = get_fixture("blowup_p3_point")
     for candidate, reason in (((0, 0), "is zero"), (fx.threefold.L, "equals L")):
         with pytest.raises(FixtureError, match=reason):
-            dataclasses.replace(fx, candidates=(candidate,))
+            fx.replace(candidates=(candidate,))
 
 
 def test_vacuous_stability_passes():
@@ -331,6 +331,41 @@ def test_model_fields_are_coerced_by_type():
     assert X.__class__(**{**X.__dict__, "dim_linear_system": None}).dim_linear_system is None
     with pytest.raises(ModelError, match="ThreefoldModel.vanishing_asserted"):
         X.__class__(**{**X.__dict__, "vanishing_asserted": 1})
+
+
+def test_records_are_frozen_values():
+    class Pair(Record):
+        x: int
+        y: int = 0
+
+    class Other(Record):
+        x: int
+        y: int = 0
+
+    class One(Record):
+        x: tuple
+
+    assert Pair(1) == Pair(x=1, y=0) and hash(Pair(1)) == hash(Pair(1, 0))
+    assert Pair(1, 2) != Other(1, 2) and Pair(1, 2) != (1, 2)
+    assert One((1,)) == One(x=(1,)) != One((2,)) and hash(One((1,))) == hash(One((1,)))
+    assert repr(One((1,))) == f"{One.__qualname__}(x=(1,))" and One((1,)).asdict() == {"x": (1,)}
+    p = Pair(1, 2)
+    with pytest.raises(AttributeError, match="cannot assign to field 'x'"):
+        p.x = 3
+    with pytest.raises(AttributeError, match="cannot delete field 'y'"):
+        del p.y
+    assert ChernVector((1,)) == ChernVector(gamma=(1,), xi=0)
+    for args, kwargs, named in (((), {}, "'x'"), ((1,), {"z": 2}, "'z'"), ((1,), {"x": 2}, "'x'")):
+        with pytest.raises(TypeError, match=named):
+            Pair(*args, **kwargs)
+    S = get_fixture("quadric_p4_d2").surface
+    with pytest.raises(ModelError, match="gram not symmetric"):
+        S.replace(gram=((0, 1), (2, 0)))
+    fx = get_fixture("quadric_p4_d2")
+    a, b = (GeometryFixture(fx.name, fx.threefold, fx.surface) for _ in range(2))
+    assert a.gamma_names == b.gamma_names == {} and a.gamma_names is not b.gamma_names
+    assert repr(fx.threefold).startswith("ThreefoldModel(name='quadric_p4_d2', canonical=(-3,), ")
+    assert fx.asdict()["threefold"] == fx.threefold.asdict()
 
 
 def test_pairing_contraction():
