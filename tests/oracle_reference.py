@@ -14,7 +14,15 @@ coordinates evaluated cell by cell from `hook_pairs`, and one Fraction per
 partition.  `direct_trace_terms` is the direct walk over fixed points that
 `trace_terms` replaced by reading the oracle's tables: every weight of
 every cell of every fixed point multiplied out, one Fraction per point.
+
+`random_fan` generates smooth complete fans by toric blow-ups, and
+`fan_delta` reads e - K.D + D^2 off a fan without the oracle's model.
+`chart_closed_forms` is Carlsson-Okounkov's product on C^2, chart by chart,
+which each chart's series in the oracle's tables must equal; the oracle's
+summation does not use it.
 """
+
+import random
 
 from fractions import Fraction
 
@@ -243,3 +251,61 @@ def fraction_chart_product(co_tables, tan_tables, n_max):
         z = [sum(map(Fraction, co_rows[k], tan_rows[k])) for k in range(n_max + 1)]
         total = [sum(total[i] * z[n - i] for i in range(n + 1)) for n in range(n_max + 1)]
     return total
+
+
+def random_fan(rng, blowups=5):
+    """The rays, in counter-clockwise order, of a smooth complete fan: P2 or
+    the Hirzebruch surface F_a (a in 0..3), then 0..`blowups` toric
+    blow-ups, each inserting v_i + v_(i+1) between two neighbouring rays."""
+    a = rng.randint(-1, 3)
+    rays = [(1, 0), (0, 1), (-1, -1)] if a < 0 else [(1, 0), (0, 1), (-1, a), (0, -1)]
+    for _ in range(rng.randint(0, blowups)):
+        i = rng.randrange(len(rays))
+        (x1, y1), (x2, y2) = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (x1 + x2, y1 + y2))
+    return tuple(rays)
+
+
+def fan_delta(rays, divisor):
+    """e - K.D + D.D for D = sum a_i D_i on the toric surface of a complete
+    fan whose rays are listed in cyclic order: D_i.D_i = -b_i where
+    v_(i-1) + v_(i+1) = b_i v_i, neighbours meet once, and K = -sum D_i."""
+    r = len(rays)
+
+    def dot(i, j):
+        if i == j:
+            s = (rays[i - 1][0] + rays[(i + 1) % r][0], rays[i - 1][1] + rays[(i + 1) % r][1])
+            x, y = rays[i]
+            b = s[0] // x if x else s[1] // y
+            assert (b * x, b * y) == s
+            return -b
+        return 1 if (j - i) % r in (1, r - 1) else 0
+
+    minus_KD = sum(divisor[j] * dot(i, j) for i in range(r) for j in range(r))
+    DD = sum(divisor[i] * divisor[j] * dot(i, j) for i in range(r) for j in range(r))
+    return r + minus_KD + DD
+
+
+def euler_power(alpha, n_max):
+    """Coefficients 0..n_max of prod_k (1-q^k)^alpha for a rational alpha,
+    in Fractions: g = prod_k (1-q^k) multiplied out, then J. C. P. Miller's
+    recurrence for g^alpha, n f_n = sum_(k=1..n) ((alpha+1) k - n) g_k f_(n-k)."""
+    g = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        for i in range(n_max, k - 1, -1):
+            g[i] -= g[i - k]
+    f = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        f.append(sum(((alpha + 1) * k - n) * g[k] * f[n - k] for k in range(1, n + 1)) / n)
+    return f
+
+
+def chart_closed_forms(model, lin, n_max, at, shift=(0, 0)):
+    """Per chart, coefficients 0..n_max of Carlsson-Okounkov's series on C^2,
+    prod_k (1-q^k)^(-(m+P)(m+Q)/(PQ)), with P, Q, s_i, s_j the chart's
+    `_chart_scalars` and m = s_i P + s_j Q the bundle's weight there."""
+    out = []
+    for P, Q, si, sj in _chart_scalars(model, lin, at, shift):
+        m = si * P + sj * Q
+        out.append(euler_power(Fraction(-(m + P) * (m + Q), P * Q), n_max))
+    return out

@@ -148,14 +148,17 @@ def test_classes_quadric_window3(capsys):
 
 
 def test_classes_csv(capsys):
-    code, out, _ = run(
-        capsys, "classes", "--fixture", "quadric_p4_d2", "--gamma", "ell",
-        "--window", "1", "--order", "1", "--format", "csv",
-    )
-    assert code == EXIT_OK
-    lines = out.strip().splitlines()
-    assert lines[0] == "beta_0,beta_1,beta_sq,n,xi_num,xi_den,q_exp_num,q_exp_den"
-    assert len(lines) > 1
+    # the quadric, and the rank-6 class lattice of the cubic
+    for fixture, gamma, rank in (("quadric_p4_d2", "ell", 2), ("cubic_p4_d3", "1/2", 7)):
+        code, out, _ = run(
+            capsys, "classes", "--fixture", fixture, "--gamma", gamma,
+            "--window", "1", "--order", "1", "--format", "csv",
+        )
+        assert code == EXIT_OK
+        lines = out.strip().splitlines()
+        assert lines[0] == ",".join([f"beta_{i}" for i in range(rank)] + [
+            "beta_sq", "n", "xi_num", "xi_den", "q_exp_num", "q_exp_den"])
+        assert len(lines) > 1
 
 
 def test_classes_empty(capsys):
@@ -637,15 +640,16 @@ def test_verify_nmax_zero_trivially_passes(capsys):
 
 
 def test_verify_at_nmax_ceiling(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--fixture", "quadric_p4_d2", "--nmax", "20",
-        "--format", "json",
-    )
+    # P1 x P1 and P2
     assert NMAX_CEILING == 20
-    assert code == EXIT_OK
-    data = json.loads(out)
-    assert len(data["oracle_values"]) == 21
-    assert data["oracle_values"] == data["euler_minus_delta"]
+    for fixture in ("quadric_p4_d2", "quadric_p4_d1"):
+        code, out, _ = run(
+            capsys, "verify", "--fixture", fixture, "--nmax", "20", "--format", "json",
+        )
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert len(data["oracle_values"]) == 21
+        assert data["oracle_values"] == data["euler_minus_delta"]
 
 
 def test_verify_pretty_output(capsys):
@@ -1274,22 +1278,61 @@ def test_package_exports_are_the_module_objects():
             exec(f"from dtseries import {name}", {})
 
 
-def test_import_dtseries_imports_no_submodule():
-    code = ("import sys, dtseries; "
-            "print(sorted(m for m in sys.modules if m.startswith('dtseries.')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_src_env(), timeout=120, check=True)
-    assert proc.stdout == "[]\n"
+# Run in a fresh interpreter, since pytest itself loads dataclasses,
+# inspect and typing.  -I -S leave out site-packages, so an import outside
+# the standard library fails; -W error with -X warn_default_encoding fails
+# any text open that leaves the encoding to the locale (fixture and trace
+# JSON is UTF-8).  save_fixture with series on its file, and oracle --trace,
+# run both text opens in the package.  The child prints what it found on
+# its first line before it asserts, so each import guard below reads its
+# own finding from the one child.
+STDLIB_ONLY_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import dtseries
+submodules = sorted(m for m in sys.modules if m.startswith("dtseries."))
+from dtseries import classenum, cli, fixtures, geometry, intlinalg, localization, qseries
+outside = {m.partition(".")[0] for m in sys.modules} - sys.stdlib_module_names - {"dtseries", "__main__"}
+loaded = {"dataclasses", "inspect", "typing"} & sys.modules.keys()
+print(json.dumps({"submodules": submodules, "outside": sorted(outside), "loaded": sorted(loaded)}), flush=True)
+assert not submodules, "import dtseries loads a submodule"
+assert not outside, outside
+assert not loaded, loaded
+for cmd in ("check", "classes", "series", "oracle", "verify"):
+    assert cli.main([cmd, "--help"]) == 0, cmd
+fixtures.save_fixture(fixtures.get_fixture("blowup_p3_point"), "fx.json")
+assert cli.main(["series", "--fixture", "fx.json", "--gamma", "r=0,s=-1"]) == 0
+assert cli.main(["oracle", "--fixture", "quadric_p4_d2", "--nmax", "3", "--trace", "trace.json"]) == 0
+"""
 
 
-def test_cli_imports_no_dataclasses_inspect_or_typing():
-    # a fresh interpreter, since pytest itself loads all three
+@pytest.fixture(scope="module")
+def stdlib_child(tmp_path_factory):
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); import dtseries.cli, dtseries.classenum; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout == "[]\n"
+    return subprocess.run(
+        [sys.executable, "-I", "-S", "-X", "warn_default_encoding", "-W", "error",
+         "-c", STDLIB_ONLY_CHILD, src],
+        cwd=tmp_path_factory.mktemp("stdlib"), capture_output=True, text=True, timeout=120,
+    )
+
+
+def _child_finding(proc, key):
+    first = proc.stdout.partition("\n")[0]
+    assert first.startswith("{"), proc.stderr[-2000:]
+    return json.loads(first)[key]
+
+
+def test_import_dtseries_imports_no_submodule(stdlib_child):
+    assert _child_finding(stdlib_child, "submodules") == []
+
+
+def test_cli_imports_no_dataclasses_inspect_or_typing(stdlib_child):
+    assert _child_finding(stdlib_child, "loaded") == []
+
+
+def test_package_runs_on_the_standard_library_alone(stdlib_child):
+    assert _child_finding(stdlib_child, "outside") == []
+    assert stdlib_child.returncode == 0, stdlib_child.stderr[-2000:]
 
 
 def test_json_files_are_written_as_before(capsys, tmp_path):
@@ -1317,8 +1360,8 @@ def test_closed_pipe_exits_broken_pipe_without_traceback():
     # series (about 550 kB at this order, far beyond a pipe's buffer) then
     # meets a closed pipe
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dtseries.cli", "series", "--fixture", "quadric_p4_d2",
-         "--gamma", "ell", "--order", "1500", "--window", "1"],
+        [sys.executable, "-S", "-W", "error", "-m", "dtseries.cli", "series",
+         "--fixture", "quadric_p4_d2", "--gamma", "ell", "--order", "1500", "--window", "1"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
     )
     first = proc.stdout.readline()

@@ -239,6 +239,9 @@ def test_gamma_from_params_line():
     fx = get_fixture("blowup_p3_line")
     g = fx.character("r=0,s1=-1,s2=0")
     assert g == (Fraction(-1), Fraction(-1))
+    assert fx.character("r=1/2,s1=0,s2=0") == (Fraction(1, 4), Fraction(0))
+    with pytest.raises(FixtureError, match=r"missing parameters \['s2'\]"):
+        fx.character("r=1,s1=0")
 
 
 def test_gamma_from_params_rejected_without_parameters():

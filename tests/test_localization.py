@@ -29,12 +29,15 @@ from dtseries.qseries import euler_product
 from oracle_reference import (
     bundle_weights,
     cell_weight_tables,
+    chart_closed_forms,
     co_class_weights,
     conjugate,
     direct_trace_terms,
     dual_basis,
+    fan_delta,
     fraction_chart_product,
     hook_pairs,
+    random_fan,
     tangent_weights,
     weight_tables,
 )
@@ -239,6 +242,22 @@ def test_chart_coordinates_match_torus_reference():
     assert seen == {"tables", ("zero", True), ("zero", False)}
 
 
+def test_each_chart_is_carlsson_okounkov_on_the_plane():
+    # chart by chart, the series sum_k q^k sum co/tan of the oracle's tables
+    # is prod (1-q^k)^(-(m+P)(m+Q)/(PQ)) at the chart's scalars, on P1xP1
+    # and P2 with both bundles and on a 6-ray fan at a shift
+    hexagon = ToricSurfaceModel(
+        "hexagon", ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
+        {"D": Linearization("D", (1, -2, 0, 3, 1, 2), ())})
+    cases = [(model, lin, (0, 0)) for model in (p1xp1(), p2()) for lin in model.bundles.values()]
+    cases.append((hexagon, hexagon.bundles["D"], (7, -11)))
+    for model, lin, shift in cases:
+        co_tables, tan_tables = hook_weight_tables(model, lin, 8, AT, shift)
+        got = [[sum(map(Fraction, co_rows[k], tan_rows[k])) for k in range(9)]
+               for co_rows, tan_rows in zip(co_tables, tan_tables)]
+        assert got == chart_closed_forms(model, lin, 8, AT, shift), model.name
+
+
 def _first_zero(tables, *args):
     try:
         return tables(*args)
@@ -355,26 +374,6 @@ def test_integrate_shift_invariance():
     assert vals == {140}
 
 
-def _fan_delta(rays, divisor):
-    """e - K.D + D.D for D = sum a_i D_i on the toric surface of a complete
-    fan whose rays are listed in cyclic order: D_i.D_i = -b_i where
-    v_(i-1) + v_(i+1) = b_i v_i, neighbours meet once, and K = -sum D_i."""
-    r = len(rays)
-
-    def dot(i, j):
-        if i == j:
-            s = (rays[i - 1][0] + rays[(i + 1) % r][0], rays[i - 1][1] + rays[(i + 1) % r][1])
-            x, y = rays[i]
-            b = s[0] // x if x else s[1] // y
-            assert (b * x, b * y) == s
-            return -b
-        return 1 if (j - i) % r in (1, r - 1) else 0
-
-    minus_KD = sum(divisor[j] * dot(i, j) for i in range(r) for j in range(r))
-    DD = sum(divisor[i] * divisor[j] * dot(i, j) for i in range(r) for j in range(r))
-    return r + minus_KD + DD
-
-
 P2_FAN = ((1, 0), (0, 1), (-1, -1))
 P1XP1_FAN = ((1, 0), (0, 1), (-1, 0), (0, -1))
 F1_FAN = ((1, 0), (0, 1), (-1, 1), (0, -1))
@@ -398,12 +397,31 @@ def test_integrate_higher_degree_bundles(fan, divisor, delta):
     # across the Hirzebruch family and beyond degree 1, the oracle's series is
     # prod (1-q^k)^(-delta) with delta = e(S) - K.D + D^2 read off the fan,
     # by the reference and by the model
-    assert _fan_delta(fan, divisor) == delta
+    assert fan_delta(fan, divisor) == delta
     model = ToricSurfaceModel("fan", fan, {"D": Linearization("D", divisor, divisor)})
     e, KD, DD = model.intersection_numbers(divisor)
     assert e - KD + DD == delta
     res = co_series(model, model.bundles["D"], 5, seed=0)
     assert list(res.values) == [int(c) for c in euler_product(-delta, 6).coeffs]
+
+
+def test_co_series_on_generated_fans():
+    # the same on 60 smooth fans of 3-9 rays, P2 or F_a blown up torically,
+    # each with a random divisor: Carlsson-Okounkov holds on every smooth
+    # projective toric surface and every divisor
+    rng = random.Random(2012)
+    sizes = set()
+    for _ in range(60):
+        rays = random_fan(rng)
+        divisor = tuple(rng.randint(-3, 3) for _ in rays)
+        model = ToricSurfaceModel("fan", rays, {"D": Linearization("D", divisor, ())})
+        e, KD, DD = model.intersection_numbers(divisor)
+        delta = fan_delta(rays, divisor)
+        assert e - KD + DD == delta
+        res = co_series(model, model.bundles["D"], 8, seed=0)
+        assert list(res.values) == [int(c) for c in euler_product(-delta, 9).coeffs]
+        sizes.add(len(rays))
+    assert sizes == set(range(3, 10))
 
 
 def test_integrate_zero_weight_at_eval_point():
