@@ -154,28 +154,40 @@ def euler_product(e, order):
 
         n * g_n = sum_{k=1}^{n} ((e + 1) k - n) * f_k * g_{n-k},
 
-    one exact integer pass for either sign of e.  f has O(sqrt(order))
-    nonzero terms, so the pass costs O(order^1.5) small-int x bigint steps.
+    one exact integer pass for either sign of e.  f_k is +-1 at the
+    generalized pentagonal numbers and 0 elsewhere, so the pentagonal terms
+    are split into a + run and a - run of (k, (e + 1) k) pairs, each grown
+    by one pair as n reaches its next k; every n then sums its + prefix in
+    one loop and its - prefix in another, with no test or sign branch per
+    term.  f has O(sqrt(order)) nonzero terms, so the pass costs
+    O(order^1.5) small-int x bigint steps: 95,382 at order 2000, where
+    each run holds 36 terms.
+
     The division by n is exact; a nonzero remainder raises ArithmeticError.
+    That catches a recurrence weight off by a constant, but not a slip that
+    computes another integer power: a flipped - run gives a power of
+    1 + q + q^2 + q^5 + q^7 + ... (every pentagonal sign +), and e k for
+    (e + 1) k gives f^(e-1).  The expansions in the tests are the check
+    there.
     """
     if order < 1:
         raise ValueError("order must be positive")
     terms = _pentagonal_terms(order)
-    e1 = e + 1
     coeffs = [1] + [0] * (order - 1)
-    for n in range(1, order):
-        s = 0
-        for k, sign in terms:
-            if k > n:
-                break
-            if sign > 0:
-                s += (e1 * k - n) * coeffs[n - k]
-            else:
-                s -= (e1 * k - n) * coeffs[n - k]
-        c, r = divmod(s, n)
-        if r:
-            raise ArithmeticError(f"Miller recurrence: {s} is not divisible by {n}")
-        coeffs[n] = c
+    add, sub = [], []  # (k, (e + 1) k) for the + and - terms with k <= n
+    ends = [k for k, _ in terms[1:]] + [order]
+    for (k, sign), end in zip(terms, ends):
+        (add if sign > 0 else sub).append((k, (e + 1) * k))
+        for n in range(k, end):
+            s = 0
+            for j, w in add:
+                s += (w - n) * coeffs[n - j]
+            for j, w in sub:
+                s -= (w - n) * coeffs[n - j]
+            c, r = divmod(s, n)
+            if r:
+                raise ArithmeticError(f"Miller recurrence: {s} is not divisible by {n}")
+            coeffs[n] = c
     return QSeries(0, coeffs)
 
 

@@ -101,6 +101,35 @@ def test_euler_plus_one_pentagonal_prefix():
     assert [int(c) for c in euler_product(1, 16).coeffs] == want
 
 
+def test_euler_plus_one_is_pentagonal_series_at_order_2000():
+    # sum_j (-1)^j q^(j(3j-1)/2) over all integers j; at order 2000 this
+    # crosses every one of the 72 pentagonal boundaries below q^2000
+    want = [0] * 2000
+    want[0] = 1
+    for j in range(1, 40):
+        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if k < 2000:
+                want[k] = (-1) ** j
+    assert list(euler_product(1, 2000).coeffs) == want
+
+
+def test_euler_cube_is_jacobi_series_at_order_2000():
+    # Jacobi: prod (1 - q^k)^3 = sum_{j>=0} (-1)^j (2j + 1) q^(j(j+1)/2)
+    want = [0] * 2000
+    for j in range(70):
+        if j * (j + 1) // 2 < 2000:
+            want[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
+    assert list(euler_product(3, 2000).coeffs) == want
+
+
+def test_series_workload_inverse_pair_at_full_order():
+    # the quadric's delta at the order the series benchmark multiplies
+    delta = delta_invariant(get_fixture("quadric_p4_d2").surface)
+    assert delta == 10
+    prod = euler_product(delta, 2000) * euler_product(-delta, 2000)
+    assert prod == QSeries(0, [1] + [0] * 1999)
+
+
 def test_euler_negative_exponents_count_tuples():
     for e in (2, 3, 4):
         coeffs = euler_product(-e, 7).coeffs
