@@ -225,6 +225,13 @@ def quartic_p4_d4():
     )
 
 
+def _require_polarization(k):
+    """kL - E is ample on either blow-up exactly when the integer k is >= 2: it
+    pairs to 1 with a line in E and to k - 1 with a line through the centre."""
+    if type(k) is not int or k < 2:
+        raise FixtureError("k must be an integer of at least 2 for kL - E to polarize")
+
+
 def _blowup(name, k, quad, surface, gamma_params, notes, toric=None):
     """P3 blown up along a centre, in the divisor basis (L, E): K_X = -4L + E,
     polarized by kL - E, dim |L| = 3, and the curve basis paired with (L, E)
@@ -258,8 +265,7 @@ def blowup_p3_point(k=3):
     E^3 = -1 and K_X = -4L + E in the (L, E) basis; the model is consistent
     as stated and every downstream check works directly with these numbers.
     """
-    if type(k) is not int or k < 1:
-        raise FixtureError("k must be a positive integer")
+    _require_polarization(k)
     surface = SurfaceModel(
         name="plane (missing the center)",
         gram=((1,),),
@@ -280,10 +286,7 @@ def blowup_p3_point(k=3):
 def blowup_p3_line(k=3):
     """P3 blown up along a line, polarized by kL - E; S is a plane's strict
     transform (P2 blown up at one point)."""
-    if type(k) is not int:
-        raise FixtureError("k must be an integer")
-    if k < 2:
-        raise FixtureError("k must be at least 2 for kL - E to polarize")
+    _require_polarization(k)
     surface = SurfaceModel(
         name="plane blown up at a point",
         gram=((1, 0), (0, -1)),

@@ -28,8 +28,10 @@ computed exactly, truncated at q^n_max, in one pass per evaluation point.
 A cell's two weights depend only on its hook (leg l, arm a), so each chart
 gets one table over the hooks with l + a + 1 <= n_max, holding the product
 of the two tangent weights and the product of the two class weights of
-each; every zero check is made there.  A partition's products are products
-of its cells' entries, built row on row from one cell layout that
+each; a weight that vanishes at the point is caught there.  Whether a
+class weight is the zero vector depends on the shift alone, and
+`_structural_zero` decides it in closed form.  A partition's products are
+products of its cells' entries, built row on row from one cell layout that
 `co_series` makes once per call (removing a partition's first row changes
 no other cell's hook).  Each Z_c[k] is one exact sum over a common
 denominator, and the product over charts is a convolution of integers, so
@@ -77,13 +79,8 @@ def partition_list(n):
 
 
 class ZeroWeightError(ArithmeticError):
-    """A weight vanished: structurally (zero vector) or at the chosen
-    evaluation point.  Callers re-randomize; structural zeros additionally
-    need a different linearization shift."""
-
-    def __init__(self, msg, structural=False):
-        super().__init__(msg)
-        self.structural = structural
+    """A tangent or class weight vanished at the chosen evaluation point;
+    callers draw another point."""
 
 
 class OracleError(RuntimeError):
@@ -255,37 +252,35 @@ def _chart_scalars(model, lin, at, shift):
     return out
 
 
+def _structural_zero(scalars, n_max):
+    """Whether a chart's class weight is the zero vector for some hook
+    (l, a) with l + a + 1 <= n_max, whatever the point.  The class weights
+    (s_i - l, s_j + a + 1) and (s_i + l + 1, s_j - a) vanish exactly when
+    s_i = l >= 0 > -(a+1) = s_j or s_j = a >= 0 > -(l+1) = s_i, and then
+    |s_i - s_j| = l + a + 1.  So a chart has one exactly when one of s_i,
+    s_j is >= 0, the other < 0, and |s_i - s_j| <= n_max."""
+    return any((si < 0) != (sj < 0) and abs(si - sj) <= n_max for _, _, si, sj in scalars)
+
+
 def _hook_tables(scalars, n_max):
     """Per chart, the product of the two tangent weights and the product of
     the two class weights of every hook (l, a) with l + a + 1 <= n_max, as
-    cleared integers at slot l*(n_max+1) + a.
-
-    Hook length k first appears at size k, as the corner cell of the hook
-    partitions (k-l, 1^l), l = 0..k-1, in that `partition_list` order, and
-    the corner comes first in the row-by-row walk.  So visiting hook lengths
-    ascending, charts within a length, l ascending, weight (-l, a+1) before
-    (l+1, -a), and for each the tangent, structural and class checks in
-    turn, raises the same first ZeroWeightError as visiting every cell of
-    every partition by size, chart and partition.
-    """
+    cleared integers at slot l*(n_max+1) + a.  A tangent or class weight
+    that vanishes at the point raises ZeroWeightError; a class weight that
+    is the zero vector (`_structural_zero`) is one of these."""
     stride = n_max + 1
     co_hooks = [[None] * (stride * stride) for _ in scalars]
     tan_hooks = [[None] * (stride * stride) for _ in scalars]
-    for k in range(1, n_max + 1):
-        for c, (P, Q, si, sj) in enumerate(scalars):
-            base_val = si * P + sj * Q
-            for l in range(k):
-                a = k - 1 - l
+    for c, (P, Q, si, sj) in enumerate(scalars):
+        base_val = si * P + sj * Q
+        for l in range(n_max):
+            for a in range(n_max - l):
                 tp = cp = 1
                 for (x, y) in ((-l, a + 1), (l + 1, -a)):
                     v = x * P + y * Q
                     if v == 0:
                         raise ZeroWeightError(
                             f"tangent weight ({x},{y}) vanishes at the evaluation point"
-                        )
-                    if x + si == 0 and y + sj == 0:
-                        raise ZeroWeightError(
-                            f"structurally zero weight at chart {c}", structural=True
                         )
                     w = v + base_val
                     if w == 0:
@@ -308,17 +303,17 @@ def _partition_products(hooks, layout):
     return table
 
 
-def _weight_tables(model, lin, layout, at, shift):
+def _weight_tables(scalars, layout):
     """Evaluate all per-partition weight products as exact integers.
 
-    `layout` is `_cell_layout(n_max)`.  Returns co_tables, tan_tables indexed
-    [chart][size][partition], for sizes 0..n_max.  Denominators of the
-    evaluation point cancel between the co and tangent products (both have
-    rank 2n), so the tables hold the cleared integer values x*P + y*Q.  A
-    partition's products are those of its cells' hook products, read from
-    one table per chart (`_hook_tables`, which makes every zero check).
+    `scalars` are the `_chart_scalars` of one evaluation point and shift,
+    and `layout` is `_cell_layout(n_max)`.  Returns co_tables, tan_tables
+    indexed [chart][size][partition], for sizes 0..n_max.  Denominators of
+    the evaluation point cancel between the co and tangent products (both
+    have rank 2n), so the tables hold the cleared integer values x*P + y*Q.
+    A partition's products are those of its cells' hook products, read
+    from one table per chart (`_hook_tables`, which makes the zero checks).
     """
-    scalars = _chart_scalars(model, lin, at, shift)
     co_hooks, tan_hooks = _hook_tables(scalars, len(layout))
     co_tables = [_partition_products(hooks, layout) for hooks in co_hooks]
     tan_tables = [_partition_products(hooks, layout) for hooks in tan_hooks]
@@ -362,15 +357,13 @@ def chart_product(co_tables, tan_tables, n_max):
     return [Fraction(t, den) for t in total]
 
 
-def _series_values(model, lin, layout, at, shift):
-    """`fixed_point_series` on a prebuilt `_cell_layout`."""
-    co_tables, tan_tables = _weight_tables(model, lin, layout, at, shift)
+def _series_values(scalars, layout):
+    """`fixed_point_series` on prebuilt `_chart_scalars` and `_cell_layout`."""
+    co_tables, tan_tables = _weight_tables(scalars, layout)
     values = []
     for n, v in enumerate(chart_product(co_tables, tan_tables, len(layout))):
         if v.denominator != 1:
-            raise IntegralityError(
-                f"fixed-point sum {v} is not an integer (n={n}, at={at})"
-            )
+            raise IntegralityError(f"fixed-point sum {v} is not an integer (n={n})")
         values.append(v.numerator)
     return values
 
@@ -379,14 +372,15 @@ def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
     """Integrals over S^[n] for n = 0..n_max at the rational point `at`, from
     one chart-factored pass.  Each exact result must be an integer; the
     first that is not raises IntegralityError."""
-    return _series_values(model, lin, _cell_layout(n_max), at, shift)
+    return _series_values(_chart_scalars(model, lin, at, shift), _cell_layout(n_max))
 
 
 def trace_terms(model, lin, n, at, shift=(0, 0)):
     """Per-fixed-point contributions, for debugging small n: each term is
     the product over charts of a partition's class product over its tangent
     product, read from the tables `co_series` sums."""
-    co_tables, tan_tables = _weight_tables(model, lin, _cell_layout(n), at, shift)
+    co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at, shift),
+                                           _cell_layout(n))
     places = [{parts: i for i, parts in enumerate(partition_list(k))} for k in range(n + 1)]
     rows = []
     for point in hilb_fixed_points(model.euler, n):
@@ -418,8 +412,9 @@ class CoSeriesResult(Record):
 def co_series(model, lin, n_max, seed=0):
     """Integrals for n = 0..n_max at two independent evaluation points.
 
-    Zero weights trigger fresh points (and, for structural zeros, a fresh
-    common shift of the linearization), at most MAX_ATTEMPTS times.  The
+    A shift that makes some class weight the zero vector
+    (`_structural_zero`) is redrawn, and a weight that vanishes at a drawn
+    point draws fresh points, at most MAX_ATTEMPTS draws in all.  The
     sums are exact, so two valid points of a consistent model agree: the
     first disagreement comes from the model and raises OracleError.
     """
@@ -429,12 +424,14 @@ def co_series(model, lin, n_max, seed=0):
     layout = _cell_layout(n_max)
     for _ in range(MAX_ATTEMPTS):
         p, q = _draw_point(rng), _draw_point(rng)
+        scalars = _chart_scalars(model, lin, p, shift)
+        if _structural_zero(scalars, n_max):
+            shift = (rng.randint(-40, 40), rng.randint(-40, 40))
+            continue
         try:
-            vals_p = _series_values(model, lin, layout, p, shift)
-            vals_q = _series_values(model, lin, layout, q, shift)
-        except ZeroWeightError as exc:
-            if exc.structural:
-                shift = (rng.randint(-40, 40), rng.randint(-40, 40))
+            vals_p = _series_values(scalars, layout)
+            vals_q = _series_values(_chart_scalars(model, lin, q, shift), layout)
+        except ZeroWeightError:
             continue
         if vals_p != vals_q:
             raise OracleError("evaluation points disagree; model data is inconsistent")

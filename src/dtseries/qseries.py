@@ -48,21 +48,19 @@ def parse_frac(x):
     return Fraction(x)
 
 
-class QSeries:
+class QSeries(Record):
     """Exact truncated q-series.  Immutable; operators return new objects.
 
     Coefficients are coerced with operator.index, so a non-integral one
     (a Fraction or a float) raises TypeError instead of being truncated.
     """
 
-    __slots__ = ("offset", "coeffs")
+    offset: Fraction
+    coeffs: tuple
 
-    def __init__(self, offset, coeffs):
-        object.__setattr__(self, "offset", Fraction(offset))
-        object.__setattr__(self, "coeffs", tuple(map(operator.index, coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
 
     @property
     def order(self):
@@ -72,14 +70,6 @@ class QSeries:
     def shift(self, r):
         """Multiply by q^r."""
         return QSeries(self.offset + Fraction(r), self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.offset == other.offset and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.offset, self.coeffs))
 
     def __mul__(self, other):
         """Product, truncated to the shorter window; zero coefficients of the

@@ -6,12 +6,17 @@ same weights the long way, as integer 2-vectors of the torus: the dual
 basis found by search (`dual_basis`), cells, arms and legs counted cell by
 cell, the bundle weight m with <m, v_i> = a_i and <m, v_j> = a_j, and the
 evaluation t -> <t, at>.  A weight is structurally zero when its vector is
-(0, 0).
+(0, 0), and the references raise their own StructuralZero for it.  These
+per-cell checks are the reference for the oracle's closed form
+`_structural_zero`; the oracle tests a shift once before it builds any
+table, so the order in which the references check their weights no longer
+has to match the oracle's.
 
 `cell_weight_tables` and `fraction_chart_product` are the oracle's earlier
 fast path, kept as references for the hook tables and the exact sums: chart
 coordinates evaluated cell by cell from `hook_pairs`, and one Fraction per
-partition.  `direct_trace_terms` is the direct walk over fixed points that
+partition.  `structural_zero` is the same per-cell check in chart
+coordinates, with no evaluation point.  `direct_trace_terms` is the direct walk over fixed points that
 `trace_terms` replaced by reading the oracle's tables: every weight of
 every cell of every fixed point multiplied out, one Fraction per point.
 
@@ -32,6 +37,10 @@ from dtseries.localization import (
     hilb_fixed_points,
     partition_list,
 )
+
+
+class StructuralZero(ZeroWeightError):
+    """A class weight is the zero vector, so it vanishes at every point."""
 
 
 def conjugate(parts):
@@ -145,15 +154,14 @@ def tangent_weights(parts, chart):
 def co_class_weights(point, model, lin, shift=(0, 0)):
     """Weights of the obstruction-type class at a fixed point (a tuple of
     partitions, one per chart): one weight w_F(L) + shift + t per tangent
-    weight t, so rank 2n in total.  A zero vector raises a structural
-    ZeroWeightError."""
+    weight t, so rank 2n in total.  A zero vector raises StructuralZero."""
     out = []
     charts = dual_basis(model)
     for c, (parts, wl) in enumerate(zip(point, bundle_weights(model, lin))):
         for t in tangent_weights(parts, charts[c]):
             w = (t[0] + wl[0] + shift[0], t[1] + wl[1] + shift[1])
             if w == (0, 0):
-                raise ZeroWeightError(f"structurally zero weight at chart {c}", structural=True)
+                raise StructuralZero(f"structurally zero weight at chart {c}")
             out.append(w)
     return out
 
@@ -163,8 +171,8 @@ def weight_tables(model, lin, n_max, at, shift=(0, 0)):
     [chart][size][partition], each weight evaluated at `at` scaled by the
     product of its coordinates' denominators.  Sizes ascending, charts
     within a size, cells row by row; for each weight the tangent check,
-    then the structural check, then the class check, each raising
-    ZeroWeightError."""
+    then the structural check (StructuralZero), then the class check, each
+    raising ZeroWeightError."""
     x, y = Fraction(at[0]), Fraction(at[1])
     scale = x.denominator * y.denominator
 
@@ -189,7 +197,7 @@ def weight_tables(model, lin, n_max, at, shift=(0, 0)):
                     tp *= tv
                     w = (t[0] + bases[c][0], t[1] + bases[c][1])
                     if w == (0, 0):
-                        raise ZeroWeightError("structural zero", structural=True)
+                        raise StructuralZero("structural zero")
                     wv = value(w)
                     if wv == 0:
                         raise ZeroWeightError("class weight vanishes")
@@ -201,14 +209,14 @@ def weight_tables(model, lin, n_max, at, shift=(0, 0)):
     return co_tables, tan_tables
 
 
-def cell_weight_tables(model, lin, n_max, at, shift=(0, 0)):
+def cell_weight_tables(scalars, n_max):
     """Per-partition products of tangent and class weights, indexed
-    [chart][size][partition], in chart coordinates: every weight of every
-    cell of every partition evaluated as x*P + y*Q.  Sizes ascending,
-    charts within a size, partitions in order, cells row by row; for each
-    weight the tangent check, then the structural check, then the class
+    [chart][size][partition], in chart coordinates at the `_chart_scalars`
+    of one point and shift: every weight of every cell of every partition
+    evaluated as x*P + y*Q.  Sizes ascending, charts within a size,
+    partitions in order, cells row by row; for each weight the tangent
+    check, then the structural check (StructuralZero), then the class
     check, each raising ZeroWeightError."""
-    scalars = _chart_scalars(model, lin, at, shift)
     co_tables = [[] for _ in scalars]
     tan_tables = [[] for _ in scalars]
     for k in range(n_max + 1):
@@ -227,9 +235,7 @@ def cell_weight_tables(model, lin, n_max, at, shift=(0, 0)):
                         )
                     tp *= v
                     if x + si == 0 and y + sj == 0:
-                        raise ZeroWeightError(
-                            f"structurally zero weight at chart {c}", structural=True
-                        )
+                        raise StructuralZero(f"structurally zero weight at chart {c}")
                     w = v + base_val
                     if w == 0:
                         raise ZeroWeightError(
@@ -241,6 +247,15 @@ def cell_weight_tables(model, lin, n_max, at, shift=(0, 0)):
             co_tables[c].append(co_row)
             tan_tables[c].append(tan_row)
     return co_tables, tan_tables
+
+
+def structural_zero(scalars, n_max):
+    """Whether some cell of some partition of size <= n_max has, in some
+    chart, a class weight (x + s_i, y + s_j) that is the zero vector."""
+    return any(x + si == 0 and y + sj == 0
+               for _, _, si, sj in scalars
+               for k in range(n_max + 1) for parts in partition_list(k)
+               for x, y in hook_pairs(parts))
 
 
 def fraction_chart_product(co_tables, tan_tables, n_max):

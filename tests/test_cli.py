@@ -65,14 +65,14 @@ def test_check_quartic_fails_first_inequality_only(capsys):
 
 
 def test_check_blowup_point_gap_depends_on_k(capsys):
-    argv = ("check", "--fixture", "blowup_p3_point", "--gamma", "r=0,s=-1")
-    code, out, _ = run(capsys, *argv, "--k", "1")
+    argv = ("check", "--fixture", "blowup_p3_point", "--gamma", "r=-3,s=-1")
+    code, out, _ = run(capsys, *argv, "--k", "2")
     assert code == EXIT_CHECKS_FAILED
     assert "FAIL (integer twist)" in out
-    assert "forbidden m = -1" in out
+    assert "forbidden m = 0" in out
     code, out, _ = run(capsys, *argv)  # default k=3
     assert code == EXIT_OK
-    assert "forbidden m = -5/9" in out
+    assert "forbidden m = -1/18" in out
 
 
 def test_check_json(capsys):
@@ -100,19 +100,19 @@ def test_check_csv(capsys):
 
 
 def test_check_failing_stability_gap_json_and_csv(capsys):
-    argv = ("check", "--fixture", "blowup_p3_point", "--k", "1", "--gamma", "r=0,s=-1")
+    argv = ("check", "--fixture", "blowup_p3_point", "--k", "2", "--gamma", "r=-3,s=-1")
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == EXIT_CHECKS_FAILED
     report = json.loads(out)["report"]
     assert report["stability_gap"] == [
-        {"candidate": [0, 1], "forbidden_m": "-1", "is_integer": True, "holds": False}
+        {"candidate": [0, 1], "forbidden_m": "0", "is_integer": True, "holds": False}
     ]
     assert report["failures"] == ["stability gap at (0, 1)"]
     assert report["passed"] is False
     code, out, _ = run(capsys, *argv, "--format", "csv")
     assert code == EXIT_CHECKS_FAILED
     lines = out.strip().splitlines()
-    assert '"stability[0, 1]",-1,Z,False' in lines
+    assert '"stability[0, 1]",0,Z,False' in lines
     assert lines[-1] == "overall,,,False"
 
 
@@ -488,7 +488,7 @@ def test_oracle_stops_at_its_first_disagreement(capsys, monkeypatch):
     draws = []
     monkeypatch.setattr(localization, "_draw_point", lambda rng: draws.append(1) or draw(rng))
     monkeypatch.setattr(localization, "_series_values",
-                        lambda model, lin, layout, at, shift: [1, at[0].numerator])
+                        lambda scalars, layout: [1, scalars[0][0]])
     code, out, err = run(capsys, "verify", "--fixture", "quadric_p4_d2", "--nmax", "1")
     assert (code, out, len(draws)) == (EXIT_MISMATCH, "", 2)
     assert err == "error: evaluation points disagree; model data is inconsistent\n"

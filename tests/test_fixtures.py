@@ -129,7 +129,7 @@ def _typed_by_hand(name, k):
 
 
 BUILTIN_VARIANTS = [(name, None) for name in ALL_NAMES[:4]] + [
-    ("blowup_p3_point", k) for k in range(1, 7)] + [("blowup_p3_line", k) for k in range(2, 7)]
+    ("blowup_p3_point", k) for k in range(2, 7)] + [("blowup_p3_line", k) for k in range(2, 7)]
 
 
 @pytest.mark.parametrize("name, k", BUILTIN_VARIANTS)
@@ -152,7 +152,6 @@ SAVED_DIGESTS = [
     ("quadric_p4_d2", None, "ad64759788abf263"),
     ("cubic_p4_d3", None, "1bceef5818ffbd12"),
     ("quartic_p4_d4", None, "c45deb9b6c905933"),
-    ("blowup_p3_point", 1, "d058c0c12ae268a2"),
     ("blowup_p3_point", 2, "c1ba23d1649734f1"),
     ("blowup_p3_point", 3, "d074e079a093610d"),
     ("blowup_p3_point", 4, "f31124b4128c452c"),
@@ -208,12 +207,16 @@ def test_k_rejected_for_non_blowups():
 
 
 def test_blowup_point_k_must_be_positive():
-    with pytest.raises(FixtureError):
-        blowup_p3_point(0)
+    # (kL - E).f = k - 1 on the strict transform f = C0 - C1 of a line
+    # through the point, so k = 1 is no polarization
+    for k in (0, 1):
+        with pytest.raises(FixtureError, match="at least 2"):
+            blowup_p3_point(k)
+    assert blowup_p3_point(2).surface.O1_S == (2,)
 
 
 def test_blowup_line_k_must_polarize():
-    with pytest.raises(FixtureError):
+    with pytest.raises(FixtureError, match="at least 2"):
         blowup_p3_line(1)
     assert blowup_p3_line(2).surface.O1_S == (2, -1)
 

@@ -52,9 +52,9 @@ HAND_TYPED_TRIPLE = {
 
 
 def test_triple_product_matches_hand_typed_tensors():
-    # the blow-ups at every polarization kL - E up to k = 4 (L - E does not
-    # polarize the line's blow-up)
-    ks = {"blowup_p3_point": (1, 2, 3, 4), "blowup_p3_line": (2, 3, 4)}
+    # the blow-ups at every polarization kL - E up to k = 4 (L - E polarizes
+    # neither)
+    ks = {"blowup_p3_point": (2, 3, 4), "blowup_p3_line": (2, 3, 4)}
     for name, triple in HAND_TYPED_TRIPLE.items():
         for k in ks.get(name, (None,)):
             X = get_fixture(name, k=k).threefold
@@ -138,7 +138,7 @@ def test_hilbert_coeffs_quadric():
 
 def test_hilbert_coeffs_point_blowup_closed_form():
     # a2 = k^2/2 and a1 = rk/2 + s + 2k
-    for k in (1, 2, 3, 5):
+    for k in (2, 3, 5, 6):
         fx = get_fixture("blowup_p3_point", k=k)
         for r, s in ((0, -1), (2, 0), (-1, 3), (3, -2)):
             gamma = fx.character(f"r={r},s={s}")
@@ -149,7 +149,7 @@ def test_hilbert_coeffs_point_blowup_closed_form():
 
 def test_stability_point_blowup_closed_form():
     # forbidden twist m* = -(rk + 2s + 4k) / (2k^2); integer iff the check fails
-    for k in (1, 2, 3):
+    for k in (2, 3, 4):
         fx = get_fixture("blowup_p3_point", k=k)
         for r, s in ((0, -1), (1, 1), (2, -3)):
             gamma = fx.character(f"r={r},s={s}")
@@ -159,11 +159,11 @@ def test_stability_point_blowup_closed_form():
 
 
 def test_stability_gap_known_verdicts():
-    # k=1, r=0, s=-1: m* = -1 is an integer, the gap fails
-    fx = get_fixture("blowup_p3_point", k=1)
-    gamma = fx.character("r=0,s=-1")
+    # k=2, r=-3, s=-1: m* = 0 is an integer, the gap fails
+    fx = get_fixture("blowup_p3_point", k=2)
+    gamma = fx.character("r=-3,s=-1")
     rep = _checks(fx, gamma)
-    assert rep.stability_gap[0].forbidden_m == -1
+    assert rep.stability_gap[0].forbidden_m == 0
     assert not rep.passed
     assert rep.failures == ["stability gap at (0, 1)"]
     # default k=3 passes for the zero character

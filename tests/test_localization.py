@@ -13,6 +13,7 @@ from dtseries.localization import (
     ZeroWeightError,
     _cell_layout,
     _chart_scalars,
+    _structural_zero,
     _weight_tables,
     chart_product,
     co_series,
@@ -27,6 +28,7 @@ from dtseries import localization
 from dtseries.geometry import ModelError
 from dtseries.qseries import euler_product
 from oracle_reference import (
+    StructuralZero,
     bundle_weights,
     cell_weight_tables,
     chart_closed_forms,
@@ -38,6 +40,7 @@ from oracle_reference import (
     fraction_chart_product,
     hook_pairs,
     random_fan,
+    structural_zero,
     tangent_weights,
     weight_tables,
 )
@@ -202,14 +205,22 @@ def test_tangent_weights_conjugate_symmetry():
 
 def hook_weight_tables(model, lin, n_max, at, shift=(0, 0)):
     """The oracle's tables, from the hook tables over one cell layout."""
-    return _weight_tables(model, lin, _cell_layout(n_max), at, shift)
+    return _weight_tables(_chart_scalars(model, lin, at, shift), _cell_layout(n_max))
 
 
 def _outcome(tables, *args):
+    # the tables, or which zero weight the references met first; the
+    # oracle meets a structural zero as a class weight vanishing at the point
     try:
         return tables(*args)
-    except ZeroWeightError as exc:
-        return ("zero", exc.structural)
+    except StructuralZero:
+        return "structural"
+    except ZeroWeightError:
+        return "zero"
+
+
+def _same_outcome(got, want):
+    return got == ("zero" if want == "structural" else want)
 
 
 def _fan_models(*fans):
@@ -223,9 +234,9 @@ def _fan_models(*fans):
 
 def test_chart_coordinates_match_torus_reference():
     # every chart of P2, P1xP1, F1 and F2, partitions up to n = 6: the
-    # oracle's tables (or its first zero weight and whether it is
-    # structural) equal the reference's torus-vector evaluation, at random
-    # points and shifts small enough to hit zeros of both kinds
+    # oracle's tables equal the reference's torus-vector evaluation, or both
+    # meet a zero weight, at random points and shifts small enough to hit
+    # zeros of both kinds
     rng = random.Random(6)
     seen = set()
     for model in _fan_models(P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
@@ -234,12 +245,12 @@ def test_chart_coordinates_match_torus_reference():
                 at = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                       Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                 shift = (rng.randint(-2, 2), rng.randint(-2, 2))
-                got = _outcome(hook_weight_tables, model, lin, 6, at, shift)
-                assert got == _outcome(weight_tables, model, lin, 6, at, shift)
-                seen.add(got if got[0] == "zero" else "tables")
+                want = _outcome(weight_tables, model, lin, 6, at, shift)
+                assert _same_outcome(_outcome(hook_weight_tables, model, lin, 6, at, shift), want)
+                seen.add(want if isinstance(want, str) else "tables")
             at = (Fraction(7919, 13), Fraction(-104729, 17))
             assert hook_weight_tables(model, lin, 6, at) == weight_tables(model, lin, 6, at)
-    assert seen == {"tables", ("zero", True), ("zero", False)}
+    assert seen == {"tables", "structural", "zero"}
 
 
 def test_each_chart_is_carlsson_okounkov_on_the_plane():
@@ -258,18 +269,10 @@ def test_each_chart_is_carlsson_okounkov_on_the_plane():
         assert got == chart_closed_forms(model, lin, 8, AT, shift), model.name
 
 
-def _first_zero(tables, *args):
-    try:
-        return tables(*args)
-    except ZeroWeightError as exc:
-        return ("zero", str(exc), exc.structural)
-
-
 def test_hook_tables_match_cell_by_cell_reference():
     # the hook tables against the per-cell walk they replace, for n <= 7 on
-    # every chart of P2, P1xP1, F1 and F2: equal tables, or the same first
-    # zero weight (its message names the weight or the chart) with the same
-    # structural flag, at points and shifts small enough to hit both kinds
+    # every chart of P2, P1xP1, F1 and F2: equal tables, or a zero weight on
+    # both sides, at points and shifts small enough to hit both kinds
     rng = random.Random(11)
     seen = set()
     for model in _fan_models(P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
@@ -281,10 +284,12 @@ def test_hook_tables_match_cell_by_cell_reference():
                 at = (Fraction(rng.randint(-span, span), rng.randint(1, 3)),
                       Fraction(rng.randint(-span, span), rng.randint(1, 3)))
                 shift = (rng.randint(-3, 3), rng.randint(-3, 3)) if rng.random() < 0.5 else (0, 0)
-                got = _first_zero(hook_weight_tables, model, lin, n_max, at, shift)
-                assert got == _first_zero(cell_weight_tables, model, lin, n_max, at, shift)
-                seen.add(got[::2] if got[0] == "zero" else "tables")
-    assert seen == {"tables", ("zero", True), ("zero", False)}
+                scalars = _chart_scalars(model, lin, at, shift)
+                want = _outcome(cell_weight_tables, scalars, n_max)
+                assert _same_outcome(_outcome(hook_weight_tables, model, lin, n_max, at, shift),
+                                     want)
+                seen.add(want if isinstance(want, str) else "tables")
+    assert seen == {"tables", "structural", "zero"}
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +327,11 @@ def test_co_class_weights_rank_two_n():
 def test_co_class_weights_structural_zero():
     model = p1xp1()
     fp = ((1,), (), (), ())
-    # box weight (0,1) in chart 0 plus shift (0,-1) on the trivial bundle
-    with pytest.raises(ZeroWeightError) as err:
+    # box weight (0,1) in chart 0 plus shift (0,-1) on the trivial bundle,
+    # which the closed form sees in the shift alone
+    with pytest.raises(StructuralZero):
         co_class_weights(fp, model, model.bundles["trivial"], shift=(0, -1))
-    assert err.value.structural
+    assert _structural_zero(_chart_scalars(model, model.bundles["trivial"], AT, (0, -1)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,26 +430,66 @@ def test_co_series_on_generated_fans():
     assert sizes == set(range(3, 10))
 
 
+def test_structural_zero_matches_torus_reference():
+    # the closed form against the torus vectors, on generated fans with
+    # divisor entries in -3..3 and shifts in -6..6: a class weight is the
+    # zero vector exactly when co_class_weights finds one at a fixed point
+    # of S^[k], k <= n_max, with one nonempty chart
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(60):
+        rays = random_fan(rng)
+        model = ToricSurfaceModel("fan", rays, {"D": Linearization(
+            "D", tuple(rng.randint(-3, 3) for _ in rays), ())})
+        lin = model.bundles["D"]
+        shift, n_max = (rng.randint(-6, 6), rng.randint(-6, 6)), rng.randint(0, 6)
+
+        def zero_vector(point):
+            try:
+                co_class_weights(point, model, lin, shift)
+            except StructuralZero:
+                return True
+            return False
+
+        want = any(zero_vector(((),) * c + (parts,) + ((),) * (len(rays) - c - 1))
+                   for c in range(len(rays))
+                   for k in range(1, n_max + 1) for parts in partition_list(k))
+        assert _structural_zero(_chart_scalars(model, lin, AT, shift), n_max) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_integrate_zero_weight_at_eval_point():
-    # partition (1,1) has tangent weight (-1,1), which vanishes on the diagonal
-    with pytest.raises(ZeroWeightError) as err:
-        fixed_point_series(p1xp1(), p1xp1().bundles["L"], 2, (Fraction(1), Fraction(1)))
-    assert not err.value.structural
+    # partition (1,1) has tangent weight (-1,1), which vanishes on the
+    # diagonal; the shift is fine, so only the point is to blame
+    model, at = p1xp1(), (Fraction(1), Fraction(1))
+    with pytest.raises(ZeroWeightError, match="tangent weight"):
+        fixed_point_series(model, model.bundles["L"], 2, at)
+    assert not _structural_zero(_chart_scalars(model, model.bundles["L"], at, (0, 0)), 2)
 
 
 def test_integrate_structural_zero_weight():
-    with pytest.raises(ZeroWeightError) as err:
-        fixed_point_series(p1xp1(), p1xp1().bundles["trivial"], 1, AT, shift=(0, -1))
-    assert err.value.structural
+    # the shift makes a class weight the zero vector: it vanishes at every
+    # point, and the closed form says so from the shift alone
+    model = p1xp1()
+    lin = model.bundles["trivial"]
+    for at in (AT, (Fraction(3), Fraction(5))):
+        with pytest.raises(ZeroWeightError, match="class weight"):
+            fixed_point_series(model, lin, 1, at, shift=(0, -1))
+        assert _structural_zero(_chart_scalars(model, lin, at, (0, -1)), 1)
 
 
 def test_integrate_class_weight_vanishes_at_point():
-    # shift (1,0) turns the box weight (0,1) into (1,1), which dies at (-1,1)
-    with pytest.raises(ZeroWeightError) as err:
-        fixed_point_series(
-            p1xp1(), p1xp1().bundles["trivial"], 1, (Fraction(-1), Fraction(1)), shift=(1, 0)
-        )
-    assert not err.value.structural
+    # shift (1,1) turns the box weight (0,1) into (1,2), which dies at (2,-1)
+    # and nowhere off the line x + 2y = 0; no class weight is the zero
+    # vector (shift (1,0) would make one in chart 1)
+    model = p1xp1()
+    lin, at = model.bundles["trivial"], (Fraction(2), Fraction(-1))
+    with pytest.raises(ZeroWeightError, match="class weight"):
+        fixed_point_series(model, lin, 1, at, shift=(1, 1))
+    assert not _structural_zero(_chart_scalars(model, lin, at, (1, 1)), 1)
+    assert _structural_zero(_chart_scalars(model, lin, at, (1, 0)), 1)
+    assert fixed_point_series(model, lin, 1, AT, shift=(1, 1)) == [1, 4]
 
 
 def test_integrality_error_on_fake_geometry():
@@ -550,26 +596,36 @@ def test_co_series_seed_changes_points_not_values():
 
 def test_co_series_matches_reference_tables(monkeypatch):
     # 240 seeded calls, a bundle whose divisor forces a structural zero at
-    # shift (0, 0) among them: the same values, evaluation points and shift
-    # as co_series driven by the per-cell tables and per-partition Fractions
+    # shift (0, 0) among them, and 80 on 40 generated fans with divisor
+    # entries in -3..3: the same values, evaluation points and shift as
+    # co_series driven by the per-cell structural check, the per-cell
+    # tables and per-partition Fractions
     negative = ToricSurfaceModel("p1xp1", P1XP1_FAN,
                                  {"n": Linearization("n", (0, 0, -1, 0), (0, 0))})
     f1 = ToricSurfaceModel("f1", F1_FAN, {"D": Linearization("D", (0, 0, 1, 1), ())})
     jobs = [(m, m.bundles[b]) for m in (p1xp1(), p2()) for b in ("L", "trivial")]
     jobs += [(negative, negative.bundles["n"]), (f1, f1.bundles["D"])]
     calls = [(jobs[seed % len(jobs)], seed) for seed in range(240)]
+    rng = random.Random(28)
+    for seed in range(240, 320, 2):
+        rays = random_fan(rng)
+        model = ToricSurfaceModel("fan", rays, {"D": Linearization(
+            "D", tuple(rng.randint(-3, 3) for _ in rays), ())})
+        calls += [((model, model.bundles["D"]), seed), ((model, model.bundles["D"]), seed + 1)]
     got = [co_series(m, lin, 5, seed=seed) for (m, lin), seed in calls]
 
-    def reference_tables(model, lin, layout, at, shift):
-        return cell_weight_tables(model, lin, len(layout), at, shift)
+    def reference_tables(scalars, layout):
+        return cell_weight_tables(scalars, len(layout))
 
+    monkeypatch.setattr(localization, "_structural_zero", structural_zero)
     monkeypatch.setattr(localization, "_weight_tables", reference_tables)
     monkeypatch.setattr(localization, "chart_product", fraction_chart_product)
     want = [co_series(m, lin, 5, seed=seed) for (m, lin), seed in calls]
     assert [(r.values, r.eval_points, r.shift) for r in got] == [
         (r.values, r.eval_points, r.shift) for r in want
     ]
-    assert any(r.shift != (0, 0) for r in got)
+    assert any(r.shift != (0, 0) for r in got[:240])
+    assert any(r.shift != (0, 0) for r in got[240:])
 
 
 @pytest.mark.parametrize("A", [((1, 1), (0, 1)), ((2, 1), (1, 1)), ((0, -1), (1, 0)),

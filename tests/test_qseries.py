@@ -173,9 +173,22 @@ def test_qseries_ring_axioms_random():
 
 
 def test_coefficients_must_be_integers():
-    for bad in (Fraction(1, 2), 0.5):
+    # an integral Fraction or float is refused too, not truncated
+    for bad in (Fraction(1, 2), 0.5, Fraction(2), 2.0):
         with pytest.raises(TypeError):
             QSeries(0, [bad])
+
+
+def test_qseries_is_a_frozen_value():
+    # equal series compare and hash equal, whatever types built them, and
+    # no field can be assigned
+    a, b = QSeries(Fraction(-1, 2), [1, 0, 3]), QSeries("-1/2", (1, 0, 3))
+    assert a == b and hash(a) == hash(b)
+    assert a != QSeries(Fraction(1, 2), [1, 0, 3]) and a != QSeries(Fraction(-1, 2), [1, 0])
+    for field in ("offset", "coeffs", "order"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 0)
+    assert (a.offset, a.coeffs) == (Fraction(-1, 2), (1, 0, 3))
 
 
 def test_mul_truncation_is_min_order():

@@ -2,12 +2,14 @@
 line of its "Command line" block exits 0, so the documented library and
 CLI examples cannot drift from the API."""
 
+import importlib
 import re
 from pathlib import Path
 
 from dtseries.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def python_blocks(text):
@@ -42,3 +44,13 @@ def test_readme_command_lines_exit_zero(capsys, tmp_path):
         assert main(argv) == 0, argv
     assert (tmp_path / "out.json").is_file()
     capsys.readouterr()
+
+
+def test_console_script_is_cli_main():
+    # installed, README's `dtseries` lines run the [project.scripts] entry
+    # of pyproject.toml, which must name the main(argv) tested above
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, flags=re.M | re.S)
+    entry = re.fullmatch(r'dtseries = "([\w.]+):(\w+)"', table.group(1).strip())
+    module, attr = entry.groups()
+    assert getattr(importlib.import_module(module), attr) is main
