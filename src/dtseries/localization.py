@@ -25,11 +25,12 @@ the coefficients of one product of per-chart series:
     Z_c(q) = sum_lambda q^|lambda| * co_c(lambda) / tan_c(lambda),
 
 computed exactly, truncated at q^n_max, in one pass per evaluation point.
-A cell's two weights depend only on its hook (leg l, arm a), so each chart
-gets one table over the hooks with l + a + 1 <= n_max, holding the product
-of the two tangent weights and the product of the two class weights of
-each; a weight that vanishes at the point is caught there.  Whether a
-class weight is the zero vector depends on the shift alone, and
+A cell's two weights depend only on its hook (leg l, arm a), so
+`_weight_tables` gives each chart, in turn, one table over the hooks with
+l + a + 1 <= n_max, holding the product of the two tangent weights and the
+product of the two class weights of each (a weight that vanishes at the
+point is caught there), and then that chart's partition products.  Whether
+a class weight is the zero vector depends on the shift alone, and
 `_structural_zero` decides it in closed form.  A partition's products are
 products of its cells' entries, built row on row from one cell layout that
 `co_series` makes once per call (removing a partition's first row changes
@@ -41,8 +42,9 @@ Exactness of the arithmetic plus a degree count make every coefficient an
 integer independent of the evaluation point and of the chosen linearization
 shift; integrality and both independences are rechecked at runtime.
 `trace_terms` lists the fixed points' terms one by one, read from the same
-tables; the direct walk over every cell of every fixed point is kept in the
-tests as the independent reference.
+tables: it grows the fixed points chart by chart, so no call nests once per
+chart.  The direct walk over every cell of every fixed point is kept in
+the tests as the independent reference.
 """
 
 import random
@@ -217,19 +219,6 @@ def _cell_layout(n_max):
     return layout
 
 
-def hilb_fixed_points(num_charts, n):
-    """All fixed points of S^[n]: tuples of partitions, one per chart
-    (num_charts >= 1), with total size n."""
-    if num_charts == 1:
-        for lam in partition_list(n):
-            yield (lam,)
-        return
-    for k in range(n + 1):
-        for lam in partition_list(k):
-            for rest in hilb_fixed_points(num_charts - 1, n - k):
-                yield (lam,) + rest
-
-
 def _chart_scalars(model, lin, at, shift):
     """Per chart, at cone (i, j): P = <w1, at> and Q = <w2, at> with the
     denominators of `at` cleared, and the linearization's chart coordinates
@@ -262,17 +251,28 @@ def _structural_zero(scalars, n_max):
     return any((si < 0) != (sj < 0) and abs(si - sj) <= n_max for _, _, si, sj in scalars)
 
 
-def _hook_tables(scalars, n_max):
-    """Per chart, the product of the two tangent weights and the product of
-    the two class weights of every hook (l, a) with l + a + 1 <= n_max, as
-    cleared integers at slot l*(n_max+1) + a.  A tangent or class weight
-    that vanishes at the point raises ZeroWeightError; a class weight that
-    is the zero vector (`_structural_zero`) is one of these."""
+def _weight_tables(scalars, layout):
+    """Evaluate all per-partition weight products as exact integers.
+
+    `scalars` are the `_chart_scalars` of one evaluation point and shift,
+    and `layout` is `_cell_layout(n_max)`.  Returns co_tables, tan_tables
+    indexed [chart][size][partition], for sizes 0..n_max.  Denominators of
+    the evaluation point cancel between the co and tangent products (both
+    have rank 2n), so the tables hold the cleared integer values x*P + y*Q.
+
+    Chart by chart, the product of the two tangent weights and the product
+    of the two class weights of every hook (l, a) with l + a + 1 <= n_max
+    go to slot l*(n_max+1) + a of one hook table, and a partition's
+    products are those of its cells' hooks.  A tangent or class weight that
+    vanishes at the point raises ZeroWeightError; a class weight that is
+    the zero vector (`_structural_zero`) is one of these.
+    """
+    n_max = len(layout)
     stride = n_max + 1
-    co_hooks = [[None] * (stride * stride) for _ in scalars]
-    tan_hooks = [[None] * (stride * stride) for _ in scalars]
+    co_tables, tan_tables = [], []
     for c, (P, Q, si, sj) in enumerate(scalars):
         base_val = si * P + sj * Q
+        co_hooks, tan_hooks = [None] * (stride * stride), [None] * (stride * stride)
         for l in range(n_max):
             for a in range(n_max - l):
                 tp = cp = 1
@@ -289,34 +289,14 @@ def _hook_tables(scalars, n_max):
                         )
                     tp *= v
                     cp *= w
-                tan_hooks[c][l * stride + a] = tp
-                co_hooks[c][l * stride + a] = cp
-    return co_hooks, tan_hooks
-
-
-def _partition_products(hooks, layout):
-    """[size][partition] products of the hook table `hooks` over the cells of
-    each partition of `layout`, the empty partition's product being 1."""
-    table = [[1]]
-    for size in layout:
-        table.append([prod(map(hooks.__getitem__, row)) * table[k][i] for row, k, i in size])
-    return table
-
-
-def _weight_tables(scalars, layout):
-    """Evaluate all per-partition weight products as exact integers.
-
-    `scalars` are the `_chart_scalars` of one evaluation point and shift,
-    and `layout` is `_cell_layout(n_max)`.  Returns co_tables, tan_tables
-    indexed [chart][size][partition], for sizes 0..n_max.  Denominators of
-    the evaluation point cancel between the co and tangent products (both
-    have rank 2n), so the tables hold the cleared integer values x*P + y*Q.
-    A partition's products are those of its cells' hook products, read
-    from one table per chart (`_hook_tables`, which makes the zero checks).
-    """
-    co_hooks, tan_hooks = _hook_tables(scalars, len(layout))
-    co_tables = [_partition_products(hooks, layout) for hooks in co_hooks]
-    tan_tables = [_partition_products(hooks, layout) for hooks in tan_hooks]
+                tan_hooks[l * stride + a] = tp
+                co_hooks[l * stride + a] = cp
+        for hooks, tables in ((co_hooks, co_tables), (tan_hooks, tan_tables)):
+            table = [[1]]
+            for size in layout:
+                table.append([prod(map(hooks.__getitem__, row)) * table[k][i]
+                              for row, k, i in size])
+            tables.append(table)
     return co_tables, tan_tables
 
 
@@ -358,7 +338,10 @@ def chart_product(co_tables, tan_tables, n_max):
 
 
 def _series_values(scalars, layout):
-    """`fixed_point_series` on prebuilt `_chart_scalars` and `_cell_layout`."""
+    """Integrals over S^[n] for n = 0..n_max from one chart-factored pass,
+    on prebuilt `_chart_scalars` and `_cell_layout(n_max)`.  Each exact
+    result must be an integer; the first that is not raises
+    IntegralityError."""
     co_tables, tan_tables = _weight_tables(scalars, layout)
     values = []
     for n, v in enumerate(chart_product(co_tables, tan_tables, len(layout))):
@@ -368,29 +351,37 @@ def _series_values(scalars, layout):
     return values
 
 
-def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
-    """Integrals over S^[n] for n = 0..n_max at the rational point `at`, from
-    one chart-factored pass.  Each exact result must be an integer; the
-    first that is not raises IntegralityError."""
-    return _series_values(_chart_scalars(model, lin, at, shift), _cell_layout(n_max))
-
-
 def trace_terms(model, lin, n, at, shift=(0, 0)):
     """Per-fixed-point contributions, for debugging small n: each term is
     the product over charts of a partition's class product over its tangent
-    product, read from the tables `co_series` sums."""
+    product, read from the tables `co_series` sums.
+
+    The fixed points are built chart by chart, in order: each partial point
+    (its nonempty charts, its size and its running products) grows by every
+    size that fits, ascending, and every partition of that size, in
+    `partition_list` order, and the last chart takes the remainder.  So
+    chart 0's partition varies slowest."""
     co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at, shift),
                                            _cell_layout(n))
-    places = [{parts: i for i, parts in enumerate(partition_list(k))} for k in range(n + 1)]
+    parts = [partition_list(k) for k in range(n + 1)]
+    last = len(co_tables) - 1
+    points = [((), 0, 1, 1)]
+    for c, (co_rows, tan_rows) in enumerate(zip(co_tables, tan_tables)):
+        grown = []
+        for charts, size, num, den in points:
+            for k in (n - size,) if c == last else range(n - size + 1):
+                if k == 0:
+                    grown.append((charts, size, num, den))
+                    continue
+                for lam, co, tan in zip(parts[k], co_rows[k], tan_rows[k]):
+                    grown.append((charts + ((c, lam),), size + k, num * co, den * tan))
+        points = grown
     rows = []
-    for point in hilb_fixed_points(model.euler, n):
-        num = den = 1
-        for co_rows, tan_rows, parts in zip(co_tables, tan_tables, point):
-            k = sum(parts)
-            i = places[k][parts]
-            num *= co_rows[k][i]
-            den *= tan_rows[k][i]
-        rows.append({"point": [list(p) for p in point], "term": Fraction(num, den)})
+    for charts, _, num, den in points:
+        point = [[] for _ in co_tables]
+        for c, lam in charts:
+            point[c] = list(lam)
+        rows.append({"point": point, "term": Fraction(num, den)})
     return rows
 
 

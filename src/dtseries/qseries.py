@@ -85,7 +85,7 @@ class QSeries(Record):
                     coeffs[i + j] += a * b[j]
         return QSeries(self.offset + other.offset, coeffs)
 
-    def pretty(self, var="q"):
+    def pretty(self):
         # term i sits at q^((p + i*d)/d) for offset p/d, already in lowest
         # terms since gcd(p + i*d, d) = gcd(p, d) = 1; an exponent is bare
         # only when it is a nonnegative integer
@@ -93,7 +93,7 @@ class QSeries(Record):
         den = "" if d == 1 else f"/{d}"
 
         def power(num):
-            return f"{var}^{num}" if d == 1 and num >= 0 else f"{var}^({num}{den})"
+            return f"q^{num}" if d == 1 and num >= 0 else f"q^({num}{den})"
 
         terms = []
         for i, c in enumerate(self.coeffs):

@@ -19,6 +19,12 @@ partition.  `structural_zero` is the same per-cell check in chart
 coordinates, with no evaluation point.  `direct_trace_terms` is the direct walk over fixed points that
 `trace_terms` replaced by reading the oracle's tables: every weight of
 every cell of every fixed point multiplied out, one Fraction per point.
+Its fixed points come from `hilb_fixed_points`, which recurses once per
+chart and lives here, not in the library: the oracle's `trace_terms`
+grows its points chart by chart, and the two enumerations share no code.
+`fixed_point_series` composes the oracle's `_series_values` from its
+chart scalars and cell layout, for the tests that want the integrals at
+one given point and shift.
 
 `random_fan` generates smooth complete fans by toric blow-ups, and
 `fan_delta` reads e - K.D + D^2 off a fan without the oracle's model.
@@ -33,8 +39,9 @@ from fractions import Fraction
 
 from dtseries.localization import (
     ZeroWeightError,
+    _cell_layout,
     _chart_scalars,
-    hilb_fixed_points,
+    _series_values,
     partition_list,
 )
 
@@ -67,6 +74,24 @@ def hook_pairs(parts):
             out.append((-l, a + 1))
             out.append((l + 1, -a))
     return out
+
+
+def hilb_fixed_points(num_charts, n):
+    """All fixed points of S^[n]: tuples of partitions, one per chart
+    (num_charts >= 1), with total size n."""
+    if num_charts == 1:
+        for lam in partition_list(n):
+            yield (lam,)
+        return
+    for k in range(n + 1):
+        for lam in partition_list(k):
+            for rest in hilb_fixed_points(num_charts - 1, n - k):
+                yield (lam,) + rest
+
+
+def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
+    """The oracle's integrals over S^[n], n = 0..n_max, at the point `at`."""
+    return _series_values(_chart_scalars(model, lin, at, shift), _cell_layout(n_max))
 
 
 def direct_trace_terms(model, lin, n, at, shift=(0, 0)):

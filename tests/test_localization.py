@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,8 +18,6 @@ from dtseries.localization import (
     _weight_tables,
     chart_product,
     co_series,
-    fixed_point_series,
-    hilb_fixed_points,
     p1xp1,
     p2,
     partition_list,
@@ -37,7 +36,9 @@ from oracle_reference import (
     direct_trace_terms,
     dual_basis,
     fan_delta,
+    fixed_point_series,
     fraction_chart_product,
+    hilb_fixed_points,
     hook_pairs,
     random_fan,
     structural_zero,
@@ -547,6 +548,22 @@ def test_trace_terms_match_direct_walk(shift):
                 count += len(got)
     # two bundles each; fixed points of S^[0..4]: 86 on P2, 164 on the others
     assert count == 2 * (86 + 3 * 164)
+
+
+def test_trace_terms_order_is_lexicographic_in_chart_choices():
+    # chart 0 varies slowest, each chart's sizes ascend, and each size's
+    # partitions come in partition_list order: the per-chart (size, index)
+    # choices of total n, sorted, an order that shares no code with the
+    # library's walk or the reference's recursion
+    for model in (p2(), p1xp1(), *_fan_models(F1_FAN)):
+        for lin in model.bundles.values():
+            for n in range(4):
+                choices = [(k, i) for k in range(n + 1) for i in range(len(partition_list(k)))]
+                want = sorted(point for point in product(choices, repeat=model.euler)
+                              if sum(k for k, _ in point) == n)
+                assert [r["point"] for r in trace_terms(model, lin, n, AT)] == [
+                    [list(partition_list(k)[i]) for k, i in point] for point in want
+                ]
 
 
 def test_fixed_point_series_entries_are_integrals():

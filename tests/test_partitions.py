@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -22,6 +23,17 @@ def test_partitions_are_sorted_and_sum():
             assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
             assert lam not in seen
             seen.add(lam)
+
+
+def test_partition_list_is_in_descending_lexicographic_order():
+    # the oracle's trace lists partitions in this order; the reference
+    # builds each partition from a multiset of parts, with no recursion
+    for n in range(13):
+        # m parts, each at most n - m + 1; the multisets come out ascending
+        want = [parts[::-1] for m in range(n + 1)
+                for parts in combinations_with_replacement(range(1, n - m + 2), m)
+                if sum(parts) == n]
+        assert partition_list(n) == tuple(sorted(want, reverse=True))
 
 
 def test_conjugate_involution():

@@ -221,7 +221,7 @@ def test_json_round_trip():
     assert frac_str(Fraction(-3, 2)) == "-3/2" and frac_str(Fraction(4, 2)) == "2"
 
 
-def pretty_reference(series, var="q"):
+def pretty_reference(series):
     """QSeries.pretty with one Fraction exponent per term: the reference for
     its rendering from integer numerators over the offset's denominator."""
     def exp_str(e):
@@ -236,9 +236,9 @@ def pretty_reference(series, var="q"):
             terms.append(str(c))
         else:
             cs = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            terms.append(f"{cs}{var}^{exp_str(e)}")
+            terms.append(f"{cs}q^{exp_str(e)}")
     body = " + ".join(terms) if terms else "0"
-    return f"{body} + O({var}^{exp_str(series.offset + series.order)})"
+    return f"{body} + O(q^{exp_str(series.offset + series.order)})"
 
 
 def test_pretty_matches_fraction_rendering():
@@ -254,7 +254,6 @@ def test_pretty_matches_fraction_rendering():
             for cs in (coeffs, coeffs[:1], [], [1], [-1] * 7):
                 s = QSeries(Fraction(p, d), cs)
                 assert s.pretty() == pretty_reference(s), s
-                assert s.pretty("t") == pretty_reference(s, "t"), s
 
 
 def test_dt_series_blocks_share_one_euler_factor():
