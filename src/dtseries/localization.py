@@ -28,8 +28,11 @@ computed exactly, truncated at q^n_max, in one pass per evaluation point.
 A cell's two weights depend only on its hook (leg l, arm a), so
 `_weight_tables` gives each chart, in turn, one table over the hooks with
 l + a + 1 <= n_max, holding the product of the two tangent weights and the
-product of the two class weights of each (a weight that vanishes at the
-point is caught there), and then that chart's partition products.  Whether
+product of the two class weights of each, divided by their gcd (a weight
+that vanishes at the point is caught first), and then that chart's
+partition products.  So a table holds each partition's ratio co/tan with a
+common factor removed, not the raw products: where the bundle's weight is
+zero, each class weight is its tangent weight and every entry is 1.  Whether
 a class weight is the zero vector depends on the shift alone, and
 `_structural_zero` decides it in closed form.  A partition's products are
 products of its cells' entries, built row on row from one cell layout that
@@ -261,11 +264,15 @@ def _weight_tables(scalars, layout):
     have rank 2n), so the tables hold the cleared integer values x*P + y*Q.
 
     Chart by chart, the product of the two tangent weights and the product
-    of the two class weights of every hook (l, a) with l + a + 1 <= n_max
-    go to slot l*(n_max+1) + a of one hook table, and a partition's
-    products are those of its cells' hooks.  A tangent or class weight that
-    vanishes at the point raises ZeroWeightError; a class weight that is
-    the zero vector (`_structural_zero`) is one of these.
+    of the two class weights of every hook (l, a) with l + a + 1 <= n_max,
+    divided by their gcd signed like the tangent product, go to slot
+    l*(n_max+1) + a of one hook table, and a partition's products are
+    those of its cells' hooks.  So an entry pair is the partition's ratio
+    co/tan with a common factor removed, not its raw weight products, and
+    every tangent entry is positive.  A tangent or class weight that
+    vanishes at the point raises ZeroWeightError, checked on the raw
+    weights; a class weight that is the zero vector (`_structural_zero`)
+    is one of these.
     """
     n_max = len(layout)
     stride = n_max + 1
@@ -289,8 +296,10 @@ def _weight_tables(scalars, layout):
                         )
                     tp *= v
                     cp *= w
-                tan_hooks[l * stride + a] = tp
-                co_hooks[l * stride + a] = cp
+                # the pair in lowest terms, its tangent side positive
+                g = gcd(tp, cp) if tp > 0 else -gcd(tp, cp)
+                tan_hooks[l * stride + a] = tp // g
+                co_hooks[l * stride + a] = cp // g
         for hooks, tables in ((co_hooks, co_tables), (tan_hooks, tan_tables)):
             table = [[1]]
             for size in layout:

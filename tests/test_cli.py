@@ -24,12 +24,13 @@ from dtseries.cli import (
     EXIT_OK,
     NMAX_CEILING,
     ORDER_CEILING,
+    TRACE_CEILING,
     build_parser,
     main,
 )
 from dtseries.classenum import enumerate_beta
 from dtseries.fixtures import BUILTIN, fixture_to_dict, get_fixture, save_fixture
-from dtseries.qseries import frac_str
+from dtseries.qseries import euler_product, frac_str
 from oracle_reference import direct_trace_terms
 
 
@@ -469,6 +470,39 @@ def test_oracle_trace_on_many_charts_needs_no_nesting_per_chart(capsys, tmp_path
     assert [sum(t) for t in terms] == [1, 205]
 
 
+def test_oracle_trace_too_large_exits_bad_input(capsys, tmp_path):
+    # 1201 charts at --nmax 3: 291,610,007 fixed points, each listing 1201
+    # partitions, are refused before anything is listed
+    path = _edited_fixture(tmp_path, "quadric_p4_d1", lambda d: _blown_up_plane(d, 1200))
+    trace = tmp_path / "trace.json"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--fixture", path, "--nmax", "3",
+                         "--trace", str(trace))
+    assert time.perf_counter() - t0 < 5
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "Traceback" not in err
+    assert (f"--trace would list 291610007 fixed points of 1201 charts, "
+            f"{291610007 * 1201} partitions, above the ceiling of {TRACE_CEILING}") in err
+    assert not trace.exists()
+
+
+def test_oracle_trace_ceiling_counts_every_partition(capsys, tmp_path, monkeypatch):
+    # P2 at --nmax 3 lists 1 + 3 + 9 + 22 fixed points of 3 charts: 105
+    # partitions, at the ceiling but not above it
+    from dtseries import cli
+
+    trace = tmp_path / "trace.json"
+    for ceiling, want in ((105, EXIT_OK), (104, EXIT_BAD_INPUT)):
+        monkeypatch.setattr(cli, "TRACE_CEILING", ceiling)
+        code, _, _ = run(capsys, "oracle", "--fixture", "quadric_p4_d1", "--nmax", "5",
+                         "--trace", str(trace))
+        assert code == want, ceiling
+        assert trace.exists() == (want == EXIT_OK)
+        if want == EXIT_OK:
+            assert sum(len(entry["terms"]) for entry in json.loads(trace.read_text())) == 35
+            trace.unlink()
+
+
 def test_oracle_rejects_non_toric_fixture(capsys):
     code, _, err = run(capsys, "oracle", "--fixture", "cubic_p4_d3")
     assert code == EXIT_BAD_INPUT
@@ -671,16 +705,21 @@ def test_verify_nmax_zero_trivially_passes(capsys):
 
 
 def test_verify_at_nmax_ceiling(capsys):
-    # P1 x P1 and P2
+    # P1 x P1 and P2 with L, and with the trivial bundle, whose tables
+    # cancel to 1 on every chart: Goettsche's prod (1-q^k)^(-e), e = 4 and 3
     assert NMAX_CEILING == 20
-    for fixture in ("quadric_p4_d2", "quadric_p4_d1"):
+    for fixture, bundle, e in (("quadric_p4_d2", None, None), ("quadric_p4_d1", None, None),
+                               ("quadric_p4_d2", "trivial", 4), ("quadric_p4_d1", "trivial", 3)):
+        flags = () if bundle is None else ("--bundle", bundle)
         code, out, _ = run(
-            capsys, "verify", "--fixture", fixture, "--nmax", "20", "--format", "json",
+            capsys, "verify", "--fixture", fixture, "--nmax", "20", "--format", "json", *flags,
         )
         assert code == EXIT_OK
         data = json.loads(out)
         assert len(data["oracle_values"]) == 21
         assert data["oracle_values"] == data["euler_minus_delta"]
+        if e is not None:
+            assert data["oracle_values"] == list(euler_product(-e, 21).coeffs)
 
 
 def test_verify_pretty_output(capsys):

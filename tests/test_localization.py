@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -221,7 +222,27 @@ def _outcome(tables, *args):
 
 
 def _same_outcome(got, want):
-    return got == ("zero" if want == "structural" else want)
+    if isinstance(want, str):
+        return got == ("zero" if want == "structural" else want)
+    return _same_ratios(got, want)
+
+
+def _same_ratios(got, want):
+    # the oracle's tables against the reference's raw products, entry by
+    # entry, with the same shapes: a positive tangent entry and one integer
+    # f with co_ref == f * co and tan_ref == f * tan (f's sign is tan_ref's)
+    if isinstance(got, str):
+        return False
+    tables = (*got, *want)
+    shapes = [[[len(row) for row in rows] for rows in t] for t in tables]
+    if any(s != shapes[0] for s in shapes):
+        return False
+    flat = [[v for rows in t for row in rows for v in row] for t in tables]
+    for co, tan, co_ref, tan_ref in zip(*flat):
+        f, r = divmod(tan_ref, tan)
+        if tan < 1 or r or co_ref != f * co:
+            return False
+    return True
 
 
 def _fan_models(*fans):
@@ -235,9 +256,9 @@ def _fan_models(*fans):
 
 def test_chart_coordinates_match_torus_reference():
     # every chart of P2, P1xP1, F1 and F2, partitions up to n = 6: the
-    # oracle's tables equal the reference's torus-vector evaluation, or both
-    # meet a zero weight, at random points and shifts small enough to hit
-    # zeros of both kinds
+    # oracle's tables equal the reference's torus-vector evaluation up to
+    # one common factor per entry, or both meet a zero weight, at random
+    # points and shifts small enough to hit zeros of both kinds
     rng = random.Random(6)
     seen = set()
     for model in _fan_models(P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
@@ -250,7 +271,8 @@ def test_chart_coordinates_match_torus_reference():
                 assert _same_outcome(_outcome(hook_weight_tables, model, lin, 6, at, shift), want)
                 seen.add(want if isinstance(want, str) else "tables")
             at = (Fraction(7919, 13), Fraction(-104729, 17))
-            assert hook_weight_tables(model, lin, 6, at) == weight_tables(model, lin, 6, at)
+            assert _same_ratios(hook_weight_tables(model, lin, 6, at),
+                                weight_tables(model, lin, 6, at))
     assert seen == {"tables", "structural", "zero"}
 
 
@@ -272,8 +294,9 @@ def test_each_chart_is_carlsson_okounkov_on_the_plane():
 
 def test_hook_tables_match_cell_by_cell_reference():
     # the hook tables against the per-cell walk they replace, for n <= 7 on
-    # every chart of P2, P1xP1, F1 and F2: equal tables, or a zero weight on
-    # both sides, at points and shifts small enough to hit both kinds
+    # every chart of P2, P1xP1, F1 and F2: tables equal up to one common
+    # factor per entry, or a zero weight on both sides, at points and
+    # shifts small enough to hit both kinds
     rng = random.Random(11)
     seen = set()
     for model in _fan_models(P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
@@ -291,6 +314,37 @@ def test_hook_tables_match_cell_by_cell_reference():
                                      want)
                 seen.add(want if isinstance(want, str) else "tables")
     assert seen == {"tables", "structural", "zero"}
+
+
+def test_zero_weight_charts_cancel_to_one():
+    # where the bundle's weight is zero each class weight is its tangent
+    # weight, so every hook's pair, and every partition's entry, cancels to
+    # 1: on every chart of the trivial bundle on P2 and P1xP1, n <= 8, and
+    # on chart 0 of their L, whose other charts have nonzero weight
+    for model in (p2(), p1xp1()):
+        for key, zero in (("trivial", [True] * model.euler),
+                          ("L", [True] + [False] * (model.euler - 1))):
+            lin = model.bundles[key]
+            scalars = _chart_scalars(model, lin, AT, (0, 0))
+            assert [(si, sj) == (0, 0) for _, _, si, sj in scalars] == zero
+            co_tables, tan_tables = hook_weight_tables(model, lin, 8, AT)
+            for c, (co_rows, tan_rows) in enumerate(zip(co_tables, tan_tables)):
+                assert [len(row) for row in co_rows] == [len(partition_list(k)) for k in range(9)]
+                assert all(v == 1 for rows in (co_rows, tan_rows) for row in rows
+                           for v in row) == zero[c], (model.name, key, c)
+
+
+def test_one_cell_entries_are_coprime():
+    # a one-cell partition's entry is its hook's pair, stored divided by
+    # their gcd: coprime on every chart of P2, P1xP1 and a generated fan
+    fans = _fan_models(random_fan(random.Random(30), blowups=4))
+    cases = [(m, lin) for m in (p2(), p1xp1()) for lin in m.bundles.values()]
+    cases += [(m, lin) for m in fans for lin in m.bundles.values()]
+    for model, lin in cases:
+        co_tables, tan_tables = hook_weight_tables(model, lin, 6, AT)
+        for co_rows, tan_rows in zip(co_tables, tan_tables):
+            (co,), (tan,) = co_rows[1], tan_rows[1]
+            assert gcd(co, tan) == 1, (model.name, lin.name)
 
 
 # ---------------------------------------------------------------------------
