@@ -41,9 +41,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer the p
 NMAX_CEILING = 20
 ORDER_CEILING = 2000
 # oracle --trace lists every fixed point of S^[n], n <= min(--nmax, 3), each
-# as one partition per chart; a trace of more partitions than this in all
-# exits 4 (at the ceiling, a 155-ray fan at --nmax 2 takes about 3 s)
-TRACE_CEILING = 2_000_000
+# by its nonempty charts; a trace of more fixed points than this exits 4
+# (near it, an 80-ray fan at --nmax 3 lists 98,441 in about 3 s and 80 MB)
+TRACE_CEILING = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -353,23 +353,18 @@ def cmd_oracle(cfg):
     depth = min(cfg.nmax, 3)
     if cfg.trace is not None:
         # the fixed points of S^[n] number [q^n] prod (1-q^k)^(-e), e charts
-        charts = fx.toric.euler
-        points = sum(euler_product(-charts, depth + 1).coeffs)
-        if points * charts > TRACE_CEILING:
-            raise ValueError(f"--trace would list {points} fixed points of {charts} charts, "
-                             f"{points * charts} partitions, above the ceiling of {TRACE_CEILING}")
+        points = sum(euler_product(-fx.toric.euler, depth + 1).coeffs)
+        if points > TRACE_CEILING:
+            raise ValueError(f"--trace would list {points} fixed points, "
+                             f"above the ceiling of {TRACE_CEILING}")
     result = co_series(fx.toric, lin, cfg.nmax, seed=cfg.seed)
     print(f"oracle time: {result.elapsed:.3f}s", file=sys.stderr)
     if cfg.trace is not None:
-        trace = []
-        for n in range(depth + 1):
-            terms = trace_terms(fx.toric, lin, n, result.eval_points[0], result.shift)
-            trace.append({
-                "n": n,
-                "terms": [
-                    {"point": t["point"], "term": frac_str(t["term"])} for t in terms
-                ],
-            })
+        by_n = trace_terms(fx.toric, lin, depth, result.eval_points[0], result.shift)
+        trace = [
+            {"n": n, "terms": [{"point": t["point"], "term": frac_str(t["term"])} for t in terms]}
+            for n, terms in enumerate(by_n)
+        ]
         try:
             write_json(trace, cfg.trace)
         except OSError as exc:

@@ -45,9 +45,10 @@ Exactness of the arithmetic plus a degree count make every coefficient an
 integer independent of the evaluation point and of the chosen linearization
 shift; integrality and both independences are rechecked at runtime.
 `trace_terms` lists the fixed points' terms one by one, read from the same
-tables: it grows the fixed points chart by chart, so no call nests once per
-chart.  The direct walk over every cell of every fixed point is kept in
-the tests as the independent reference.
+tables: one walk lists every n up to n_max, each point by its nonempty
+charts only, so its cost grows with the points, not with the charts.  The
+direct walk over every cell of every fixed point is kept in the tests as
+the independent reference.
 """
 
 import random
@@ -360,38 +361,36 @@ def _series_values(scalars, layout):
     return values
 
 
-def trace_terms(model, lin, n, at, shift=(0, 0)):
-    """Per-fixed-point contributions, for debugging small n: each term is
-    the product over charts of a partition's class product over its tangent
-    product, read from the tables `co_series` sums.
+def trace_terms(model, lin, n_max, at, shift=(0, 0)):
+    """Per-fixed-point contributions of S^[n] for n = 0..n_max, for
+    debugging small n: a list indexed by n of rows {"point", "term"}.  A
+    point is the tuple of its nonempty charts, each as (chart, partition),
+    and its term is the product over them of the partition's class product
+    over its tangent product, read from the tables `co_series` sums, built
+    once at n_max.
 
-    The fixed points are built chart by chart, in order: each partial point
-    (its nonempty charts, its size and its running products) grows by every
-    size that fits, ascending, and every partition of that size, in
-    `partition_list` order, and the last chart takes the remainder.  So
-    chart 0's partition varies slowest."""
+    Each point is listed, then extended by one more nonempty chart after
+    its last one: from the last chart down, each chart's sizes ascending,
+    each size's partitions in `partition_list` order.  So for each n the
+    points come in lexicographic order of their per-chart (size, index)
+    choices, chart 0's varying slowest, and the walk nests once per
+    nonempty chart, at most n_max + 1 deep."""
     co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at, shift),
-                                           _cell_layout(n))
-    parts = [partition_list(k) for k in range(n + 1)]
-    last = len(co_tables) - 1
-    points = [((), 0, 1, 1)]
-    for c, (co_rows, tan_rows) in enumerate(zip(co_tables, tan_tables)):
-        grown = []
-        for charts, size, num, den in points:
-            for k in (n - size,) if c == last else range(n - size + 1):
-                if k == 0:
-                    grown.append((charts, size, num, den))
-                    continue
-                for lam, co, tan in zip(parts[k], co_rows[k], tan_rows[k]):
-                    grown.append((charts + ((c, lam),), size + k, num * co, den * tan))
-        points = grown
-    rows = []
-    for charts, _, num, den in points:
-        point = [[] for _ in co_tables]
-        for c, lam in charts:
-            point[c] = list(lam)
-        rows.append({"point": point, "term": Fraction(num, den)})
-    return rows
+                                           _cell_layout(n_max))
+    parts = [partition_list(k) for k in range(n_max + 1)]
+    by_n = [[] for _ in range(n_max + 1)]
+
+    def walk(charts, size, num, den, after):
+        by_n[size].append({"point": charts, "term": Fraction(num, den)})
+        if size == n_max:
+            return
+        for c in range(len(co_tables) - 1, after, -1):
+            for k in range(1, n_max - size + 1):
+                for lam, co, tan in zip(parts[k], co_tables[c][k], tan_tables[c][k]):
+                    walk(charts + ((c, lam),), size + k, num * co, den * tan, c)
+
+    walk((), 0, 1, 1, -1)
+    return by_n
 
 
 def _draw_point(rng):

@@ -21,7 +21,9 @@ coordinates, with no evaluation point.  `direct_trace_terms` is the direct walk 
 every cell of every fixed point multiplied out, one Fraction per point.
 Its fixed points come from `hilb_fixed_points`, which recurses once per
 chart and lives here, not in the library: the oracle's `trace_terms`
-grows its points chart by chart, and the two enumerations share no code.
+extends each point by its nonempty charts, and the two enumerations share
+no code.
+`nonempty_charts` writes one of its points as the trace lists it.
 `fixed_point_series` composes the oracle's `_series_values` from its
 chart scalars and cell layout, for the tests that want the integrals at
 one given point and shift.
@@ -92,6 +94,12 @@ def hilb_fixed_points(num_charts, n):
 def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
     """The oracle's integrals over S^[n], n = 0..n_max, at the point `at`."""
     return _series_values(_chart_scalars(model, lin, at, shift), _cell_layout(n_max))
+
+
+def nonempty_charts(point):
+    """A fixed point given by one partition per chart, as `trace_terms`
+    lists it: (chart, partition) for its nonempty charts only."""
+    return tuple((c, tuple(lam)) for c, lam in enumerate(point) if lam)
 
 
 def direct_trace_terms(model, lin, n, at, shift=(0, 0)):

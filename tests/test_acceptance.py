@@ -157,7 +157,7 @@ def test_criterion_8_integral_invariance_and_ranks():
     for n, expected in ((2, 65), (3, 330)):
         vals = {fixed_point_series(model, lin, n, p, shift=s)[n] for p in points for s in shifts}
         ok = ok and vals == {expected}
-        total = sum(r["term"] for r in trace_terms(model, lin, n, points[0]))
+        total = sum(r["term"] for r in trace_terms(model, lin, n, points[0])[n])
         ok = ok and total.denominator == 1 and total == expected
         for fp in hilb_fixed_points(model.euler, n):
             tangent_rank = sum(len(hook_pairs(parts)) for parts in fp)

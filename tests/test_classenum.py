@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt, prod
+from math import ceil, floor, gcd, isqrt, prod
 from operator import mul
 
 import pytest
@@ -23,6 +23,7 @@ from dtseries.geometry import (
     pair_h4_h2,
     run_all_checks,
 )
+from test_qseries import dense_euler
 
 
 def brute_force_betas(S, gamma, beta_sq, radius):
@@ -323,7 +324,8 @@ def test_enumerate_beta_cubic_matches_e6_theta():
     """Classes of degree beta.H = d on the cubic are a coset of the negated
     E6 root lattice, so the counts per beta^2 are theta coefficients of E6
     (d = 3) or of an E6* coset (d = 1, 2): weight-3 Eisenstein series on
-    Gamma_0(3) with character chi_-3 (Conway & Sloane, SPLAG, ch. 4 sec. 8)."""
+    Gamma_0(3) with character chi_-3 (Conway & Sloane, SPLAG, ch. 4 sec. 8).
+    Its 13 levels exceed Sturm's q^2 bound for weight 3 on Gamma_1(3)."""
     S = get_fixture("cubic_p4_d3").surface
 
     def counts(gamma, levels):
@@ -345,6 +347,77 @@ def test_enumerate_beta_cubic_matches_e6_theta():
     assert counts(Fraction(3, 2), (5, 4, 2, 0)) == [0] * 4
     assert counts(Fraction(-1, 2), (1, 0, -2)) == [0] * 3
     assert counts(Fraction(1, 2), (2, 1, -1, -3)) == [0] * 4
+
+
+def _times(a, b):
+    """The product of two integer series mod q^len(a), b no shorter than a."""
+    return [sum(map(mul, a[:n + 1], b[n::-1])) for n in range(len(a))]
+
+
+def _eta_product(r, order):
+    """prod_delta prod_(k>=1) (1 - q^(delta k))^(r_delta) mod q^order for
+    r = {delta: r_delta}, each factor expanded by dense_euler at q^delta
+    and the factors multiplied out, in integers."""
+    series = [1] + [0] * (order - 1)
+    for delta, e in r.items():
+        factor = [0] * order
+        factor[::delta] = dense_euler(e, (order - 1) // delta + 1)
+        series = _times(series, factor)
+    return series
+
+
+def _sturm_bound(k, N):
+    """floor(k m / 12) for m = [SL2(Z) : Gamma_0(N)] = N prod_(p | N) (1 + 1/p):
+    a modular form of weight k on Gamma_0(N), with a character, whose
+    q-expansion vanishes through this power of q is zero (Sturm, 1987)."""
+    m = N
+    for p in range(2, N + 1):
+        if N % p == 0 and all(p % f for f in range(2, p)):
+            m = m // p * (p + 1)
+    return k * m // 12
+
+
+@pytest.mark.parametrize("name, factor, eta, level", [
+    # sum_k q^(k^2) = eta(2t)^5 / (eta(t)^2 eta(4t)^2)
+    ("ell", 1, {1: -2, 2: 5, 4: -2}, 4),
+    # sum_(k>=0) 2 q^(k(k+1)) = 2 q^(-1/4) eta(4t)^2 / eta(2t), checked at q -> q^4
+    ("2ell", 2, {2: -1, 4: 2}, 16),
+])
+def test_enumerate_beta_quadric_counts_are_eta_quotients(name, factor, eta, level):
+    """The quadric's class counts C(q) = sum_n #{beta : beta^2 = -2n} q^n
+    equal factor * prod_delta eta(delta t)^(r_delta) without its power
+    q^(sum delta r_delta / 24), proved by a finite check.  Rescaled, q ->
+    q^s with s * sum delta r_delta = 24c, the sides q^c C(q^s) and
+    f = factor * prod eta(s delta t)^(r_delta) have weight 1/2.  Squared to
+    weight 1, f^2 is a modular form on Gamma_0(level) with the character
+    (-P/d), P = prod (s delta)^(2 r_delta) (Gordon-Hughes-Newman), and
+    holomorphic at every cusp (Ligozat).  P is a square, so the character
+    is chi_-4, that of the theta series q^(2c) C(q^s)^2 (Schoeneberg).  Two
+    such forms agree when their coefficients agree through Sturm's bound,
+    and equal leading coefficients then fix the square root's sign."""
+    fx = get_fixture("quadric_p4_d2")
+    order = 400
+    s = 24 // gcd(24, sum(delta * e for delta, e in eta.items()))
+    r = {s * delta: e for delta, e in eta.items()}
+    c, rest = divmod(sum(delta * e for delta, e in r.items()), 24)
+    # the square: integral weight, and Gordon-Hughes-Newman's conditions
+    assert rest == 0 and sum(r.values()) == 1 and all(level % delta == 0 for delta in r)
+    assert sum(level // delta * 2 * e for delta, e in r.items()) % 24 == 0
+    # Ligozat: the order at the cusp c/d of Gamma_0(level) is a positive
+    # multiple of sum_delta gcd(d, delta)^2 r_delta level / delta
+    for d in (d for d in range(1, level + 1) if level % d == 0):
+        assert sum(gcd(d, delta) ** 2 * 2 * e * (level // delta) for delta, e in r.items()) >= 0
+    counts = [0] * order
+    for n in range((order - 1 - c) // s + 1):
+        counts[s * n + c] = len(enumerate_beta(fx.surface, fx.gamma_names[name], -2 * n))
+    f = [0] * c + [factor * x for x in _eta_product(r, order - c)]
+    bound = _sturm_bound(1, level)
+    assert bound == {4: 0, 16: 2}[level]
+    assert _times(counts, counts)[:bound + 1] == _times(f, f)[:bound + 1]
+    leading = next(i for i, x in enumerate(f) if x)
+    assert counts[leading] == f[leading] > 0 and not any(counts[:leading])
+    # and beyond the bound, to q^399
+    assert counts == f
 
 
 def test_enumerate_beta_quadric_matches_theta3():

@@ -31,7 +31,7 @@ from dtseries.cli import (
 from dtseries.classenum import enumerate_beta
 from dtseries.fixtures import BUILTIN, fixture_to_dict, get_fixture, save_fixture
 from dtseries.qseries import euler_product, frac_str
-from oracle_reference import direct_trace_terms
+from oracle_reference import direct_trace_terms, nonempty_charts
 
 
 def run(capsys, *argv):
@@ -415,12 +415,14 @@ def test_oracle_trace_file(capsys, tmp_path):
     assert len(terms) == 14
     assert sum(Fraction(t["term"]) for t in terms) == 65
     # term for term the reference walk over every cell of every fixed
-    # point, at the evaluation point and shift the command prints
+    # point, at the evaluation point and shift the command prints, with
+    # each point's empty charts dropped
     payload = json.loads(out)
     at = tuple(Fraction(x) for x in payload["eval_points"][0])
     model = get_fixture("quadric_p4_d2").toric
     assert trace == [
-        {"n": n, "terms": [{"point": r["point"], "term": frac_str(r["term"])}
+        {"n": n, "terms": [{"point": [[c, list(lam)] for c, lam in nonempty_charts(r["point"])],
+                            "term": frac_str(r["term"])}
                            for r in direct_trace_terms(model, model.bundles["L"], n, at,
                                                        tuple(payload["shift"]))]}
         for n in range(3)
@@ -470,9 +472,30 @@ def test_oracle_trace_on_many_charts_needs_no_nesting_per_chart(capsys, tmp_path
     assert [sum(t) for t in terms] == [1, 205]
 
 
+def test_oracle_trace_lists_nonempty_charts_only(capsys, tmp_path):
+    # 201 charts at --nmax 2: 20,704 fixed points, each written by its few
+    # nonempty charts, not by one partition per chart
+    path = _edited_fixture(tmp_path, "quadric_p4_d1", lambda d: _blown_up_plane(d, 200))
+    trace = tmp_path / "trace.json"
+    code, out, _ = run(capsys, "oracle", "--fixture", path, "--nmax", "2",
+                       "--trace", str(trace), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["values"] == [1, 205, 21320]
+    entries = json.loads(trace.read_text())
+    assert [entry["n"] for entry in entries] == [0, 1, 2]
+    assert [len(entry["terms"]) for entry in entries] == [1, 201, 20502]
+    assert [sum(Fraction(t["term"]) for t in entry["terms"]) for entry in entries] == [1, 205, 21320]
+    for entry in entries:
+        for t in entry["terms"]:
+            charts = [c for c, _ in t["point"]]
+            assert charts == sorted(set(charts)) and all(0 <= c < 201 for c in charts)
+            assert all(lam for _, lam in t["point"])
+            assert sum(sum(lam) for _, lam in t["point"]) == entry["n"]
+
+
 def test_oracle_trace_too_large_exits_bad_input(capsys, tmp_path):
-    # 1201 charts at --nmax 3: 291,610,007 fixed points, each listing 1201
-    # partitions, are refused before anything is listed
+    # 1201 charts at --nmax 3: 291,610,007 fixed points are refused before
+    # anything is listed
     path = _edited_fixture(tmp_path, "quadric_p4_d1", lambda d: _blown_up_plane(d, 1200))
     trace = tmp_path / "trace.json"
     t0 = time.perf_counter()
@@ -481,18 +504,18 @@ def test_oracle_trace_too_large_exits_bad_input(capsys, tmp_path):
     assert time.perf_counter() - t0 < 5
     assert code == EXIT_BAD_INPUT
     assert out == "" and "Traceback" not in err
-    assert (f"--trace would list 291610007 fixed points of 1201 charts, "
-            f"{291610007 * 1201} partitions, above the ceiling of {TRACE_CEILING}") in err
+    assert (f"--trace would list 291610007 fixed points, "
+            f"above the ceiling of {TRACE_CEILING}") in err
     assert not trace.exists()
 
 
-def test_oracle_trace_ceiling_counts_every_partition(capsys, tmp_path, monkeypatch):
-    # P2 at --nmax 3 lists 1 + 3 + 9 + 22 fixed points of 3 charts: 105
-    # partitions, at the ceiling but not above it
+def test_oracle_trace_ceiling_counts_fixed_points(capsys, tmp_path, monkeypatch):
+    # P2 at --nmax 5 lists the 1 + 3 + 9 + 22 fixed points of S^[0..3]: 35,
+    # at the ceiling but not above it
     from dtseries import cli
 
     trace = tmp_path / "trace.json"
-    for ceiling, want in ((105, EXIT_OK), (104, EXIT_BAD_INPUT)):
+    for ceiling, want in ((35, EXIT_OK), (34, EXIT_BAD_INPUT)):
         monkeypatch.setattr(cli, "TRACE_CEILING", ceiling)
         code, _, _ = run(capsys, "oracle", "--fixture", "quadric_p4_d1", "--nmax", "5",
                          "--trace", str(trace))
@@ -1406,9 +1429,10 @@ def test_package_runs_on_the_standard_library_alone(stdlib_child):
 
 
 def test_json_files_are_written_as_before(capsys, tmp_path):
-    # UTF-8, indent 2, sorted keys and a final newline; the digests are
-    # those of the files written before save_fixture and --trace shared
-    # one writer
+    # UTF-8, indent 2, sorted keys and a final newline; the fixture's
+    # digest is that of the file written before save_fixture and --trace
+    # shared one writer, and the trace's that of the earlier trace, one
+    # partition per chart, with each point's empty charts dropped
     fixture, trace = tmp_path / "fx.json", tmp_path / "trace.json"
     save_fixture(get_fixture("quadric_p4_d2"), fixture)
     assert run(capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "2",
@@ -1417,7 +1441,7 @@ def test_json_files_are_written_as_before(capsys, tmp_path):
         raw = path.read_bytes()
         assert raw == (json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n").encode()
     assert [hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in (fixture, trace)] == [
-        "ad64759788abf263", "eea6b4bd8efe85cb"]
+        "ad64759788abf263", "72a6a6ae841f89b8"]
 
 
 def test_exit_codes_are_distinct():

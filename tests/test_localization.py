@@ -41,6 +41,7 @@ from oracle_reference import (
     fraction_chart_product,
     hilb_fixed_points,
     hook_pairs,
+    nonempty_charts,
     random_fan,
     structural_zero,
     tangent_weights,
@@ -569,9 +570,9 @@ def test_integrality_error_on_fake_geometry():
 def test_trace_terms_sum_to_integral():
     model = p1xp1()
     lin = model.bundles["L"]
-    rows = trace_terms(model, lin, 2, AT)
-    assert len(rows) == 14
-    assert sum(r["term"] for r in rows) == 65
+    by_n = trace_terms(model, lin, 2, AT)
+    assert [len(rows) for rows in by_n] == [1, 4, 14]
+    assert [sum(r["term"] for r in rows) for rows in by_n] == [1, 10, 65]
 
 
 @pytest.mark.parametrize("shift", [(0, 0), (101, 103)])
@@ -589,17 +590,21 @@ def test_integrate_equals_fixed_point_walk(make, bundle, shift):
 @pytest.mark.parametrize("shift", [(0, 0), (101, 103)])
 def test_trace_terms_match_direct_walk(shift):
     # the terms read from the oracle's tables against the reference walk
-    # over every cell of every fixed point: the same points in the same
-    # order with the same Fractions, on P2, P1xP1, F1 and F2 and every bundle
+    # over every cell of every fixed point, its empty charts dropped: the
+    # same points in the same order with the same Fractions, for every n
+    # of one call, on P2, P1xP1, F1 and F2 and every bundle
     models = [p2(), p1xp1(), *_fan_models(F1_FAN, F2_FAN)]
     count = 0
     for model in models:
         for lin in model.bundles.values():
-            for n in range(5):
-                got = trace_terms(model, lin, n, AT, shift)
-                assert got == direct_trace_terms(model, lin, n, AT, shift)
-                assert all(type(r["term"]) is Fraction for r in got)
-                count += len(got)
+            by_n = trace_terms(model, lin, 4, AT, shift)
+            assert by_n == [
+                [{"point": nonempty_charts(r["point"]), "term": r["term"]}
+                 for r in direct_trace_terms(model, lin, n, AT, shift)]
+                for n in range(5)
+            ]
+            assert all(type(r["term"]) is Fraction for rows in by_n for r in rows)
+            count += sum(map(len, by_n))
     # two bundles each; fixed points of S^[0..4]: 86 on P2, 164 on the others
     assert count == 2 * (86 + 3 * 164)
 
@@ -611,12 +616,14 @@ def test_trace_terms_order_is_lexicographic_in_chart_choices():
     # library's walk or the reference's recursion
     for model in (p2(), p1xp1(), *_fan_models(F1_FAN)):
         for lin in model.bundles.values():
-            for n in range(4):
+            by_n = trace_terms(model, lin, 3, AT)
+            for n, rows in enumerate(by_n):
                 choices = [(k, i) for k in range(n + 1) for i in range(len(partition_list(k)))]
                 want = sorted(point for point in product(choices, repeat=model.euler)
                               if sum(k for k, _ in point) == n)
-                assert [r["point"] for r in trace_terms(model, lin, n, AT)] == [
-                    [list(partition_list(k)[i]) for k, i in point] for point in want
+                assert [r["point"] for r in rows] == [
+                    tuple((c, partition_list(k)[i]) for c, (k, i) in enumerate(point) if k)
+                    for point in want
                 ]
 
 
@@ -629,8 +636,8 @@ def test_fixed_point_series_entries_are_integrals():
 
 
 def test_trace_terms_trivial_bundle_all_ones():
-    rows = trace_terms(p2(), p2().bundles["trivial"], 2, AT)
-    assert [r["term"] for r in rows] == [1] * 9
+    by_n = trace_terms(p2(), p2().bundles["trivial"], 2, AT)
+    assert [[r["term"] for r in rows] for rows in by_n] == [[1], [1] * 3, [1] * 9]
 
 
 # ---------------------------------------------------------------------------
