@@ -9,16 +9,18 @@ enumerates lattice points of a given norm, reads that completion and runs
 in Python ints only.  It returns the points themselves,
 origin + sum_i x_i*basis[i], built along the descent: each outer level
 carries one list, the partial sum and the offsets of the levels below,
-which setting its coordinate updates once; the two innermost coordinates
-are found in one loop, and each solution adds its last two terms from
-multiples of basis[1] and basis[0] built once per call.  No floating
+which setting its coordinate updates once.  The three innermost
+coordinates depend on the outer ones only through the remaining budget
+and their offsets modulo the inner triangular lattice; each such key is
+solved once per call, and every node that reaches it adds the stored
+inner vectors to its own shifted partial sum.  No floating
 point anywhere.
 """
 
 from fractions import Fraction
 from functools import partial
 from math import isqrt, lcm
-from operator import add
+from operator import add, sub
 
 
 def identity_matrix(n):
@@ -169,6 +171,12 @@ def integer_completion(M):
     return rows, pivots, A[m][m]
 
 
+# the innermost coordinates solved once per (budget, residues) key: a
+# split of 3 lists the rank-6 cubic's classes faster than a split of 2.
+# At least 2, since a key is solved by a descent from level _INNER - 1
+_INNER = 3
+
+
 class _Multiples(dict):
     """x -> x*v for one integer vector v, each built on first use."""
 
@@ -196,13 +204,22 @@ def solve_completed_square(rows, pivots, value, origin, basis):
     and one factor W makes W*value and every c_i = W/(p_{i-1} p_i)
     integral.  The budget R = W*remaining then stays an integer, each
     level spends c_i*s_i^2 of it, and |s_i| <= isqrt(R // c_i) bounds x_i
-    exactly.  Each level i >= 2 carries one list down: the partial sum
+    exactly.  Each level i >= 1 carries one list down: the partial sum
     origin + sum_{k>=i} x_k*basis[k] followed by the offsets T_0 ... T_{i-1},
     and setting x_i adds x_i*basis[i] to the sum and x_i*rows[j][i-j] to
-    each T_j at once.  Level 1 scans x_1 and solves x_0 in the same loop:
-    c_0*s_0^2 must equal what is left of the budget, so s_0 = +-isqrt of
-    it when that is exact.  x_1*basis[1] is added only when x_0 has a
-    solution, and the multiples x*basis[i] are built once per call.
+    each T_j at once.  Level 0 takes s_0 = +-isqrt of what is left of the
+    budget when that is exact.
+
+    The _INNER innermost coordinates see the outer ones only through the
+    budget R and their offsets, and the offsets only modulo the inner
+    triangular lattice.  For j = _INNER-1 down to 0, T_j = p_j*a_j + r_j
+    with 0 <= r_j < p_j, and x_j = y_j - a_j moves a_j*rows[k][j-k] off
+    each T_k, k < j, before T_{j-1} is split: it is the descent's own
+    step, taken back a_j times.  The y then solve a problem fixed by the
+    key (R, r_{_INNER-1}, ..., r_0).  Each key is solved once per call, by
+    the same descent from a zero sum, and stored as its vectors
+    sum_j y_j*basis[j] in the order above; a node adds each to its partial
+    sum minus sum_j a_j*basis[j].  Ranks up to _INNER reach no key.
     """
     n = len(pivots)
     value = Fraction(value)
@@ -217,38 +234,38 @@ def solve_completed_square(rows, pivots, value, origin, basis):
     d = len(origin)
     # level i's step: basis[i] on the sum, rows[j][i-j] on each T_j, j < i
     steps = [_Multiples((*basis[i], *(rows[j][i - j] for j in range(i)))) for i in range(n)]
-    p0, c0, mult0 = pivots[0], c[0], steps[0]
-    if n > 1:
-        p1, c1, u1, mult1 = pivots[1], c[1], rows[0][1], steps[1]
-    else:
-        # rank 1 has no x_1: a level whose weight exceeds the whole budget
-        # admits x_1 = 0 only, with a zero column for basis[1]
-        p1, c1, u1, mult1 = 1, R + 1, 0, _Multiples([0] * d)
-    out = []
+    p0, c0, step0 = pivots[0], c[0], steps[0]
+    keys = {}
 
-    def level1(R, state):
-        t0, t1 = state[d], state[d + 1]
-        m = isqrt(R // c1)
-        for x1 in range(-((m + t1) // p1), (m - t1) // p1 + 1):
-            s = p1 * x1 + t1
-            q, rem = divmod(R - c1 * s * s, c0)
-            if rem:
-                continue
-            r = isqrt(q)
-            if r * r != q:
-                continue
-            t = t0 + u1 * x1
-            part = None
-            for s in (-r, r) if r else (0,):
-                x0, miss = divmod(s - t, p0)
-                if not miss:
-                    if part is None:
-                        part = list(map(add, state, mult1[x1]))
-                    out.append(tuple(map(add, part, mult0[x0])))
+    def level0(out, R, state):
+        q, rem = divmod(R, c0)
+        r = isqrt(q)
+        if rem or r * r != q:
+            return
+        t = state[d]
+        for s in (-r, r) if r else (0,):
+            x0, miss = divmod(s - t, p0)
+            if not miss:
+                out.append(tuple(map(add, state, step0[x0])))
 
-    def descend(i, R, state):
+    def keyed(out, R, state):
+        key = [R]
+        for j in reversed(range(_INNER)):
+            a, r = divmod(state[d + j], pivots[j])
+            state = list(map(sub, state, steps[j][a]))
+            key.append(r)
+        key = tuple(key)
+        found = keys.get(key)
+        if found is None:
+            found = keys[key] = []
+            # the zero sum followed by the offsets r_0 ... r_{_INNER-1}
+            descend(_INNER - 1, found, R, (0,) * d + key[:0:-1])
+        out += [tuple(map(add, state, v)) for v in found]
+
+    def descend(i, out, R, state):
         p, ci, t, step = pivots[i], c[i], state[d + i], steps[i]
-        below = partial(descend, i - 1) if i > 2 else level1
+        below = (partial(keyed, out) if i == _INNER else
+                 partial(descend, i - 1, out) if i > 1 else partial(level0, out))
         m = isqrt(R // ci)  # c_i*s_i^2 <= R  <=>  |p_i*x_i + T_i| <= m
         for xi in range(-((m + t) // p), (m - t) // p + 1):
             s = p * xi + t
@@ -256,10 +273,10 @@ def solve_completed_square(rows, pivots, value, origin, basis):
             # on the interpreter's tuple free lists after the call
             below(R - ci * s * s, list(map(add, state, step[xi])))
 
-    # the trailing 0 is T_1 of rank 1
-    state = (*origin, *(row[-1] for row in rows), 0)
-    if n > 2:
-        descend(n - 1, R, state)
+    out = []
+    state = (*origin, *(row[-1] for row in rows))
+    if n > 1:
+        descend(n - 1, out, R, state)
     else:
-        level1(R, state)
+        level0(out, R, state)
     return out

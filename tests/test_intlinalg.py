@@ -287,6 +287,80 @@ def test_solve_completed_square_matches_box_scan():
     assert solve_completed_square([[1, 0]], [1], -1, [0], [[1]]) == []
 
 
+def test_solve_completed_square_shares_inner_keys():
+    """Forms on which many nodes of the descent reach one inner key.  The
+    coordinates split into two blocks with no form between them: B,
+    centred at a fraction far from the origin, so that inner offsets lie
+    outside [0, p_i) and every node shifts, and C, centred at the origin,
+    so that x_C and -x_C leave one budget.  B holds the inner coordinates
+    x_0 ... x_2, all of them or all but one, x_c: then x_c is in C, its
+    offset moves with the outer coordinates and its residue alone tells two
+    keys apart.  Inner pivots are >= 2.  The descent must return the
+    box-scan solution set in the documented order at ranks 1-6; ranks up
+    to 3 reach no key.
+
+    Q = Q_B(D x_B + D z) + Q_C(x_C), with A_B and A_C = M^T M + 2I: every
+    eigenvalue is >= 2, so the scan boxes are rigorous.  The two blocks
+    are scanned apart and joined on their values."""
+    rng = random.Random(37)
+    shared = 0
+    for trial in range(48):
+        n, moved = trial % 6 + 1, trial // 6 % 4  # moved = 3 keeps all of x_0 ... x_2 in B
+        B = [i for i in range(min(n, 3)) if i != moved]
+        C = [i for i in range(n) if i not in B]
+        A_B, A_C = ([[a + (i == j) for j, a in enumerate(row)]
+                     for i, row in enumerate(_positive_definite(rng, len(X), 1))] for X in (B, C))
+        D = rng.randint(2, 3)
+        Dz = [rng.choice((-1, 1)) * rng.randint(3 * D, 8 * D) for _ in B]
+        z = [Fraction(c, D) for c in Dz]
+        ADz = [sum(a * b for a, b in zip(row, Dz)) for row in A_B]
+        A = [[0] * n for _ in range(n)]
+        v = [0] * n
+        for a, i in enumerate(B):
+            v[i] = D * ADz[a]
+            for b, j in enumerate(B):
+                A[i][j] = D * D * A_B[a][b]
+        for a, i in enumerate(C):
+            for b, j in enumerate(C):
+                A[i][j] = A_C[a][b]
+        rows, pivots, tail = integer_completion(_bordered(A, v, sum(a * b for a, b in zip(ADz, Dz))))
+        k = min(n, 3)
+        assert all(p >= 2 for p in pivots[:k])
+        assert all(rows[i][j - i] == 0 for i in B for j in range(k, n))
+        if B:  # the first split, at B's last coordinate, shifts every node
+            assert not 0 <= rows[B[-1]][-1] < pivots[B[-1]]
+
+        def Q_B(x):
+            w = [D * xi + dz for xi, dz in zip(x, Dz)]
+            return sum(A_B[i][j] * w[i] * w[j] for i in range(len(B)) for j in range(len(B)))
+
+        def Q_C(x):
+            return sum(A_C[i][j] * x[i] * x[j] for i in range(len(C)) for j in range(len(C)))
+
+        hit = Q_B([round(-c) for c in z])
+        for value in (hit + Q_C([rng.randint(-1, 1) for _ in C]),
+                      hit + Q_C([rng.randint(-2, 2) for _ in C]), hit + rng.randint(1, 9)):
+            got = solve_completed_square(rows, pivots, value, [0] * n, identity_matrix(n))
+            r = isqrt(value // 2)
+            on_B = {}
+            for xb in product(*(range(floor(-c) - r // D, ceil(-c) + r // D + 1) for c in z)):
+                on_B.setdefault(Q_B(xb), []).append(xb)
+            want = []
+            for xc in product(range(-r, r + 1), repeat=len(C)):
+                for xb in on_B.get(value - Q_C(xc), ()):
+                    x = [0] * n
+                    for i, xi in (*zip(B, xb), *zip(C, xc)):
+                        x[i] = xi
+                    want.append(tuple(x))
+            assert sorted(got) == sorted(want)
+            assert got == sorted(got, key=lambda v: v[::-1])
+            by_outer = {}
+            for x in got:
+                by_outer.setdefault(x[k:], []).append(x[:k])
+            shared += len(by_outer) - len({tuple(v) for v in by_outer.values()})
+    assert shared > 0
+
+
 def test_solve_completed_square_maps_through_origin_and_basis():
     """With a nonzero origin and a non-identity unimodular basis, the
     descent lists the unit-basis solutions x mapped to
