@@ -17,7 +17,6 @@ of L, and returns one complete AssumptionReport.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import attrgetter, mul
 
 from .intlinalg import integer_completion
@@ -75,6 +74,9 @@ class Record:
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         cls._fields = names
+        # (name, allowed types) of each field, read by _typed_fields
+        cls._schema = tuple((n, getattr(t, "__args__", None) or (t,))
+                            for n, t in cls.__annotations__.items())
         cls._values = staticmethod(attrgetter(*names) if len(names) > 1
                                    else lambda obj: tuple(getattr(obj, n) for n in names))
 
@@ -113,17 +115,11 @@ def _asdict(x):
     return x
 
 
-@lru_cache(maxsize=None)
-def _schema(cls):
-    """(name, allowed types) of each field of a record class."""
-    return tuple((n, getattr(t, "__args__", None) or (t,)) for n, t in cls.__annotations__.items())
-
-
 def _typed_fields(obj):
     """Coerce each record field by its declared type: a `tuple` becomes
     nested tuples of ints, anything else must be exactly one of its types
     (True is no int, 1 no bool).  The fields are the fixture JSON's schema."""
-    for name, allowed in _schema(type(obj)):
+    for name, allowed in obj._schema:
         value, where = getattr(obj, name), f"{type(obj).__name__}.{name}"
         if allowed == (tuple,):
             object.__setattr__(obj, name, _int_tuple(value, where))

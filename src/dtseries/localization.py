@@ -37,9 +37,10 @@ a class weight is the zero vector depends on the shift alone, and
 `_structural_zero` decides it in closed form.  A partition's products are
 products of its cells' entries, built row on row from one cell layout that
 `co_series` makes once per call (removing a partition's first row changes
-no other cell's hook).  Each Z_c[k] is one exact sum over a common
-denominator, and the product over charts is a convolution of integers, so
-no Fraction is made per partition.
+no other cell's hook); the layout is the oracle's only enumeration of
+partitions, each size in `_cell_layout` order.  Each Z_c[k] is one
+exact sum over a common denominator, and the product over charts is a
+convolution of integers, so no Fraction is made per partition.
 
 Exactness of the arithmetic plus a degree count make every coefficient an
 integer independent of the evaluation point and of the chosen linearization
@@ -54,7 +55,6 @@ the independent reference.
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -62,26 +62,6 @@ from .geometry import ModelError, Record, _ints, _typed_fields
 
 # evaluation points (and shifts) co_series draws before giving up
 MAX_ATTEMPTS = 8
-
-
-def partitions(n, max_part=None):
-    """Yield the partitions of n as weakly decreasing tuples of positive ints."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def partition_list(n):
-    """Cached tuple of all partitions of n (used heavily by the localization sums)."""
-    return tuple(partitions(n))
 
 
 class ZeroWeightError(ArithmeticError):
@@ -197,29 +177,36 @@ def p2():
 
 
 def _cell_layout(n_max):
-    """The partitions of sizes 1..n_max, each size in `partition_list`
-    order, as (row, k, i): the hooks of the cells of the first row, left to
-    right, and the place (size k, index i) of the partition that removing
-    that row leaves.  Removing the first row changes no other cell's arm or
-    leg, so a partition's weight products are those of its first row times
-    those of the rest.  The hook with leg l and arm a is the one integer
-    l*(n_max+1) + a, its slot in the hook tables."""
+    """The partitions of sizes 1..n_max, each as (row, k, i): the hooks of
+    the cells of its first row, left to right, and the place (size k, index
+    i) of the partition that removing that row leaves.  A partition of k is
+    a first row f, from k down to 1, on a partition of k - f whose first
+    part is at most f, so each size lists, for each f, those of size k - f
+    in their own order: descending lexicographic order, `_cell_layout`
+    order.  This is the oracle's one enumeration of partitions.  Removing
+    the first row changes no other cell's arm or leg, so a partition's
+    weight products are those of its first row times those of the rest.
+    The hook with leg l and arm a is the one integer l*(n_max+1) + a, its
+    slot in the hook tables."""
     stride = n_max + 1
-    # column heights as lists: short-lived tuples of many lengths would
-    # fill the interpreter's per-length tuple free lists, and resident
-    # memory grows with every call
-    place, heights = {(): (0, 0)}, {(): []}
+    # per size, the column heights of each partition, indexed like the
+    # layout, as lists: short-lived tuples of many lengths would fill the
+    # interpreter's per-length tuple free lists, and resident memory grows
+    # with every call
+    heights = [[[]]]
     layout = []
     for k in range(1, n_max + 1):
-        size = []
-        for i, parts in enumerate(partition_list(k)):
-            first, rest = parts[0], parts[1:]
-            # the first row's legs are the column heights of the rest
-            legs = heights[rest] + [0] * (first - len(heights[rest]))
-            size.append(([l * stride + first - 1 - j for j, l in enumerate(legs)], *place[rest]))
-            heights[parts] = [l + 1 for l in legs]
-            place[parts] = (k, i)
+        size, size_heights = [], []
+        for f in range(k, 0, -1):
+            for i, rest in enumerate(heights[k - f]):
+                # the rest's first part is its number of columns
+                if len(rest) <= f:
+                    # the first row's legs are the column heights of the rest
+                    legs = rest + [0] * (f - len(rest))
+                    size.append(([l * stride + f - 1 - j for j, l in enumerate(legs)], k - f, i))
+                    size_heights.append([l + 1 for l in legs])
         layout.append(size)
+        heights.append(size_heights)
     return layout
 
 
@@ -367,17 +354,20 @@ def trace_terms(model, lin, n_max, at, shift=(0, 0)):
     point is the tuple of its nonempty charts, each as (chart, partition),
     and its term is the product over them of the partition's class product
     over its tangent product, read from the tables `co_series` sums, built
-    once at n_max.
+    once at n_max.  Each partition is rebuilt from the cell layout, its
+    first row's length on the smaller partition the layout points to.
 
     Each point is listed, then extended by one more nonempty chart after
     its last one: from the last chart down, each chart's sizes ascending,
-    each size's partitions in `partition_list` order.  So for each n the
+    each size's partitions in `_cell_layout` order.  So for each n the
     points come in lexicographic order of their per-chart (size, index)
     choices, chart 0's varying slowest, and the walk nests once per
     nonempty chart, at most n_max + 1 deep."""
-    co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at, shift),
-                                           _cell_layout(n_max))
-    parts = [partition_list(k) for k in range(n_max + 1)]
+    layout = _cell_layout(n_max)
+    co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at, shift), layout)
+    parts = [[()]]
+    for size in layout:
+        parts.append([(len(row), *parts[k][i]) for row, k, i in size])
     by_n = [[] for _ in range(n_max + 1)]
 
     def walk(charts, size, num, den, after):

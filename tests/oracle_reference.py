@@ -24,6 +24,10 @@ chart and lives here, not in the library: the oracle's `trace_terms`
 extends each point by its nonempty charts, and the two enumerations share
 no code.
 `nonempty_charts` writes one of its points as the trace lists it.
+Every reference here takes its partitions from `partitions`, a recursive
+generator, and `partition_list`, its cached tuples, not from the oracle's
+`_cell_layout`, so the references share no partition code with the
+oracle they check.
 `fixed_point_series` composes the oracle's `_series_values` from its
 chart scalars and cell layout, for the tests that want the integrals at
 one given point and shift.
@@ -38,18 +42,38 @@ summation does not use it.
 import random
 
 from fractions import Fraction
+from functools import lru_cache
 
 from dtseries.localization import (
     ZeroWeightError,
     _cell_layout,
     _chart_scalars,
     _series_values,
-    partition_list,
 )
 
 
 class StructuralZero(ZeroWeightError):
     """A class weight is the zero vector, so it vanishes at every point."""
+
+
+def partitions(n, max_part=None):
+    """Yield the partitions of n as weakly decreasing tuples of positive ints."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def partition_list(n):
+    """Cached tuple of all partitions of n, in `partitions` order."""
+    return tuple(partitions(n))
 
 
 def conjugate(parts):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from dtseries.classenum import enumerate_contributions
 from dtseries.fixtures import get_fixture
 from dtseries.geometry import ChernVector, delta_invariant, run_all_checks, virtual_dimension
-from dtseries.localization import co_series, partition_list, trace_terms
+from dtseries.localization import co_series, trace_terms
 from dtseries.qseries import (
     CONVENTION_MINUS,
     CONVENTION_PLUS,
@@ -18,7 +18,13 @@ from dtseries.qseries import (
     dt_series,
     euler_product,
 )
-from oracle_reference import co_class_weights, fixed_point_series, hilb_fixed_points, hook_pairs
+from oracle_reference import (
+    co_class_weights,
+    fixed_point_series,
+    hilb_fixed_points,
+    hook_pairs,
+    partition_list,
+)
 from test_qseries import dense_euler, tuple_count
 
 

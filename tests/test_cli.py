@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -30,8 +31,9 @@ from dtseries.cli import (
 )
 from dtseries.classenum import enumerate_beta
 from dtseries.fixtures import BUILTIN, fixture_to_dict, get_fixture, save_fixture
+from dtseries.localization import ToricSurfaceModel
 from dtseries.qseries import euler_product, frac_str
-from oracle_reference import direct_trace_terms, nonempty_charts
+from oracle_reference import direct_trace_terms, nonempty_charts, random_fan
 
 
 def run(capsys, *argv):
@@ -427,6 +429,53 @@ def test_oracle_trace_file(capsys, tmp_path):
                                                        tuple(payload["shift"]))]}
         for n in range(3)
     ]
+
+
+def _seeded_fan_plane(d):
+    """The plane fixture on the smooth fan random_fan draws from seed 4 (six
+    rays), with L a divisor of K.D = -3 and D^2 = 1 like the line's, so the
+    fixture's surface data still fits its fan."""
+    rays = random_fan(random.Random(4))
+    model = ToricSurfaceModel("fan", rays, {})
+    divisor = next(a for a in product((-1, 0, 1), repeat=len(rays))
+                   if model.intersection_numbers(a)[1:] == (-3, 1))
+    d["toric"]["rays"] = [list(v) for v in rays]
+    d["surface"]["euler"] = len(rays)
+    d["toric"]["bundles"]["L"].update(divisor=list(divisor))
+    d["toric"]["bundles"]["trivial"].update(divisor=[0] * len(rays))
+
+
+@pytest.mark.parametrize("fixture, edit, digest", [
+    ("quadric_p4_d1", None, "ccda0a68d4f6ea1b"),
+    ("quadric_p4_d2", None, "37786544e82f2af6"),
+    ("quadric_p4_d1", _seeded_fan_plane, "5382b7ecf5b73f65"),
+])
+def test_oracle_trace_file_is_the_reference_walk_byte_for_byte(capsys, tmp_path, fixture, edit,
+                                                                digest):
+    # the whole file at --nmax 3 is the reference walk's fixed points in
+    # their documented order, each by its nonempty charts, written as
+    # write_json writes; the digests pin each file, so a change to how the
+    # oracle enumerates partitions cannot move a byte of it
+    if edit is not None:
+        fixture = _edited_fixture(tmp_path, fixture, edit)
+    path = tmp_path / "trace.json"
+    code, out, _ = run(capsys, "oracle", "--fixture", fixture, "--nmax", "3",
+                       "--trace", str(path), "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    at = tuple(Fraction(x) for x in payload["eval_points"][0])
+    fx = get_fixture(fixture)
+    lin = fx.toric.bundles[fx.toric_L]
+    want = [
+        {"n": n, "terms": [{"point": [[c, list(lam)] for c, lam in nonempty_charts(r["point"])],
+                            "term": frac_str(r["term"])}
+                           for r in direct_trace_terms(fx.toric, lin, n, at,
+                                                       tuple(payload["shift"]))]}
+        for n in range(4)
+    ]
+    raw = path.read_bytes()
+    assert raw == (json.dumps(want, indent=2, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(raw).hexdigest()[:16] == digest
 
 
 def test_oracle_trace_unwritable_exits_bad_input(capsys, tmp_path):

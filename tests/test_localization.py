@@ -21,7 +21,6 @@ from dtseries.localization import (
     co_series,
     p1xp1,
     p2,
-    partition_list,
     trace_terms,
 )
 from dtseries import localization
@@ -42,6 +41,7 @@ from oracle_reference import (
     hilb_fixed_points,
     hook_pairs,
     nonempty_charts,
+    partition_list,
     random_fan,
     structural_zero,
     tangent_weights,
@@ -611,9 +611,9 @@ def test_trace_terms_match_direct_walk(shift):
 
 def test_trace_terms_order_is_lexicographic_in_chart_choices():
     # chart 0 varies slowest, each chart's sizes ascend, and each size's
-    # partitions come in partition_list order: the per-chart (size, index)
-    # choices of total n, sorted, an order that shares no code with the
-    # library's walk or the reference's recursion
+    # partitions come in the reference's partition_list order: the
+    # per-chart (size, index) choices of total n, sorted, an order that
+    # shares no code with the library's walk or the reference's recursion
     for model in (p2(), p1xp1(), *_fan_models(F1_FAN)):
         for lin in model.bundles.values():
             by_n = trace_terms(model, lin, 3, AT)

@@ -3,8 +3,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from dtseries.localization import partition_list, partitions
-from oracle_reference import arm, cells, conjugate, leg
+from dtseries.localization import _cell_layout
+from oracle_reference import arm, cells, conjugate, leg, partition_list, partitions
 
 # p(0)..p(20), classical values
 P_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627]
@@ -25,15 +25,52 @@ def test_partitions_are_sorted_and_sum():
             seen.add(lam)
 
 
-def test_partition_list_is_in_descending_lexicographic_order():
+def rebuilt(layout):
+    """The partitions of sizes 0..len(layout) that a cell layout lists, each
+    rebuilt as `trace_terms` rebuilds it: its first row's length on the
+    smaller partition its entry points to."""
+    parts = [[()]]
+    for size in layout:
+        parts.append([(len(row), *parts[k][i]) for row, k, i in size])
+    return parts
+
+
+def test_cell_layout_lists_the_reference_partitions():
+    parts = rebuilt(_cell_layout(20))
+    assert [len(p) for p in parts] == P_COUNTS
+    assert parts == [list(partition_list(n)) for n in range(21)]
+
+
+def test_cell_layout_is_in_descending_lexicographic_order():
     # the oracle's trace lists partitions in this order; the reference
     # builds each partition from a multiset of parts, with no recursion
+    listed = rebuilt(_cell_layout(12))
     for n in range(13):
         # m parts, each at most n - m + 1; the multisets come out ascending
         want = [parts[::-1] for m in range(n + 1)
                 for parts in combinations_with_replacement(range(1, n - m + 2), m)
                 if sum(parts) == n]
-        assert partition_list(n) == tuple(sorted(want, reverse=True))
+        assert listed[n] == sorted(want, reverse=True)
+
+
+def test_cell_layout_rows_hold_first_row_hooks():
+    # slot l*(n_max+1) + a per cell of the first row, left to right, with
+    # arm a and leg l counted cell by cell; the rest is the partition the
+    # entry points to
+    for n_max in range(1, 11):
+        layout = _cell_layout(n_max)
+        parts = rebuilt(layout)
+        for k, size in enumerate(layout, 1):
+            for lam, (row, r, i) in zip(parts[k], size):
+                assert row == [leg(lam, 0, j) * (n_max + 1) + arm(lam, 0, j)
+                               for j in range(lam[0])]
+                assert parts[r][i] == lam[1:]
+
+
+def test_cell_layout_carries_no_state_between_calls():
+    before = _cell_layout(5)
+    _cell_layout(20)
+    assert _cell_layout(5) == before
 
 
 def test_conjugate_involution():

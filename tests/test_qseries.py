@@ -7,7 +7,6 @@ import pytest
 from dtseries.classenum import enumerate_contributions
 from dtseries.fixtures import get_fixture
 from dtseries.geometry import delta_invariant
-from dtseries.localization import partition_list
 from dtseries.qseries import (
     CONVENTION_MINUS,
     CONVENTION_PLUS,
@@ -19,6 +18,7 @@ from dtseries.qseries import (
     frac_str,
     theta_block,
 )
+from oracle_reference import partition_list
 
 
 def tuple_count(m, n):
