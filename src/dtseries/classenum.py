@@ -5,7 +5,9 @@ beta to gamma + L^2/2; the solutions form an affine lattice inside the
 surface curve lattice.  On the orthogonal complement of an ample class the
 intersection form is negative definite (index theorem), so each square
 beta^2 is attained by finitely many classes: one integer completion of the
-form and a completed-square descent enumerate them exactly.
+form and a completed-square descent on the row echelon basis of the
+lattice enumerate them exactly, in increasing order.  Only the box of
+enumerate_contributions centres the origin (beta_constraint_lattice).
 """
 
 import math
@@ -13,7 +15,13 @@ from fractions import Fraction
 from operator import mul
 
 from .geometry import Record, delta_invariant, pair_h4_h2, triple_product
-from .intlinalg import integer_completion, mat_vec, solve_completed_square, solve_integer_system
+from .intlinalg import (
+    integer_completion,
+    mat_vec,
+    row_echelon,
+    solve_completed_square,
+    solve_integer_system,
+)
 
 
 class IndefiniteKernelError(ValueError):
@@ -47,80 +55,86 @@ def _round_half_to_zero(x):
     return q if n >= 0 else -q
 
 
-def _constraint_lattice(S, gamma, L2):
-    """(lattice, M, rows, pivots, tail) for the classes with pushforward
-    gamma + L2/2, or None when the target is non-integral or outside the
-    image.
-
-    M = [[-A, -g], [-g^T, -o.o]] from one G.B product, A the kernel Gram
-    and g = B^T G o, so -beta(x)^2 = (x, 1)^T M (x, 1); (rows, pivots,
-    tail) is its integer_completion.  The origin is translated by the
-    kernel to the lattice point nearest the real maximum of beta^2
-    (rounding half to zero), which makes window-based enumeration
-    symmetric and the output independent of internal row-reduction
-    choices; each row's constant entry moves with it.  A kernel form that
-    is not negative definite raises IndefiniteKernelError.
-    """
+def _kernel(S, gamma, L2):
+    """(origin, basis) of the classes with pushforward gamma + L2/2, from
+    solve_integer_system, or None when the target is non-integral or
+    outside the image."""
     target = [Fraction(g) + Fraction(l, 2) for g, l in zip(gamma, L2)]
     if any(t.denominator != 1 for t in target):
         return None
-    sol = solve_integer_system([list(row) for row in S.pushforward], target)
-    if sol is None:
-        return None
-    origin, basis = sol
+    return solve_integer_system([list(row) for row in S.pushforward], target)
+
+
+def _completion(S, gamma, origin, basis):
+    """(M, rows, pivots, tail) for the classes origin + Z-span(basis).
+
+    M = [[-A, -g], [-g^T, -o.o]] from one G.B product, A the kernel Gram
+    and g = B^T G o, so -beta(x)^2 = (x, 1)^T M (x, 1); (rows, pivots,
+    tail) is its integer_completion.  A kernel form that is not negative
+    definite raises IndefiniteKernelError.
+    """
     # one G.B product gives A and, G being symmetric, B^T G origin
     GB = [mat_vec(S.gram, b) for b in basis]
     g = [-sum(map(mul, gb, origin)) for gb in GB]
     M = [[-sum(map(mul, b, gb)) for gb in GB] + [gi] for b, gi in zip(basis, g)]
     M.append(g + [-S.dot(origin, origin)])
     try:
-        rows, pivots, tail = integer_completion(M)
+        return (M, *integer_completion(M))
     except ValueError as exc:
         raise IndefiniteKernelError(
             f"{S.name}: the intersection form on the constraint lattice of gamma = "
             f"({', '.join(map(str, gamma))}) is not negative definite") from exc
-    # beta^2 peaks where every square vanishes: back-substitution
-    m = len(basis)
-    peak = [0] * m
-    for k in reversed(range(m)):
-        row = rows[k]
-        peak[k] = Fraction(-row[-1] - sum(map(mul, row[1:-1], peak[k + 1:])), pivots[k])
-    shift = [_round_half_to_zero(c) for c in peak]
-    for r, b in zip(shift, basis):
-        origin = [o + r * e for o, e in zip(origin, b)]
-    rows = [row[:-1] + [row[-1] + sum(map(mul, row, shift[k:]))] for k, row in enumerate(rows)]
-    lattice = AffineLattice(origin=tuple(origin), basis=tuple(tuple(b) for b in basis))
-    return lattice, M, rows, pivots, tail
 
 
 def beta_constraint_lattice(S, gamma, L2):
     """Affine lattice of classes with pushforward gamma + L2/2, or None when
-    the target is non-integral or outside the image."""
-    found = _constraint_lattice(S, gamma, L2)
-    return None if found is None else found[0]
+    the target is non-integral or outside the image.
+
+    The basis is solve_integer_system's; the origin is translated by it to
+    the lattice point nearest the real maximum of beta^2 (rounding half to
+    zero), which makes window-based enumeration symmetric and the output
+    independent of internal row-reduction choices.  A kernel form that is
+    not negative definite raises IndefiniteKernelError.
+    """
+    found = _kernel(S, gamma, L2)
+    if found is None:
+        return None
+    origin, basis = found
+    _, rows, pivots, _ = _completion(S, gamma, origin, basis)
+    # beta^2 peaks where every square vanishes: back-substitution
+    peak = [0] * len(basis)
+    for k in reversed(range(len(basis))):
+        row = rows[k]
+        peak[k] = Fraction(-row[-1] - sum(map(mul, row[1:-1], peak[k + 1:])), pivots[k])
+    for c, b in zip(peak, basis):
+        r = _round_half_to_zero(c)
+        origin = [o + r * e for o, e in zip(origin, b)]
+    return AffineLattice(origin=tuple(origin), basis=tuple(tuple(b) for b in basis))
 
 
 def enumerate_beta(S, gamma, beta_sq):
-    """All classes beta in the constraint lattice with beta.beta == beta_sq.
+    """All classes beta in the constraint lattice with beta.beta == beta_sq,
+    in increasing order, with no sort: the descent runs on the row echelon
+    basis of the lattice, last pivot first (see solve_completed_square).
 
     The quadratic form on the lattice directions must be negative definite
     (guaranteed on the orthogonal complement of an ample class); otherwise
     IndefiniteKernelError is raised rather than returning a wrong finite list.
     """
-    found = _constraint_lattice(S, gamma, S.push(S.L_S))
+    found = _kernel(S, gamma, S.push(S.L_S))
     if found is None:
         return []
-    lattice, M, rows, pivots, tail = found
-    m = lattice.rank
+    origin, basis = found
+    basis = row_echelon(basis)[::-1]
+    M, rows, pivots, tail = _completion(S, gamma, origin, basis)
+    m = len(basis)
     # beta(x)^2 = x.A.x + 2 b.x + c = sum_i A_ii x_i + c (mod 2): when every
     # A_ii = -M_ii is even, every class has the parity of c = -M_mm
     if (beta_sq + M[m][m]) % 2 and all(M[i][i] % 2 == 0 for i in range(m)):
         return []
     # -beta^2 = sum of the completed squares + tail / p_{m-1}
     value = -beta_sq - Fraction(tail, pivots[-1] if pivots else 1)
-    out = solve_completed_square(rows, pivots, value, lattice.origin, lattice.basis)
-    out.sort()
-    return out
+    return solve_completed_square(rows, pivots, value, origin, basis)
 
 
 class BetaData(Record):

@@ -2,11 +2,12 @@
 
 Everything here works on plain nested lists/tuples of ints or Fractions;
 ranks in this package never exceed single digits, so the elimination
-routines favour clarity over asymptotics.  Quadratic forms are completed
-once, in integers, by fraction-free symmetric elimination
-(integer_completion); the one hot loop, the completed-square descent that
-enumerates lattice points of a given norm, reads that completion and runs
-in Python ints only.  It returns the points themselves,
+routines favour clarity over asymptotics.  A lattice basis is brought to
+row echelon form by Euclid down each column (row_echelon).  Quadratic
+forms are completed once, in integers, by fraction-free symmetric
+elimination (integer_completion); the one hot loop, the completed-square
+descent that enumerates lattice points of a given norm, reads that
+completion and runs in Python ints only.  It returns the points themselves,
 origin + sum_i x_i*basis[i], built along the descent: each outer level
 carries one list, the partial sum and the offsets of the levels below,
 which setting its coordinate updates once.  The three innermost
@@ -107,6 +108,34 @@ def smith_normal_form(A):
     return D, U, V
 
 
+def row_echelon(rows):
+    """A basis of the lattice spanned by the integer rows, in row echelon
+    form: pivot columns strictly increase down the rows, each pivot is
+    positive and each row is zero left of its pivot.
+
+    Euclid down each column: the live rows (nonzero there) are reduced by
+    the one of smallest absolute entry until one is left, which becomes
+    the next row.  Each step is unimodular, so the lattice is unchanged,
+    and zero rows drop out.
+    """
+    rows = [list(row) for row in rows]
+    echelon = []
+    for j in range(len(rows[0]) if rows else 0):
+        live = [row for row in rows if row[j]]
+        while len(live) > 1:
+            p = min(live, key=lambda row: abs(row[j]))
+            for row in live:
+                if row is not p:
+                    q = row[j] // p[j]
+                    row[:] = [a - q * b for a, b in zip(row, p)]
+            live = [row for row in live if row[j]]
+        if live:
+            p = live[0]
+            rows.remove(p)
+            echelon.append(p if p[j] > 0 else [-a for a in p])
+    return echelon
+
+
 def solve_integer_system(A, target):
     """All integer solutions x of A x = target.
 
@@ -172,7 +201,7 @@ def integer_completion(M):
 
 
 # the innermost coordinates solved once per (budget, residues) key: a
-# split of 3 lists the rank-6 cubic's classes faster than a split of 2.
+# split of 3 lists the rank-6 cubic's classes faster than 2, 4 or 5.
 # At least 2, since a key is solved by a descent from level _INNER - 1
 _INNER = 3
 
@@ -220,6 +249,11 @@ def solve_completed_square(rows, pivots, value, origin, basis):
     the same descent from a zero sum, and stored as its vectors
     sum_j y_j*basis[j] in the order above; a node adds each to its partial
     sum minus sum_j a_j*basis[j].  Ranks up to _INNER reach no key.
+
+    A row echelon basis with positive pivots, passed last pivot first,
+    makes that order lexicographic on the vectors: where two solutions
+    first differ, at x_i, every column left of basis[i]'s pivot agrees and
+    that column differs by (x_i - x'_i) times the pivot.
     """
     n = len(pivots)
     value = Fraction(value)

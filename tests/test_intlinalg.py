@@ -9,6 +9,7 @@ from classenum_reference import quadratic_completion, solve_rational, symmetric_
 from dtseries.intlinalg import (
     identity_matrix,
     integer_completion,
+    row_echelon,
     smith_normal_form,
     solve_completed_square,
     solve_integer_system,
@@ -105,6 +106,34 @@ def _in_span(v, basis):
         return all(x == 0 for x in v)
     sol = solve_integer_system([list(col) for col in zip(*basis)], v)
     return sol is not None
+
+
+def test_row_echelon_spans_the_same_lattice():
+    """row_echelon of a full-rank integer matrix, ranks 0-6 and widths up
+    to 7, entries -5...5: the pivot columns (each row's first nonzero
+    entry, so every row is zero left of its pivot) strictly increase, each
+    pivot is positive, and every row of either basis is an integer
+    combination of the other's rows, by solve_integer_system."""
+    rng = random.Random(43)
+    for trial in range(140):
+        rank = trial % 7
+        width = rng.randint(max(rank, 1), 7)
+        while True:
+            rows = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(rank)]
+            D = smith_normal_form(rows)[0] if rows else []
+            if all(D[i][i] for i in range(rank)):
+                break
+        echelon = row_echelon(rows)
+        assert len(echelon) == rank and all(len(row) == width for row in echelon)
+        columns = [next(j for j, a in enumerate(row) if a) for row in echelon]
+        assert all(a < b for a, b in zip(columns, columns[1:]))
+        assert all(row[j] > 0 for row, j in zip(echelon, columns))
+        assert all(_in_span(v, echelon) for v in rows)
+        assert all(_in_span(v, rows) for v in echelon)
+    # dependent rows leave one row per pivot; a negative pivot flips its row
+    assert row_echelon([[2, 4], [3, 6], [0, 0]]) == [[1, 2]]
+    assert row_echelon([[0, -2, 1]]) == [[0, 2, -1]]
+    assert row_echelon([]) == []
 
 
 def test_solve_integer_system_unsolvable():
@@ -239,18 +268,17 @@ def test_integer_completion_rejects_non_definite_blocks():
             integer_completion(_bordered(block, [0] * len(block), 0))
 
 
-def test_solve_completed_square_matches_box_scan():
-    """The descent must return exactly the box-scan solution set of
-    y^T M y == target, y = (x, 1), in the documented order, for ranks 0-4,
-    zero and fractional centres and non-integral values.
+def _centred_forms(rng):
+    """(z, Q, rows, pivots, scan) for 60 random definite forms, ranks 0-4 in
+    turn, with zero and fractional centres z.
 
     M borders D^2 A with the centre z (D its common denominator) and a
-    constant e, so y^T M y = Q_A(D x + D z) + e: its real minimum is e, the
-    completion's tail / p_{m-1}, and the descent's value is target - e.
-    A = M^T M + I has eigenvalues >= 1, so every solution has
-    |x_i + z_i| <= sqrt(value) / D: the scan box is rigorous.  The scan
-    evaluates Q_A itself, not the completed squares."""
-    rng = random.Random(23)
+    constant e, so y^T M y = Q_A(D x + D z) + e, y = (x, 1): its real
+    minimum is e, the completion's tail / p_{m-1}, and the descent's value
+    is target - e.  (rows, pivots) complete M, and Q(x) = Q_A(D x + D z).
+    A = M^T M + I has eigenvalues >= 1, so every solution of Q(x) == value
+    has |x_i + z_i| <= sqrt(value) / D: scan(value) lists them over that
+    box, evaluating Q_A itself, not the completed squares."""
     for trial in range(60):
         n = trial % 5
         A = _positive_definite(rng, n, 1 if n == 4 else 2)  # rank-4 boxes stay small
@@ -271,20 +299,60 @@ def test_solve_completed_square_matches_box_scan():
             w = [D * xi + dz for xi, dz in zip(x, Dz)]
             return sum(A[i][j] * w[i] * w[j] for i in range(n) for j in range(n))
 
+        def scan(value):
+            r = floor_sqrt_fraction(value / (D * D))
+            ranges = [range(floor(-c) - r, ceil(-c) + r + 1) for c in z]
+            return [x for x in product(*ranges) if Q(x) == value]
+
+        yield z, Q, rows, pivots, scan
+
+
+def test_solve_completed_square_matches_box_scan():
+    """The descent must return exactly the box-scan solution set of
+    y^T M y == target, y = (x, 1), in the documented order, for ranks 0-4,
+    zero and fractional centres and non-integral values."""
+    rng = random.Random(23)
+    for z, Q, rows, pivots, scan in _centred_forms(rng):
+        n = len(z)
         # a probe near -z keeps the value, and so the scan box, small
         probe = [round(-c) + rng.randint(-1, 1) for c in z]
         hit = Q(probe)
         for value in (hit, hit + Fraction(1, 3), Fraction(rng.randint(0, 24), rng.randint(1, 6)), Fraction(0)):
             got = solve_completed_square(rows, pivots, value, [0] * n, identity_matrix(n))
-            r = floor_sqrt_fraction(value / (D * D))
-            ranges = [range(floor(-c) - r, ceil(-c) + r + 1) for c in z]
-            want = [x for x in product(*ranges) if Q(x) == value]
-            assert sorted(got) == sorted(want)
+            assert sorted(got) == sorted(scan(value))
             assert got == sorted(got, key=lambda v: v[::-1])
         assert tuple(probe) in solve_completed_square(rows, pivots, hit, [0] * n, identity_matrix(n))
     assert solve_completed_square([], [], 0, [], []) == [()]
     assert solve_completed_square([], [], Fraction(1, 2), [], []) == []
     assert solve_completed_square([[1, 0]], [1], -1, [0], [[1]]) == []
+
+
+def test_solve_completed_square_lists_a_reversed_echelon_basis_in_order():
+    """On a row echelon basis with positive pivots, passed last pivot
+    first, the descent lists its vectors in strictly increasing
+    lexicographic order, equal to the sorted box scan.  It lists x_{n-1}
+    slowest and each coordinate ascending, so where two solutions first
+    differ, at x_i, every column left of basis[i]'s pivot agrees and that
+    column grows by a positive multiple of the pivot.  The forms are the
+    box-scan test's; the entries right of each pivot are arbitrary and the
+    basis is up to two columns wider than its rank."""
+    rng = random.Random(29)
+    pairs = 0
+    for z, Q, rows, pivots, scan in _centred_forms(rng):
+        n = len(z)
+        width = n + rng.randint(0, 2)
+        echelon = [[0] * c + [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(width - c - 1)]
+                   for c in sorted(rng.sample(range(width), n))]
+        basis = echelon[::-1]
+        origin = [rng.randint(-5, 5) for _ in range(width)]
+        probe = [round(-c) + rng.randint(-1, 1) for c in z]
+        for value in (Q(probe), Fraction(rng.randint(0, 24), rng.randint(1, 6))):
+            got = solve_completed_square(rows, pivots, value, origin, basis)
+            assert got == sorted(tuple(o + sum(x[i] * basis[i][k] for i in range(n))
+                                       for k, o in enumerate(origin)) for x in scan(value))
+            assert all(a < b for a, b in zip(got, got[1:]))
+            pairs += max(len(got) - 1, 0)
+    assert pairs > 100
 
 
 def test_solve_completed_square_shares_inner_keys():
