@@ -66,21 +66,22 @@ def build_parser():
     parser = _Parser(prog="dtseries", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(run, summary, gamma=False, series_flags=False, oracle_flags=False):
+    def add(run, summary, gamma=False, k=False, order_help=None, oracle_flags=False):
         p = sub.add_parser(run.__name__.removeprefix("cmd_"), help=summary)
         p.set_defaults(run=run)
         p.add_argument("--fixture", required=True, help="builtin fixture name or JSON file")
         p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--k", type=int, help="polarization parameter for the blow-up fixtures")
+        if k:
+            p.add_argument("--k", type=int,
+                           help="polarization parameter for the blow-up fixtures")
         if gamma:
             p.add_argument("--gamma",
                            help="character: named ('ell'), parameters ('r=0,s=-1'), "
                                 "or a comma-separated rational vector")
-        if series_flags:
+        if order_help:
             p.add_argument("--order", type=int, default=8,
-                           help="truncation: keep exponents up to this power of q "
-                                f"(at most {ORDER_CEILING})")
+                           help=f"{order_help} (at most {ORDER_CEILING})")
             p.add_argument("--window", type=int, default=2,
                            help="lattice search radius for curve classes")
         if oracle_flags:
@@ -90,9 +91,11 @@ def build_parser():
                                             "(default: the bundle of L)")
         return p
 
-    add(cmd_check, "run the positivity and stability-gap checks", gamma=True)
-    add(cmd_classes, "enumerate contributing curve classes", gamma=True, series_flags=True)
-    p = add(cmd_series, "assemble the generating series", gamma=True, series_flags=True)
+    add(cmd_check, "run the positivity and stability-gap checks", gamma=True, k=True)
+    add(cmd_classes, "enumerate contributing curve classes", gamma=True,
+        order_help="keep the rows whose exponent beta^2/2 + delta/24 + n is at most ORDER")
+    p = add(cmd_series, "assemble the generating series", gamma=True, k=True,
+            order_help="print ORDER coefficients, from the lowest exponent up")
     p.add_argument("--override-checks", action="store_true",
                    help="produce the series even when the checks fail")
     p = add(cmd_oracle, "equivariant integrals on the Hilbert scheme", oracle_flags=True)
@@ -207,7 +210,7 @@ def _table_rows_csv(fx, table):
 
 
 def cmd_classes(cfg):
-    fx = get_fixture(cfg.fixture, cfg.k)
+    fx = get_fixture(cfg.fixture)
     gamma = fx.character(cfg.gamma)
     table = enumerate_contributions(fx.surface, fx.threefold, gamma, cfg.order, cfg.window)
     if cfg.format == "json":
@@ -293,10 +296,7 @@ def cmd_series(cfg):
     table = enumerate_contributions(fx.surface, fx.threefold, gamma, cfg.order, cfg.window)
     result = dt_series(fx.surface, table, cfg.order, convention)
     v = virtual_dimension(fx.threefold)
-    # every block shares dt_series' one Euler factor, so it is rendered once
-    n_series = result.blocks[0].n_series if result.blocks else None
     if cfg.format == "json":
-        n_json = n_series.to_json_dict() if result.blocks else None
         emit_json({
             "command": "series",
             "fixture": fx.name,
@@ -306,12 +306,12 @@ def cmd_series(cfg):
             "convention": result.convention,
             "convention_provenance": provenance,
             "checks_passed": report.passed,
+            "euler_factor": result.euler_factor.to_json_dict(),
             "blocks": [
                 {
                     "beta": list(b.beta),
                     "beta_sq": b.beta_sq,
                     "prefactor_exponent": frac_str(b.prefactor_exponent),
-                    "n_series": n_json,
                 }
                 for b in result.blocks
             ],
@@ -327,19 +327,19 @@ def cmd_series(cfg):
         print(f"fixture {fx.name}  gamma=({', '.join(frac_str(g) for g in gamma)})")
         print(f"  delta = {result.delta}   virtual dimension = {v}")
         print(f"  convention = {result.convention} ({provenance})")
+        print(f"  euler factor = {result.euler_factor.pretty()}")
         if not result.blocks:
             print("  no contributing curve classes in this window")
-        n_text = n_series.pretty() if result.blocks else ""
         for b in result.blocks:
             print(f"  block beta={b.beta} (beta^2={b.beta_sq}): "
-                  f"q^({frac_str(b.prefactor_exponent)}) * [{n_text}]")
+                  f"q^({frac_str(b.prefactor_exponent)})")
         print(f"  total = {result.total.pretty()}")
     return EXIT_OK
 
 
 def _toric_bundle(cfg):
     """The fixture and the toric bundle named by --bundle (default: the bundle of L)."""
-    fx = get_fixture(cfg.fixture, cfg.k)
+    fx = get_fixture(cfg.fixture)
     if fx.toric is None:
         raise ValueError(f"fixture {fx.name} has no toric surface model")
     key = fx.toric_L if cfg.bundle is None else cfg.bundle

@@ -212,12 +212,13 @@ class BetaBlock(Record):
     beta: tuple
     beta_sq: int
     prefactor_exponent: Fraction  # beta^2/2 + delta/24
-    n_series: QSeries  # the beta-independent Euler-product factor, based at 0
+    n_series: QSeries  # the result's euler_factor, the same object in every block
 
 
 class DTSeriesResult(Record):
     delta: int
     convention: str
+    euler_factor: QSeries  # prod(1-q^k)^(sign*delta), based at 0, shared by every block
     blocks: tuple
     total: QSeries
 
@@ -227,22 +228,25 @@ def dt_series(surface, table, order, convention=CONVENTION_MINUS):
 
     Every class beta contributes q^(beta^2/2 + delta/24) * prod(1-q^k)^(-delta)
     (sign of the exponent set by `convention`).  The Euler factor does not
-    depend on beta, so the total over the table's classes is one product:
+    depend on beta, so the result holds it once, as euler_factor, and the
+    total over the table's classes is one product:
     theta_block(beta^2/2 per class) * prod(1-q^k)^(-delta), times q^(delta/24).
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     delta = delta_invariant(surface)
     sign = -1 if convention == CONVENTION_MINUS else 1
-    n_series = euler_product(sign * delta, order)
+    euler_factor = euler_product(sign * delta, order)
     off = Fraction(delta, 24)
     squares = {}
     for row in table.rows:
         squares.setdefault(row.beta, row.beta_sq)
     blocks = sorted(
-        (BetaBlock(beta, sq, Fraction(sq, 2) + off, n_series) for beta, sq in squares.items()),
+        (BetaBlock(beta, sq, Fraction(sq, 2) + off, euler_factor)
+         for beta, sq in squares.items()),
         key=lambda b: (b.prefactor_exponent, b.beta),
     )
     theta = theta_block([Fraction(sq, 2) for sq in squares.values()], order)
-    total = (theta * n_series).shift(off)
-    return DTSeriesResult(delta=delta, convention=convention, blocks=tuple(blocks), total=total)
+    total = (theta * euler_factor).shift(off)
+    return DTSeriesResult(delta=delta, convention=convention, euler_factor=euler_factor,
+                          blocks=tuple(blocks), total=total)

@@ -8,7 +8,7 @@ possible), prints exactly one PASS/FAIL line, and then asserts.
 from fractions import Fraction
 
 from dtseries.classenum import enumerate_contributions
-from dtseries.fixtures import get_fixture
+from dtseries.fixtures import BUILTIN, get_fixture
 from dtseries.geometry import ChernVector, delta_invariant, run_all_checks, virtual_dimension
 from dtseries.localization import co_series, trace_terms
 from dtseries.qseries import (
@@ -58,10 +58,24 @@ def test_criterion_1_hypothesis_checks_by_degree():
 
 
 def test_criterion_2_virtual_dimension_matches_linear_system():
-    X = get_fixture("quadric_p4_d2").threefold
-    v = virtual_dimension(X)
-    ok = v == 4 and v == X.dim_linear_system
-    _report(2, "virtual dimension 4 on the quadric equals dim |L|", ok, detail=f"v={v}")
+    # every builtin, the blow-ups at k = 2, 3 and 5: v = dim |L| except on
+    # the quartic, whose hypothesis checks fail
+    dims = {}
+    for name in sorted(BUILTIN):
+        for k in ((2, 3, 5) if name.startswith("blowup_") else (None,)):
+            X = get_fixture(name, k).threefold
+            dims[name, k] = (virtual_dimension(X), X.dim_linear_system)
+    unequal = {key: d for key, d in dims.items() if d[0] != d[1]}
+    ok = dims["quadric_p4_d2", None] == (4, 4) and len(dims) == 10
+    ok = ok and unequal == {("quartic_p4_d4", None): (3, 4)}
+    ok = ok and not _checks("quartic_p4_d4").passed
+    _report(
+        2,
+        "virtual dimension equals dim |L| on every builtin but the quartic (v=3, dim |L|=4), "
+        "4 on the quadric",
+        ok,
+        detail=f"(v, dim |L|)={dims}",
+    )
 
 
 def test_criterion_3_delta_of_quadric_surface():

@@ -243,7 +243,7 @@ def test_series_override_checks(capsys):
     block = data["blocks"][0]
     assert block["beta"] == [1]
     assert block["prefactor_exponent"] == "19/6"
-    assert block["n_series"]["coeffs"][:2] == ["1", "28"]
+    assert data["euler_factor"]["coeffs"][:2] == ["1", "28"]
 
 
 def test_series_cubic_empty_total(capsys):
@@ -256,6 +256,7 @@ def test_series_cubic_empty_total(capsys):
     data = json.loads(out)
     assert data["convention_provenance"] == "default"
     assert data["blocks"] == []
+    assert data["euler_factor"] == euler_product(-15, 8).to_json_dict()
     assert data["total"]["offset"] == "5/8"
     assert all(c == "0" for c in data["total"]["coeffs"])
 
@@ -304,7 +305,8 @@ def test_series_csv_exponents_are_offset_plus_i(capsys, argv, offset):
 
 def test_series_renders_the_shared_euler_factor_once(capsys, monkeypatch):
     # 729 blocks on the cubic share one Euler factor: one rendering of it
-    # per call, plus one of the total
+    # per call, plus one of the total, and no block carries a copy, so each
+    # format stays small
     from dtseries.qseries import QSeries
 
     calls = {"pretty": 0, "to_json_dict": 0}
@@ -314,12 +316,19 @@ def test_series_renders_the_shared_euler_factor_once(capsys, monkeypatch):
             return _f(self)
         monkeypatch.setattr(QSeries, name, counted)
     argv = ("series", "--fixture", "cubic_p4_d3", "--gamma", "1/2", "--window", "1",
-            "--order", "2", "--format")
-    code, out, _ = run(capsys, *argv, "pretty")
-    assert code == EXIT_OK and out.count("block beta=") == 729
-    code, out, _ = run(capsys, *argv, "json")
-    assert code == EXIT_OK and len(json.loads(out)["blocks"]) == 729
+            "--order", "200", "--format")
+    outs = {}
+    for fmt in ("pretty", "json", "csv"):
+        code, outs[fmt], _ = run(capsys, *argv, fmt)
+        assert code == EXIT_OK and len(outs[fmt].encode()) < 200_000, fmt
     assert calls == {"pretty": 2, "to_json_dict": 2}
+    lines = outs["pretty"].splitlines()
+    assert sum(line.startswith("  euler factor = 1 + 15*q^1 + ") for line in lines) == 1
+    assert sum(line.startswith("  block beta=") and line.endswith(")") for line in lines) == 729
+    data = json.loads(outs["json"])
+    assert data["euler_factor"]["coeffs"][:2] == ["1", "15"]
+    assert len(data["blocks"]) == 729
+    assert all(set(b) == {"beta", "beta_sq", "prefactor_exponent"} for b in data["blocks"])
 
 
 def test_series_at_benchmark_order(capsys):
@@ -335,7 +344,7 @@ def test_series_at_benchmark_order(capsys):
     # each carrying the full eta-power series prod_k (1 - q^k)^(-10)
     eta = [str(c) for c in euler_product(-10, 1500).coeffs]
     assert sorted(b["prefactor_exponent"] for b in data["blocks"]) == ["-7/12", "-7/12", "5/12"]
-    assert all(b["n_series"]["coeffs"] == eta for b in data["blocks"])
+    assert data["euler_factor"]["coeffs"] == eta
     total = data["total"]
     assert total["offset"] == "-7/12"
     assert len(total["coeffs"]) == 1500
@@ -901,6 +910,22 @@ def test_huge_decimal_exponent_exits_bad_input_at_once(capsys, tmp_path):
 def test_k_on_non_blowup(capsys):
     code, _, _ = run(capsys, "check", "--fixture", "quadric_p4_d2", "--k", "2")
     assert code == EXIT_BAD_INPUT
+
+
+def test_k_only_where_it_acts(capsys):
+    # --k moves check's gate and so series' output; classes, oracle and
+    # verify do not read it and refuse it like any flag they do not list
+    base = ("--fixture", "blowup_p3_point", "--gamma", "r=-3,s=-1")
+    assert run(capsys, "check", *base, "--k", "2")[0] == EXIT_CHECKS_FAILED
+    assert run(capsys, "check", *base, "--k", "3")[0] == EXIT_OK
+    assert run(capsys, "series", *base, "--k", "2")[0] == EXIT_CHECKS_FAILED
+    assert run(capsys, "series", *base, "--k", "3")[0] == EXIT_OK
+    for argv in (("classes", *base), ("oracle", "--fixture", "blowup_p3_point"),
+                 ("verify", "--fixture", "blowup_p3_point")):
+        code, out, err = run(capsys, *argv, "--k", "3")
+        assert (code, out) == (EXIT_BAD_INPUT, ""), argv
+        assert "unrecognized arguments: --k 3" in err, argv
+        assert run(capsys, *argv)[0] == EXIT_OK, argv
 
 
 def test_missing_subcommand(capsys):

@@ -264,9 +264,9 @@ def test_dt_series_blocks_share_one_euler_factor():
     res = dt_series(fx.surface, table, 6, CONVENTION_MINUS)
     assert res.delta == 10
     assert len(res.blocks) == 5  # k in -2..2
-    first = res.blocks[0].n_series
+    assert res.euler_factor == euler_product(-10, 6)
     for b in res.blocks:
-        assert b.n_series == first  # the n-sum is beta-independent
+        assert b.n_series is res.euler_factor  # the n-sum is beta-independent
         assert b.prefactor_exponent == Fraction(b.beta_sq, 2) + Fraction(10, 24)
 
 
@@ -277,8 +277,8 @@ def test_dt_series_plus_convention_flips_sign_of_exponent():
     )
     minus = dt_series(fx.surface, table, 4, CONVENTION_MINUS)
     plus = dt_series(fx.surface, table, 4, CONVENTION_PLUS)
-    assert minus.blocks[0].n_series.coeffs[1] == 10
-    assert plus.blocks[0].n_series.coeffs[1] == -10
+    assert minus.euler_factor.coeffs[1] == 10
+    assert plus.euler_factor.coeffs[1] == -10
     with pytest.raises(ValueError):
         dt_series(fx.surface, table, 4, "bogus")
 
