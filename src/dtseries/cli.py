@@ -66,12 +66,13 @@ def build_parser():
     parser = _Parser(prog="dtseries", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(run, summary, gamma=False, k=False, order_help=None, oracle_flags=False):
+    def add(run, summary, seed_help, gamma=False, k=False, order_help=None, oracle_flags=False):
         p = sub.add_parser(run.__name__.removeprefix("cmd_"), help=summary)
         p.set_defaults(run=run)
         p.add_argument("--fixture", required=True, help="builtin fixture name or JSON file")
-        p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty",
+                       help="output format (default: pretty)")
+        p.add_argument("--seed", type=int, default=0, help=seed_help)
         if k:
             p.add_argument("--k", type=int,
                            help="polarization parameter for the blow-up fixtures")
@@ -91,16 +92,20 @@ def build_parser():
                                             "(default: the bundle of L)")
         return p
 
-    add(cmd_check, "run the positivity and stability-gap checks", gamma=True, k=True)
-    add(cmd_classes, "enumerate contributing curve classes", gamma=True,
+    ignored = "accepted and ignored: nothing here draws evaluation points"
+    points = "seed of the oracle's two random evaluation points (default: 0)"
+    add(cmd_check, "run the positivity and stability-gap checks", ignored, gamma=True, k=True)
+    add(cmd_classes, "enumerate contributing curve classes", ignored, gamma=True,
         order_help="keep the rows whose exponent beta^2/2 + delta/24 + n is at most ORDER")
-    p = add(cmd_series, "assemble the generating series", gamma=True, k=True,
+    p = add(cmd_series, "assemble the generating series",
+            "seed of the evaluation points of the oracle that resolves the exponent sign "
+            "on a toric fixture (default: 0)", gamma=True, k=True,
             order_help="print ORDER coefficients, from the lowest exponent up")
     p.add_argument("--override-checks", action="store_true",
                    help="produce the series even when the checks fail")
-    p = add(cmd_oracle, "equivariant integrals on the Hilbert scheme", oracle_flags=True)
+    p = add(cmd_oracle, "equivariant integrals on the Hilbert scheme", points, oracle_flags=True)
     p.add_argument("--trace", help="write a per-fixed-point JSON trace (small n) to this file")
-    add(cmd_verify, "compare the oracle against the Euler product", oracle_flags=True)
+    add(cmd_verify, "compare the oracle against the Euler product", points, oracle_flags=True)
     return parser
 
 
@@ -360,7 +365,7 @@ def cmd_oracle(cfg):
     result = co_series(fx.toric, lin, cfg.nmax, seed=cfg.seed)
     print(f"oracle time: {result.elapsed:.3f}s", file=sys.stderr)
     if cfg.trace is not None:
-        by_n = trace_terms(fx.toric, lin, depth, result.eval_points[0], result.shift)
+        by_n = trace_terms(fx.toric, lin, depth, result.eval_points[0])
         trace = [
             {"n": n, "terms": [{"point": t["point"], "term": frac_str(t["term"])} for t in terms]}
             for n, terms in enumerate(by_n)
@@ -376,7 +381,6 @@ def cmd_oracle(cfg):
         "n_max": result.n_max,
         "values": list(result.values),
         "eval_points": [[frac_str(x), frac_str(y)] for (x, y) in result.eval_points],
-        "shift": list(result.shift),
         "seed": result.seed,
     }
     if cfg.format == "json":
@@ -387,7 +391,7 @@ def cmd_oracle(cfg):
     else:
         print(f"fixture {fx.name}  bundle {lin.name}")
         pts = ", ".join(f"({frac_str(x)}, {frac_str(y)})" for (x, y) in result.eval_points)
-        print(f"  evaluation points: {pts}  shift: {result.shift}")
+        print(f"  evaluation points: {pts}")
         for n, v in enumerate(result.values):
             print(f"  n={n}: {v}")
     return EXIT_OK

@@ -28,13 +28,14 @@ computed exactly, truncated at q^n_max, in one pass per evaluation point.
 A cell's two weights depend only on its hook (leg l, arm a), so
 `_weight_tables` gives each chart, in turn, one table over the hooks with
 l + a + 1 <= n_max, holding the product of the two tangent weights and the
-product of the two class weights of each, divided by their gcd (a weight
-that vanishes at the point is caught first), and then that chart's
+product of the two class weights of each, divided by their gcd (a tangent
+weight that vanishes at the point is caught first), and then that chart's
 partition products.  So a table holds each partition's ratio co/tan with a
 common factor removed, not the raw products: where the bundle's weight is
-zero, each class weight is its tangent weight and every entry is 1.  Whether
-a class weight is the zero vector depends on the shift alone, and
-`_structural_zero` decides it in closed form.  A partition's products are
+zero, each class weight is its tangent weight and every entry is 1.  Class
+weights are numerators only (Atiyah-Bott), so one that is zero, at the
+point or as a vector, makes its hook's pair (0, 1), and every fixed point
+through that hook adds 0.  A partition's products are
 products of its cells' entries, built row on row from one cell layout that
 `co_series` makes once per call (removing a partition's first row changes
 no other cell's hook); the layout is the oracle's only enumeration of
@@ -43,8 +44,10 @@ exact sum over a common denominator, and the product over charts is a
 convolution of integers, so no Fraction is made per partition.
 
 Exactness of the arithmetic plus a degree count make every coefficient an
-integer independent of the evaluation point and of the chosen linearization
-shift; integrality and both independences are rechecked at runtime.
+integer independent of the evaluation point and of the linearization;
+integrality and independence of the point are rechecked at runtime, and
+the tests cover the linearization through equivalent divisors
+a_k + <m, v_k>.
 `trace_terms` lists the fixed points' terms one by one, read from the same
 tables: one walk lists every n up to n_max, each point by its nonempty
 charts only, so its cost grows with the points, not with the charts.  The
@@ -60,13 +63,13 @@ from operator import mul
 
 from .geometry import ModelError, Record, _ints, _typed_fields
 
-# evaluation points (and shifts) co_series draws before giving up
+# pairs of evaluation points co_series draws before giving up
 MAX_ATTEMPTS = 8
 
 
 class ZeroWeightError(ArithmeticError):
-    """A tangent or class weight vanished at the chosen evaluation point;
-    callers draw another point."""
+    """A tangent weight vanished at the chosen evaluation point; callers
+    draw another point."""
 
 
 class OracleError(RuntimeError):
@@ -210,13 +213,13 @@ def _cell_layout(n_max):
     return layout
 
 
-def _chart_scalars(model, lin, at, shift):
+def _chart_scalars(model, lin, at):
     """Per chart, at cone (i, j): P = <w1, at> and Q = <w2, at> with the
     denominators of `at` cleared, and the linearization's chart coordinates
-    s_i = a_i + <shift, v_i>, s_j = a_j + <shift, v_j>.  For v_i = (a, b)
-    and v_j = (c, d) the dual basis is w1 = det*(d, -c), w2 = det*(-b, a),
-    as 1/det = det.  A weight (x, y) evaluates to x*P + y*Q; its class
-    weight is (x + s_i, y + s_j)."""
+    s_i = a_i, s_j = a_j, its divisor entries.  For v_i = (a, b) and
+    v_j = (c, d) the dual basis is w1 = det*(d, -c), w2 = det*(-b, a), as
+    1/det = det.  A weight (x, y) evaluates to x*P + y*Q; its class weight
+    is (x + s_i, y + s_j)."""
     x, y = Fraction(at[0]), Fraction(at[1])
     A, B = x.numerator * y.denominator, y.numerator * x.denominator
     out = []
@@ -226,27 +229,17 @@ def _chart_scalars(model, lin, at, shift):
         out.append((
             det * (d * A - c * B),
             det * (a * B - b * A),
-            lin.divisor[i] + shift[0] * a + shift[1] * b,
-            lin.divisor[j] + shift[0] * c + shift[1] * d,
+            lin.divisor[i],
+            lin.divisor[j],
         ))
     return out
-
-
-def _structural_zero(scalars, n_max):
-    """Whether a chart's class weight is the zero vector for some hook
-    (l, a) with l + a + 1 <= n_max, whatever the point.  The class weights
-    (s_i - l, s_j + a + 1) and (s_i + l + 1, s_j - a) vanish exactly when
-    s_i = l >= 0 > -(a+1) = s_j or s_j = a >= 0 > -(l+1) = s_i, and then
-    |s_i - s_j| = l + a + 1.  So a chart has one exactly when one of s_i,
-    s_j is >= 0, the other < 0, and |s_i - s_j| <= n_max."""
-    return any((si < 0) != (sj < 0) and abs(si - sj) <= n_max for _, _, si, sj in scalars)
 
 
 def _weight_tables(scalars, layout):
     """Evaluate all per-partition weight products as exact integers.
 
-    `scalars` are the `_chart_scalars` of one evaluation point and shift,
-    and `layout` is `_cell_layout(n_max)`.  Returns co_tables, tan_tables
+    `scalars` are the `_chart_scalars` of one evaluation point, and
+    `layout` is `_cell_layout(n_max)`.  Returns co_tables, tan_tables
     indexed [chart][size][partition], for sizes 0..n_max.  Denominators of
     the evaluation point cancel between the co and tangent products (both
     have rank 2n), so the tables hold the cleared integer values x*P + y*Q.
@@ -257,15 +250,16 @@ def _weight_tables(scalars, layout):
     l*(n_max+1) + a of one hook table, and a partition's products are
     those of its cells' hooks.  So an entry pair is the partition's ratio
     co/tan with a common factor removed, not its raw weight products, and
-    every tangent entry is positive.  A tangent or class weight that
-    vanishes at the point raises ZeroWeightError, checked on the raw
-    weights; a class weight that is the zero vector (`_structural_zero`)
-    is one of these.
+    every tangent entry is positive.  A tangent weight that vanishes at
+    the point raises ZeroWeightError.  A class weight that vanishes, at the
+    point or as the zero vector, is multiplied like any other: the gcd
+    step makes its hook's pair (0, 1), so every partition through that
+    hook has the co entry 0.
     """
     n_max = len(layout)
     stride = n_max + 1
     co_tables, tan_tables = [], []
-    for c, (P, Q, si, sj) in enumerate(scalars):
+    for P, Q, si, sj in scalars:
         base_val = si * P + sj * Q
         co_hooks, tan_hooks = [None] * (stride * stride), [None] * (stride * stride)
         for l in range(n_max):
@@ -277,13 +271,8 @@ def _weight_tables(scalars, layout):
                         raise ZeroWeightError(
                             f"tangent weight ({x},{y}) vanishes at the evaluation point"
                         )
-                    w = v + base_val
-                    if w == 0:
-                        raise ZeroWeightError(
-                            f"class weight vanishes at the evaluation point (chart {c})"
-                        )
                     tp *= v
-                    cp *= w
+                    cp *= v + base_val
                 # the pair in lowest terms, its tangent side positive
                 g = gcd(tp, cp) if tp > 0 else -gcd(tp, cp)
                 tan_hooks[l * stride + a] = tp // g
@@ -348,7 +337,7 @@ def _series_values(scalars, layout):
     return values
 
 
-def trace_terms(model, lin, n_max, at, shift=(0, 0)):
+def trace_terms(model, lin, n_max, at):
     """Per-fixed-point contributions of S^[n] for n = 0..n_max, for
     debugging small n: a list indexed by n of rows {"point", "term"}.  A
     point is the tuple of its nonempty charts, each as (chart, partition),
@@ -364,7 +353,7 @@ def trace_terms(model, lin, n_max, at, shift=(0, 0)):
     choices, chart 0's varying slowest, and the walk nests once per
     nonempty chart, at most n_max + 1 deep."""
     layout = _cell_layout(n_max)
-    co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at, shift), layout)
+    co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at), layout)
     parts = [[()]]
     for size in layout:
         parts.append([(len(row), *parts[k][i]) for row, k, i in size])
@@ -393,7 +382,6 @@ class CoSeriesResult(Record):
     values: tuple
     n_max: int
     eval_points: tuple
-    shift: tuple
     seed: int
     elapsed: float
 
@@ -401,25 +389,20 @@ class CoSeriesResult(Record):
 def co_series(model, lin, n_max, seed=0):
     """Integrals for n = 0..n_max at two independent evaluation points.
 
-    A shift that makes some class weight the zero vector
-    (`_structural_zero`) is redrawn, and a weight that vanishes at a drawn
-    point draws fresh points, at most MAX_ATTEMPTS draws in all.  The
-    sums are exact, so two valid points of a consistent model agree: the
-    first disagreement comes from the model and raises OracleError.
+    A tangent weight that vanishes at a drawn point draws a fresh pair,
+    at most MAX_ATTEMPTS pairs in all; a class weight that vanishes is a
+    zero factor, not a reason to redraw.  The sums are exact, so two valid
+    points of a consistent model agree: the first disagreement comes from
+    the model and raises OracleError.
     """
     rng = random.Random(seed)
-    shift = (0, 0)
     t0 = time.perf_counter()
     layout = _cell_layout(n_max)
     for _ in range(MAX_ATTEMPTS):
         p, q = _draw_point(rng), _draw_point(rng)
-        scalars = _chart_scalars(model, lin, p, shift)
-        if _structural_zero(scalars, n_max):
-            shift = (rng.randint(-40, 40), rng.randint(-40, 40))
-            continue
         try:
-            vals_p = _series_values(scalars, layout)
-            vals_q = _series_values(_chart_scalars(model, lin, q, shift), layout)
+            vals_p = _series_values(_chart_scalars(model, lin, p), layout)
+            vals_q = _series_values(_chart_scalars(model, lin, q), layout)
         except ZeroWeightError:
             continue
         if vals_p != vals_q:
@@ -428,7 +411,6 @@ def co_series(model, lin, n_max, seed=0):
             values=tuple(vals_p),
             n_max=n_max,
             eval_points=(p, q),
-            shift=shift,
             seed=seed,
             elapsed=time.perf_counter() - t0,
         )

@@ -5,18 +5,17 @@ The oracle writes every weight at cone (i, j) in that chart's basis
 same weights the long way, as integer 2-vectors of the torus: the dual
 basis found by search (`dual_basis`), cells, arms and legs counted cell by
 cell, the bundle weight m with <m, v_i> = a_i and <m, v_j> = a_j, and the
-evaluation t -> <t, at>.  A weight is structurally zero when its vector is
-(0, 0), and the references raise their own StructuralZero for it.  These
-per-cell checks are the reference for the oracle's closed form
-`_structural_zero`; the oracle tests a shift once before it builds any
-table, so the order in which the references check their weights no longer
-has to match the oracle's.
+evaluation t -> <t, at>.  A tangent weight that vanishes at the point
+raises ZeroWeightError.  A class weight is a numerator only, so one that is
+zero, at the point or as the vector (0, 0), is multiplied like any other
+and makes its fixed point's term 0.  A linearization is moved by a torus
+character m through the equivalent divisor a_k + <m, v_k>
+(`equivalent_divisor`).
 
 `cell_weight_tables` and `fraction_chart_product` are the oracle's earlier
 fast path, kept as references for the hook tables and the exact sums: chart
 coordinates evaluated cell by cell from `hook_pairs`, and one Fraction per
-partition.  `structural_zero` is the same per-cell check in chart
-coordinates, with no evaluation point.  `direct_trace_terms` is the direct walk over fixed points that
+partition.  `direct_trace_terms` is the direct walk over fixed points that
 `trace_terms` replaced by reading the oracle's tables: every weight of
 every cell of every fixed point multiplied out, one Fraction per point.
 Its fixed points come from `hilb_fixed_points`, which recurses once per
@@ -30,7 +29,7 @@ generator, and `partition_list`, its cached tuples, not from the oracle's
 oracle they check.
 `fixed_point_series` composes the oracle's `_series_values` from its
 chart scalars and cell layout, for the tests that want the integrals at
-one given point and shift.
+one given point.
 
 `random_fan` generates smooth complete fans by toric blow-ups, and
 `fan_delta` reads e - K.D + D^2 off a fan without the oracle's model.
@@ -45,15 +44,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from dtseries.localization import (
+    Linearization,
     ZeroWeightError,
     _cell_layout,
     _chart_scalars,
     _series_values,
 )
-
-
-class StructuralZero(ZeroWeightError):
-    """A class weight is the zero vector, so it vanishes at every point."""
 
 
 def partitions(n, max_part=None):
@@ -115,9 +111,17 @@ def hilb_fixed_points(num_charts, n):
                 yield (lam,) + rest
 
 
-def fixed_point_series(model, lin, n_max, at, shift=(0, 0)):
+def fixed_point_series(model, lin, n_max, at):
     """The oracle's integrals over S^[n], n = 0..n_max, at the point `at`."""
-    return _series_values(_chart_scalars(model, lin, at, shift), _cell_layout(n_max))
+    return _series_values(_chart_scalars(model, lin, at), _cell_layout(n_max))
+
+
+def equivalent_divisor(model, lin, m):
+    """The linearization of the same line bundle twisted by the torus
+    character m: the divisor a_k + <m, v_k>, linearly equivalent to
+    sum a_k D_k, so every weight w_F(L) moves by m."""
+    divisor = tuple(a + m[0] * x + m[1] * y for a, (x, y) in zip(lin.divisor, model.rays))
+    return Linearization(lin.name, divisor, lin.surface_class)
 
 
 def nonempty_charts(point):
@@ -126,11 +130,11 @@ def nonempty_charts(point):
     return tuple((c, tuple(lam)) for c, lam in enumerate(point) if lam)
 
 
-def direct_trace_terms(model, lin, n, at, shift=(0, 0)):
+def direct_trace_terms(model, lin, n, at):
     """Per-fixed-point contributions of S^[n], in `hilb_fixed_points` order,
     each as prod(class weights)/prod(tangent weights) over every cell of
     every chart's partition, evaluated weight by weight."""
-    scalars = _chart_scalars(model, lin, at, shift)
+    scalars = _chart_scalars(model, lin, at)
     rows = []
     for point in hilb_fixed_points(model.euler, n):
         num = den = 1
@@ -208,28 +212,24 @@ def tangent_weights(parts, chart):
     return out
 
 
-def co_class_weights(point, model, lin, shift=(0, 0)):
+def co_class_weights(point, model, lin):
     """Weights of the obstruction-type class at a fixed point (a tuple of
-    partitions, one per chart): one weight w_F(L) + shift + t per tangent
-    weight t, so rank 2n in total.  A zero vector raises StructuralZero."""
+    partitions, one per chart): one weight w_F(L) + t per tangent weight t,
+    so rank 2n in total, the zero vector included."""
     out = []
     charts = dual_basis(model)
     for c, (parts, wl) in enumerate(zip(point, bundle_weights(model, lin))):
         for t in tangent_weights(parts, charts[c]):
-            w = (t[0] + wl[0] + shift[0], t[1] + wl[1] + shift[1])
-            if w == (0, 0):
-                raise StructuralZero(f"structurally zero weight at chart {c}")
-            out.append(w)
+            out.append((t[0] + wl[0], t[1] + wl[1]))
     return out
 
 
-def weight_tables(model, lin, n_max, at, shift=(0, 0)):
+def weight_tables(model, lin, n_max, at):
     """Per-partition products of tangent and class weights, indexed
     [chart][size][partition], each weight evaluated at `at` scaled by the
     product of its coordinates' denominators.  Sizes ascending, charts
-    within a size, cells row by row; for each weight the tangent check,
-    then the structural check (StructuralZero), then the class check, each
-    raising ZeroWeightError."""
+    within a size, cells row by row; a tangent weight that vanishes raises
+    ZeroWeightError, and a class weight that vanishes is multiplied."""
     x, y = Fraction(at[0]), Fraction(at[1])
     scale = x.denominator * y.denominator
 
@@ -238,7 +238,7 @@ def weight_tables(model, lin, n_max, at, shift=(0, 0)):
         assert v.denominator == 1
         return v.numerator
 
-    bases = [(w[0] + shift[0], w[1] + shift[1]) for w in bundle_weights(model, lin)]
+    bases = bundle_weights(model, lin)
     charts = dual_basis(model)
     co_tables = [[] for _ in charts]
     tan_tables = [[] for _ in charts]
@@ -252,13 +252,7 @@ def weight_tables(model, lin, n_max, at, shift=(0, 0)):
                     if tv == 0:
                         raise ZeroWeightError("tangent weight vanishes")
                     tp *= tv
-                    w = (t[0] + bases[c][0], t[1] + bases[c][1])
-                    if w == (0, 0):
-                        raise StructuralZero("structural zero")
-                    wv = value(w)
-                    if wv == 0:
-                        raise ZeroWeightError("class weight vanishes")
-                    cp *= wv
+                    cp *= value((t[0] + bases[c][0], t[1] + bases[c][1]))
                 co_row.append(cp)
                 tan_row.append(tp)
             co_tables[c].append(co_row)
@@ -269,11 +263,10 @@ def weight_tables(model, lin, n_max, at, shift=(0, 0)):
 def cell_weight_tables(scalars, n_max):
     """Per-partition products of tangent and class weights, indexed
     [chart][size][partition], in chart coordinates at the `_chart_scalars`
-    of one point and shift: every weight of every cell of every partition
-    evaluated as x*P + y*Q.  Sizes ascending, charts within a size,
-    partitions in order, cells row by row; for each weight the tangent
-    check, then the structural check (StructuralZero), then the class
-    check, each raising ZeroWeightError."""
+    of one point: every weight of every cell of every partition evaluated
+    as x*P + y*Q.  Sizes ascending, charts within a size, partitions in
+    order, cells row by row; a tangent weight that vanishes raises
+    ZeroWeightError, and a class weight that vanishes is multiplied."""
     co_tables = [[] for _ in scalars]
     tan_tables = [[] for _ in scalars]
     for k in range(n_max + 1):
@@ -291,28 +284,12 @@ def cell_weight_tables(scalars, n_max):
                             f"tangent weight ({x},{y}) vanishes at the evaluation point"
                         )
                     tp *= v
-                    if x + si == 0 and y + sj == 0:
-                        raise StructuralZero(f"structurally zero weight at chart {c}")
-                    w = v + base_val
-                    if w == 0:
-                        raise ZeroWeightError(
-                            f"class weight vanishes at the evaluation point (chart {c})"
-                        )
-                    cp *= w
+                    cp *= v + base_val
                 co_row.append(cp)
                 tan_row.append(tp)
             co_tables[c].append(co_row)
             tan_tables[c].append(tan_row)
     return co_tables, tan_tables
-
-
-def structural_zero(scalars, n_max):
-    """Whether some cell of some partition of size <= n_max has, in some
-    chart, a class weight (x + s_i, y + s_j) that is the zero vector."""
-    return any(x + si == 0 and y + sj == 0
-               for _, _, si, sj in scalars
-               for k in range(n_max + 1) for parts in partition_list(k)
-               for x, y in hook_pairs(parts))
 
 
 def fraction_chart_product(co_tables, tan_tables, n_max):
@@ -372,12 +349,12 @@ def euler_power(alpha, n_max):
     return f
 
 
-def chart_closed_forms(model, lin, n_max, at, shift=(0, 0)):
+def chart_closed_forms(model, lin, n_max, at):
     """Per chart, coefficients 0..n_max of Carlsson-Okounkov's series on C^2,
     prod_k (1-q^k)^(-(m+P)(m+Q)/(PQ)), with P, Q, s_i, s_j the chart's
     `_chart_scalars` and m = s_i P + s_j Q the bundle's weight there."""
     out = []
-    for P, Q, si, sj in _chart_scalars(model, lin, at, shift):
+    for P, Q, si, sj in _chart_scalars(model, lin, at):
         m = si * P + sj * Q
         out.append(euler_power(Fraction(-(m + P) * (m + Q), P * Q), n_max))
     return out

@@ -20,6 +20,7 @@ from dtseries.qseries import (
 )
 from oracle_reference import (
     co_class_weights,
+    equivalent_divisor,
     fixed_point_series,
     hilb_fixed_points,
     hook_pairs,
@@ -172,10 +173,11 @@ def test_criterion_8_integral_invariance_and_ranks():
     fx = get_fixture("quadric_p4_d2")
     model, lin = fx.toric, fx.toric.bundles["L"]
     points = ((Fraction(7, 3), Fraction(-5, 11)), (Fraction(-9, 7), Fraction(22, 3)))
-    shifts = ((0, 0), (101, 103))
+    # L's divisor and an equivalent one, a_k + <m, v_k> for m = (101, 103)
+    lins = (lin, equivalent_divisor(model, lin, (101, 103)))
     ok = True
     for n, expected in ((2, 65), (3, 330)):
-        vals = {fixed_point_series(model, lin, n, p, shift=s)[n] for p in points for s in shifts}
+        vals = {fixed_point_series(model, l, n, p)[n] for p in points for l in lins}
         ok = ok and vals == {expected}
         total = sum(r["term"] for r in trace_terms(model, lin, n, points[0])[n])
         ok = ok and total.denominator == 1 and total == expected
@@ -185,7 +187,8 @@ def test_criterion_8_integral_invariance_and_ranks():
             ok = ok and tangent_rank == 2 * n and co_rank == 2 * n
     _report(
         8,
-        "integrals are independent of evaluation point and shift, integral, of rank 2n",
+        "integrals are independent of evaluation point and linearization, integral, "
+        "of rank 2n",
         ok,
     )
 

@@ -352,6 +352,35 @@ def test_enumerate_beta_cubic_matches_e6_theta():
     assert counts(Fraction(1, 2), (2, 1, -1, -3)) == [0] * 4
 
 
+def test_enumerate_beta_cubic_levels_are_closed_under_e6():
+    """The Weyl group of E6 acts on Pic of the cubic surface, basis
+    (H, E1, ..., E6), through the reflections beta -> beta + (beta.r) r in
+    its roots (r^2 = -2, K.r = h.r = 0), so it fixes the degree constraint
+    and beta^2, and each level's classes are a union of orbits.  The six
+    simple roots generate the group; each must map each level's set onto
+    itself, a check that needs no box and no reference descent."""
+    S = get_fixture("cubic_p4_d3").surface
+    roots = [tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(7))
+             for i in range(1, 6)]
+    roots.append((1, -1, -1, -1, 0, 0, 0))
+    for r in roots:
+        assert (S.dot(r, r), S.dot(S.K_S, r), S.dot(S.O1_S, r)) == (-2, 0, 0)
+    # beta.r = sum_i beta_i (G r)_i
+    gram_roots = [(r, [sum(map(mul, row, r)) for row in S.gram]) for r in roots]
+    total = 0
+    for gamma in (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)):
+        for beta_sq in range(3, -13, -1):
+            level = set(enumerate_beta(S, (gamma,), beta_sq))
+            total += len(level)
+            for r, gr in gram_roots:
+                image = set()
+                for beta in level:
+                    c = sum(map(mul, beta, gr))
+                    image.add(tuple(b + c * x for b, x in zip(beta, r)))
+                assert image == level, (gamma, beta_sq, r)
+    assert total == 24229
+
+
 def _times(a, b):
     """The product of two integer series mod q^len(a), b no shorter than a."""
     return [sum(map(mul, a[:n + 1], b[n::-1])) for n in range(len(a))]

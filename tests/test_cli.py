@@ -367,9 +367,13 @@ def test_oracle_values_and_determinism(capsys):
     assert data["values"] == [1, 10, 65, 330]
     assert data["bundle"] == "O(1,1)"
     assert len(data["eval_points"]) == 2
-    assert "backend" not in data
+    assert set(data) == {"command", "fixture", "bundle", "n_max", "values", "eval_points", "seed"}
     code2, out2, _ = run(capsys, *argv)
     assert code2 == EXIT_OK and out2 == out
+    # the pretty points line is the two points and nothing after them
+    code, out, _ = run(capsys, *argv[:-2])
+    points = ", ".join(f"({x}, {y})" for x, y in data["eval_points"])
+    assert code == EXIT_OK and out.splitlines()[1] == f"  evaluation points: {points}"
 
 
 def test_oracle_trivial_bundle(capsys):
@@ -426,16 +430,15 @@ def test_oracle_trace_file(capsys, tmp_path):
     assert len(terms) == 14
     assert sum(Fraction(t["term"]) for t in terms) == 65
     # term for term the reference walk over every cell of every fixed
-    # point, at the evaluation point and shift the command prints, with
-    # each point's empty charts dropped
+    # point, at the evaluation point the command prints, with each point's
+    # empty charts dropped
     payload = json.loads(out)
     at = tuple(Fraction(x) for x in payload["eval_points"][0])
     model = get_fixture("quadric_p4_d2").toric
     assert trace == [
         {"n": n, "terms": [{"point": [[c, list(lam)] for c, lam in nonempty_charts(r["point"])],
                             "term": frac_str(r["term"])}
-                           for r in direct_trace_terms(model, model.bundles["L"], n, at,
-                                                       tuple(payload["shift"]))]}
+                           for r in direct_trace_terms(model, model.bundles["L"], n, at)]}
         for n in range(3)
     ]
 
@@ -478,8 +481,7 @@ def test_oracle_trace_file_is_the_reference_walk_byte_for_byte(capsys, tmp_path,
     want = [
         {"n": n, "terms": [{"point": [[c, list(lam)] for c, lam in nonempty_charts(r["point"])],
                             "term": frac_str(r["term"])}
-                           for r in direct_trace_terms(fx.toric, lin, n, at,
-                                                       tuple(payload["shift"]))]}
+                           for r in direct_trace_terms(fx.toric, lin, n, at)]}
         for n in range(4)
     ]
     raw = path.read_bytes()
@@ -926,6 +928,21 @@ def test_k_only_where_it_acts(capsys):
         assert (code, out) == (EXIT_BAD_INPUT, ""), argv
         assert "unrecognized arguments: --k 3" in err, argv
         assert run(capsys, *argv)[0] == EXIT_OK, argv
+
+
+def test_every_flag_has_help():
+    # every option of every subcommand says what it does in --help, and
+    # --seed says where it moves the oracle's points and where it does not
+    import argparse
+
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["check", "classes", "oracle", "series", "verify"]
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            assert action.help and action.help != argparse.SUPPRESS, (name, action.dest)
+        seed, = (a.help for a in parser._actions if a.dest == "seed")
+        assert ("ignored" in seed) == (name in ("check", "classes")), name
+        assert ("evaluation points" in seed), name
 
 
 def test_missing_subcommand(capsys):

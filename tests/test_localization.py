@@ -15,7 +15,6 @@ from dtseries.localization import (
     ZeroWeightError,
     _cell_layout,
     _chart_scalars,
-    _structural_zero,
     _weight_tables,
     chart_product,
     co_series,
@@ -27,7 +26,6 @@ from dtseries import localization
 from dtseries.geometry import ModelError
 from dtseries.qseries import euler_product
 from oracle_reference import (
-    StructuralZero,
     bundle_weights,
     cell_weight_tables,
     chart_closed_forms,
@@ -35,6 +33,8 @@ from oracle_reference import (
     conjugate,
     direct_trace_terms,
     dual_basis,
+    equivalent_divisor,
+    euler_power,
     fan_delta,
     fixed_point_series,
     fraction_chart_product,
@@ -43,7 +43,6 @@ from oracle_reference import (
     nonempty_charts,
     partition_list,
     random_fan,
-    structural_zero,
     tangent_weights,
     weight_tables,
 )
@@ -77,7 +76,7 @@ def test_builtin_models_validate():
         ((1, 0), (0, 1)), ((-1, 1), (-1, 0)), ((0, -1), (1, -1)),
     )
     for model in (p1xp1(), p2()):
-        scalars = _chart_scalars(model, model.bundles["trivial"], (3, 5), (0, 0))
+        scalars = _chart_scalars(model, model.bundles["trivial"], (3, 5))
         assert [(P, Q) for P, Q, _, _ in scalars] == [
             (3 * w1[0] + 5 * w1[1], 3 * w2[0] + 5 * w2[1]) for w1, w2 in dual_basis(model)
         ]
@@ -206,26 +205,28 @@ def test_tangent_weights_conjugate_symmetry():
             assert sorted(hook_pairs(parts)) == swapped
 
 
-def hook_weight_tables(model, lin, n_max, at, shift=(0, 0)):
+def hook_weight_tables(model, lin, n_max, at):
     """The oracle's tables, from the hook tables over one cell layout."""
-    return _weight_tables(_chart_scalars(model, lin, at, shift), _cell_layout(n_max))
+    return _weight_tables(_chart_scalars(model, lin, at), _cell_layout(n_max))
 
 
 def _outcome(tables, *args):
-    # the tables, or which zero weight the references met first; the
-    # oracle meets a structural zero as a class weight vanishing at the point
+    # the tables, or "zero" where a tangent weight vanished at the point
     try:
         return tables(*args)
-    except StructuralZero:
-        return "structural"
     except ZeroWeightError:
         return "zero"
 
 
 def _same_outcome(got, want):
-    if isinstance(want, str):
-        return got == ("zero" if want == "structural" else want)
-    return _same_ratios(got, want)
+    return got == want if isinstance(want, str) else _same_ratios(got, want)
+
+
+def _kind(outcome):
+    # "zero", "vanishing" where some class product is 0, or "tables"
+    if isinstance(outcome, str):
+        return outcome
+    return "vanishing" if any(0 in row for rows in outcome[0] for row in rows) else "tables"
 
 
 def _same_ratios(got, want):
@@ -258,8 +259,9 @@ def _fan_models(*fans):
 def test_chart_coordinates_match_torus_reference():
     # every chart of P2, P1xP1, F1 and F2, partitions up to n = 6: the
     # oracle's tables equal the reference's torus-vector evaluation up to
-    # one common factor per entry, or both meet a zero weight, at random
-    # points and shifts small enough to hit zeros of both kinds
+    # one common factor per entry, or both meet a vanishing tangent
+    # weight, at random points and equivalent divisors a_k + <m, v_k> small
+    # enough to make class weights vanish too
     rng = random.Random(6)
     seen = set()
     for model in _fan_models(P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
@@ -267,54 +269,57 @@ def test_chart_coordinates_match_torus_reference():
             for _ in range(12):
                 at = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                       Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-                shift = (rng.randint(-2, 2), rng.randint(-2, 2))
-                want = _outcome(weight_tables, model, lin, 6, at, shift)
-                assert _same_outcome(_outcome(hook_weight_tables, model, lin, 6, at, shift), want)
-                seen.add(want if isinstance(want, str) else "tables")
+                moved = equivalent_divisor(model, lin, (rng.randint(-2, 2), rng.randint(-2, 2)))
+                want = _outcome(weight_tables, model, moved, 6, at)
+                assert _same_outcome(_outcome(hook_weight_tables, model, moved, 6, at), want)
+                seen.add(_kind(want))
             at = (Fraction(7919, 13), Fraction(-104729, 17))
             assert _same_ratios(hook_weight_tables(model, lin, 6, at),
                                 weight_tables(model, lin, 6, at))
-    assert seen == {"tables", "structural", "zero"}
+    assert seen == {"tables", "vanishing", "zero"}
 
 
 def test_each_chart_is_carlsson_okounkov_on_the_plane():
     # chart by chart, the series sum_k q^k sum co/tan of the oracle's tables
     # is prod (1-q^k)^(-(m+P)(m+Q)/(PQ)) at the chart's scalars, on P1xP1
-    # and P2 with both bundles and on a 6-ray fan at a shift
+    # and P2 with both bundles, on a 6-ray fan at an equivalent divisor, and
+    # on P1xP1's trivial bundle moved so that a class weight is the zero
+    # vector
     hexagon = ToricSurfaceModel(
         "hexagon", ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
         {"D": Linearization("D", (1, -2, 0, 3, 1, 2), ())})
-    cases = [(model, lin, (0, 0)) for model in (p1xp1(), p2()) for lin in model.bundles.values()]
-    cases.append((hexagon, hexagon.bundles["D"], (7, -11)))
-    for model, lin, shift in cases:
-        co_tables, tan_tables = hook_weight_tables(model, lin, 8, AT, shift)
+    cases = [(model, lin) for model in (p1xp1(), p2()) for lin in model.bundles.values()]
+    cases.append((hexagon, equivalent_divisor(hexagon, hexagon.bundles["D"], (7, -11))))
+    cases.append((p1xp1(), equivalent_divisor(p1xp1(), p1xp1().bundles["trivial"], (0, -1))))
+    for model, lin in cases:
+        co_tables, tan_tables = hook_weight_tables(model, lin, 8, AT)
         got = [[sum(map(Fraction, co_rows[k], tan_rows[k])) for k in range(9)]
                for co_rows, tan_rows in zip(co_tables, tan_tables)]
-        assert got == chart_closed_forms(model, lin, 8, AT, shift), model.name
+        assert got == chart_closed_forms(model, lin, 8, AT), model.name
 
 
 def test_hook_tables_match_cell_by_cell_reference():
     # the hook tables against the per-cell walk they replace, for n <= 7 on
     # every chart of P2, P1xP1, F1 and F2: tables equal up to one common
-    # factor per entry, or a zero weight on both sides, at points and
-    # shifts small enough to hit both kinds
+    # factor per entry, or a vanishing tangent weight on both sides, at
+    # points and equivalent divisors small enough to make class weights
+    # vanish too
     rng = random.Random(11)
     seen = set()
     for model in _fan_models(P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
         for lin in model.bundles.values():
             for _ in range(40):
                 n_max = rng.randint(0, 7)
-                # small spans and shifts hit zeros, wide spans reach n_max
+                # small spans and characters hit zeros, wide spans reach n_max
                 span = rng.choice((5, 200))
                 at = (Fraction(rng.randint(-span, span), rng.randint(1, 3)),
                       Fraction(rng.randint(-span, span), rng.randint(1, 3)))
-                shift = (rng.randint(-3, 3), rng.randint(-3, 3)) if rng.random() < 0.5 else (0, 0)
-                scalars = _chart_scalars(model, lin, at, shift)
-                want = _outcome(cell_weight_tables, scalars, n_max)
-                assert _same_outcome(_outcome(hook_weight_tables, model, lin, n_max, at, shift),
-                                     want)
-                seen.add(want if isinstance(want, str) else "tables")
-    assert seen == {"tables", "structural", "zero"}
+                m = (rng.randint(-3, 3), rng.randint(-3, 3)) if rng.random() < 0.5 else (0, 0)
+                moved = equivalent_divisor(model, lin, m)
+                want = _outcome(cell_weight_tables, _chart_scalars(model, moved, at), n_max)
+                assert _same_outcome(_outcome(hook_weight_tables, model, moved, n_max, at), want)
+                seen.add(_kind(want))
+    assert seen == {"tables", "vanishing", "zero"}
 
 
 def test_zero_weight_charts_cancel_to_one():
@@ -326,7 +331,7 @@ def test_zero_weight_charts_cancel_to_one():
         for key, zero in (("trivial", [True] * model.euler),
                           ("L", [True] + [False] * (model.euler - 1))):
             lin = model.bundles[key]
-            scalars = _chart_scalars(model, lin, AT, (0, 0))
+            scalars = _chart_scalars(model, lin, AT)
             assert [(si, sj) == (0, 0) for _, _, si, sj in scalars] == zero
             co_tables, tan_tables = hook_weight_tables(model, lin, 8, AT)
             for c, (co_rows, tan_rows) in enumerate(zip(co_tables, tan_tables)):
@@ -381,13 +386,18 @@ def test_co_class_weights_rank_two_n():
 
 
 def test_co_class_weights_structural_zero():
+    # the trivial bundle moved by the character (0, -1) is the divisor
+    # (0, -1, 0, 1): its class weight at the box of chart 0 is the box
+    # weight (0, 1) plus (0, -1), the zero vector, which the reference lists
+    # like any other weight; at every point the oracle's hook table holds
+    # the pair (0, 1) for that box
     model = p1xp1()
-    fp = ((1,), (), (), ())
-    # box weight (0,1) in chart 0 plus shift (0,-1) on the trivial bundle,
-    # which the closed form sees in the shift alone
-    with pytest.raises(StructuralZero):
-        co_class_weights(fp, model, model.bundles["trivial"], shift=(0, -1))
-    assert _structural_zero(_chart_scalars(model, model.bundles["trivial"], AT, (0, -1)), 1)
+    lin = equivalent_divisor(model, model.bundles["trivial"], (0, -1))
+    assert lin.divisor == (0, -1, 0, 1)
+    assert (0, 0) in co_class_weights(((1,), (), (), ()), model, lin)
+    for at in (AT, (Fraction(3), Fraction(5))):
+        co_tables, tan_tables = hook_weight_tables(model, lin, 1, at)
+        assert (co_tables[0][1], tan_tables[0][1]) == ([0], [1])
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +438,14 @@ def test_integrate_eval_point_invariance():
 
 
 def test_integrate_shift_invariance():
-    # shifts far larger than any arm/leg weight cannot collide with a box
+    # the equivalent divisors a_k + <m, v_k> linearize one line bundle in
+    # other ways: characters far larger than any arm/leg weight, and (0, -1),
+    # which makes a class weight the zero vector in chart 0
     model = p2()
     lin = model.bundles["L"]
-    shifts = ((0, 0), (101, 103), (-57, 89))
-    vals = {fixed_point_series(model, lin, 3, AT, shift=s)[3] for s in shifts}
+    shifts = ((0, 0), (101, 103), (-57, 89), (0, -1))
+    vals = {fixed_point_series(model, equivalent_divisor(model, lin, m), 3, AT)[3]
+            for m in shifts}
     assert vals == {140}
 
 
@@ -486,66 +499,118 @@ def test_co_series_on_generated_fans():
     assert sizes == set(range(3, 10))
 
 
-def test_structural_zero_matches_torus_reference():
-    # the closed form against the torus vectors, on generated fans with
-    # divisor entries in -3..3 and shifts in -6..6: a class weight is the
-    # zero vector exactly when co_class_weights finds one at a fixed point
-    # of S^[k], k <= n_max, with one nonempty chart
+def _has_zero_class_vector(model, lin, n_max):
+    # whether some cell of a partition of size <= n_max has, in some chart,
+    # a class weight that is the zero vector: each hook (l, a) with
+    # l + a + 1 <= n_max is the corner of the partition (a+1, 1^l), whose
+    # torus vectors the reference builds
+    hooks = [(a + 1,) + (1,) * l for l in range(n_max) for a in range(n_max - l)]
+    return any((t[0] + b[0], t[1] + b[1]) == (0, 0)
+               for chart, b in zip(dual_basis(model), bundle_weights(model, lin))
+               for parts in hooks for t in tangent_weights(parts, chart))
+
+
+def test_co_series_multiplies_zero_class_weights_on_generated_fans(monkeypatch):
+    # 300 seeded fans of 3-10 rays, divisor entries in -3..3, n_max up to 10,
+    # most with a class weight that is the zero vector at the bundle's own
+    # divisor: the values are prod (1-q^k)^(-delta) by the reference's own
+    # recurrence, the trace's terms for n <= 3 are the direct walk's, and
+    # co_series draws one pair of points, one more per tangent weight that
+    # vanishes at a drawn point
+    draw, tables = localization._draw_point, localization._weight_tables
+    draws, vanished = [], []
+
+    def counted_draw(rng):
+        draws.append(1)
+        return draw(rng)
+
+    def counted_tables(scalars, layout):
+        try:
+            return tables(scalars, layout)
+        except ZeroWeightError:
+            vanished.append(1)
+            raise
+
+    monkeypatch.setattr(localization, "_draw_point", counted_draw)
+    monkeypatch.setattr(localization, "_weight_tables", counted_tables)
     rng = random.Random(2024)
+    with_zero = 0
+    for seed in range(300):
+        rays = random_fan(rng, blowups=6)
+        divisor = tuple(rng.randint(-3, 3) for _ in rays)
+        n_max = rng.randint(0, 10)
+        model = ToricSurfaceModel("fan", rays, {"D": Linearization("D", divisor, ())})
+        lin = model.bundles["D"]
+        with_zero += _has_zero_class_vector(model, lin, n_max)
+        draws.clear()
+        vanished.clear()
+        res = co_series(model, lin, n_max, seed=seed)
+        assert len(draws) == 2 * (1 + len(vanished))
+        assert list(res.values) == euler_power(-fan_delta(rays, divisor), n_max)
+        depth = min(n_max, 3)
+        assert trace_terms(model, lin, depth, res.eval_points[0]) == [
+            [{"point": nonempty_charts(r["point"]), "term": r["term"]}
+             for r in direct_trace_terms(model, lin, n, res.eval_points[0])]
+            for n in range(depth + 1)
+        ]
+    assert with_zero == 226
+
+
+def test_structural_zero_matches_torus_reference():
+    # on generated fans with divisor entries in -3..3 moved by characters in
+    # -6..6, at a point where no weight that is not the zero vector
+    # vanishes: a partition's class entry in the oracle's table is 0
+    # exactly when co_class_weights lists the zero vector at the fixed
+    # point of S^[k], k <= n_max, with that partition as its one nonempty
+    # chart
+    rng = random.Random(2024)
+    at = (Fraction(7919, 13), Fraction(-104729, 17))
     seen = set()
     for _ in range(60):
         rays = random_fan(rng)
         model = ToricSurfaceModel("fan", rays, {"D": Linearization(
             "D", tuple(rng.randint(-3, 3) for _ in rays), ())})
-        lin = model.bundles["D"]
-        shift, n_max = (rng.randint(-6, 6), rng.randint(-6, 6)), rng.randint(0, 6)
-
-        def zero_vector(point):
-            try:
-                co_class_weights(point, model, lin, shift)
-            except StructuralZero:
-                return True
-            return False
-
-        want = any(zero_vector(((),) * c + (parts,) + ((),) * (len(rays) - c - 1))
-                   for c in range(len(rays))
-                   for k in range(1, n_max + 1) for parts in partition_list(k))
-        assert _structural_zero(_chart_scalars(model, lin, AT, shift), n_max) == want
-        seen.add(want)
+        lin = equivalent_divisor(model, model.bundles["D"], (rng.randint(-6, 6), rng.randint(-6, 6)))
+        n_max = rng.randint(0, 6)
+        co_tables, _ = hook_weight_tables(model, lin, n_max, at)
+        for c in range(len(rays)):
+            for k in range(1, n_max + 1):
+                for parts, co in zip(partition_list(k), co_tables[c][k]):
+                    point = ((),) * c + (parts,) + ((),) * (len(rays) - c - 1)
+                    want = (0, 0) in co_class_weights(point, model, lin)
+                    assert (co == 0) == want
+                    seen.add(want)
     assert seen == {True, False}
 
 
 def test_integrate_zero_weight_at_eval_point():
     # partition (1,1) has tangent weight (-1,1), which vanishes on the
-    # diagonal; the shift is fine, so only the point is to blame
+    # diagonal; a tangent weight is the one kind whose zero is an error
     model, at = p1xp1(), (Fraction(1), Fraction(1))
     with pytest.raises(ZeroWeightError, match="tangent weight"):
         fixed_point_series(model, model.bundles["L"], 2, at)
-    assert not _structural_zero(_chart_scalars(model, model.bundles["L"], at, (0, 0)), 2)
 
 
 def test_integrate_structural_zero_weight():
-    # the shift makes a class weight the zero vector: it vanishes at every
-    # point, and the closed form says so from the shift alone
+    # the trivial bundle moved by (0, -1) has a class weight that is the
+    # zero vector, so it vanishes at every point: a zero numerator, and the
+    # integrals are the trivial bundle's fixed-point counts at every point
     model = p1xp1()
-    lin = model.bundles["trivial"]
+    lin = equivalent_divisor(model, model.bundles["trivial"], (0, -1))
     for at in (AT, (Fraction(3), Fraction(5))):
-        with pytest.raises(ZeroWeightError, match="class weight"):
-            fixed_point_series(model, lin, 1, at, shift=(0, -1))
-        assert _structural_zero(_chart_scalars(model, lin, at, (0, -1)), 1)
+        assert fixed_point_series(model, lin, 4, at) == [1, 4, 14, 40, 105]
 
 
 def test_integrate_class_weight_vanishes_at_point():
-    # shift (1,1) turns the box weight (0,1) into (1,2), which dies at (2,-1)
-    # and nowhere off the line x + 2y = 0; no class weight is the zero
-    # vector (shift (1,0) would make one in chart 1)
+    # the trivial bundle moved by (1, 1) turns the box weight (0,1) of
+    # chart 0 into (1,2), which dies at (2,-1) and nowhere off the line
+    # x + 2y = 0: there the box's class entry is 0, and the integrals are
+    # the same as at a point where nothing vanishes
     model = p1xp1()
-    lin, at = model.bundles["trivial"], (Fraction(2), Fraction(-1))
-    with pytest.raises(ZeroWeightError, match="class weight"):
-        fixed_point_series(model, lin, 1, at, shift=(1, 1))
-    assert not _structural_zero(_chart_scalars(model, lin, at, (1, 1)), 1)
-    assert _structural_zero(_chart_scalars(model, lin, at, (1, 0)), 1)
-    assert fixed_point_series(model, lin, 1, AT, shift=(1, 1)) == [1, 4]
+    lin, at = equivalent_divisor(model, model.bundles["trivial"], (1, 1)), (Fraction(2), Fraction(-1))
+    co_tables, _ = hook_weight_tables(model, lin, 1, at)
+    assert co_tables[0][1] == [0]
+    assert fixed_point_series(model, lin, 1, at) == fixed_point_series(model, lin, 1, AT) == [1, 4]
 
 
 def test_integrality_error_on_fake_geometry():
@@ -575,32 +640,35 @@ def test_trace_terms_sum_to_integral():
     assert [sum(r["term"] for r in rows) for rows in by_n] == [1, 10, 65]
 
 
-@pytest.mark.parametrize("shift", [(0, 0), (101, 103)])
+@pytest.mark.parametrize("shift", [(0, 0), (101, 103), (0, -1)])
 @pytest.mark.parametrize("bundle", ["L", "trivial"])
 @pytest.mark.parametrize("make", [p1xp1, p2])
 def test_integrate_equals_fixed_point_walk(make, bundle, shift):
-    # the chart-factored pass against the direct sum over partition tuples
+    # the chart-factored pass against the direct sum over partition tuples,
+    # at the bundle's divisor moved by the character `shift`
     model = make()
-    lin = model.bundles[bundle]
-    assert fixed_point_series(model, lin, 5, AT, shift) == [
-        sum(r["term"] for r in direct_trace_terms(model, lin, n, AT, shift)) for n in range(6)
+    lin = equivalent_divisor(model, model.bundles[bundle], shift)
+    assert fixed_point_series(model, lin, 5, AT) == [
+        sum(r["term"] for r in direct_trace_terms(model, lin, n, AT)) for n in range(6)
     ]
 
 
-@pytest.mark.parametrize("shift", [(0, 0), (101, 103)])
+@pytest.mark.parametrize("shift", [(0, 0), (101, 103), (0, -1)])
 def test_trace_terms_match_direct_walk(shift):
     # the terms read from the oracle's tables against the reference walk
     # over every cell of every fixed point, its empty charts dropped: the
     # same points in the same order with the same Fractions, for every n
-    # of one call, on P2, P1xP1, F1 and F2 and every bundle
+    # of one call, on P2, P1xP1, F1 and F2 and every bundle, its divisor
+    # moved by the character `shift`
     models = [p2(), p1xp1(), *_fan_models(F1_FAN, F2_FAN)]
     count = 0
     for model in models:
         for lin in model.bundles.values():
-            by_n = trace_terms(model, lin, 4, AT, shift)
+            lin = equivalent_divisor(model, lin, shift)
+            by_n = trace_terms(model, lin, 4, AT)
             assert by_n == [
                 [{"point": nonempty_charts(r["point"]), "term": r["term"]}
-                 for r in direct_trace_terms(model, lin, n, AT, shift)]
+                 for r in direct_trace_terms(model, lin, n, AT)]
                 for n in range(5)
             ]
             assert all(type(r["term"]) is Fraction for rows in by_n for r in rows)
@@ -651,8 +719,8 @@ def test_co_series_values_and_metadata():
     assert res.n_max == 5
     assert len(res.eval_points) == 2
     assert res.eval_points[0] != res.eval_points[1]
-    assert res.shift == (0, 0)
     assert res.seed == 0
+    assert set(res.asdict()) == {"values", "n_max", "eval_points", "seed", "elapsed"}
     assert res.elapsed >= 0
 
 
@@ -673,11 +741,10 @@ def test_co_series_seed_changes_points_not_values():
 
 
 def test_co_series_matches_reference_tables(monkeypatch):
-    # 240 seeded calls, a bundle whose divisor forces a structural zero at
-    # shift (0, 0) among them, and 80 on 40 generated fans with divisor
-    # entries in -3..3: the same values, evaluation points and shift as
-    # co_series driven by the per-cell structural check, the per-cell
-    # tables and per-partition Fractions
+    # 240 seeded calls, a bundle whose divisor makes a class weight the zero
+    # vector among them, and 80 on 40 generated fans with divisor entries
+    # in -3..3: the same values and evaluation points as co_series driven
+    # by the per-cell tables and per-partition Fractions
     negative = ToricSurfaceModel("p1xp1", P1XP1_FAN,
                                  {"n": Linearization("n", (0, 0, -1, 0), (0, 0))})
     f1 = ToricSurfaceModel("f1", F1_FAN, {"D": Linearization("D", (0, 0, 1, 1), ())})
@@ -695,15 +762,15 @@ def test_co_series_matches_reference_tables(monkeypatch):
     def reference_tables(scalars, layout):
         return cell_weight_tables(scalars, len(layout))
 
-    monkeypatch.setattr(localization, "_structural_zero", structural_zero)
+    # zero class products among the seeded calls and among the fans' calls
+    zeros = [any(0 in row for rows in _weight_tables(_chart_scalars(m, lin, r.eval_points[0]),
+                                                     _cell_layout(5))[0] for row in rows)
+             for ((m, lin), _), r in zip(calls, got)]
+    assert any(zeros[:240]) and any(zeros[240:])
     monkeypatch.setattr(localization, "_weight_tables", reference_tables)
     monkeypatch.setattr(localization, "chart_product", fraction_chart_product)
     want = [co_series(m, lin, 5, seed=seed) for (m, lin), seed in calls]
-    assert [(r.values, r.eval_points, r.shift) for r in got] == [
-        (r.values, r.eval_points, r.shift) for r in want
-    ]
-    assert any(r.shift != (0, 0) for r in got[:240])
-    assert any(r.shift != (0, 0) for r in got[240:])
+    assert [(r.values, r.eval_points) for r in got] == [(r.values, r.eval_points) for r in want]
 
 
 @pytest.mark.parametrize("A", [((1, 1), (0, 1)), ((2, 1), (1, 1)), ((0, -1), (1, 0)),
