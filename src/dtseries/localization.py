@@ -28,14 +28,15 @@ computed exactly, truncated at q^n_max, in one pass per evaluation point.
 A cell's two weights depend only on its hook (leg l, arm a), so
 `_weight_tables` gives each chart, in turn, one table over the hooks with
 l + a + 1 <= n_max, holding the product of the two tangent weights and the
-product of the two class weights of each, divided by their gcd (a tangent
-weight that vanishes at the point is caught first), and then that chart's
-partition products.  So a table holds each partition's ratio co/tan with a
-common factor removed, not the raw products: where the bundle's weight is
-zero, each class weight is its tangent weight and every entry is 1.  Class
-weights are numerators only (Atiyah-Bott), so one that is zero, at the
-point or as a vector, makes its hook's pair (0, 1), and every fixed point
-through that hook adds 0.  A partition's products are
+product of the two class weights of each, divided by their gcd, and then
+that chart's partition products.  So a table holds each partition's ratio
+co/tan with a common factor removed, not the raw products: where the
+bundle's weight is zero, each class weight is its tangent weight and every
+entry is 1.  `_generic` tests, in closed form, that no tangent weight of
+those hooks vanishes at the point; `co_series` draws until both its points
+pass.  Class weights are numerators only (Atiyah-Bott), so one that is
+zero, at the point or as a vector, makes its hook's pair (0, 1), and every
+fixed point through that hook adds 0.  A partition's products are
 products of its cells' entries, built row on row from one cell layout that
 `co_series` makes once per call (removing a partition's first row changes
 no other cell's hook); the layout is the oracle's only enumeration of
@@ -63,17 +64,9 @@ from operator import mul
 
 from .geometry import ModelError, Record, _ints, _typed_fields
 
-# pairs of evaluation points co_series draws before giving up
-MAX_ATTEMPTS = 8
-
-
-class ZeroWeightError(ArithmeticError):
-    """A tangent weight vanished at the chosen evaluation point; callers
-    draw another point."""
-
 
 class OracleError(RuntimeError):
-    """The oracle's sums are inconsistent, or no generic point was found."""
+    """The oracle's sums are inconsistent."""
 
 
 class IntegralityError(OracleError):
@@ -235,11 +228,23 @@ def _chart_scalars(model, lin, at):
     return out
 
 
+def _generic(scalars, n_max):
+    """Whether no tangent weight of a hook with l + a + 1 <= n_max vanishes
+    at the point of these `_chart_scalars`.  In a chart, -l*P + (a+1)*Q or
+    (l+1)*P - a*Q is 0 for such a hook exactly when P/Q, in lowest terms
+    p/q (0/1 if P = 0, 1/0 if Q = 0), is not negative and p + q <= n_max:
+    then the hooks (l, a) = (q, p - 1) and (q - 1, p), where they are
+    hooks, have a weight that vanishes.  The origin is never generic."""
+    return all(P * Q < 0 or abs(P) + abs(Q) > n_max * gcd(P, Q) for P, Q, _, _ in scalars)
+
+
 def _weight_tables(scalars, layout):
     """Evaluate all per-partition weight products as exact integers.
 
-    `scalars` are the `_chart_scalars` of one evaluation point, and
-    `layout` is `_cell_layout(n_max)`.  Returns co_tables, tan_tables
+    `scalars` are the `_chart_scalars` of one evaluation point, which must
+    be generic (`_generic`): at any other point a tangent entry is 0 and
+    the sums that read the tables raise ZeroDivisionError.  `layout` is
+    `_cell_layout(n_max)`.  Returns co_tables, tan_tables
     indexed [chart][size][partition], for sizes 0..n_max.  Denominators of
     the evaluation point cancel between the co and tangent products (both
     have rank 2n), so the tables hold the cleared integer values x*P + y*Q.
@@ -250,8 +255,7 @@ def _weight_tables(scalars, layout):
     l*(n_max+1) + a of one hook table, and a partition's products are
     those of its cells' hooks.  So an entry pair is the partition's ratio
     co/tan with a common factor removed, not its raw weight products, and
-    every tangent entry is positive.  A tangent weight that vanishes at
-    the point raises ZeroWeightError.  A class weight that vanishes, at the
+    every tangent entry is positive.  A class weight that vanishes, at the
     point or as the zero vector, is multiplied like any other: the gcd
     step makes its hook's pair (0, 1), so every partition through that
     hook has the co entry 0.
@@ -264,15 +268,9 @@ def _weight_tables(scalars, layout):
         co_hooks, tan_hooks = [None] * (stride * stride), [None] * (stride * stride)
         for l in range(n_max):
             for a in range(n_max - l):
-                tp = cp = 1
-                for (x, y) in ((-l, a + 1), (l + 1, -a)):
-                    v = x * P + y * Q
-                    if v == 0:
-                        raise ZeroWeightError(
-                            f"tangent weight ({x},{y}) vanishes at the evaluation point"
-                        )
-                    tp *= v
-                    cp *= v + base_val
+                # the tangent weights (-l, a+1) and (l+1, -a) at the point
+                t1, t2 = (a + 1) * Q - l * P, (l + 1) * P - a * Q
+                tp, cp = t1 * t2, (t1 + base_val) * (t2 + base_val)
                 # the pair in lowest terms, its tangent side positive
                 g = gcd(tp, cp) if tp > 0 else -gcd(tp, cp)
                 tan_hooks[l * stride + a] = tp // g
@@ -343,8 +341,9 @@ def trace_terms(model, lin, n_max, at):
     point is the tuple of its nonempty charts, each as (chart, partition),
     and its term is the product over them of the partition's class product
     over its tangent product, read from the tables `co_series` sums, built
-    once at n_max.  Each partition is rebuilt from the cell layout, its
-    first row's length on the smaller partition the layout points to.
+    once at n_max, so `at` must be generic (`_generic`) at n_max.  Each
+    partition is rebuilt from the cell layout, its first row's length on
+    the smaller partition the layout points to.
 
     Each point is listed, then extended by one more nonempty chart after
     its last one: from the last chart down, each chart's sizes ascending,
@@ -389,29 +388,28 @@ class CoSeriesResult(Record):
 def co_series(model, lin, n_max, seed=0):
     """Integrals for n = 0..n_max at two independent evaluation points.
 
-    A tangent weight that vanishes at a drawn point draws a fresh pair,
-    at most MAX_ATTEMPTS pairs in all; a class weight that vanishes is a
-    zero factor, not a reason to redraw.  The sums are exact, so two valid
-    points of a consistent model agree: the first disagreement comes from
-    the model and raises OracleError.
+    Pairs are drawn until both points are generic (`_generic`); the others
+    lie on finitely many lines through the origin, so the first pair nearly
+    always is.  A class weight that vanishes is a zero factor, not a reason
+    to redraw.  The sums are exact, so two generic points of a consistent
+    model agree: the first disagreement comes from the model and raises
+    OracleError.
     """
     rng = random.Random(seed)
     t0 = time.perf_counter()
     layout = _cell_layout(n_max)
-    for _ in range(MAX_ATTEMPTS):
+    while True:
         p, q = _draw_point(rng), _draw_point(rng)
-        try:
-            vals_p = _series_values(_chart_scalars(model, lin, p), layout)
-            vals_q = _series_values(_chart_scalars(model, lin, q), layout)
-        except ZeroWeightError:
-            continue
-        if vals_p != vals_q:
-            raise OracleError("evaluation points disagree; model data is inconsistent")
-        return CoSeriesResult(
-            values=tuple(vals_p),
-            n_max=n_max,
-            eval_points=(p, q),
-            seed=seed,
-            elapsed=time.perf_counter() - t0,
-        )
-    raise OracleError("no generic evaluation data found after re-randomizing")
+        at_p, at_q = _chart_scalars(model, lin, p), _chart_scalars(model, lin, q)
+        if _generic(at_p, n_max) and _generic(at_q, n_max):
+            break
+    vals_p, vals_q = _series_values(at_p, layout), _series_values(at_q, layout)
+    if vals_p != vals_q:
+        raise OracleError("evaluation points disagree; model data is inconsistent")
+    return CoSeriesResult(
+        values=tuple(vals_p),
+        n_max=n_max,
+        eval_points=(p, q),
+        seed=seed,
+        elapsed=time.perf_counter() - t0,
+    )

@@ -6,9 +6,11 @@ same weights the long way, as integer 2-vectors of the torus: the dual
 basis found by search (`dual_basis`), cells, arms and legs counted cell by
 cell, the bundle weight m with <m, v_i> = a_i and <m, v_j> = a_j, and the
 evaluation t -> <t, at>.  A tangent weight that vanishes at the point
-raises ZeroWeightError.  A class weight is a numerator only, so one that is
-zero, at the point or as the vector (0, 0), is multiplied like any other
-and makes its fixed point's term 0.  A linearization is moved by a torus
+raises VanishingWeightError, found cell by cell, where the oracle tests the
+point once in closed form (`_generic`); the tests hold the two against each
+other.  A class weight is a numerator only, so one that is zero, at the
+point or as the vector (0, 0), is multiplied like any other and makes its
+fixed point's term 0.  A linearization is moved by a torus
 character m through the equivalent divisor a_k + <m, v_k>
 (`equivalent_divisor`).
 
@@ -45,11 +47,14 @@ from functools import lru_cache
 
 from dtseries.localization import (
     Linearization,
-    ZeroWeightError,
     _cell_layout,
     _chart_scalars,
     _series_values,
 )
+
+
+class VanishingWeightError(ArithmeticError):
+    """A tangent weight vanished at the point a reference evaluates at."""
 
 
 def partitions(n, max_part=None):
@@ -229,7 +234,7 @@ def weight_tables(model, lin, n_max, at):
     [chart][size][partition], each weight evaluated at `at` scaled by the
     product of its coordinates' denominators.  Sizes ascending, charts
     within a size, cells row by row; a tangent weight that vanishes raises
-    ZeroWeightError, and a class weight that vanishes is multiplied."""
+    VanishingWeightError, and a class weight that vanishes is multiplied."""
     x, y = Fraction(at[0]), Fraction(at[1])
     scale = x.denominator * y.denominator
 
@@ -250,7 +255,7 @@ def weight_tables(model, lin, n_max, at):
                 for t in tangent_weights(parts, chart):
                     tv = value(t)
                     if tv == 0:
-                        raise ZeroWeightError("tangent weight vanishes")
+                        raise VanishingWeightError("tangent weight vanishes")
                     tp *= tv
                     cp *= value((t[0] + bases[c][0], t[1] + bases[c][1]))
                 co_row.append(cp)
@@ -266,7 +271,7 @@ def cell_weight_tables(scalars, n_max):
     of one point: every weight of every cell of every partition evaluated
     as x*P + y*Q.  Sizes ascending, charts within a size, partitions in
     order, cells row by row; a tangent weight that vanishes raises
-    ZeroWeightError, and a class weight that vanishes is multiplied."""
+    VanishingWeightError, and a class weight that vanishes is multiplied."""
     co_tables = [[] for _ in scalars]
     tan_tables = [[] for _ in scalars]
     for k in range(n_max + 1):
@@ -280,7 +285,7 @@ def cell_weight_tables(scalars, n_max):
                 for (x, y) in pairs:
                     v = x * P + y * Q
                     if v == 0:
-                        raise ZeroWeightError(
+                        raise VanishingWeightError(
                             f"tangent weight ({x},{y}) vanishes at the evaluation point"
                         )
                     tp *= v

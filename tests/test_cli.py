@@ -805,6 +805,17 @@ def test_verify_at_nmax_ceiling(capsys):
             assert data["oracle_values"] == list(euler_product(-e, 21).coeffs)
 
 
+def test_verify_after_a_redraw(capsys):
+    # at seed 1916 a tangent weight vanishes at a point of the first pair
+    # drawn on P1 x P1 at n <= 12, so the oracle evaluates at a second pair
+    code, out, _ = run(capsys, "verify", "--fixture", "quadric_p4_d2", "--nmax", "12",
+                       "--seed", "1916", "--format", "json")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["matches_minus"] and not data["matches_plus"]
+    assert data["oracle_values"] == data["euler_minus_delta"]
+
+
 def test_verify_pretty_output(capsys):
     code, out, _ = run(
         capsys, "verify", "--fixture", "quadric_p4_d2", "--nmax", "2"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from classenum_reference import symmetric_signature
+from dtseries.classenum import enumerate_contributions
 from dtseries.fixtures import BUILTIN, FixtureError, GeometryFixture, fixture_to_dict, get_fixture
 from dtseries.geometry import (
     ChernVector,
@@ -21,6 +22,7 @@ from dtseries.geometry import (
     triple_product,
     virtual_dimension,
 )
+from dtseries.qseries import QSeries
 from oracle_reference import fixed_point_series
 
 
@@ -374,3 +376,22 @@ def test_pairing_contraction():
     assert pair_h4_h2(X, (1, 0), (1, 0)) == 1
     assert pair_h4_h2(X, (0, 1), (0, 1)) == -1
     assert pair_h4_h2(X, (Fraction(1, 2), 0), (2, 0)) == 1
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda fx: enumerate_contributions(
+        fx.surface, fx.threefold, fx.gamma_names["ell"], 1, -1), ValueError, "nonnegative",
+        id="negative-window"),
+    pytest.param(lambda fx: curve_class(fx.threefold, (1, 0), (1,)), ModelError, "wrong length",
+                 id="curve-class-length"),
+    pytest.param(lambda fx: pair_h4_h2(fx.threefold, (1, 0), (1,)), ModelError, "wrong length",
+                 id="pairing-length"),
+    pytest.param(lambda fx: QSeries(0, (1,)) * 3, TypeError, "unsupported operand",
+                 id="series-times-int"),
+])
+def test_library_input_checks(call, error, match):
+    # the library's own refusals, which the CLI never reaches (its bounds
+    # refuse a negative window first): a negative scan window, divisor or
+    # curve vectors of the wrong length, a q-series times a number
+    with pytest.raises(error, match=match):
+        call(get_fixture("quadric_p4_d2"))

@@ -10,11 +10,11 @@ import pytest
 from dtseries.localization import (
     IntegralityError,
     Linearization,
-    OracleError,
     ToricSurfaceModel,
-    ZeroWeightError,
     _cell_layout,
     _chart_scalars,
+    _draw_point,
+    _generic,
     _weight_tables,
     chart_product,
     co_series,
@@ -26,6 +26,7 @@ from dtseries import localization
 from dtseries.geometry import ModelError
 from dtseries.qseries import euler_product
 from oracle_reference import (
+    VanishingWeightError,
     bundle_weights,
     cell_weight_tables,
     chart_closed_forms,
@@ -211,11 +212,18 @@ def hook_weight_tables(model, lin, n_max, at):
 
 
 def _outcome(tables, *args):
-    # the tables, or "zero" where a tangent weight vanished at the point
+    # the reference's tables, or "zero" where a tangent weight vanished at
+    # the point, cell by cell
     try:
         return tables(*args)
-    except ZeroWeightError:
+    except VanishingWeightError:
         return "zero"
+
+
+def _oracle_outcome(model, lin, n_max, at):
+    # the oracle's tables, or "zero" where `_generic` refuses the point
+    scalars = _chart_scalars(model, lin, at)
+    return _weight_tables(scalars, _cell_layout(n_max)) if _generic(scalars, n_max) else "zero"
 
 
 def _same_outcome(got, want):
@@ -259,8 +267,8 @@ def _fan_models(*fans):
 def test_chart_coordinates_match_torus_reference():
     # every chart of P2, P1xP1, F1 and F2, partitions up to n = 6: the
     # oracle's tables equal the reference's torus-vector evaluation up to
-    # one common factor per entry, or both meet a vanishing tangent
-    # weight, at random points and equivalent divisors a_k + <m, v_k> small
+    # one common factor per entry, or `_generic` refuses the point exactly
+    # where the reference meets a vanishing tangent weight, at random points and equivalent divisors a_k + <m, v_k> small
     # enough to make class weights vanish too
     rng = random.Random(6)
     seen = set()
@@ -271,7 +279,7 @@ def test_chart_coordinates_match_torus_reference():
                       Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                 moved = equivalent_divisor(model, lin, (rng.randint(-2, 2), rng.randint(-2, 2)))
                 want = _outcome(weight_tables, model, moved, 6, at)
-                assert _same_outcome(_outcome(hook_weight_tables, model, moved, 6, at), want)
+                assert _same_outcome(_oracle_outcome(model, moved, 6, at), want)
                 seen.add(_kind(want))
             at = (Fraction(7919, 13), Fraction(-104729, 17))
             assert _same_ratios(hook_weight_tables(model, lin, 6, at),
@@ -301,9 +309,9 @@ def test_each_chart_is_carlsson_okounkov_on_the_plane():
 def test_hook_tables_match_cell_by_cell_reference():
     # the hook tables against the per-cell walk they replace, for n <= 7 on
     # every chart of P2, P1xP1, F1 and F2: tables equal up to one common
-    # factor per entry, or a vanishing tangent weight on both sides, at
-    # points and equivalent divisors small enough to make class weights
-    # vanish too
+    # factor per entry, or `_generic` refuses the point exactly where the
+    # reference meets a vanishing tangent weight, at points and equivalent
+    # divisors small enough to make class weights vanish too
     rng = random.Random(11)
     seen = set()
     for model in _fan_models(P2_FAN, P1XP1_FAN, F1_FAN, F2_FAN):
@@ -317,7 +325,7 @@ def test_hook_tables_match_cell_by_cell_reference():
                 m = (rng.randint(-3, 3), rng.randint(-3, 3)) if rng.random() < 0.5 else (0, 0)
                 moved = equivalent_divisor(model, lin, m)
                 want = _outcome(cell_weight_tables, _chart_scalars(model, moved, at), n_max)
-                assert _same_outcome(_outcome(hook_weight_tables, model, moved, n_max, at), want)
+                assert _same_outcome(_oracle_outcome(model, moved, n_max, at), want)
                 seen.add(_kind(want))
     assert seen == {"tables", "vanishing", "zero"}
 
@@ -515,24 +523,21 @@ def test_co_series_multiplies_zero_class_weights_on_generated_fans(monkeypatch):
     # most with a class weight that is the zero vector at the bundle's own
     # divisor: the values are prod (1-q^k)^(-delta) by the reference's own
     # recurrence, the trace's terms for n <= 3 are the direct walk's, and
-    # co_series draws one pair of points, one more per tangent weight that
-    # vanishes at a drawn point
-    draw, tables = localization._draw_point, localization._weight_tables
-    draws, vanished = [], []
+    # co_series draws one pair of points, one more per pair `_generic`
+    # rejects
+    draw, generic = localization._draw_point, localization._generic
+    draws, verdicts = [], []
 
     def counted_draw(rng):
         draws.append(1)
         return draw(rng)
 
-    def counted_tables(scalars, layout):
-        try:
-            return tables(scalars, layout)
-        except ZeroWeightError:
-            vanished.append(1)
-            raise
+    def counted_generic(scalars, n_max):
+        verdicts.append(generic(scalars, n_max))
+        return verdicts[-1]
 
     monkeypatch.setattr(localization, "_draw_point", counted_draw)
-    monkeypatch.setattr(localization, "_weight_tables", counted_tables)
+    monkeypatch.setattr(localization, "_generic", counted_generic)
     rng = random.Random(2024)
     with_zero = 0
     for seed in range(300):
@@ -543,9 +548,9 @@ def test_co_series_multiplies_zero_class_weights_on_generated_fans(monkeypatch):
         lin = model.bundles["D"]
         with_zero += _has_zero_class_vector(model, lin, n_max)
         draws.clear()
-        vanished.clear()
+        verdicts.clear()
         res = co_series(model, lin, n_max, seed=seed)
-        assert len(draws) == 2 * (1 + len(vanished))
+        assert len(draws) == 2 * (1 + verdicts.count(False))
         assert list(res.values) == euler_power(-fan_delta(rays, divisor), n_max)
         depth = min(n_max, 3)
         assert trace_terms(model, lin, depth, res.eval_points[0]) == [
@@ -585,10 +590,42 @@ def test_structural_zero_matches_torus_reference():
 
 def test_integrate_zero_weight_at_eval_point():
     # partition (1,1) has tangent weight (-1,1), which vanishes on the
-    # diagonal; a tangent weight is the one kind whose zero is an error
+    # diagonal: `_generic` refuses the point from n = 2 on, the reference's
+    # torus vectors meet the zero there, and the oracle's sums, whose
+    # precondition the point breaks, divide by it; a tangent weight is the
+    # one kind whose zero makes a point unusable
     model, at = p1xp1(), (Fraction(1), Fraction(1))
-    with pytest.raises(ZeroWeightError, match="tangent weight"):
-        fixed_point_series(model, model.bundles["L"], 2, at)
+    lin = model.bundles["L"]
+    assert _generic(_chart_scalars(model, lin, at), 1)
+    assert weight_tables(model, lin, 1, at)
+    assert not _generic(_chart_scalars(model, lin, at), 2)
+    with pytest.raises(VanishingWeightError, match="tangent weight"):
+        weight_tables(model, lin, 2, at)
+    with pytest.raises(ZeroDivisionError):
+        fixed_point_series(model, lin, 2, at)
+    with pytest.raises(ZeroDivisionError):
+        trace_terms(model, lin, 2, at)
+
+
+def test_generic_matches_cell_by_cell_reference():
+    # the closed form against the reference's cell-by-cell walk on 3,000
+    # generated fans, n_max 1..10, every other point a small integer point,
+    # where tangent weights often vanish, and the rest drawn as co_series
+    # draws them: `_generic` refuses a point exactly where the walk meets a
+    # vanishing tangent weight
+    rng = random.Random(3)
+    refused = 0
+    for case in range(3000):
+        rays = random_fan(rng)
+        n_max = rng.randint(1, 10)
+        model = ToricSurfaceModel("fan", rays, {"0": Linearization("0", (0,) * len(rays), ())})
+        at = ((Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))) if case % 2
+              else _draw_point(rng))
+        scalars = _chart_scalars(model, model.bundles["0"], at)
+        zero = _outcome(cell_weight_tables, scalars, n_max) == "zero"
+        assert _generic(scalars, n_max) != zero, (rays, at, n_max)
+        refused += zero
+    assert refused == 1284
 
 
 def test_integrate_structural_zero_weight():
@@ -789,11 +826,25 @@ def test_co_series_independent_of_torus_basis(A):
                 assert co_series(moved, moved.bundles[key], 8, seed=seed).values == want
 
 
-def test_co_series_no_attempts_raises(monkeypatch):
-    monkeypatch.setattr(localization, "MAX_ATTEMPTS", 0)
-    model = p2()
-    with pytest.raises(OracleError):
-        co_series(model, model.bundles["L"], 1)
+@pytest.mark.parametrize("make, n_max, seed", [
+    *((make, 12, seed) for make in (p2, p1xp1) for seed in (1916, 3086, 5543)),
+    (p2, 12, 10818),
+    (p1xp1, 12, 3779),
+    *((make, 4, seed) for make in (p2, p1xp1) for seed in (13646, 15193)),
+])
+def test_co_series_redraws_a_rejected_pair(make, n_max, seed):
+    # at these seeds a tangent weight vanishes, by the reference's torus
+    # vectors, at a point of the first pair drawn: co_series evaluates at
+    # the second pair, the third and fourth draws, and its values are
+    # prod (1-q^k)^(-delta) there as anywhere
+    model = make()
+    lin = model.bundles["L"]
+    rng = random.Random(seed)
+    first = [_draw_point(rng) for _ in range(2)]
+    assert "zero" in [_outcome(weight_tables, model, lin, n_max, at) for at in first]
+    res = co_series(model, lin, n_max, seed=seed)
+    assert res.eval_points == (_draw_point(rng), _draw_point(rng))
+    assert list(res.values) == euler_power(-fan_delta(model.rays, lin.divisor), n_max)
 
 
 # ---------------------------------------------------------------------------
