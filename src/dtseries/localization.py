@@ -32,8 +32,12 @@ product of the two class weights of each, divided by their gcd, and then
 that chart's partition products.  So a table holds each partition's ratio
 co/tan with a common factor removed, not the raw products: where the
 bundle's weight is zero, each class weight is its tangent weight and every
-entry is 1.  `_generic` tests, in closed form, that no tangent weight of
-those hooks vanishes at the point; `co_series` draws until both its points
+entry is 1.  A pair in lowest terms is the ratio itself, so charts with
+equal hook tables, every chart where the bundle's weight is zero among
+them, have equal partition tables: `co_series` builds each distinct one
+once per call, for all its charts at both points, and sums it once per
+point.  `_generic` tests, in closed form, that no tangent weight of those
+hooks vanishes at the point; `co_series` draws until both its points
 pass.  Class weights are numerators only (Atiyah-Bott), so one that is
 zero, at the point or as a vector, makes its hook's pair (0, 1), and every
 fixed point through that hook adds 0.  A partition's products are
@@ -48,7 +52,12 @@ Exactness of the arithmetic plus a degree count make every coefficient an
 integer independent of the evaluation point and of the linearization;
 integrality and independence of the point are rechecked at runtime, and
 the tests cover the linearization through equivalent divisors
-a_k + <m, v_k>.
+a_k + <m, v_k>.  The first point is short, integers up to 99, so its
+tables hold smaller integers and sum faster; the second is drawn from
+numerators up to 9999 over denominators up to 60.  Every weight is linear
+in the point, so the values there depend on its ratio x : y alone, and a
+wrong model's chance of agreeing at both points is set by the second
+point's draw.
 `trace_terms` lists the fixed points' terms one by one, read from the same
 tables: one walk lists every n up to n_max, each point by its nonempty
 charts only, so its cost grows with the points, not with the charts.  The
@@ -238,7 +247,7 @@ def _generic(scalars, n_max):
     return all(P * Q < 0 or abs(P) + abs(Q) > n_max * gcd(P, Q) for P, Q, _, _ in scalars)
 
 
-def _weight_tables(scalars, layout):
+def _weight_tables(scalars, layout, built):
     """Evaluate all per-partition weight products as exact integers.
 
     `scalars` are the `_chart_scalars` of one evaluation point, which must
@@ -259,6 +268,14 @@ def _weight_tables(scalars, layout):
     point or as the zero vector, is multiplied like any other: the gcd
     step makes its hook's pair (0, 1), so every partition through that
     hook has the co entry 0.
+
+    A pair in lowest terms is the ratio itself, so charts with equal hook
+    tables have equal partition tables, whatever the point: every chart
+    where the bundle's weight is (0, 0) has the pair (1, 1) at every hook.
+    `built` maps hook tables to the partition tables built from them, and
+    each chart takes its pair of tables from there, building and adding
+    it only when it is new; so every chart, at every point evaluated with
+    the same dict, shares one table object per distinct hook table.
     """
     n_max = len(layout)
     stride = n_max + 1
@@ -275,12 +292,19 @@ def _weight_tables(scalars, layout):
                 g = gcd(tp, cp) if tp > 0 else -gcd(tp, cp)
                 tan_hooks[l * stride + a] = tp // g
                 co_hooks[l * stride + a] = cp // g
-        for hooks, tables in ((co_hooks, co_tables), (tan_hooks, tan_tables)):
-            table = [[1]]
-            for size in layout:
-                table.append([prod(map(hooks.__getitem__, row)) * table[k][i]
-                              for row, k, i in size])
-            tables.append(table)
+        key = (*co_hooks, *tan_hooks)
+        if key not in built:
+            tables = []
+            for hooks in (co_hooks, tan_hooks):
+                table = [[1]]
+                for size in layout:
+                    table.append([prod(map(hooks.__getitem__, row)) * table[k][i]
+                                  for row, k, i in size])
+                tables.append(table)
+            built[key] = tables
+        co_table, tan_table = built[key]
+        co_tables.append(co_table)
+        tan_tables.append(tan_table)
     return co_tables, tan_tables
 
 
@@ -309,24 +333,31 @@ def chart_product(co_tables, tan_tables, n_max):
     Each Z_c[k] is one exact sum over a common denominator (`_exact_sum`);
     a chart's sizes are then put over the lcm of their denominators, so the
     product over charts is a convolution of integers over the product of
-    those lcms, and only the n_max + 1 results become Fractions.
+    those lcms, and only the n_max + 1 results become Fractions.  Charts
+    that share their table objects (`_weight_tables`) share one Z_c, summed
+    once.
     """
     total, den = [1] + [0] * n_max, 1
+    factors = {}
     for co_rows, tan_rows in zip(co_tables, tan_tables):
-        sums = [_exact_sum(co_rows[k], tan_rows[k]) for k in range(n_max + 1)]
-        d = lcm(*(q for _, q in sums))
-        z = [p * (d // q) for p, q in sums]
+        key = id(co_rows), id(tan_rows)
+        if key not in factors:
+            sums = [_exact_sum(co_rows[k], tan_rows[k]) for k in range(n_max + 1)]
+            d = lcm(*(q for _, q in sums))
+            factors[key] = [p * (d // q) for p, q in sums], d
+        z, d = factors[key]
         total = [sum(map(mul, total[:n + 1], z[n::-1])) for n in range(n_max + 1)]
         den *= d
     return [Fraction(t, den) for t in total]
 
 
-def _series_values(scalars, layout):
+def _series_values(scalars, layout, built):
     """Integrals over S^[n] for n = 0..n_max from one chart-factored pass,
-    on prebuilt `_chart_scalars` and `_cell_layout(n_max)`.  Each exact
+    on prebuilt `_chart_scalars` and `_cell_layout(n_max)`, taking tables
+    from and adding them to `built` (`_weight_tables`).  Each exact
     result must be an integer; the first that is not raises
     IntegralityError."""
-    co_tables, tan_tables = _weight_tables(scalars, layout)
+    co_tables, tan_tables = _weight_tables(scalars, layout, built)
     values = []
     for n, v in enumerate(chart_product(co_tables, tan_tables, len(layout))):
         if v.denominator != 1:
@@ -352,7 +383,7 @@ def trace_terms(model, lin, n_max, at):
     choices, chart 0's varying slowest, and the walk nests once per
     nonempty chart, at most n_max + 1 deep."""
     layout = _cell_layout(n_max)
-    co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at), layout)
+    co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at), layout, {})
     parts = [[()]]
     for size in layout:
         parts.append([(len(row), *parts[k][i]) for row, k, i in size])
@@ -371,9 +402,13 @@ def trace_terms(model, lin, n_max, at):
     return by_n
 
 
-def _draw_point(rng):
-    x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 60))
-    y = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 60))
+def _draw_point(rng, numer, denom):
+    """A point (x, y), each coordinate a sign, a numerator 1..numer and a
+    denominator 1..denom drawn in that order: `co_series` draws its first
+    point as integers, (99, 1), and its second from the wide set
+    (9999, 60)."""
+    x = Fraction(rng.choice((-1, 1)) * rng.randint(1, numer), rng.randint(1, denom))
+    y = Fraction(rng.choice((-1, 1)) * rng.randint(1, numer), rng.randint(1, denom))
     return (x, y)
 
 
@@ -388,22 +423,30 @@ class CoSeriesResult(Record):
 def co_series(model, lin, n_max, seed=0):
     """Integrals for n = 0..n_max at two independent evaluation points.
 
-    Pairs are drawn until both points are generic (`_generic`); the others
-    lie on finitely many lines through the origin, so the first pair nearly
-    always is.  A class weight that vanishes is a zero factor, not a reason
-    to redraw.  The sums are exact, so two generic points of a consistent
-    model agree: the first disagreement comes from the model and raises
-    OracleError.
+    A pair is a short point, integers with |x|, |y| <= 99, whose values are
+    the ones returned and traced and the cheaper to sum, and a point from
+    the wide set, numerators up to 9999 over denominators up to 60
+    (`_draw_point`).  Pairs are drawn until both points are generic
+    (`_generic`); the others lie on finitely many lines through the origin,
+    so few pairs are refused.  A class weight that vanishes is a zero
+    factor, not a reason to redraw.  Both points take their tables from one
+    dict (`_weight_tables`), so each distinct table is built once per call.
+    The sums are exact, so two generic points of a consistent model agree:
+    the first disagreement comes from the model and raises OracleError;
+    a wrong model is a non-constant function of the ratio x : y, and the
+    chance that it takes the first point's value at the second is set by
+    the second point's draw alone.
     """
     rng = random.Random(seed)
     t0 = time.perf_counter()
     layout = _cell_layout(n_max)
     while True:
-        p, q = _draw_point(rng), _draw_point(rng)
+        p, q = _draw_point(rng, 99, 1), _draw_point(rng, 9999, 60)
         at_p, at_q = _chart_scalars(model, lin, p), _chart_scalars(model, lin, q)
         if _generic(at_p, n_max) and _generic(at_q, n_max):
             break
-    vals_p, vals_q = _series_values(at_p, layout), _series_values(at_q, layout)
+    built = {}
+    vals_p, vals_q = _series_values(at_p, layout, built), _series_values(at_q, layout, built)
     if vals_p != vals_q:
         raise OracleError("evaluation points disagree; model data is inconsistent")
     return CoSeriesResult(

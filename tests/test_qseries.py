@@ -191,6 +191,10 @@ def test_qseries_is_a_frozen_value():
     assert (a.offset, a.coeffs) == (Fraction(-1, 2), (1, 0, 3))
 
 
+def test_qseries_repr():
+    assert repr(QSeries(Fraction(-1, 2), [1, 0, -3])) == "QSeries(offset=-1/2, coeffs=(1, 0, -3))"
+
+
 def test_mul_truncation_is_min_order():
     a = QSeries(0, [1, 1, 1, 1, 1])
     b = QSeries(0, [1, -1])
