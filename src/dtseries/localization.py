@@ -30,23 +30,22 @@ A cell's two weights depend only on its hook (leg l, arm a), so
 l + a + 1 <= n_max, holding the product of the two tangent weights and the
 product of the two class weights of each, divided by their gcd, and then
 that chart's partition products.  So a table holds each partition's ratio
-co/tan with a common factor removed, not the raw products: where the
-bundle's weight is zero, each class weight is its tangent weight and every
-entry is 1.  A pair in lowest terms is the ratio itself, so charts with
-equal hook tables, every chart where the bundle's weight is zero among
-them, have equal partition tables: `co_series` builds each distinct one
-once per call, for all its charts at both points, and sums it once per
-point.  `_generic` tests, in closed form, that no tangent weight of those
-hooks vanishes at the point; `co_series` draws until both its points
-pass.  Class weights are numerators only (Atiyah-Bott), so one that is
-zero, at the point or as a vector, makes its hook's pair (0, 1), and every
-fixed point through that hook adds 0.  A partition's products are
-products of its cells' entries, built row on row from one cell layout that
-`co_series` makes once per call (removing a partition's first row changes
-no other cell's hook); the layout is the oracle's only enumeration of
-partitions, each size in `_cell_layout` order.  Each Z_c[k] is one
-exact sum over a common denominator, and the product over charts is a
-convolution of integers, so no Fraction is made per partition.
+co/tan with a common factor removed, not the raw products.  Where the
+bundle's weight s_i*P + s_j*Q is zero at the point, whatever its entries,
+each class weight is its tangent weight and every ratio is 1: that chart
+gets no table, and its Z_c[k] is the number of partitions of k, read off
+the cell layout.  `_generic` tests, in closed form, that no tangent weight
+of those hooks vanishes at the point; `co_series` draws until both its
+points pass.  Class weights are numerators only (Atiyah-Bott), so one
+that is zero, at the point or as a vector, makes its hook's pair (0, 1),
+and every fixed point through that hook adds 0.  A partition's products
+are products of its cells' entries, built row on row from one cell layout
+that `co_series` makes once per call (removing a partition's first row
+changes no other cell's hook); the layout is the oracle's only
+enumeration of partitions, each size in `_cell_layout` order.  Every
+other Z_c[k] is one exact sum over a common denominator, and the product
+over charts is a convolution of integers, so no Fraction is made per
+partition.
 
 Exactness of the arithmetic plus a degree count make every coefficient an
 integer independent of the evaluation point and of the linearization;
@@ -68,6 +67,7 @@ the independent reference.
 import random
 import time
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -247,16 +247,20 @@ def _generic(scalars, n_max):
     return all(P * Q < 0 or abs(P) + abs(Q) > n_max * gcd(P, Q) for P, Q, _, _ in scalars)
 
 
-def _weight_tables(scalars, layout, built):
+def _weight_tables(scalars, layout):
     """Evaluate all per-partition weight products as exact integers.
 
     `scalars` are the `_chart_scalars` of one evaluation point, which must
     be generic (`_generic`): at any other point a tangent entry is 0 and
     the sums that read the tables raise ZeroDivisionError.  `layout` is
     `_cell_layout(n_max)`.  Returns co_tables, tan_tables
-    indexed [chart][size][partition], for sizes 0..n_max.  Denominators of
-    the evaluation point cancel between the co and tangent products (both
-    have rank 2n), so the tables hold the cleared integer values x*P + y*Q.
+    indexed [chart][size][partition], for sizes 0..n_max, with None for
+    both at a chart where the bundle's weight s_i*P + s_j*Q is 0 at the
+    point: there each class weight is its tangent weight, every
+    partition's ratio is 1, and the chart is counted, not tabulated
+    (`chart_product`, `trace_terms`).  Denominators of the evaluation
+    point cancel between the co and tangent products (both have rank 2n),
+    so the tables hold the cleared integer values x*P + y*Q.
 
     Chart by chart, the product of the two tangent weights and the product
     of the two class weights of every hook (l, a) with l + a + 1 <= n_max,
@@ -268,20 +272,16 @@ def _weight_tables(scalars, layout, built):
     point or as the zero vector, is multiplied like any other: the gcd
     step makes its hook's pair (0, 1), so every partition through that
     hook has the co entry 0.
-
-    A pair in lowest terms is the ratio itself, so charts with equal hook
-    tables have equal partition tables, whatever the point: every chart
-    where the bundle's weight is (0, 0) has the pair (1, 1) at every hook.
-    `built` maps hook tables to the partition tables built from them, and
-    each chart takes its pair of tables from there, building and adding
-    it only when it is new; so every chart, at every point evaluated with
-    the same dict, shares one table object per distinct hook table.
     """
     n_max = len(layout)
     stride = n_max + 1
     co_tables, tan_tables = [], []
     for P, Q, si, sj in scalars:
         base_val = si * P + sj * Q
+        if not base_val:
+            co_tables.append(None)
+            tan_tables.append(None)
+            continue
         co_hooks, tan_hooks = [None] * (stride * stride), [None] * (stride * stride)
         for l in range(n_max):
             for a in range(n_max - l):
@@ -292,19 +292,12 @@ def _weight_tables(scalars, layout, built):
                 g = gcd(tp, cp) if tp > 0 else -gcd(tp, cp)
                 tan_hooks[l * stride + a] = tp // g
                 co_hooks[l * stride + a] = cp // g
-        key = (*co_hooks, *tan_hooks)
-        if key not in built:
-            tables = []
-            for hooks in (co_hooks, tan_hooks):
-                table = [[1]]
-                for size in layout:
-                    table.append([prod(map(hooks.__getitem__, row)) * table[k][i]
-                                  for row, k, i in size])
-                tables.append(table)
-            built[key] = tables
-        co_table, tan_table = built[key]
-        co_tables.append(co_table)
-        tan_tables.append(tan_table)
+        for hooks, tables in ((co_hooks, co_tables), (tan_hooks, tan_tables)):
+            table = [[1]]
+            for size in layout:
+                table.append([prod(map(hooks.__getitem__, row)) * table[k][i]
+                              for row, k, i in size])
+            tables.append(table)
     return co_tables, tan_tables
 
 
@@ -325,41 +318,43 @@ def _exact_sum(nums, dens):
     return num // g, den // g
 
 
-def chart_product(co_tables, tan_tables, n_max):
+def chart_product(co_tables, tan_tables, counts):
     """Coefficients 0..n_max of prod_c Z_c(q), Z_c[k] = sum co/tan over the
     partitions of k in chart c: for each n, the sum of prod co/prod tan over
-    all chart assignments of total size n, as exact Fractions.
+    all chart assignments of total size n, as exact Fractions.  `counts`
+    holds the number of partitions of each size 0..n_max, and is Z_c over
+    the denominator 1 at a chart whose tables are None (`_weight_tables`:
+    every ratio there is 1).
 
-    Each Z_c[k] is one exact sum over a common denominator (`_exact_sum`);
-    a chart's sizes are then put over the lcm of their denominators, so the
-    product over charts is a convolution of integers over the product of
-    those lcms, and only the n_max + 1 results become Fractions.  Charts
-    that share their table objects (`_weight_tables`) share one Z_c, summed
-    once.
+    Each other Z_c[k] is one exact sum over a common denominator
+    (`_exact_sum`); a chart's sizes are then put over the lcm of their
+    denominators, so the product over charts is a convolution of integers
+    over the product of those lcms, and only the n_max + 1 results become
+    Fractions.
     """
+    n_max = len(counts) - 1
     total, den = [1] + [0] * n_max, 1
-    factors = {}
     for co_rows, tan_rows in zip(co_tables, tan_tables):
-        key = id(co_rows), id(tan_rows)
-        if key not in factors:
+        if co_rows is None:
+            z, d = counts, 1
+        else:
             sums = [_exact_sum(co_rows[k], tan_rows[k]) for k in range(n_max + 1)]
             d = lcm(*(q for _, q in sums))
-            factors[key] = [p * (d // q) for p, q in sums], d
-        z, d = factors[key]
+            z = [p * (d // q) for p, q in sums]
         total = [sum(map(mul, total[:n + 1], z[n::-1])) for n in range(n_max + 1)]
         den *= d
     return [Fraction(t, den) for t in total]
 
 
-def _series_values(scalars, layout, built):
+def _series_values(scalars, layout):
     """Integrals over S^[n] for n = 0..n_max from one chart-factored pass,
-    on prebuilt `_chart_scalars` and `_cell_layout(n_max)`, taking tables
-    from and adding them to `built` (`_weight_tables`).  Each exact
-    result must be an integer; the first that is not raises
-    IntegralityError."""
-    co_tables, tan_tables = _weight_tables(scalars, layout, built)
+    on prebuilt `_chart_scalars` and `_cell_layout(n_max)`, whose sizes
+    give the partition counts of the charts `_weight_tables` leaves
+    untabulated.  Each exact result must be an integer; the first that is
+    not raises IntegralityError."""
+    co_tables, tan_tables = _weight_tables(scalars, layout)
     values = []
-    for n, v in enumerate(chart_product(co_tables, tan_tables, len(layout))):
+    for n, v in enumerate(chart_product(co_tables, tan_tables, [1, *map(len, layout)])):
         if v.denominator != 1:
             raise IntegralityError(f"fixed-point sum {v} is not an integer (n={n})")
         values.append(v.numerator)
@@ -372,9 +367,11 @@ def trace_terms(model, lin, n_max, at):
     point is the tuple of its nonempty charts, each as (chart, partition),
     and its term is the product over them of the partition's class product
     over its tangent product, read from the tables `co_series` sums, built
-    once at n_max, so `at` must be generic (`_generic`) at n_max.  Each
-    partition is rebuilt from the cell layout, its first row's length on
-    the smaller partition the layout points to.
+    once at n_max, so `at` must be generic (`_generic`) at n_max.  A chart
+    without tables, where the bundle's weight is 0 at the point, gives
+    every partition the factor 1.  Each partition is rebuilt from the cell
+    layout, its first row's length on the smaller partition the layout
+    points to.
 
     Each point is listed, then extended by one more nonempty chart after
     its last one: from the last chart down, each chart's sizes ascending,
@@ -383,7 +380,7 @@ def trace_terms(model, lin, n_max, at):
     choices, chart 0's varying slowest, and the walk nests once per
     nonempty chart, at most n_max + 1 deep."""
     layout = _cell_layout(n_max)
-    co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at), layout, {})
+    co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at), layout)
     parts = [[()]]
     for size in layout:
         parts.append([(len(row), *parts[k][i]) for row, k, i in size])
@@ -394,8 +391,10 @@ def trace_terms(model, lin, n_max, at):
         if size == n_max:
             return
         for c in range(len(co_tables) - 1, after, -1):
+            co_rows, tan_rows = co_tables[c], tan_tables[c]
             for k in range(1, n_max - size + 1):
-                for lam, co, tan in zip(parts[k], co_tables[c][k], tan_tables[c][k]):
+                factors = repeat((1, 1)) if co_rows is None else zip(co_rows[k], tan_rows[k])
+                for lam, (co, tan) in zip(parts[k], factors):
                     walk(charts + ((c, lam),), size + k, num * co, den * tan, c)
 
     walk((), 0, 1, 1, -1)
@@ -429,8 +428,8 @@ def co_series(model, lin, n_max, seed=0):
     (`_draw_point`).  Pairs are drawn until both points are generic
     (`_generic`); the others lie on finitely many lines through the origin,
     so few pairs are refused.  A class weight that vanishes is a zero
-    factor, not a reason to redraw.  Both points take their tables from one
-    dict (`_weight_tables`), so each distinct table is built once per call.
+    factor, not a reason to redraw.  At each point, a chart where the
+    bundle's weight is 0 is counted, not tabulated (`_weight_tables`).
     The sums are exact, so two generic points of a consistent model agree:
     the first disagreement comes from the model and raises OracleError;
     a wrong model is a non-constant function of the ratio x : y, and the
@@ -445,8 +444,7 @@ def co_series(model, lin, n_max, seed=0):
         at_p, at_q = _chart_scalars(model, lin, p), _chart_scalars(model, lin, q)
         if _generic(at_p, n_max) and _generic(at_q, n_max):
             break
-    built = {}
-    vals_p, vals_q = _series_values(at_p, layout, built), _series_values(at_q, layout, built)
+    vals_p, vals_q = _series_values(at_p, layout), _series_values(at_q, layout)
     if vals_p != vals_q:
         raise OracleError("evaluation points disagree; model data is inconsistent")
     return CoSeriesResult(

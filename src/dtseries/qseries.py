@@ -154,11 +154,12 @@ def euler_product(e, order):
     each run holds 36 terms.
 
     The division by n is exact; a nonzero remainder raises ArithmeticError.
-    That catches a recurrence weight off by a constant, but not a slip that
-    computes another integer power: a flipped - run gives a power of
-    1 + q + q^2 + q^5 + q^7 + ... (every pentagonal sign +), and e k for
-    (e + 1) k gives f^(e-1).  The expansions in the tests are the check
-    there.
+    So a non-integral e is refused there (for order >= 2): at n = 1 the sum
+    is -e.  The check catches a recurrence weight off by a constant, but
+    not a slip that computes another integer power: a flipped - run gives
+    a power of 1 + q + q^2 + q^5 + q^7 + ... (every pentagonal sign +), and
+    e k for (e + 1) k gives f^(e-1).  The expansions in the tests are the
+    check there.
     """
     if order < 1:
         raise ValueError("order must be positive")

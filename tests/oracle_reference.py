@@ -118,7 +118,7 @@ def hilb_fixed_points(num_charts, n):
 
 def fixed_point_series(model, lin, n_max, at):
     """The oracle's integrals over S^[n], n = 0..n_max, at the point `at`."""
-    return _series_values(_chart_scalars(model, lin, at), _cell_layout(n_max), {})
+    return _series_values(_chart_scalars(model, lin, at), _cell_layout(n_max))
 
 
 def equivalent_divisor(model, lin, m):

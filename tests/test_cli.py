@@ -637,7 +637,7 @@ def test_oracle_stops_at_its_first_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(localization, "_draw_point",
                         lambda rng, *bounds: draws.append(1) or draw(rng, *bounds))
     monkeypatch.setattr(localization, "_series_values",
-                        lambda scalars, layout, built: [1, scalars[0][0]])
+                        lambda scalars, layout: [1, scalars[0][0]])
     code, out, err = run(capsys, "verify", "--fixture", "quadric_p4_d2", "--nmax", "1")
     assert (code, out, len(draws)) == (EXIT_MISMATCH, "", 2)
     assert err == "error: evaluation points disagree; model data is inconsistent\n"

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -206,9 +206,19 @@ def test_tangent_weights_conjugate_symmetry():
             assert sorted(hook_pairs(parts)) == swapped
 
 
+def _counted_as_ones(tables, n_max):
+    # the oracle's tables, each chart it counts instead of tabulating
+    # (None) written out as the ratio 1 at every partition, shaped by the
+    # reference's partition_list
+    ones = [[1] * len(partition_list(k)) for k in range(n_max + 1)]
+    return tuple([ones if rows is None else rows for rows in side] for side in tables)
+
+
 def hook_weight_tables(model, lin, n_max, at):
-    """The oracle's tables, from the hook tables over one cell layout."""
-    return _weight_tables(_chart_scalars(model, lin, at), _cell_layout(n_max), {})
+    """The oracle's tables, from the hook tables over one cell layout, with
+    its counted charts written out as tables of ones."""
+    return _counted_as_ones(_weight_tables(_chart_scalars(model, lin, at), _cell_layout(n_max)),
+                            n_max)
 
 
 def _outcome(tables, *args):
@@ -223,7 +233,9 @@ def _outcome(tables, *args):
 def _oracle_outcome(model, lin, n_max, at):
     # the oracle's tables, or "zero" where `_generic` refuses the point
     scalars = _chart_scalars(model, lin, at)
-    return _weight_tables(scalars, _cell_layout(n_max), {}) if _generic(scalars, n_max) else "zero"
+    if not _generic(scalars, n_max):
+        return "zero"
+    return _counted_as_ones(_weight_tables(scalars, _cell_layout(n_max)), n_max)
 
 
 def _same_outcome(got, want):
@@ -332,20 +344,28 @@ def test_hook_tables_match_cell_by_cell_reference():
 
 def test_zero_weight_charts_cancel_to_one():
     # where the bundle's weight is zero each class weight is its tangent
-    # weight, so every hook's pair, and every partition's entry, cancels to
-    # 1: on every chart of the trivial bundle on P2 and P1xP1, n <= 8, and
-    # on chart 0 of their L, whose other charts have nonzero weight
+    # weight, so every partition's ratio cancels to 1: the reference's
+    # class and tangent products are equal entry by entry there and only
+    # there, and the oracle builds no table for those charts and a table
+    # not all 1 for the others; on every chart of the trivial bundle on P2
+    # and P1xP1, n <= 8, and on chart 0 of their L, whose other charts have
+    # nonzero weight
     for model in (p2(), p1xp1()):
         for key, zero in (("trivial", [True] * model.euler),
                           ("L", [True] + [False] * (model.euler - 1))):
             lin = model.bundles[key]
             scalars = _chart_scalars(model, lin, AT)
             assert [(si, sj) == (0, 0) for _, _, si, sj in scalars] == zero
-            co_tables, tan_tables = hook_weight_tables(model, lin, 8, AT)
+            ref_co, ref_tan = weight_tables(model, lin, 8, AT)
+            co_tables, tan_tables = _weight_tables(scalars, _cell_layout(8))
             for c, (co_rows, tan_rows) in enumerate(zip(co_tables, tan_tables)):
+                assert (ref_co[c] == ref_tan[c]) == zero[c], (model.name, key, c)
+                if zero[c]:
+                    assert co_rows is None and tan_rows is None
+                    continue
                 assert [len(row) for row in co_rows] == [len(partition_list(k)) for k in range(9)]
-                assert all(v == 1 for rows in (co_rows, tan_rows) for row in rows
-                           for v in row) == zero[c], (model.name, key, c)
+                assert not all(v == 1 for rows in (co_rows, tan_rows) for row in rows
+                               for v in row), (model.name, key, c)
 
 
 def test_one_cell_entries_are_coprime():
@@ -796,16 +816,19 @@ def test_co_series_matches_reference_tables(monkeypatch):
         calls += [((model, model.bundles["D"]), seed), ((model, model.bundles["D"]), seed + 1)]
     got = [co_series(m, lin, 5, seed=seed) for (m, lin), seed in calls]
 
-    def reference_tables(scalars, layout, built):
+    def reference_tables(scalars, layout):
         return cell_weight_tables(scalars, len(layout))
 
+    def reference_product(co_tables, tan_tables, counts):
+        return fraction_chart_product(co_tables, tan_tables, len(counts) - 1)
+
     # zero class products among the seeded calls and among the fans' calls
-    zeros = [any(0 in row for rows in _weight_tables(_chart_scalars(m, lin, r.eval_points[0]),
-                                                     _cell_layout(5), {})[0] for row in rows)
+    zeros = [any(0 in row for rows in hook_weight_tables(m, lin, 5, r.eval_points[0])[0]
+                 for row in rows)
              for ((m, lin), _), r in zip(calls, got)]
     assert any(zeros[:240]) and any(zeros[240:])
     monkeypatch.setattr(localization, "_weight_tables", reference_tables)
-    monkeypatch.setattr(localization, "chart_product", fraction_chart_product)
+    monkeypatch.setattr(localization, "chart_product", reference_product)
     want = [co_series(m, lin, 5, seed=seed) for (m, lin), seed in calls]
     assert [(r.values, r.eval_points) for r in got] == [(r.values, r.eval_points) for r in want]
 
@@ -824,16 +847,17 @@ def _reference_generic_pair(rng, model, lin, n_max):
         refused += 1
 
 
-def test_zero_weight_charts_share_one_table_of_ones():
+def test_zero_weight_charts_are_counted_not_tabulated():
     # 150 seeded fans, divisor entries in -3..3 with the two at one random
-    # cone set to 0, n_max <= 10, evaluated at two generic points with one
-    # dict: at every chart whose divisor entries are (0, 0), the reference's
-    # class and tangent products are equal entry by entry, the oracle's
-    # tables hold 1 at every entry, and all such charts at both points take
-    # the same two table objects
+    # cone set to 0, n_max <= 10, at the first pair of points the per-cell
+    # reference accepts: at every chart where the bundle's weight, a torus
+    # vector of the reference, vanishes at the point, the reference's class
+    # and tangent products are equal entry by entry, and `_weight_tables`
+    # builds no table there and one at every other chart; co_series is
+    # prod (1-q^k)^(-delta) on every fan
     rng = random.Random(38)
     zero_charts = 0
-    for _ in range(150):
+    for case in range(150):
         rays = random_fan(rng)
         divisor = [rng.randint(-3, 3) for _ in rays]
         k = rng.randrange(len(rays))
@@ -841,46 +865,105 @@ def test_zero_weight_charts_share_one_table_of_ones():
         lin = Linearization("D", tuple(divisor), ())
         model = ToricSurfaceModel("fan", rays, {"D": lin})
         n_max = rng.randint(0, 10)
-        ones = [[1] * len(partition_list(k)) for k in range(n_max + 1)]
         pair, reference, _ = _reference_generic_pair(rng, model, lin, n_max)
-        layout, built, shared = _cell_layout(n_max), {}, set()
-        for at, (ref_co, ref_tan) in zip(pair, reference):
-            co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, at), layout, built)
-            for c, (i, j) in enumerate(model.cones):
-                if divisor[i] == divisor[j] == 0:
+        layout = _cell_layout(n_max)
+        for (x, y), (ref_co, ref_tan) in zip(pair, reference):
+            co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, (x, y)), layout)
+            for c, (bx, by) in enumerate(bundle_weights(model, lin)):
+                zero = bx * x + by * y == 0
+                assert (co_tables[c] is None) == (tan_tables[c] is None) == zero
+                if zero:
                     assert ref_co[c] == ref_tan[c]
-                    assert co_tables[c] == tan_tables[c] == ones
-                    shared.add((id(co_tables[c]), id(tan_tables[c])))
-                    zero_charts += 1
-        assert len(shared) == 1
+                zero_charts += zero
+        res = co_series(model, lin, n_max, seed=case)
+        assert list(res.values) == euler_power(-fan_delta(rays, divisor), n_max)
     assert zero_charts > 300
 
 
-def test_co_series_builds_each_distinct_table_once(monkeypatch):
+def test_co_series_sums_nothing_where_every_weight_is_zero(monkeypatch):
     # P2's trivial bundle has the weight (0, 0) at all three charts: one
-    # co_series call at n = 12 builds one pair of partition tables for all
-    # charts at both points, and chart_product sums it once per point
+    # co_series call at n = 12 builds no partition table and runs no exact
+    # sum at either point (a table per chart and point would take 26), and
+    # its values are prod (1-q^k)^(-3)
     weight_tables, exact_sum = localization._weight_tables, localization._exact_sum
-    tables, sums = [], []
+    tables, sums, products = [], [], []
 
-    def recorded_tables(scalars, layout, built):
-        tables.append(weight_tables(scalars, layout, built))
+    def recorded_tables(scalars, layout):
+        tables.append(weight_tables(scalars, layout))
         return tables[-1]
 
     def counted_sum(nums, dens):
         sums.append(1)
         return exact_sum(nums, dens)
 
+    def counted_prod(factors):
+        # the oracle's one use of prod: a first row's hook entries
+        products.append(1)
+        return prod(factors)
+
     monkeypatch.setattr(localization, "_weight_tables", recorded_tables)
     monkeypatch.setattr(localization, "_exact_sum", counted_sum)
+    monkeypatch.setattr(localization, "prod", counted_prod)
     model = p2()
     lin = model.bundles["trivial"]
     res = co_series(model, lin, 12, seed=0)
+    assert res.values == (1, 3, 9, 22, 51, 108, 221, 429, 810, 1479, 2640, 4599, 7868)
     assert list(res.values) == euler_power(-fan_delta(model.rays, lin.divisor), 12)
-    assert len(tables) == 2
-    for side in (0, 1):
-        assert len({id(t) for point in tables for t in point[side]}) == 1
-    assert len(sums) == 2 * 13
+    assert tables == [([None] * 3, [None] * 3)] * 2
+    assert sums == products == []
+
+
+def test_weight_zero_at_the_point_is_counted_whatever_the_entries(monkeypatch):
+    # 40 seeded fans, each with one cone whose divisor entries (s_i, s_j)
+    # are not (0, 0) but make the bundle's weight s_i*P + s_j*Q vanish at an
+    # integer point where P*Q < 0, so that chart is generic there: the
+    # oracle counts that chart, whose class and tangent products the
+    # per-cell reference finds equal, and its values and trace at the
+    # point, and co_series evaluated there and at another point of its
+    # line, equal the per-cell reference's
+    rng = random.Random(39)
+    cases = 0
+    while cases < 40:
+        rays = random_fan(rng)
+        c = rng.randrange(len(rays))
+        i, j = c, (c + 1) % len(rays)
+        (w1, w2) = dual_basis(ToricSurfaceModel("fan", rays, {}))[c]
+        x, y = rng.randint(-99, 99), rng.randint(-99, 99)
+        P, Q = w1[0] * x + w1[1] * y, w2[0] * x + w2[1] * y
+        if P * Q >= 0:
+            continue
+        divisor = [rng.randint(-3, 3) for _ in rays]
+        divisor[i], divisor[j] = Q // gcd(P, Q), -P // gcd(P, Q)
+        lin = Linearization("D", tuple(divisor), ())
+        model = ToricSurfaceModel("fan", rays, {"D": lin})
+        n_max = rng.randint(1, 6)
+        at = (Fraction(x), Fraction(y))
+        bx, by = bundle_weights(model, lin)[c]
+        assert (bx, by) != (0, 0) and bx * x + by * y == 0
+        scalars = _chart_scalars(model, lin, at)
+        reference = _outcome(cell_weight_tables, scalars, n_max)
+        if reference == "zero":
+            # a tangent weight of another chart vanishes at the point
+            continue
+        ref_co, ref_tan = reference
+        co_tables, tan_tables = _weight_tables(scalars, _cell_layout(n_max))
+        assert co_tables[c] is None and tan_tables[c] is None
+        assert ref_co[c] == ref_tan[c]
+        want = fraction_chart_product(ref_co, ref_tan, n_max)
+        assert fixed_point_series(model, lin, n_max, at) == want
+        assert want == euler_power(-fan_delta(rays, divisor), n_max)
+        depth = min(n_max, 3)
+        assert trace_terms(model, lin, depth, at) == [
+            [{"point": nonempty_charts(r["point"]), "term": r["term"]}
+             for r in direct_trace_terms(model, lin, n, at)]
+            for n in range(depth + 1)
+        ]
+        pair = (at, (at[0] * Fraction(-7, 3), at[1] * Fraction(-7, 3)))
+        points = iter(pair)
+        monkeypatch.setattr(localization, "_draw_point", lambda rng, *bounds: next(points))
+        res = co_series(model, lin, n_max)
+        assert res.eval_points == pair and list(res.values) == want
+        cases += 1
 
 
 def test_co_series_draws_a_short_first_point():
@@ -957,34 +1040,47 @@ def test_co_series_redraws_a_rejected_pair(make, n_max, seed):
 
 
 def _oracle_sum(co_tables, tan_tables, n):
-    """Direct Fraction-arithmetic evaluation of the composition sum."""
+    """Direct Fraction-arithmetic evaluation of the composition sum; a
+    chart without tables has the ratio 1 at each of the reference's
+    partitions."""
     num_charts = len(co_tables)
+
+    def row_sum(chart, k):
+        if co_tables[chart] is None:
+            return sum(Fraction(1) for _ in partition_list(k))
+        return sum(Fraction(a, b) for a, b in zip(co_tables[chart][k], tan_tables[chart][k]))
 
     def walk(chart, remaining):
         if chart == num_charts - 1:
-            row_c = co_tables[chart][remaining]
-            row_t = tan_tables[chart][remaining]
-            return sum(Fraction(a, b) for a, b in zip(row_c, row_t))
+            return row_sum(chart, remaining)
         total = Fraction(0)
         for k in range(remaining + 1):
-            row_c = co_tables[chart][k]
-            row_t = tan_tables[chart][k]
-            inner = walk(chart + 1, remaining - k)
-            total += sum(Fraction(a, b) for a, b in zip(row_c, row_t)) * inner
+            total += row_sum(chart, k) * walk(chart + 1, remaining - k)
         return total
 
     return walk(0, n)
 
 
+def _counts(n_max):
+    return [len(partition_list(k)) for k in range(n_max + 1)]
+
+
 def test_chart_product_matches_direct_sum():
-    # one call gives every n <= n_max; each must equal the composition sum
+    # one call gives every n <= n_max; each must equal the composition sum,
+    # with about one chart in three counted (no tables) among them
     rng = random.Random(77)
+    counted = 0
     for _ in range(15):
         num_charts = rng.randint(1, 3)
         n_max = rng.randint(0, 4)
         co_tables = []
         tan_tables = []
         for _c in range(num_charts):
+            if rng.random() < 1 / 3:
+                co_tables.append(None)
+                tan_tables.append(None)
+                counted += 1
+                continue
             co_rows = []
             tan_rows = []
             for k in range(n_max + 1):
@@ -995,8 +1091,9 @@ def test_chart_product_matches_direct_sum():
                 )
             co_tables.append(co_rows)
             tan_tables.append(tan_rows)
-        got = chart_product(co_tables, tan_tables, n_max)
+        got = chart_product(co_tables, tan_tables, _counts(n_max))
         assert got == [_oracle_sum(co_tables, tan_tables, n) for n in range(n_max + 1)]
+    assert counted > 0
 
 
 def test_chart_product_matches_fraction_reference():
@@ -1013,10 +1110,10 @@ def test_chart_product_matches_fraction_reference():
         tan_tables = [[[rng.choice((-1, 1)) * rng.randint(1, 10**4) for _ in range(w)]
                        for w in widths] for _c in range(num_charts)]
         signs.update(t > 0 for rows in tan_tables for row in rows for t in row)
-        assert chart_product(co_tables, tan_tables, n_max) == fraction_chart_product(
+        assert chart_product(co_tables, tan_tables, _counts(n_max)) == fraction_chart_product(
             co_tables, tan_tables, n_max)
     assert signs == {True, False}
 
 
 def test_chart_product_single_cell():
-    assert chart_product([[[4]]], [[[8]]], 0) == [Fraction(1, 2)]
+    assert chart_product([[[4]]], [[[8]]], [1]) == [Fraction(1, 2)]

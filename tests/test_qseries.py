@@ -71,6 +71,14 @@ def test_euler_product_edge_cases():
             euler_product(3, order)
 
 
+def test_euler_product_refuses_a_non_integral_exponent():
+    # the Miller recurrence's divisibility check: at n = 1 the sum is -e,
+    # which leaves a remainder for any non-integral e
+    for e, s in ((Fraction(1, 2), "-1/2"), (Fraction(-1, 3), "1/3")):
+        with pytest.raises(ArithmeticError, match=f"^Miller recurrence: {s} is not divisible by 1$"):
+            euler_product(e, 3)
+
+
 def test_ramanujan_tau_closed_forms():
     # Delta = q * prod (1 - q^k)^24 = sum tau(n) q^n
     coeffs = euler_product(24, 600).coeffs
