@@ -108,9 +108,6 @@ class QSeries(Record):
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O({power(p + self.order * d)})"
 
-    def __repr__(self):
-        return f"QSeries(offset={frac_str(self.offset)}, coeffs={self.coeffs!r})"
-
     def to_json_dict(self):
         return {
             "offset": frac_str(self.offset),

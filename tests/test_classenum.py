@@ -332,7 +332,9 @@ def test_enumerate_beta_cubic_matches_e6_theta():
     S = get_fixture("cubic_p4_d3").surface
 
     def counts(gamma, levels):
-        return [len(enumerate_beta(S, (gamma,), b)) for b in levels]
+        lists = [enumerate_beta(S, (gamma,), b) for b in levels]
+        assert all(got == sorted(set(got)) for got in lists)
+        return [len(got) for got in lists]
 
     # d = 3 at n = (3 - beta^2)/2: 1, 72, 270, 720, ...
     levels = range(3, 3 - 2 * 13, -2)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import dtseries
 from dtseries.cli import (
     EXIT_BAD_INPUT,
     EXIT_BROKEN_PIPE,
@@ -34,6 +35,11 @@ from dtseries.fixtures import BUILTIN, fixture_to_dict, get_fixture, save_fixtur
 from dtseries.localization import ToricSurfaceModel
 from dtseries.qseries import euler_product, frac_str
 from oracle_reference import direct_trace_terms, nonempty_charts, random_fan
+
+# the sys.path entry this process imported dtseries from: src/ in a checkout,
+# site-packages once the package is installed; the subprocess tests put it
+# first on their path, so they run the same copy as the in-process ones
+PACKAGE_PATH = str(Path(dtseries.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -420,15 +426,15 @@ def test_oracle_seed_changes_points_not_values(capsys):
 def test_oracle_trace_file(capsys, tmp_path):
     path = tmp_path / "trace.json"
     code, out, _ = run(
-        capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "2",
+        capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "3",
         "--trace", str(path), "--format", "json",
     )
     assert code == EXIT_OK
     trace = json.loads(path.read_text())
-    assert [entry["n"] for entry in trace] == [0, 1, 2]
-    terms = trace[2]["terms"]
-    assert len(terms) == 14
-    assert sum(Fraction(t["term"]) for t in terms) == 65
+    assert [entry["n"] for entry in trace] == [0, 1, 2, 3]
+    assert [len(entry["terms"]) for entry in trace] == [1, 4, 14, 40]
+    assert [sum(Fraction(t["term"]) for t in entry["terms"]) for entry in trace] == [
+        1, 10, 65, 330]
     # term for term the reference walk over every cell of every fixed
     # point, at the evaluation point the command prints, with each point's
     # empty charts dropped
@@ -439,7 +445,7 @@ def test_oracle_trace_file(capsys, tmp_path):
         {"n": n, "terms": [{"point": [[c, list(lam)] for c, lam in nonempty_charts(r["point"])],
                             "term": frac_str(r["term"])}
                            for r in direct_trace_terms(model, model.bundles["L"], n, at)]}
-        for n in range(3)
+        for n in range(4)
     ]
 
 
@@ -523,7 +529,7 @@ def test_oracle_trace_on_many_charts_needs_no_nesting_per_chart(capsys, tmp_path
     proc = subprocess.run(
         [sys.executable, "-c", child, "oracle", "--fixture", path, "--nmax", "1",
          "--trace", str(trace), "--format", "json"],
-        capture_output=True, text=True, env=_src_env(), timeout=120,
+        capture_output=True, text=True, env=_package_env(), timeout=120,
     )
     assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["values"] == [1, 205]
@@ -1186,7 +1192,7 @@ def test_deeply_nested_gram_exits_bad_input(tmp_path, depth, reason):
                     encoding="utf-8")
     for cmd in ("check", "series"):
         proc = subprocess.run([sys.executable, "-m", "dtseries.cli", cmd, "--fixture", str(path)],
-                              capture_output=True, text=True, env=_src_env(), timeout=120)
+                              capture_output=True, text=True, env=_package_env(), timeout=120)
         assert proc.returncode == EXIT_BAD_INPUT, proc.stderr[-500:]
         assert proc.stdout == ""
         assert proc.stderr == f"error: {reason}\n"
@@ -1399,10 +1405,10 @@ def test_blowup_in_another_surface_basis_through_json(capsys, tmp_path, name, U,
     assert rows > 0
 
 
-def _src_env(**extra):
-    src = str(Path(__file__).resolve().parent.parent / "src")
+def _package_env(**extra):
     env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env["PYTHONPATH"] = PACKAGE_PATH + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return env
 
 
@@ -1431,7 +1437,7 @@ def test_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         fresh = subprocess.run(
             [sys.executable, "-m", "dtseries.cli", *argv], capture_output=True, text=True,
-            env=_src_env(COLUMNS=str(columns)), timeout=120,
+            env=_package_env(COLUMNS=str(columns)), timeout=120,
         )
         assert code == want, argv
         assert (code, out, _without_oracle_time(err)) == (
@@ -1460,8 +1466,6 @@ def test_series_and_verify_resolve_the_same_convention(capsys, name, gamma):
 
 
 def test_package_exports_are_the_module_objects():
-    import dtseries
-
     assert len(set(dtseries.__all__)) == len(dtseries.__all__) == 24
     for name in dtseries.__all__:
         obj = getattr(dtseries, name)
@@ -1476,13 +1480,15 @@ def test_package_exports_are_the_module_objects():
 
 
 # Run in a fresh interpreter, since pytest itself loads dataclasses,
-# inspect and typing.  -I -S leave out site-packages, so an import outside
-# the standard library fails; -W error with -X warn_default_encoding fails
-# any text open that leaves the encoding to the locale (fixture and trace
-# JSON is UTF-8).  save_fixture with series on its file, and oracle --trace,
-# run both text opens in the package.  The child prints what it found on
-# its first line before it asserts, so each import guard below reads its
-# own finding from the one child.
+# inspect and typing.  -I -S leave out site-packages and PYTHONPATH, and the
+# child adds only PACKAGE_PATH (site-packages itself once installed), so the
+# guards read which modules from outside the standard library it loaded.
+# -W error with -X warn_default_encoding fails any text open that leaves
+# the encoding to the locale (fixture and trace JSON is UTF-8).
+# save_fixture with series on its file, and oracle --trace, run both text
+# opens in the package.  The child prints what it found on its first line
+# before it asserts, so each import guard below reads its own finding from
+# the one child.
 STDLIB_ONLY_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -1505,10 +1511,9 @@ assert cli.main(["oracle", "--fixture", "quadric_p4_d2", "--nmax", "3", "--trace
 
 @pytest.fixture(scope="module")
 def stdlib_child(tmp_path_factory):
-    src = str(Path(__file__).resolve().parent.parent / "src")
     return subprocess.run(
         [sys.executable, "-I", "-S", "-X", "warn_default_encoding", "-W", "error",
-         "-c", STDLIB_ONLY_CHILD, src],
+         "-c", STDLIB_ONLY_CHILD, PACKAGE_PATH],
         cwd=tmp_path_factory.mktemp("stdlib"), capture_output=True, text=True, timeout=120,
     )
 
@@ -1560,7 +1565,7 @@ def test_closed_pipe_exits_broken_pipe_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-S", "-W", "error", "-m", "dtseries.cli", "series",
          "--fixture", "quadric_p4_d2", "--gamma", "ell", "--order", "1500", "--window", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_package_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()

@@ -779,6 +779,10 @@ def test_co_series_values_and_metadata():
     assert res.seed == 0
     assert set(res.asdict()) == {"values", "n_max", "eval_points", "seed", "elapsed"}
     assert res.elapsed >= 0
+    # a divisor with a negative entry, outside the model's bundles: a class
+    # weight is the zero vector, and the values are prod (1-q^k)^(-2)
+    res = co_series(model, Linearization("n", (0, 0, -1, 0), (0, 0)), 6)
+    assert res.values == (1, 2, 5, 10, 20, 36, 65)
 
 
 def test_co_series_deterministic_per_seed():

@@ -200,7 +200,8 @@ def test_qseries_is_a_frozen_value():
 
 
 def test_qseries_repr():
-    assert repr(QSeries(Fraction(-1, 2), [1, 0, -3])) == "QSeries(offset=-1/2, coeffs=(1, 0, -3))"
+    assert repr(QSeries(Fraction(-1, 2), [1, 0, -3])) == (
+        "QSeries(offset=Fraction(-1, 2), coeffs=(1, 0, -3))")
 
 
 def test_mul_truncation_is_min_order():
