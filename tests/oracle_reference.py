@@ -29,27 +29,40 @@ Every reference here takes its partitions from `partitions`, a recursive
 generator, and `partition_list`, its cached tuples, not from the oracle's
 `_cell_layout`, so the references share no partition code with the
 oracle they check.
-`fixed_point_series` composes the oracle's `_series_values` from its
-chart scalars and cell layout, for the tests that want the integrals at
-one given point.
+`first_vanishing_weight` walks the tangent weights in `weight_tables`
+order and stops at the first that vanishes at the point, which is how the
+tests show that a pair of points is refused.
 
 `random_fan` generates smooth complete fans by toric blow-ups, and
 `fan_delta` reads e - K.D + D^2 off a fan without the oracle's model.
 `chart_closed_forms` is Carlsson-Okounkov's product on C^2, chart by chart,
 which each chart's series in the oracle's tables must equal; the oracle's
-summation does not use it.
+summation does not use it.  `oracle_corpus` is the seeded set of cases,
+built once per session, over which each property of the oracle is
+asserted once.
+
+Besides `co_series` and `trace_terms`, the tests import only these
+internals of `dtseries.localization`, most of them here behind the helper
+named: `_cell_layout`, `_chart_scalars`, `_draw_point` (`draw_pair`),
+`_generic` (`oracle_generic`), `_series_values` (`fixed_point_series`)
+and `_weight_tables` (`oracle_tables`).
 """
 
 import random
-
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from dtseries.localization import (
     Linearization,
+    ToricSurfaceModel,
     _cell_layout,
     _chart_scalars,
+    _draw_point,
+    _generic,
     _series_values,
+    _weight_tables,
 )
 
 
@@ -155,10 +168,16 @@ def dual_basis(model):
     """Per cone (i, j), the torus basis (w1, w2) dual to the rays (v_i, v_j):
     <w1, v_i> = <w2, v_j> = 1 and <w1, v_j> = <w2, v_i> = 0.  Each vector is
     found by a search over the integer vectors whose entries are no larger
-    than the rays' (a unimodular 2x2 matrix's inverse has its entries)."""
+    than the rays' (a unimodular 2x2 matrix's inverse has its entries), once
+    per fan."""
+    return _dual_basis(model.rays, model.cones)
+
+
+@lru_cache(maxsize=None)
+def _dual_basis(rays, cones):
     out = []
-    for i, j in model.cones:
-        vi, vj = model.rays[i], model.rays[j]
+    for i, j in cones:
+        vi, vj = rays[i], rays[j]
         m = max(map(abs, vi + vj))
         box = [(x, y) for x in range(-m, m + 1) for y in range(-m, m + 1)]
 
@@ -229,19 +248,23 @@ def co_class_weights(point, model, lin):
     return out
 
 
+def _scaled(at):
+    """The point (x, y) times the product of its coordinates' denominators,
+    as two integers."""
+    x, y = Fraction(at[0]), Fraction(at[1])
+    return x.numerator * y.denominator, y.numerator * x.denominator
+
+
 def weight_tables(model, lin, n_max, at):
     """Per-partition products of tangent and class weights, indexed
     [chart][size][partition], each weight evaluated at `at` scaled by the
     product of its coordinates' denominators.  Sizes ascending, charts
     within a size, cells row by row; a tangent weight that vanishes raises
     VanishingWeightError, and a class weight that vanishes is multiplied."""
-    x, y = Fraction(at[0]), Fraction(at[1])
-    scale = x.denominator * y.denominator
+    X, Y = _scaled(at)
 
     def value(w):
-        v = (w[0] * x + w[1] * y) * scale
-        assert v.denominator == 1
-        return v.numerator
+        return w[0] * X + w[1] * Y
 
     bases = bundle_weights(model, lin)
     charts = dual_basis(model)
@@ -263,6 +286,28 @@ def weight_tables(model, lin, n_max, at):
             co_tables[c].append(co_row)
             tan_tables[c].append(tan_row)
     return co_tables, tan_tables
+
+
+def first_vanishing_weight(model, lin, n_max, at):
+    """The first tangent weight of S^[k], k <= n_max, that is 0 at `at`, as
+    a torus vector, or None: in `weight_tables` order, walking only the
+    charts where a weight of a hook with l + a + 1 <= n_max vanishes.
+    `lin` is not read; tangent weights do not depend on the bundle."""
+    X, Y = _scaled(at)
+    live = []
+    for w1, w2 in dual_basis(model):
+        P, Q = w1[0] * X + w1[1] * Y, w2[0] * X + w2[1] * Y
+        # the corner's weights are -l*w1 + (a+1)*w2 and (l+1)*w1 - a*w2
+        if any(not (a + 1) * Q - l * P or not (l + 1) * P - a * Q
+               for l in range(n_max) for a in range(n_max - l)):
+            live.append((w1, w2))
+    for k in range(1, n_max + 1):
+        for chart in live:
+            for parts in partition_list(k):
+                for t in tangent_weights(parts, chart):
+                    if not t[0] * X + t[1] * Y:
+                        return t
+    return None
 
 
 def cell_weight_tables(scalars, n_max):
@@ -343,14 +388,16 @@ def fan_delta(rays, divisor):
 def euler_power(alpha, n_max):
     """Coefficients 0..n_max of prod_k (1-q^k)^alpha for a rational alpha,
     in Fractions: g = prod_k (1-q^k) multiplied out, then J. C. P. Miller's
-    recurrence for g^alpha, n f_n = sum_(k=1..n) ((alpha+1) k - n) g_k f_(n-k)."""
+    recurrence for g^alpha, n f_n = sum_(k=1..n) ((alpha+1) k - n) g_k f_(n-k),
+    summed over the few k with g_k != 0."""
     g = [1] + [0] * n_max
     for k in range(1, n_max + 1):
         for i in range(n_max, k - 1, -1):
             g[i] -= g[i - k]
+    terms = [k for k in range(1, n_max + 1) if g[k]]
     f = [Fraction(1)]
     for n in range(1, n_max + 1):
-        f.append(sum(((alpha + 1) * k - n) * g[k] * f[n - k] for k in range(1, n + 1)) / n)
+        f.append(sum(((alpha + 1) * k - n) * g[k] * f[n - k] for k in terms if k <= n) / n)
     return f
 
 
@@ -363,3 +410,98 @@ def chart_closed_forms(model, lin, n_max, at):
         m = si * P + sj * Q
         out.append(euler_power(Fraction(-(m + P) * (m + Q), P * Q), n_max))
     return out
+
+
+def oracle_tables(model, lin, n_max, at):
+    """The oracle's hook tables at `at`: `_weight_tables` on the point's
+    `_chart_scalars` and `_cell_layout(n_max)`, None at a counted chart."""
+    return _weight_tables(_chart_scalars(model, lin, at), _cell_layout(n_max))
+
+
+def oracle_generic(model, lin, n_max, at):
+    """Whether the oracle's `_generic` accepts `at` at n_max."""
+    return _generic(_chart_scalars(model, lin, at), n_max)
+
+
+def reference_tables(model, lin, n_max, at):
+    """`cell_weight_tables` at `at`, or None where a tangent weight vanishes."""
+    try:
+        return cell_weight_tables(_chart_scalars(model, lin, at), n_max)
+    except VanishingWeightError:
+        return None
+
+
+OracleCase = namedtuple("OracleCase", "kind model lin n_max seed refused pair own tables")
+
+
+CORPUS_KINDS = ("divisor", "character", "zero entries", "zero weight")
+
+SMALL_POINTS = tuple((Fraction(x), Fraction(y)) for x in range(-4, 5) for y in range(-4, 5)
+                     if x or y)
+
+
+def draw_pair(rng):
+    """The next pair of points `co_series` draws from `rng`: a short point,
+    then a wide one (`_draw_point`)."""
+    return (_draw_point(rng, 99, 1), _draw_point(rng, 9999, 60))
+
+
+def _weight_zero_at_an_integer_point(rng, rays, divisor, n_max):
+    """Set one cone's divisor entries to (Q/g, -P/g), g = gcd(P, Q), for
+    an integer point with P = <w1, at>, Q = <w2, at>, P*Q < 0 there and no
+    vanishing tangent weight; return it and its multiple by -7/3."""
+    fan = ToricSurfaceModel("fan", rays, {})
+    while True:
+        c = rng.randrange(len(rays))
+        (w1, w2) = dual_basis(fan)[c]
+        x, y = rng.randint(-99, 99), rng.randint(-99, 99)
+        P, Q = w1[0] * x + w1[1] * y, w2[0] * x + w2[1] * y
+        at = (Fraction(x), Fraction(y))
+        if P * Q < 0 and first_vanishing_weight(fan, None, n_max, at) is None:
+            g = gcd(P, Q)
+            divisor[c], divisor[(c + 1) % len(rays)] = Q // g, -P // g
+            return at, (at[0] * Fraction(-7, 3), at[1] * Fraction(-7, 3))
+
+
+@lru_cache(maxsize=None)
+def oracle_corpus():
+    """The seeded cases every oracle property is asserted over, built once.
+
+    Each case is a `random_fan` fan of 3-10 rays with divisor entries in
+    -3..3, n_max in 0..10 (12 for one case in 16), and a kind, in turn:
+    "divisor" as drawn; "character", moved by a torus character in -6..6,
+    which makes class weights the zero vector; "zero entries", one cone's
+    set to (0, 0); "zero weight", one cone's nonzero entries making the
+    bundle's weight vanish at an integer point, which with its multiple by
+    -7/3 are the case's `own` points (`_weight_zero_at_an_integer_point`).
+    Any other case's own point is a nonzero integer point in -4..4, where
+    tangent weights often vanish.  `refused` are the pairs `draw_pair`
+    draws from random.Random(seed) before `pair`, the first at which the
+    per-cell walk meets no vanishing tangent weight, and `tables` maps each
+    point of the case to its `reference_tables`."""
+    rng = random.Random(41)
+    cases = []
+    for seed in range(160):
+        kind = CORPUS_KINDS[seed % 4]
+        rays = random_fan(rng, blowups=6)
+        divisor = [rng.randint(-3, 3) for _ in rays]
+        n_max = 12 if seed % 16 == 15 else rng.randint(0, 10)
+        own = (_weight_zero_at_an_integer_point(rng, rays, divisor, n_max)
+               if kind == "zero weight" else (rng.choice(SMALL_POINTS),))
+        if kind == "zero entries":
+            c = rng.randrange(len(rays))
+            divisor[c] = divisor[(c + 1) % len(rays)] = 0
+        model = ToricSurfaceModel("fan", rays, {"D": Linearization("D", tuple(divisor), ())})
+        lin = model.bundles["D"]
+        if kind == "character":
+            lin = equivalent_divisor(model, lin, (rng.randint(-6, 6), rng.randint(-6, 6)))
+        tables = {at: reference_tables(model, lin, n_max, at) for at in own}
+        draws, refused = random.Random(seed), []
+        while True:
+            pair = draw_pair(draws)
+            tables.update((at, reference_tables(model, lin, n_max, at)) for at in pair)
+            if all(tables[at] is not None for at in pair):
+                break
+            refused.append(pair)
+        cases.append(OracleCase(kind, model, lin, n_max, seed, tuple(refused), pair, own, tables))
+    return tuple(cases)

@@ -1,7 +1,9 @@
 """Tests for the equivariant residue oracle on Hilbert schemes of points."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, prod
 
@@ -11,11 +13,7 @@ from dtseries.localization import (
     IntegralityError,
     Linearization,
     ToricSurfaceModel,
-    _cell_layout,
     _chart_scalars,
-    _draw_point,
-    _generic,
-    _weight_tables,
     chart_product,
     co_series,
     p1xp1,
@@ -33,15 +31,20 @@ from oracle_reference import (
     co_class_weights,
     conjugate,
     direct_trace_terms,
+    draw_pair,
     dual_basis,
     equivalent_divisor,
     euler_power,
     fan_delta,
+    first_vanishing_weight,
     fixed_point_series,
     fraction_chart_product,
     hilb_fixed_points,
     hook_pairs,
     nonempty_charts,
+    oracle_corpus,
+    oracle_generic,
+    oracle_tables,
     partition_list,
     random_fan,
     tangent_weights,
@@ -215,10 +218,8 @@ def _counted_as_ones(tables, n_max):
 
 
 def hook_weight_tables(model, lin, n_max, at):
-    """The oracle's tables, from the hook tables over one cell layout, with
-    its counted charts written out as tables of ones."""
-    return _counted_as_ones(_weight_tables(_chart_scalars(model, lin, at), _cell_layout(n_max)),
-                            n_max)
+    """The oracle's tables, its counted charts written out as tables of ones."""
+    return _counted_as_ones(oracle_tables(model, lin, n_max, at), n_max)
 
 
 def _outcome(tables, *args):
@@ -232,10 +233,9 @@ def _outcome(tables, *args):
 
 def _oracle_outcome(model, lin, n_max, at):
     # the oracle's tables, or "zero" where `_generic` refuses the point
-    scalars = _chart_scalars(model, lin, at)
-    if not _generic(scalars, n_max):
+    if not oracle_generic(model, lin, n_max, at):
         return "zero"
-    return _counted_as_ones(_weight_tables(scalars, _cell_layout(n_max)), n_max)
+    return hook_weight_tables(model, lin, n_max, at)
 
 
 def _same_outcome(got, want):
@@ -357,7 +357,7 @@ def test_zero_weight_charts_cancel_to_one():
             scalars = _chart_scalars(model, lin, AT)
             assert [(si, sj) == (0, 0) for _, _, si, sj in scalars] == zero
             ref_co, ref_tan = weight_tables(model, lin, 8, AT)
-            co_tables, tan_tables = _weight_tables(scalars, _cell_layout(8))
+            co_tables, tan_tables = oracle_tables(model, lin, 8, AT)
             for c, (co_rows, tan_rows) in enumerate(zip(co_tables, tan_tables)):
                 assert (ref_co[c] == ref_tan[c]) == zero[c], (model.name, key, c)
                 if zero[c]:
@@ -413,7 +413,7 @@ def test_co_class_weights_rank_two_n():
         assert len(ws) == 6
 
 
-def test_co_class_weights_structural_zero():
+def test_zero_class_vector_makes_the_hook_pair_0_1():
     # the trivial bundle moved by the character (0, -1) is the divisor
     # (0, -1, 0, 1): its class weight at the box of chart 0 is the box
     # weight (0, 1) plus (0, -1), the zero vector, which the reference lists
@@ -432,13 +432,13 @@ def test_co_class_weights_structural_zero():
 # integrals
 
 
-def test_integrate_p1xp1_degree_11():
+def test_p1xp1_integrals_of_o11():
     model = p1xp1()
     lin = model.bundles["L"]
     assert fixed_point_series(model, lin, 3, AT) == [1, 10, 65, 330]
 
 
-def test_integrate_p1xp1_trivial_counts_fixed_points():
+def test_p1xp1_trivial_bundle_counts_fixed_points():
     # with the trivial bundle the class weights equal the tangent weights,
     # so every term is 1 and the integral is the fixed point count
     model = p1xp1()
@@ -446,18 +446,18 @@ def test_integrate_p1xp1_trivial_counts_fixed_points():
     assert fixed_point_series(model, lin, 4, AT) == [1, 4, 14, 40, 105]
 
 
-def test_integrate_p2():
+def test_p2_integrals():
     model = p2()
     assert fixed_point_series(model, model.bundles["L"], 3, AT) == [1, 7, 35, 140]
     assert fixed_point_series(model, model.bundles["trivial"], 3, AT) == [1, 3, 9, 22]
 
 
-def test_integrate_returns_int():
+def test_integrals_are_ints():
     val = fixed_point_series(p2(), p2().bundles["L"], 2, AT)[2]
     assert type(val) is int and val == 35
 
 
-def test_integrate_eval_point_invariance():
+def test_integrals_independent_of_the_point():
     model = p1xp1()
     lin = model.bundles["L"]
     points = [(Fraction(3), Fraction(5)), (Fraction(-9, 7), Fraction(22, 3)), AT]
@@ -465,15 +465,15 @@ def test_integrate_eval_point_invariance():
     assert vals == {330}
 
 
-def test_integrate_shift_invariance():
+def test_integrals_independent_of_the_character():
     # the equivalent divisors a_k + <m, v_k> linearize one line bundle in
     # other ways: characters far larger than any arm/leg weight, and (0, -1),
     # which makes a class weight the zero vector in chart 0
     model = p2()
     lin = model.bundles["L"]
-    shifts = ((0, 0), (101, 103), (-57, 89), (0, -1))
+    characters = ((0, 0), (101, 103), (-57, 89), (0, -1))
     vals = {fixed_point_series(model, equivalent_divisor(model, lin, m), 3, AT)[3]
-            for m in shifts}
+            for m in characters}
     assert vals == {140}
 
 
@@ -496,7 +496,7 @@ F2_FAN = ((1, 0), (0, 1), (-1, 2), (0, -1))
         pytest.param(F2_FAN, (0, 0, 0, 1), 10, id="f2-D3"),
     ],
 )
-def test_integrate_higher_degree_bundles(fan, divisor, delta):
+def test_higher_degree_bundles_give_the_euler_product(fan, divisor, delta):
     # across the Hirzebruch family and beyond degree 1, the oracle's series is
     # prod (1-q^k)^(-delta) with delta = e(S) - K.D + D^2 read off the fan,
     # by the reference and by the model
@@ -508,107 +508,7 @@ def test_integrate_higher_degree_bundles(fan, divisor, delta):
     assert list(res.values) == [int(c) for c in euler_product(-delta, 6).coeffs]
 
 
-def test_co_series_on_generated_fans():
-    # the same on 60 smooth fans of 3-9 rays, P2 or F_a blown up torically,
-    # each with a random divisor: Carlsson-Okounkov holds on every smooth
-    # projective toric surface and every divisor
-    rng = random.Random(2012)
-    sizes = set()
-    for _ in range(60):
-        rays = random_fan(rng)
-        divisor = tuple(rng.randint(-3, 3) for _ in rays)
-        model = ToricSurfaceModel("fan", rays, {"D": Linearization("D", divisor, ())})
-        e, KD, DD = model.intersection_numbers(divisor)
-        delta = fan_delta(rays, divisor)
-        assert e - KD + DD == delta
-        res = co_series(model, model.bundles["D"], 8, seed=0)
-        assert list(res.values) == [int(c) for c in euler_product(-delta, 9).coeffs]
-        sizes.add(len(rays))
-    assert sizes == set(range(3, 10))
-
-
-def _has_zero_class_vector(model, lin, n_max):
-    # whether some cell of a partition of size <= n_max has, in some chart,
-    # a class weight that is the zero vector: each hook (l, a) with
-    # l + a + 1 <= n_max is the corner of the partition (a+1, 1^l), whose
-    # torus vectors the reference builds
-    hooks = [(a + 1,) + (1,) * l for l in range(n_max) for a in range(n_max - l)]
-    return any((t[0] + b[0], t[1] + b[1]) == (0, 0)
-               for chart, b in zip(dual_basis(model), bundle_weights(model, lin))
-               for parts in hooks for t in tangent_weights(parts, chart))
-
-
-def test_co_series_multiplies_zero_class_weights_on_generated_fans(monkeypatch):
-    # 300 seeded fans of 3-10 rays, divisor entries in -3..3, n_max up to 10,
-    # most with a class weight that is the zero vector at the bundle's own
-    # divisor: the values are prod (1-q^k)^(-delta) by the reference's own
-    # recurrence, the trace's terms for n <= 3 are the direct walk's, and
-    # co_series draws one pair of points, one more per pair `_generic`
-    # rejects
-    draw, generic = localization._draw_point, localization._generic
-    draws, verdicts = [], []
-
-    def counted_draw(rng, numer, denom):
-        draws.append(1)
-        return draw(rng, numer, denom)
-
-    def counted_generic(scalars, n_max):
-        verdicts.append(generic(scalars, n_max))
-        return verdicts[-1]
-
-    monkeypatch.setattr(localization, "_draw_point", counted_draw)
-    monkeypatch.setattr(localization, "_generic", counted_generic)
-    rng = random.Random(2024)
-    with_zero = 0
-    for seed in range(300):
-        rays = random_fan(rng, blowups=6)
-        divisor = tuple(rng.randint(-3, 3) for _ in rays)
-        n_max = rng.randint(0, 10)
-        model = ToricSurfaceModel("fan", rays, {"D": Linearization("D", divisor, ())})
-        lin = model.bundles["D"]
-        with_zero += _has_zero_class_vector(model, lin, n_max)
-        draws.clear()
-        verdicts.clear()
-        res = co_series(model, lin, n_max, seed=seed)
-        assert len(draws) == 2 * (1 + verdicts.count(False))
-        assert list(res.values) == euler_power(-fan_delta(rays, divisor), n_max)
-        depth = min(n_max, 3)
-        assert trace_terms(model, lin, depth, res.eval_points[0]) == [
-            [{"point": nonempty_charts(r["point"]), "term": r["term"]}
-             for r in direct_trace_terms(model, lin, n, res.eval_points[0])]
-            for n in range(depth + 1)
-        ]
-    assert with_zero == 226
-
-
-def test_structural_zero_matches_torus_reference():
-    # on generated fans with divisor entries in -3..3 moved by characters in
-    # -6..6, at a point where no weight that is not the zero vector
-    # vanishes: a partition's class entry in the oracle's table is 0
-    # exactly when co_class_weights lists the zero vector at the fixed
-    # point of S^[k], k <= n_max, with that partition as its one nonempty
-    # chart
-    rng = random.Random(2024)
-    at = (Fraction(7919, 13), Fraction(-104729, 17))
-    seen = set()
-    for _ in range(60):
-        rays = random_fan(rng)
-        model = ToricSurfaceModel("fan", rays, {"D": Linearization(
-            "D", tuple(rng.randint(-3, 3) for _ in rays), ())})
-        lin = equivalent_divisor(model, model.bundles["D"], (rng.randint(-6, 6), rng.randint(-6, 6)))
-        n_max = rng.randint(0, 6)
-        co_tables, _ = hook_weight_tables(model, lin, n_max, at)
-        for c in range(len(rays)):
-            for k in range(1, n_max + 1):
-                for parts, co in zip(partition_list(k), co_tables[c][k]):
-                    point = ((),) * c + (parts,) + ((),) * (len(rays) - c - 1)
-                    want = (0, 0) in co_class_weights(point, model, lin)
-                    assert (co == 0) == want
-                    seen.add(want)
-    assert seen == {True, False}
-
-
-def test_integrate_zero_weight_at_eval_point():
+def test_vanishing_tangent_weight_refuses_the_point():
     # partition (1,1) has tangent weight (-1,1), which vanishes on the
     # diagonal: `_generic` refuses the point from n = 2 on, the reference's
     # torus vectors meet the zero there, and the oracle's sums, whose
@@ -616,9 +516,9 @@ def test_integrate_zero_weight_at_eval_point():
     # one kind whose zero makes a point unusable
     model, at = p1xp1(), (Fraction(1), Fraction(1))
     lin = model.bundles["L"]
-    assert _generic(_chart_scalars(model, lin, at), 1)
+    assert oracle_generic(model, lin, 1, at)
     assert weight_tables(model, lin, 1, at)
-    assert not _generic(_chart_scalars(model, lin, at), 2)
+    assert not oracle_generic(model, lin, 2, at)
     with pytest.raises(VanishingWeightError, match="tangent weight"):
         weight_tables(model, lin, 2, at)
     with pytest.raises(ZeroDivisionError):
@@ -627,28 +527,7 @@ def test_integrate_zero_weight_at_eval_point():
         trace_terms(model, lin, 2, at)
 
 
-def test_generic_matches_cell_by_cell_reference():
-    # the closed form against the reference's cell-by-cell walk on 3,000
-    # generated fans, n_max 1..10, every other point a small integer point,
-    # where tangent weights often vanish, and the rest drawn as co_series
-    # draws its second point: `_generic` refuses a point exactly where the
-    # walk meets a vanishing tangent weight
-    rng = random.Random(3)
-    refused = 0
-    for case in range(3000):
-        rays = random_fan(rng)
-        n_max = rng.randint(1, 10)
-        model = ToricSurfaceModel("fan", rays, {"0": Linearization("0", (0,) * len(rays), ())})
-        at = ((Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))) if case % 2
-              else _draw_point(rng, 9999, 60))
-        scalars = _chart_scalars(model, model.bundles["0"], at)
-        zero = _outcome(cell_weight_tables, scalars, n_max) == "zero"
-        assert _generic(scalars, n_max) != zero, (rays, at, n_max)
-        refused += zero
-    assert refused == 1284
-
-
-def test_integrate_structural_zero_weight():
+def test_zero_class_vector_gives_the_trivial_counts():
     # the trivial bundle moved by (0, -1) has a class weight that is the
     # zero vector, so it vanishes at every point: a zero numerator, and the
     # integrals are the trivial bundle's fixed-point counts at every point
@@ -658,7 +537,7 @@ def test_integrate_structural_zero_weight():
         assert fixed_point_series(model, lin, 4, at) == [1, 4, 14, 40, 105]
 
 
-def test_integrate_class_weight_vanishes_at_point():
+def test_class_weight_vanishing_at_the_point_adds_zero():
     # the trivial bundle moved by (1, 1) turns the box weight (0,1) of
     # chart 0 into (1,2), which dies at (2,-1) and nowhere off the line
     # x + 2y = 0: there the box's class entry is 0, and the integrals are
@@ -697,31 +576,31 @@ def test_trace_terms_sum_to_integral():
     assert [sum(r["term"] for r in rows) for rows in by_n] == [1, 10, 65]
 
 
-@pytest.mark.parametrize("shift", [(0, 0), (101, 103), (0, -1)])
+@pytest.mark.parametrize("m", [(0, 0), (101, 103), (0, -1)])
 @pytest.mark.parametrize("bundle", ["L", "trivial"])
 @pytest.mark.parametrize("make", [p1xp1, p2])
-def test_integrate_equals_fixed_point_walk(make, bundle, shift):
+def test_integrals_equal_the_direct_walk(make, bundle, m):
     # the chart-factored pass against the direct sum over partition tuples,
-    # at the bundle's divisor moved by the character `shift`
+    # at the bundle's equivalent divisor a_k + <m, v_k>
     model = make()
-    lin = equivalent_divisor(model, model.bundles[bundle], shift)
+    lin = equivalent_divisor(model, model.bundles[bundle], m)
     assert fixed_point_series(model, lin, 5, AT) == [
         sum(r["term"] for r in direct_trace_terms(model, lin, n, AT)) for n in range(6)
     ]
 
 
-@pytest.mark.parametrize("shift", [(0, 0), (101, 103), (0, -1)])
-def test_trace_terms_match_direct_walk(shift):
+@pytest.mark.parametrize("m", [(0, 0), (101, 103), (0, -1)])
+def test_trace_terms_match_direct_walk(m):
     # the terms read from the oracle's tables against the reference walk
     # over every cell of every fixed point, its empty charts dropped: the
     # same points in the same order with the same Fractions, for every n
-    # of one call, on P2, P1xP1, F1 and F2 and every bundle, its divisor
-    # moved by the character `shift`
+    # of one call, on P2, P1xP1, F1 and F2 and every bundle, at its
+    # equivalent divisor a_k + <m, v_k>
     models = [p2(), p1xp1(), *_fan_models(F1_FAN, F2_FAN)]
     count = 0
     for model in models:
         for lin in model.bundles.values():
-            lin = equivalent_divisor(model, lin, shift)
+            lin = equivalent_divisor(model, lin, m)
             by_n = trace_terms(model, lin, 4, AT)
             assert by_n == [
                 [{"point": nonempty_charts(r["point"]), "term": r["term"]}
@@ -801,89 +680,6 @@ def test_co_series_seed_changes_points_not_values():
     assert a.eval_points != b.eval_points
 
 
-def test_co_series_matches_reference_tables(monkeypatch):
-    # 240 seeded calls, a bundle whose divisor makes a class weight the zero
-    # vector among them, and 80 on 40 generated fans with divisor entries
-    # in -3..3: the same values and evaluation points as co_series driven
-    # by the per-cell tables and per-partition Fractions
-    negative = ToricSurfaceModel("p1xp1", P1XP1_FAN,
-                                 {"n": Linearization("n", (0, 0, -1, 0), (0, 0))})
-    f1 = ToricSurfaceModel("f1", F1_FAN, {"D": Linearization("D", (0, 0, 1, 1), ())})
-    jobs = [(m, m.bundles[b]) for m in (p1xp1(), p2()) for b in ("L", "trivial")]
-    jobs += [(negative, negative.bundles["n"]), (f1, f1.bundles["D"])]
-    calls = [(jobs[seed % len(jobs)], seed) for seed in range(240)]
-    rng = random.Random(28)
-    for seed in range(240, 320, 2):
-        rays = random_fan(rng)
-        model = ToricSurfaceModel("fan", rays, {"D": Linearization(
-            "D", tuple(rng.randint(-3, 3) for _ in rays), ())})
-        calls += [((model, model.bundles["D"]), seed), ((model, model.bundles["D"]), seed + 1)]
-    got = [co_series(m, lin, 5, seed=seed) for (m, lin), seed in calls]
-
-    def reference_tables(scalars, layout):
-        return cell_weight_tables(scalars, len(layout))
-
-    def reference_product(co_tables, tan_tables, counts):
-        return fraction_chart_product(co_tables, tan_tables, len(counts) - 1)
-
-    # zero class products among the seeded calls and among the fans' calls
-    zeros = [any(0 in row for rows in hook_weight_tables(m, lin, 5, r.eval_points[0])[0]
-                 for row in rows)
-             for ((m, lin), _), r in zip(calls, got)]
-    assert any(zeros[:240]) and any(zeros[240:])
-    monkeypatch.setattr(localization, "_weight_tables", reference_tables)
-    monkeypatch.setattr(localization, "chart_product", reference_product)
-    want = [co_series(m, lin, 5, seed=seed) for (m, lin), seed in calls]
-    assert [(r.values, r.eval_points) for r in got] == [(r.values, r.eval_points) for r in want]
-
-
-def _reference_generic_pair(rng, model, lin, n_max):
-    # pairs drawn as co_series draws them, until the reference's per-cell
-    # walk meets no vanishing tangent weight at either point; the pair, the
-    # reference's tables at each point, and the number of pairs refused
-    refused = 0
-    while True:
-        pair = (_draw_point(rng, 99, 1), _draw_point(rng, 9999, 60))
-        tables = [_outcome(cell_weight_tables, _chart_scalars(model, lin, at), n_max)
-                  for at in pair]
-        if "zero" not in tables:
-            return pair, tables, refused
-        refused += 1
-
-
-def test_zero_weight_charts_are_counted_not_tabulated():
-    # 150 seeded fans, divisor entries in -3..3 with the two at one random
-    # cone set to 0, n_max <= 10, at the first pair of points the per-cell
-    # reference accepts: at every chart where the bundle's weight, a torus
-    # vector of the reference, vanishes at the point, the reference's class
-    # and tangent products are equal entry by entry, and `_weight_tables`
-    # builds no table there and one at every other chart; co_series is
-    # prod (1-q^k)^(-delta) on every fan
-    rng = random.Random(38)
-    zero_charts = 0
-    for case in range(150):
-        rays = random_fan(rng)
-        divisor = [rng.randint(-3, 3) for _ in rays]
-        k = rng.randrange(len(rays))
-        divisor[k] = divisor[(k + 1) % len(rays)] = 0
-        lin = Linearization("D", tuple(divisor), ())
-        model = ToricSurfaceModel("fan", rays, {"D": lin})
-        n_max = rng.randint(0, 10)
-        pair, reference, _ = _reference_generic_pair(rng, model, lin, n_max)
-        layout = _cell_layout(n_max)
-        for (x, y), (ref_co, ref_tan) in zip(pair, reference):
-            co_tables, tan_tables = _weight_tables(_chart_scalars(model, lin, (x, y)), layout)
-            for c, (bx, by) in enumerate(bundle_weights(model, lin)):
-                zero = bx * x + by * y == 0
-                assert (co_tables[c] is None) == (tan_tables[c] is None) == zero
-                if zero:
-                    assert ref_co[c] == ref_tan[c]
-                zero_charts += zero
-        res = co_series(model, lin, n_max, seed=case)
-        assert list(res.values) == euler_power(-fan_delta(rays, divisor), n_max)
-    assert zero_charts > 300
-
-
 def test_co_series_sums_nothing_where_every_weight_is_zero(monkeypatch):
     # P2's trivial bundle has the weight (0, 0) at all three charts: one
     # co_series call at n = 12 builds no partition table and runs no exact
@@ -917,91 +713,6 @@ def test_co_series_sums_nothing_where_every_weight_is_zero(monkeypatch):
     assert sums == products == []
 
 
-def test_weight_zero_at_the_point_is_counted_whatever_the_entries(monkeypatch):
-    # 40 seeded fans, each with one cone whose divisor entries (s_i, s_j)
-    # are not (0, 0) but make the bundle's weight s_i*P + s_j*Q vanish at an
-    # integer point where P*Q < 0, so that chart is generic there: the
-    # oracle counts that chart, whose class and tangent products the
-    # per-cell reference finds equal, and its values and trace at the
-    # point, and co_series evaluated there and at another point of its
-    # line, equal the per-cell reference's
-    rng = random.Random(39)
-    cases = 0
-    while cases < 40:
-        rays = random_fan(rng)
-        c = rng.randrange(len(rays))
-        i, j = c, (c + 1) % len(rays)
-        (w1, w2) = dual_basis(ToricSurfaceModel("fan", rays, {}))[c]
-        x, y = rng.randint(-99, 99), rng.randint(-99, 99)
-        P, Q = w1[0] * x + w1[1] * y, w2[0] * x + w2[1] * y
-        if P * Q >= 0:
-            continue
-        divisor = [rng.randint(-3, 3) for _ in rays]
-        divisor[i], divisor[j] = Q // gcd(P, Q), -P // gcd(P, Q)
-        lin = Linearization("D", tuple(divisor), ())
-        model = ToricSurfaceModel("fan", rays, {"D": lin})
-        n_max = rng.randint(1, 6)
-        at = (Fraction(x), Fraction(y))
-        bx, by = bundle_weights(model, lin)[c]
-        assert (bx, by) != (0, 0) and bx * x + by * y == 0
-        scalars = _chart_scalars(model, lin, at)
-        reference = _outcome(cell_weight_tables, scalars, n_max)
-        if reference == "zero":
-            # a tangent weight of another chart vanishes at the point
-            continue
-        ref_co, ref_tan = reference
-        co_tables, tan_tables = _weight_tables(scalars, _cell_layout(n_max))
-        assert co_tables[c] is None and tan_tables[c] is None
-        assert ref_co[c] == ref_tan[c]
-        want = fraction_chart_product(ref_co, ref_tan, n_max)
-        assert fixed_point_series(model, lin, n_max, at) == want
-        assert want == euler_power(-fan_delta(rays, divisor), n_max)
-        depth = min(n_max, 3)
-        assert trace_terms(model, lin, depth, at) == [
-            [{"point": nonempty_charts(r["point"]), "term": r["term"]}
-             for r in direct_trace_terms(model, lin, n, at)]
-            for n in range(depth + 1)
-        ]
-        pair = (at, (at[0] * Fraction(-7, 3), at[1] * Fraction(-7, 3)))
-        points = iter(pair)
-        monkeypatch.setattr(localization, "_draw_point", lambda rng, *bounds: next(points))
-        res = co_series(model, lin, n_max)
-        assert res.eval_points == pair and list(res.values) == want
-        cases += 1
-
-
-def test_co_series_draws_a_short_first_point():
-    # 200 seeds on P2 and P1 x P1 with both bundles, F1 and seeded fans,
-    # n_max 0..12: the first point is a pair of integers in -99..99 and the
-    # second has numerators up to 9999 over denominators up to 60; the pair
-    # is the first one drawn at which the reference's per-cell walk meets no
-    # vanishing tangent weight, and the values are prod (1-q^k)^(-delta)
-    f1 = ToricSurfaceModel("f1", F1_FAN, {"D": Linearization("D", (0, 0, 1, 1), ())})
-    jobs = [(m, m.bundles[b]) for m in (p2(), p1xp1()) for b in ("L", "trivial")]
-    jobs.append((f1, f1.bundles["D"]))
-    fans = random.Random(9)
-    refused = wide = 0
-    for seed in range(200):
-        if seed % 6 < 5:
-            model, lin = jobs[seed % 6]
-        else:
-            rays = random_fan(fans)
-            model = ToricSurfaceModel("fan", rays, {"D": Linearization(
-                "D", tuple(fans.randint(-3, 3) for _ in rays), ())})
-            lin = model.bundles["D"]
-        n_max = seed % 13
-        res = co_series(model, lin, n_max, seed=seed)
-        (x, y), (u, v) = res.eval_points
-        assert all(t.denominator == 1 and 1 <= abs(t) <= 99 for t in (x, y))
-        assert all(t.denominator <= 60 and 1 <= abs(t.numerator) <= 9999 for t in (u, v))
-        pair, _, count = _reference_generic_pair(random.Random(seed), model, lin, n_max)
-        assert res.eval_points == pair
-        assert list(res.values) == euler_power(-fan_delta(model.rays, lin.divisor), n_max)
-        refused += count
-        wide += u.denominator > 1 or abs(u) > 99
-    assert refused > 0 and wide > 190
-
-
 @pytest.mark.parametrize("A", [((1, 1), (0, 1)), ((2, 1), (1, 1)), ((0, -1), (1, 0)),
                                ((1, 0), (2, -1))])  # the last is a reflection
 def test_co_series_independent_of_torus_basis(A):
@@ -1032,11 +743,156 @@ def test_co_series_redraws_a_rejected_pair(make, n_max, seed):
     model = make()
     lin = model.bundles["L"]
     rng = random.Random(seed)
-    first = [_draw_point(rng, 99, 1), _draw_point(rng, 9999, 60)]
-    assert "zero" in [_outcome(weight_tables, model, lin, n_max, at) for at in first]
+    assert any(first_vanishing_weight(model, lin, n_max, at) is not None
+               for at in draw_pair(rng))
     res = co_series(model, lin, n_max, seed=seed)
-    assert res.eval_points == (_draw_point(rng, 99, 1), _draw_point(rng, 9999, 60))
+    assert res.eval_points == draw_pair(rng)
     assert list(res.values) == euler_power(-fan_delta(model.rays, lin.divisor), n_max)
+
+
+# ---------------------------------------------------------------------------
+# the seeded corpus (`oracle_corpus`)
+
+
+@lru_cache(maxsize=None)
+def corpus_results():
+    return tuple(co_series(c.model, c.lin, c.n_max, seed=c.seed) for c in oracle_corpus())
+
+
+def walked_points(case):
+    # the accepted short point, and a "zero weight" case's integer point
+    return (case.pair[0], case.own[0]) if case.kind == "zero weight" else case.pair[:1]
+
+
+def test_corpus_values_are_the_euler_product():
+    # co_series's values are prod (1-q^k)^(-delta), delta = e - K.D + D^2
+    # read off the fan and off the model, and so are the integrals at the
+    # case's own points where no tangent weight vanishes
+    for case, res in zip(oracle_corpus(), corpus_results()):
+        delta = fan_delta(case.model.rays, case.lin.divisor)
+        e, KD, DD = case.model.intersection_numbers(case.lin.divisor)
+        assert e - KD + DD == delta
+        want = euler_power(-delta, case.n_max)
+        assert list(res.values) == want, case.seed
+        for at in case.own:
+            if case.tables[at] is not None:
+                assert fixed_point_series(case.model, case.lin, case.n_max, at) == want, case.seed
+
+
+def test_corpus_points_are_the_first_pair_the_reference_accepts():
+    # co_series evaluates at the first pair drawn at which the per-cell
+    # walk meets no vanishing tangent weight: integers in -99..99 first,
+    # then numerators up to 9999 over denominators up to 60, almost always
+    # outside the first point's range
+    wide = 0
+    for case, res in zip(oracle_corpus(), corpus_results()):
+        (x, y), (u, v) = res.eval_points
+        assert all(t.denominator == 1 and 1 <= abs(t) <= 99 for t in (x, y))
+        assert all(t.denominator <= 60 and 1 <= abs(t.numerator) <= 9999 for t in (u, v))
+        assert res.eval_points == case.pair, case.seed
+        wide += u.denominator > 1 or abs(u) > 99
+    assert wide == 158
+
+
+def test_corpus_generic_is_the_per_cell_walk():
+    # at every point, refused pairs included, `_generic` accepts exactly
+    # where the per-cell tables, and the walk to the first, meet no zero
+    for case in oracle_corpus():
+        for at, tables in case.tables.items():
+            vanishing = first_vanishing_weight(case.model, case.lin, case.n_max, at)
+            assert (oracle_generic(case.model, case.lin, case.n_max, at)
+                    == (tables is not None) == (vanishing is None)), (case.seed, at)
+
+
+def test_corpus_hook_tables_are_the_per_cell_tables():
+    # wherever no tangent weight vanishes, a chart has no hook table
+    # exactly where the bundle's weight (a torus vector) vanishes, and there
+    # the per-cell class and tangent products are equal; every other table
+    # is the per-cell one up to one common factor per entry
+    for case in oracle_corpus():
+        bundles = bundle_weights(case.model, case.lin)
+        for (x, y), reference in case.tables.items():
+            if reference is None:
+                continue
+            co_tables, tan_tables = oracle_tables(case.model, case.lin, case.n_max, (x, y))
+            for c, (bx, by) in enumerate(bundles):
+                zero = bx * x + by * y == 0
+                assert (co_tables[c] is None) == (tan_tables[c] is None) == zero
+                if zero:
+                    assert reference[0][c] == reference[1][c]
+            assert _same_ratios(_counted_as_ones((co_tables, tan_tables), case.n_max), reference)
+
+
+def test_corpus_class_entries_vanish_at_zero_class_vectors():
+    # at the wide point, a partition of size k <= 6 has the class entry 0
+    # exactly when co_class_weights lists the zero vector among its chart's
+    # weights, the partition put in every chart
+    for case in oracle_corpus():
+        co_tables, _ = oracle_tables(case.model, case.lin, case.n_max, case.pair[1])
+        for k in range(1, min(case.n_max, 6) + 1):
+            for i, parts in enumerate(partition_list(k)):
+                weights = co_class_weights((parts,) * case.model.euler, case.model, case.lin)
+                for c, co_rows in enumerate(co_tables):
+                    zero_vector = (0, 0) in weights[2 * k * c:2 * k * (c + 1)]
+                    assert (co_rows is not None and co_rows[k][i] == 0) == zero_vector
+
+
+def test_corpus_charts_are_carlsson_okounkov_on_the_plane():
+    # chart by chart, the series sum_k q^k sum co/tan of the oracle's
+    # tables, a counted chart's being the partition counts, is
+    # prod (1-q^k)^(-(m+P)(m+Q)/(PQ)) (n_max > 0, where P*Q != 0)
+    for case in oracle_corpus():
+        for at in walked_points(case) if case.n_max else ():
+            co_tables, tan_tables = oracle_tables(case.model, case.lin, case.n_max, at)
+            got = [_counts(case.n_max) if co_rows is None else
+                   [sum(map(Fraction, co_rows[k], tan_rows[k])) for k in range(case.n_max + 1)]
+                   for co_rows, tan_rows in zip(co_tables, tan_tables)]
+            assert got == chart_closed_forms(case.model, case.lin, case.n_max, at), case.seed
+
+
+def test_corpus_trace_terms_are_the_direct_walk():
+    # the trace's terms for n <= min(n_max, 3) are the direct walk's, its
+    # empty charts dropped
+    for case in oracle_corpus():
+        depth = min(case.n_max, 3)
+        for at in walked_points(case):
+            assert trace_terms(case.model, case.lin, depth, at) == [
+                [{"point": nonempty_charts(r["point"]), "term": r["term"]}
+                 for r in direct_trace_terms(case.model, case.lin, n, at)]
+                for n in range(depth + 1)
+            ], case.seed
+
+
+def _has_zero_class_vector(model, lin, n_max):
+    # whether a class weight of some chart's hook with l + a + 1 <= n_max,
+    # the corner of the partition (a+1, 1^l), is the zero vector
+    hooks = [(a + 1,) + (1,) * l for l in range(n_max) for a in range(n_max - l)]
+    return any((t[0] + b[0], t[1] + b[1]) == (0, 0)
+               for chart, b in zip(dual_basis(model), bundle_weights(model, lin))
+               for parts in hooks for t in tangent_weights(parts, chart))
+
+
+def test_corpus_coverage():
+    # what the corpus holds, so that a generator that thins it fails here
+    cases = oracle_corpus()
+    counted = Counter()
+    for case in cases:
+        for (x, y), tables in case.tables.items():
+            if tables is not None:
+                counted.update("zero entries" if (bx, by) == (0, 0) else "nonzero entries"
+                               for bx, by in bundle_weights(case.model, case.lin)
+                               if bx * x + by * y == 0)
+    assert sum(bool(case.refused) for case in cases) == 6
+    assert sum(tables is None for case in cases for tables in case.tables.values()) == 100
+    assert sum(_has_zero_class_vector(case.model, case.lin, case.n_max) for case in cases) == 106
+    assert counted == {"zero entries": 154, "nonzero entries": 88}
+    assert sum(case.n_max == 0 for case in cases) == 13
+    assert Counter(case.model.euler for case in cases) == {
+        3: 10, 4: 19, 5: 31, 6: 21, 7: 27, 8: 19, 9: 18, 10: 15}
+    # points with P/Q = p/q >= 0 in lowest terms, p + q = n_max, at a chart
+    assert sum(any(P * Q >= 0 and abs(P) + abs(Q) == case.n_max * gcd(P, Q)
+                   for P, Q, _, _ in _chart_scalars(case.model, case.lin, at))
+               for case in cases for at in case.tables) == 18
 
 
 # ---------------------------------------------------------------------------
