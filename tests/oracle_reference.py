@@ -10,9 +10,8 @@ raises VanishingWeightError, found cell by cell, where the oracle tests the
 point once in closed form (`_generic`); the tests hold the two against each
 other.  A class weight is a numerator only, so one that is zero, at the
 point or as the vector (0, 0), is multiplied like any other and makes its
-fixed point's term 0.  A linearization is moved by a torus
-character m through the equivalent divisor a_k + <m, v_k>
-(`equivalent_divisor`).
+fixed point's term 0.  A linearization is moved by a torus character m
+through the equivalent divisor a_k + <m, v_k> (`equivalent_divisor`).
 
 `cell_weight_tables` and `fraction_chart_product` are the oracle's earlier
 fast path, kept as references for the hook tables and the exact sums: chart
@@ -21,25 +20,21 @@ partition.  `direct_trace_terms` is the direct walk over fixed points that
 `trace_terms` replaced by reading the oracle's tables: every weight of
 every cell of every fixed point multiplied out, one Fraction per point.
 Its fixed points come from `hilb_fixed_points`, which recurses once per
-chart and lives here, not in the library: the oracle's `trace_terms`
-extends each point by its nonempty charts, and the two enumerations share
-no code.
-`nonempty_charts` writes one of its points as the trace lists it.
-Every reference here takes its partitions from `partitions`, a recursive
-generator, and `partition_list`, its cached tuples, not from the oracle's
-`_cell_layout`, so the references share no partition code with the
-oracle they check.
-`first_vanishing_weight` walks the tangent weights in `weight_tables`
-order and stops at the first that vanishes at the point, which is how the
-tests show that a pair of points is refused.
+chart, where the oracle's `trace_terms` extends each point by its nonempty
+charts; `nonempty_charts` writes one point as the trace lists it.  Every
+reference takes its partitions from `partitions`, a recursive generator,
+and `partition_list`, its cached tuples, not from the oracle's
+`_cell_layout`, so the references share no partition or fixed-point code
+with the oracle they check.  `first_vanishing_weight` walks the tangent
+weights in `weight_tables` order and stops at the first that vanishes at
+the point, which is how the tests show that a pair of points is refused.
 
 `random_fan` generates smooth complete fans by toric blow-ups, and
 `fan_delta` reads e - K.D + D^2 off a fan without the oracle's model.
 `chart_closed_forms` is Carlsson-Okounkov's product on C^2, chart by chart,
 which each chart's series in the oracle's tables must equal; the oracle's
 summation does not use it.  `oracle_corpus` is the seeded set of cases,
-built once per session, over which each property of the oracle is
-asserted once.
+built once per session, over which each oracle property is asserted once.
 
 Besides `co_series` and `trace_terms`, the tests import only these
 internals of `dtseries.localization`, most of them here behind the helper
@@ -323,16 +318,13 @@ def cell_weight_tables(scalars, n_max):
         hooks = [hook_pairs(parts) for parts in partition_list(k)]
         for c, (P, Q, si, sj) in enumerate(scalars):
             base_val = si * P + sj * Q
-            co_row = []
-            tan_row = []
+            co_row, tan_row = [], []
             for pairs in hooks:
                 tp = cp = 1
                 for (x, y) in pairs:
                     v = x * P + y * Q
                     if v == 0:
-                        raise VanishingWeightError(
-                            f"tangent weight ({x},{y}) vanishes at the evaluation point"
-                        )
+                        raise VanishingWeightError(f"tangent weight ({x},{y}) vanishes")
                     tp *= v
                     cp *= v + base_val
                 co_row.append(cp)

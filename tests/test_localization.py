@@ -764,34 +764,43 @@ def walked_points(case):
     return (case.pair[0], case.own[0]) if case.kind == "zero weight" else case.pair[:1]
 
 
-def test_corpus_values_are_the_euler_product():
+def test_co_series_on_generated_fans():
     # co_series's values are prod (1-q^k)^(-delta), delta = e - K.D + D^2
-    # read off the fan and off the model, and so are the integrals at the
-    # case's own points where no tangent weight vanishes
+    # read off the fan and off the model
     for case, res in zip(oracle_corpus(), corpus_results()):
         delta = fan_delta(case.model.rays, case.lin.divisor)
         e, KD, DD = case.model.intersection_numbers(case.lin.divisor)
         assert e - KD + DD == delta
-        want = euler_power(-delta, case.n_max)
-        assert list(res.values) == want, case.seed
+        assert list(res.values) == euler_power(-delta, case.n_max), case.seed
+
+
+def test_co_series_multiplies_zero_class_weights_on_generated_fans():
+    # at each own point where no tangent weight vanishes, the integrals are
+    # prod (1-q^k)^(-delta), zero-vector class weights among them
+    for case in oracle_corpus():
+        want = euler_power(-fan_delta(case.model.rays, case.lin.divisor), case.n_max)
         for at in case.own:
             if case.tables[at] is not None:
                 assert fixed_point_series(case.model, case.lin, case.n_max, at) == want, case.seed
 
 
-def test_corpus_points_are_the_first_pair_the_reference_accepts():
-    # co_series evaluates at the first pair drawn at which the per-cell
-    # walk meets no vanishing tangent weight: integers in -99..99 first,
-    # then numerators up to 9999 over denominators up to 60, almost always
-    # outside the first point's range
+def test_co_series_draws_a_short_first_point():
+    # co_series draws integers in -99..99 first, then numerators up to 9999
+    # over denominators up to 60, almost always outside the first's range
     wide = 0
-    for case, res in zip(oracle_corpus(), corpus_results()):
+    for res in corpus_results():
         (x, y), (u, v) = res.eval_points
         assert all(t.denominator == 1 and 1 <= abs(t) <= 99 for t in (x, y))
         assert all(t.denominator <= 60 and 1 <= abs(t.numerator) <= 9999 for t in (u, v))
-        assert res.eval_points == case.pair, case.seed
         wide += u.denominator > 1 or abs(u) > 99
     assert wide == 158
+
+
+def test_co_series_matches_reference_tables():
+    # co_series evaluates at the first pair drawn at which the per-cell
+    # walk meets no vanishing tangent weight
+    for case, res in zip(oracle_corpus(), corpus_results()):
+        assert res.eval_points == case.pair, case.seed
 
 
 def test_corpus_generic_is_the_per_cell_walk():
@@ -804,23 +813,28 @@ def test_corpus_generic_is_the_per_cell_walk():
                     == (tables is not None) == (vanishing is None)), (case.seed, at)
 
 
-def test_corpus_hook_tables_are_the_per_cell_tables():
+def test_zero_weight_charts_are_counted_not_tabulated():
     # wherever no tangent weight vanishes, a chart has no hook table
-    # exactly where the bundle's weight (a torus vector) vanishes, and there
-    # the per-cell class and tangent products are equal; every other table
-    # is the per-cell one up to one common factor per entry
+    # exactly where the bundle's weight (a torus vector) vanishes, and every
+    # other table is the per-cell one up to one common factor per entry
     for case in oracle_corpus():
-        bundles = bundle_weights(case.model, case.lin)
         for (x, y), reference in case.tables.items():
             if reference is None:
                 continue
             co_tables, tan_tables = oracle_tables(case.model, case.lin, case.n_max, (x, y))
-            for c, (bx, by) in enumerate(bundles):
-                zero = bx * x + by * y == 0
-                assert (co_tables[c] is None) == (tan_tables[c] is None) == zero
-                if zero:
-                    assert reference[0][c] == reference[1][c]
+            zeros = [bx * x + by * y == 0 for bx, by in bundle_weights(case.model, case.lin)]
+            assert [t is None for t in co_tables] == [t is None for t in tan_tables] == zeros
             assert _same_ratios(_counted_as_ones((co_tables, tan_tables), case.n_max), reference)
+
+
+def test_weight_zero_at_the_point_is_counted_whatever_the_entries():
+    # where the bundle's weight vanishes at the point, its entries (0, 0)
+    # or not, the per-cell class and tangent products are equal
+    for case in oracle_corpus():
+        for (x, y), reference in case.tables.items():
+            for c, (bx, by) in enumerate(bundle_weights(case.model, case.lin)):
+                if reference is not None and bx * x + by * y == 0:
+                    assert reference[0][c] == reference[1][c], (case.seed, c)
 
 
 def test_corpus_class_entries_vanish_at_zero_class_vectors():
@@ -903,15 +917,13 @@ def _oracle_sum(co_tables, tan_tables, n):
     """Direct Fraction-arithmetic evaluation of the composition sum; a
     chart without tables has the ratio 1 at each of the reference's
     partitions."""
-    num_charts = len(co_tables)
-
     def row_sum(chart, k):
         if co_tables[chart] is None:
             return sum(Fraction(1) for _ in partition_list(k))
         return sum(Fraction(a, b) for a, b in zip(co_tables[chart][k], tan_tables[chart][k]))
 
     def walk(chart, remaining):
-        if chart == num_charts - 1:
+        if chart == len(co_tables) - 1:
             return row_sum(chart, remaining)
         total = Fraction(0)
         for k in range(remaining + 1):
@@ -933,22 +945,18 @@ def test_chart_product_matches_direct_sum():
     for _ in range(15):
         num_charts = rng.randint(1, 3)
         n_max = rng.randint(0, 4)
-        co_tables = []
-        tan_tables = []
+        co_tables, tan_tables = [], []
         for _c in range(num_charts):
             if rng.random() < 1 / 3:
                 co_tables.append(None)
                 tan_tables.append(None)
                 counted += 1
                 continue
-            co_rows = []
-            tan_rows = []
+            co_rows, tan_rows = [], []
             for k in range(n_max + 1):
                 width = len(partition_list(k))
                 co_rows.append([rng.randint(-50, 50) for _ in range(width)])
-                tan_rows.append(
-                    [rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(width)]
-                )
+                tan_rows.append([rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(width)])
             co_tables.append(co_rows)
             tan_tables.append(tan_rows)
         got = chart_product(co_tables, tan_tables, _counts(n_max))
