@@ -31,6 +31,8 @@ classes of one character have squares of one parity.
 """
 
 import json
+import os
+import stat
 from collections import Counter
 from fractions import Fraction
 from operator import mul
@@ -406,10 +408,23 @@ def load_fixture(path):
 
 def write_json(obj, path):
     """Write obj to the file path as UTF-8 JSON: indent 2, sorted keys and a
-    final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    final newline.
+
+    obj is serialised before path is opened, so an object JSON cannot
+    encode raises and leaves an existing file as it was.  An existing
+    regular file is rewritten in place and then cut to the new length:
+    opening it with truncation would free its blocks only to allocate new
+    ones, which costs tens of milliseconds on a file system that discards
+    freed blocks.  A rewrite that shrinks the file by at least one block
+    still frees that tail; growing it, or shrinking it within its last
+    block, frees nothing.  A target that is not a regular file (/dev/null,
+    a pipe) is written as a stream and never truncated."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def save_fixture(fx, path):

@@ -498,13 +498,39 @@ def test_oracle_trace_file_is_the_reference_walk_byte_for_byte(capsys, tmp_path,
 def test_oracle_trace_unwritable_exits_bad_input(capsys, tmp_path):
     # the empty path is a path too: it fails to open like any other
     # unwritable one, rather than leaving no trace and exiting 0
-    for path in (str(tmp_path / "missing" / "t.json"), ""):
+    for path in (str(tmp_path / "missing" / "t.json"), "", str(tmp_path)):
         code, out, err = run(
             capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "1", "--trace", path,
         )
         assert code == EXIT_BAD_INPUT, path
         assert out == ""
         assert "error: cannot write trace: " in err and "Traceback" not in err
+
+
+def test_oracle_trace_rewrite_holds_only_the_new_trace(capsys, tmp_path):
+    # a trace over a longer one (13 kB at --nmax 3, 761 bytes at --nmax 1),
+    # over a shorter one and over itself is byte for byte a fresh write, in
+    # the same inode, with a new mtime even where the bytes are the same
+    def trace(nmax, path):
+        assert run(capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", str(nmax),
+                   "--trace", str(path))[0] == EXIT_OK
+        return path.read_bytes()
+
+    fresh = {n: trace(n, tmp_path / f"fresh{n}.json") for n in (1, 3)}
+    path = tmp_path / "trace.json"
+    for old, new in ((3, 1), (1, 3), (3, 3), (1, 1)):
+        trace(old, path)
+        inode = path.stat().st_ino
+        os.utime(path, ns=(0, 0))
+        assert trace(new, path) == fresh[new], (old, new)
+        assert path.stat().st_ino == inode and path.stat().st_mtime_ns > 0
+
+
+def test_oracle_trace_to_a_device_exits_ok(capsys):
+    # a non-regular target is written as a stream, never truncated
+    code, out, err = run(capsys, "oracle", "--fixture", "quadric_p4_d2", "--nmax", "3",
+                         "--trace", os.devnull)
+    assert code == EXIT_OK and out and "error" not in err
 
 
 def _blown_up_plane(d, rays):
@@ -1486,9 +1512,10 @@ def test_package_exports_are_the_module_objects():
 # -W error with -X warn_default_encoding fails any text open that leaves
 # the encoding to the locale (fixture and trace JSON is UTF-8).
 # save_fixture with series on its file, and oracle --trace, run both text
-# opens in the package.  The child prints what it found on its first line
-# before it asserts, so each import guard below reads its own finding from
-# the one child.
+# opens in the package; the trace is written twice onto one path, the second
+# shorter, so the rewrite in place runs there too.  The child prints what it
+# found on its first line before it asserts, so each import guard below
+# reads its own finding from the one child.
 STDLIB_ONLY_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -1506,6 +1533,10 @@ for cmd in ("check", "classes", "series", "oracle", "verify"):
 fixtures.save_fixture(fixtures.get_fixture("blowup_p3_point"), "fx.json")
 assert cli.main(["series", "--fixture", "fx.json", "--gamma", "r=0,s=-1"]) == 0
 assert cli.main(["oracle", "--fixture", "quadric_p4_d2", "--nmax", "3", "--trace", "trace.json"]) == 0
+assert cli.main(["oracle", "--fixture", "quadric_p4_d2", "--nmax", "1", "--trace", "trace.json"]) == 0
+assert cli.main(["oracle", "--fixture", "quadric_p4_d2", "--nmax", "1", "--trace", "fresh.json"]) == 0
+with open("trace.json", "rb") as a, open("fresh.json", "rb") as b:
+    assert a.read() == b.read()
 """
 
 

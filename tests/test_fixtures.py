@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
 
+from dtseries import fixtures
 from dtseries.fixtures import (
     BUILTIN,
     FixtureError,
@@ -16,6 +19,7 @@ from dtseries.fixtures import (
     get_fixture,
     load_fixture,
     save_fixture,
+    write_json,
 )
 from dtseries.geometry import ModelError, delta_invariant, virtual_dimension
 from dtseries.localization import Linearization, ToricSurfaceModel, co_series
@@ -314,6 +318,45 @@ def test_round_trip_through_file(tmp_path):
     # and get_fixture falls through to the loader for paths
     again = get_fixture(str(path))
     assert again.threefold == fx.threefold
+
+
+def test_write_json_that_cannot_serialise_leaves_the_file_unchanged(tmp_path):
+    path = tmp_path / "fx.json"
+    save_fixture(get_fixture("quadric_p4_d2"), path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json({"a": 1, "b": object()}, path)
+    assert path.read_bytes() == before
+
+
+def test_write_json_never_truncates_on_open(tmp_path, monkeypatch):
+    # truncating on open frees the old file's blocks, which is slow where
+    # the file system discards them; the writer cuts the file at its end
+    path = tmp_path / "fx.json"
+    save_fixture(get_fixture("quadric_p4_d2"), path)
+    real_open, flags = os.open, []
+
+    def recording_open(file, flag, *args):
+        flags.append(flag)
+        return real_open(file, flag, *args)
+
+    monkeypatch.setattr(fixtures.os, "open", recording_open)
+    save_fixture(get_fixture("quadric_p4_d1"), path)
+    monkeypatch.undo()
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert load_fixture(path) == get_fixture("quadric_p4_d1")
+
+
+def test_write_json_creates_a_file_as_open_does(tmp_path):
+    old = os.umask(0o002)
+    try:
+        with open(tmp_path / "open.json", "w", encoding="utf-8"):
+            pass
+        write_json([], tmp_path / "new.json")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("open.json", "new.json")]
+    assert modes == [0o664, 0o664]
 
 
 def test_load_missing_file():
